@@ -18,11 +18,11 @@ from typing import Optional
 from .engine import (
     TRACE_SCHEMA_VERSION,
     EpisodeConfig,
-    EpisodeOutcome,
+    EpisodeTrace,
+    SchemaMismatch,
     run_episode,
 )
 from .gateway import (
-    DecodeParams,
     Gateway,
     HttpGateway,
     HttpGatewayConfig,
@@ -31,7 +31,6 @@ from .gateway import (
     load_script,
 )
 from .planeval import AnnotationError, MissingGroundTruth, score_dataset
-from .plans import PlanParseError
 from .prompting import QATranscript, RenderedPrompt, gen_cot_prompt, gen_std_prompt, \
     gen_tp_no_std_prompt, gen_tp_prompt
 from .world import InvalidScenario, Scenario
@@ -46,10 +45,6 @@ class MalformedTaskSet(ValueError):
         super().__init__(f"task set invalid at scenario {scenario_id!r}: {detail}")
         self.scenario_id = scenario_id
         self.detail = detail
-
-
-class SchemaMismatch(ValueError):
-    pass
 
 
 @dataclass
@@ -74,16 +69,23 @@ def load_tasks(path: str | Path) -> TaskSet:
         data = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedTaskSet("<file>", f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MalformedTaskSet("<file>", "the root must be a JSON object")
+    raw_scenarios = data.get("scenarios")
+    if not isinstance(raw_scenarios, list):
+        raise MalformedTaskSet("<file>", "'scenarios' must be a list")
     scenarios: list[Scenario] = []
     seen: set[str] = set()
-    for raw in data.get("scenarios", []):
+    for index, raw in enumerate(raw_scenarios):
+        if not isinstance(raw, dict):
+            raise MalformedTaskSet(f"#{index}", "a scenario must be a JSON object")
         scenario_id = str(raw.get("id", "<missing id>"))
         if scenario_id in seen:
             raise MalformedTaskSet(scenario_id, "duplicate scenario id")
         seen.add(scenario_id)
         try:
             scenarios.append(Scenario.from_dict(raw))
-        except (InvalidScenario, AnnotationError, PlanParseError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise MalformedTaskSet(scenario_id, str(exc)) from exc
     return TaskSet(
         name=str(data.get("name", Path(path).stem)),
@@ -95,27 +97,6 @@ def load_tasks(path: str | Path) -> TaskSet:
 def episode_seed(global_seed: int, index: int) -> int:
     """Per-episode seed, stable in the task order regardless of scheduling."""
     return (global_seed * 1_000_003 + index) % 2 ** 63
-
-
-def _error_record(scenario: Scenario, seed: int, error: str) -> dict:
-    return {
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "task_id": scenario.id,
-        "task_type": scenario.task_type,
-        "instruction": scenario.instruction,
-        "seed": seed,
-        "config": {},
-        "qa": None,
-        "initial_plan": None,
-        "steps": [],
-        "failure_count": 0,
-        "outcome": EpisodeOutcome.PLAN_EXHAUSTED.value,
-        "abort_reason": f"internal_error: {error}",
-        "sr": 0,
-        "gc": 0.0,
-        "goal_conditions": [],
-        "llm_log": [],
-    }
 
 
 def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
@@ -132,7 +113,8 @@ def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
         try:
             record = run_episode(scenario, cfg.gateway, episode_cfg).to_record()
         except Exception as exc:  # defensive: a bug must not sink the batch
-            record = _error_record(scenario, seed, str(exc))
+            record = EpisodeTrace(scenario.id, scenario.task_type, scenario.instruction,
+                                  seed, {}, abort_reason=f"internal_error: {exc}").to_record()
         return index, record
 
     records: list[Optional[dict]] = [None] * len(tasks.scenarios)
@@ -156,15 +138,20 @@ def dump_record(record: dict) -> str:
 
 def read_traces(path: str | Path) -> list[dict]:
     records = []
-    for line in Path(path).read_text("utf-8").splitlines():
+    for number, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        records.append(json.loads(line))
-    for record in records:
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaMismatch(f"trace line {number} is not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise SchemaMismatch(f"trace line {number} is not a JSON object")
         if record.get("schema_version") != TRACE_SCHEMA_VERSION:
             raise SchemaMismatch(
-                f"trace schema {record.get('schema_version')!r} is not "
+                f"trace line {number}: schema {record.get('schema_version')!r} is not "
                 f"{TRACE_SCHEMA_VERSION} (task {record.get('task_id')!r})")
+        records.append(record)
     return records
 
 
@@ -238,12 +225,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     record = records[args.line - 1]
     tasks = load_tasks(args.tasks)
     by_id = {scenario.id: scenario for scenario in tasks.scenarios}
-    scenario = by_id.get(record["task_id"])
+    scenario = by_id.get(record.get("task_id"))
     if scenario is None:
-        raise MissingGroundTruth(record["task_id"])
-    echo = record.get("config") or {}
-    gateway_echo = echo.get("gateway") or {}
-    if gateway_echo.get("kind") != "scripted":
+        raise MissingGroundTruth(record.get("task_id"))
+    echo = record.get("config")
+    cfg = EpisodeConfig.from_echo(echo)
+    gateway_echo = echo.get("gateway")
+    if not isinstance(gateway_echo, dict) or gateway_echo.get("kind") != "scripted":
         print("error: only traces produced with the scripted gateway can be replayed",
               file=sys.stderr)
         return EXIT_CONFIG
@@ -253,20 +241,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     gateway = ScriptedGateway(load_script(script_path), script_path=str(script_path))
-    decode_echo = echo.get("decode") or {}
-    cfg = EpisodeConfig(
-        failure_budget=echo.get("failure_budget", 10),
-        replanning_enabled=echo.get("replanning_enabled", True),
-        use_std=echo.get("use_std", True),
-        use_cot=echo.get("use_cot", False),
-        decode=DecodeParams(
-            temperature=decode_echo.get("temperature", 0.0),
-            token_bias=decode_echo.get("token_bias", {}),
-            max_tokens=decode_echo.get("max_tokens", 512),
-        ),
-        noise_override=echo.get("noise", 0.0),
-        seed=echo.get("seed"),
-    )
     rerun = run_episode(scenario, gateway, cfg).to_record()
     # The recorded script path must win over the one used for this replay,
     # otherwise passing an equivalent script from another location would

@@ -12,11 +12,11 @@ bounds every episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
-from .gateway import Completion, DecodeParams, Gateway, GatewayError
+from .gateway import Completion, DecodeParams, Gateway, GatewayError, request_text
 from .plans import (
     NoSubgoalsFound,
     Plan,
@@ -63,6 +63,10 @@ class MalformedTranscript(ValueError):
     pass
 
 
+class SchemaMismatch(ValueError):
+    pass
+
+
 class EpisodeOutcome(str, Enum):
     SUCCESS = "success"
     BUDGET_EXHAUSTED = "budget_exhausted"
@@ -87,6 +91,58 @@ class EpisodeConfig:
             raise ValueError("failure_budget must be positive")
         if self.noise_override is not None and not 0.0 <= self.noise_override <= 1.0:
             raise ValueError("noise override must be in [0, 1]")
+
+    def to_echo(self, gw: Gateway) -> dict:
+        """The ``config`` field of a trace record. ``run_episode`` echoes its
+        resolved config, so ``noise``, ``seed`` and ``decode`` are always set."""
+        return {
+            "failure_budget": self.failure_budget,
+            "replanning_enabled": self.replanning_enabled,
+            "use_std": self.use_std,
+            "use_cot": self.use_cot,
+            "noise": self.noise_override,
+            "seed": self.seed,
+            "decode": {
+                "temperature": self.decode.temperature,
+                "max_tokens": self.decode.max_tokens,
+                "token_bias": dict(sorted(self.decode.token_bias.items())),
+            },
+            "gateway": gw.describe(),
+        }
+
+    @staticmethod
+    def from_echo(echo: dict) -> "EpisodeConfig":
+        """Inverse of ``to_echo`` (the gateway echo is left to the caller).
+        Raises SchemaMismatch on a missing, ill-typed or out-of-range field."""
+        decode = _echo_field(echo, "decode", dict)
+        bias = _echo_field(decode, "token_bias", dict)
+        for token in bias:
+            _echo_field(bias, token, _NUMBER)
+        fields = dict(
+            failure_budget=_echo_field(echo, "failure_budget", int),
+            replanning_enabled=_echo_field(echo, "replanning_enabled", bool),
+            use_std=_echo_field(echo, "use_std", bool),
+            use_cot=_echo_field(echo, "use_cot", bool),
+            noise_override=_echo_field(echo, "noise", _NUMBER),
+            seed=_echo_field(echo, "seed", int),
+        )
+        temperature = _echo_field(decode, "temperature", _NUMBER)
+        max_tokens = _echo_field(decode, "max_tokens", int)
+        try:
+            return EpisodeConfig(decode=DecodeParams(temperature, bias, max_tokens), **fields)
+        except ValueError as exc:
+            raise SchemaMismatch(f"config echo: {exc}") from exc
+
+
+_NUMBER = (int, float)
+
+
+def _echo_field(echo: object, key: str, kind: type | tuple[type, ...]):
+    # bool is an int subclass, so a flag never passes for a number or back
+    value = echo.get(key) if isinstance(echo, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise SchemaMismatch(f"config echo field {key!r} is missing or ill-typed: {value!r}")
+    return value
 
 
 @dataclass
@@ -174,9 +230,7 @@ def _call(gw: Gateway, stage: str, prompt: RenderedPrompt, params: DecodeParams,
           log: list[dict], scene: Optional[SceneSnapshot] = None) -> Completion:
     # Request goes into the log before the call, the reply right after it
     # returns, so a crashed call still leaves its request on record.
-    request = prompt.user_text if scene is None else \
-        f"{prompt.user_text}\n\nCurrent scene:\n{scene.description}"
-    log.append({"direction": "req", "stage": stage, "text": request})
+    log.append({"direction": "req", "stage": stage, "text": request_text(prompt, scene)})
     if scene is None:
         completion = gw.complete(prompt, params)
     else:
@@ -248,8 +302,7 @@ def make_plan(instruction: str, qa: Optional[QATranscript], gw: Gateway,
 def handle_failure(sg: Subgoal, scene: SceneSnapshot, observed: set[str],
                    current_plan: Plan, instruction: str, gw: Gateway,
                    cfg: EpisodeConfig, decode: DecodeParams,
-                   log: Optional[list[dict]] = None,
-                   at_step: Optional[int] = None) -> RecoveryDecision:
+                   log: Optional[list[dict]] = None) -> RecoveryDecision:
     """Decide between redoing the failed subgoal and revising the plan.
 
     Redo requires both that the subgoal's object has been observed and that
@@ -275,8 +328,7 @@ def handle_failure(sg: Subgoal, scene: SceneSnapshot, observed: set[str],
         return RecoveryDecision("abort", validity=validity,
                                 reason=f"gateway_error: {exc}")
     try:
-        new_plan, _ = parse_plan(r_completion.text, origin="replanned",
-                                 replanned_at_step=at_step)
+        new_plan, _ = parse_plan(r_completion.text)
     except NoSubgoalsFound:
         return RecoveryDecision("abort", validity=validity, feedback=feedback,
                                 reason="replan_unparseable")
@@ -308,24 +360,6 @@ def _resume_index(world: WorldState, revised: Plan, executed: list[Subgoal]) -> 
     return index
 
 
-def _config_echo(cfg: EpisodeConfig, gw: Gateway, noise_p: float, seed: int,
-                 decode: DecodeParams) -> dict:
-    return {
-        "failure_budget": cfg.failure_budget,
-        "replanning_enabled": cfg.replanning_enabled,
-        "use_std": cfg.use_std,
-        "use_cot": cfg.use_cot,
-        "noise": noise_p,
-        "seed": seed,
-        "decode": {
-            "temperature": decode.temperature,
-            "max_tokens": decode.max_tokens,
-            "token_bias": dict(sorted(decode.token_bias.items())),
-        },
-        "gateway": gw.describe(),
-    }
-
-
 def run_episode(scenario: Scenario, gw: Gateway,
                 cfg: Optional[EpisodeConfig] = None) -> EpisodeTrace:
     """Run one full episode and return its trace.
@@ -340,14 +374,15 @@ def run_episode(scenario: Scenario, gw: Gateway,
         world.noise_seed = cfg.seed
     if cfg.noise_override is not None:
         world.noise_p = cfg.noise_override
-    decode = cfg.decode or DecodeParams.for_vocab(scenario.vocabulary)
+    cfg = replace(cfg, seed=world.noise_seed, noise_override=world.noise_p,
+                  decode=cfg.decode or DecodeParams.for_vocab(scenario.vocabulary))
     log: list[dict] = []
     trace = EpisodeTrace(
         task_id=scenario.id,
         task_type=scenario.task_type,
         instruction=scenario.instruction,
-        seed=world.noise_seed,
-        config=_config_echo(cfg, gw, world.noise_p, world.noise_seed, decode),
+        seed=cfg.seed,
+        config=cfg.to_echo(gw),
         llm_log=log,
     )
 
@@ -363,9 +398,9 @@ def run_episode(scenario: Scenario, gw: Gateway,
     try:
         qa = None
         if cfg.use_cot or cfg.use_std:
-            qa = decompose(scenario.instruction, gw, cfg, decode, log)
+            qa = decompose(scenario.instruction, gw, cfg, cfg.decode, log)
         trace.qa = qa
-        current = make_plan(scenario.instruction, qa, gw, cfg, decode, log)
+        current = make_plan(scenario.instruction, qa, gw, cfg, cfg.decode, log)
     except (GatewayError, PlanningFailed, MalformedTranscript) as exc:
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=str(exc))
     trace.initial_plan = current
@@ -404,7 +439,7 @@ def run_episode(scenario: Scenario, gw: Gateway,
             continue
 
         decision = handle_failure(sg, scene, observed, current, scenario.instruction,
-                                  gw, cfg, decode, log, at_step=len(trace.steps) - 1)
+                                  gw, cfg, cfg.decode, log)
         record.decision = decision.kind
         record.validity = decision.validity
         if decision.kind == "redo":

@@ -43,6 +43,10 @@ class GatewayTimeout(GatewayError):
     pass
 
 
+class MalformedReply(GatewayError):
+    """A 200 reply whose body is not a chat completion; never retried."""
+
+
 class ScriptMiss(GatewayError):
     pass
 
@@ -228,7 +232,8 @@ class HttpGateway:
     max_tokens; the bias map is keyed by surface strings and left to the
     provider to map onto its tokenizer. Transient failures (connection
     errors, timeouts, 5xx) are retried with exponential backoff; 4xx responses
-    are rejected immediately. The API key is read from the configured
+    are rejected immediately, and a 200 reply that is not a chat completion
+    raises MalformedReply. The API key is read from the configured
     environment variable at call time and never stored.
     """
 
@@ -280,8 +285,14 @@ class HttpGateway:
                 continue
             if response.status_code != 200:
                 raise ProviderRejected(response.status_code, response.text[:200])
-            payload = response.json()
-            text = payload["choices"][0]["message"]["content"]
+            try:
+                payload = response.json()
+                text = payload["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError) as exc:
+                raise MalformedReply(
+                    f"reply is not a chat completion: {response.text[:200]!r}") from exc
+            if not isinstance(text, str):
+                raise MalformedReply(f"reply content is not text: {text!r}")
             latency_ms = int(1000 * (time.monotonic() - started))
             return Completion(text, payload.get("model", self.config.model), latency_ms,
                               (len(user_text.split()), len(text.split())))

@@ -62,6 +62,8 @@ class GtAnnotation:
 
     @staticmethod
     def from_dict(data: dict) -> "GtAnnotation":
+        if not isinstance(data, dict):
+            raise AnnotationError(f"an annotation must be a JSON object, got {data!r}")
         core = tuple(parse_subgoal(line) for line in data.get("core", []))
         gt = GtAnnotation(
             core=core,

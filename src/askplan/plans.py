@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class PlanParseError(ValueError):
@@ -35,12 +35,6 @@ class NoSubgoalsFound(PlanParseError):
     def __init__(self, skipped_lines: int):
         super().__init__(f"no subgoal lines found ({skipped_lines} lines skipped)")
         self.skipped_lines = skipped_lines
-
-
-class UnknownObject(ValueError):
-    def __init__(self, name: str):
-        super().__init__(f"object not in scenario vocabulary: {name!r}")
-        self.name = name
 
 
 class ActionKind(str, Enum):
@@ -88,11 +82,9 @@ class Subgoal:
 
 @dataclass(frozen=True)
 class Plan:
-    """An ordered subgoal sequence, tagged with how it came to be."""
+    """An ordered subgoal sequence."""
 
     steps: tuple[Subgoal, ...]
-    origin: str = "initial"  # "initial" or "replanned"
-    replanned_at_step: Optional[int] = None
 
 
 def parse_subgoal(line: str) -> Subgoal:
@@ -116,8 +108,7 @@ def parse_subgoal(line: str) -> Subgoal:
     return Subgoal(action, obj, receptacle)
 
 
-def parse_plan(raw: str, origin: str = "initial",
-               replanned_at_step: Optional[int] = None) -> tuple[Plan, int]:
+def parse_plan(raw: str) -> tuple[Plan, int]:
     """Extract every template line from a free-form completion, in order.
 
     Non-template lines are skipped and counted (blank lines are ignored
@@ -135,7 +126,7 @@ def parse_plan(raw: str, origin: str = "initial",
             skipped += 1
     if not steps:
         raise NoSubgoalsFound(skipped)
-    return Plan(tuple(steps), origin, replanned_at_step), skipped
+    return Plan(tuple(steps)), skipped
 
 
 def render_subgoal(sg: Subgoal) -> str:
@@ -144,17 +135,3 @@ def render_subgoal(sg: Subgoal) -> str:
         return f"({sg.action.value}, {sg.object}, {sg.receptacle})"
     return f"({sg.action.value}, {sg.object})"
 
-
-def render_plan(plan: Plan) -> str:
-    return "\n".join(render_subgoal(sg) for sg in plan.steps)
-
-
-def validate_subgoal(sg: Subgoal, vocab: Iterable[str]) -> None:
-    """Check that the subgoal's object (and receptacle) are known names."""
-    known = set(vocab)
-    if not known:
-        raise ValueError("object vocabulary must be non-empty")
-    if sg.object not in known:
-        raise UnknownObject(sg.object)
-    if sg.receptacle is not None and sg.receptacle not in known:
-        raise UnknownObject(sg.receptacle)

@@ -124,6 +124,8 @@ class GoalCondition:
 
     @staticmethod
     def from_dict(data: dict) -> "GoalCondition":
+        if not isinstance(data, dict):
+            raise InvalidScenario(f"a goal condition must be a JSON object, got {data!r}")
         kind = data.get("type")
         if kind == "located":
             return GoalCondition("located", data["object"], receptacle=data["receptacle"])
@@ -142,11 +144,6 @@ class GoalCondition:
         return {"type": "state", "object": self.object, "flag": self.flag, "value": self.value}
 
 
-@dataclass(frozen=True)
-class GoalSpec:
-    conditions: tuple[GoalCondition, ...]
-
-
 @dataclass
 class Scenario:
     """One benchmark task: initial world, instruction, goal, ground truth, noise."""
@@ -155,7 +152,7 @@ class Scenario:
     task_type: str
     instruction: str
     initial: WorldState
-    goal: GoalSpec
+    goal: tuple[GoalCondition, ...]
     gt: GtAnnotation
     noise: float = 0.0
 
@@ -176,7 +173,7 @@ class Scenario:
             agent_zone=data["agent_zone"],
             held=data.get("held"),
         )
-        goal = GoalSpec(tuple(GoalCondition.from_dict(c) for c in data.get("goal", [])))
+        goal = tuple(GoalCondition.from_dict(c) for c in data.get("goal", []))
         scenario = Scenario(
             id=data["id"],
             task_type=data.get("task_type", "unknown"),
@@ -197,7 +194,7 @@ class Scenario:
             "agent_zone": self.initial.agent_zone,
             "held": self.initial.held,
             "entities": [e.to_dict() for e in self.initial.entities.values()],
-            "goal": [c.to_dict() for c in self.goal.conditions],
+            "goal": [c.to_dict() for c in self.goal],
             "gt": self.gt.to_dict(),
             "noise": self.noise,
         }
@@ -223,8 +220,8 @@ class SceneSnapshot:
 
 def validate_scenario(scenario: Scenario) -> None:
     """Raise InvalidScenario with a detail message on any invariant violation."""
-    if not scenario.instruction.strip():
-        raise InvalidScenario("instruction is empty")
+    if not isinstance(scenario.instruction, str) or not scenario.instruction.strip():
+        raise InvalidScenario("instruction must be a non-empty string")
     if not 0.0 <= scenario.noise <= 1.0:
         raise InvalidScenario(f"noise must be in [0, 1], got {scenario.noise}")
     world = scenario.initial
@@ -250,9 +247,9 @@ def validate_scenario(scenario: Scenario) -> None:
             raise InvalidScenario(f"held object {world.held!r} does not exist")
         if holder.container is not None:
             raise InvalidScenario(f"held object {world.held!r} has a container")
-    if not scenario.goal.conditions:
+    if not scenario.goal:
         raise InvalidScenario("goal must have at least one condition")
-    for cond in scenario.goal.conditions:
+    for cond in scenario.goal:
         if cond.object not in world.entities:
             raise InvalidScenario(f"goal references missing object {cond.object!r}")
         if cond.kind == "located" and cond.receptacle not in world.entities:
@@ -263,7 +260,6 @@ def validate_scenario(scenario: Scenario) -> None:
 
 def new_world(scenario: Scenario) -> WorldState:
     """Fresh world for one episode: deep copy of the initial state, step 0."""
-    validate_scenario(scenario)
     world = scenario.initial.copy()
     world.step_count = 0
     world.noise_p = scenario.noise
@@ -481,9 +477,9 @@ def _condition_holds(world: WorldState, cond: GoalCondition) -> bool:
     return bool(getattr(entity, cond.flag)) == cond.value
 
 
-def check_goal_conditions(world: WorldState, goal: GoalSpec) -> list[bool]:
-    """Pure query: one boolean per condition, aligned with goal.conditions."""
-    return [_condition_holds(world, cond) for cond in goal.conditions]
+def check_goal_conditions(world: WorldState, goal: tuple[GoalCondition, ...]) -> list[bool]:
+    """Pure query: one boolean per condition, aligned with ``goal``."""
+    return [_condition_holds(world, cond) for cond in goal]
 
 
 def subgoal_effects_satisfied(world: WorldState, sg: Subgoal) -> bool:

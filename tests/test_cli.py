@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from askplan import asset_path
 from askplan.cli import (
@@ -11,10 +14,14 @@ from askplan.cli import (
     EXIT_IO,
     EXIT_OK,
     MalformedTaskSet,
+    dump_record,
     episode_seed,
     load_tasks,
     main,
+    read_traces,
 )
+from askplan.engine import EpisodeConfig
+from askplan.gateway import ScriptedGateway, load_script
 
 MINI7 = str(asset_path("tasks/mini7.json"))
 SCRIPT = str(asset_path("scripts/mini7.json"))
@@ -59,6 +66,59 @@ def test_load_tasks_invalid_scenario_reports_id(tmp_path):
     with pytest.raises(MalformedTaskSet) as err:
         load_tasks(path)
     assert err.value.scenario_id == "heat_bread"
+
+
+def _json_paths(node, prefix: tuple = ()):
+    """Every path into a JSON value, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+_MINI7_DATA = json.loads(Path(MINI7).read_text())
+_DELETE = object()
+_JUNK = (_DELETE, None, True, 0, -1, 2.5, "", "abc", [], [[1]], [5], {}, {"x": 1})
+
+
+def _mutate(data, path: tuple, value):
+    """Replace (or delete) the value at ``path``; a path that no longer
+    resolves leaves ``data`` as it is."""
+    if value is not _DELETE:
+        value = json.loads(json.dumps(value))  # junk values are shared
+    if not path:
+        return data if value is _DELETE else value
+    node = data
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    except (LookupError, TypeError):
+        pass
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "tasks.json"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_json_paths(_MINI7_DATA))),
+                          st.sampled_from(_JUNK)), min_size=1, max_size=3))
+def test_load_tasks_fuzz_returns_or_raises_malformed(fuzz_file, mutations):
+    data = json.loads(json.dumps(_MINI7_DATA))
+    for path, value in mutations:
+        data = _mutate(data, path, value)
+    fuzz_file.write_text(json.dumps(data))
+    try:
+        load_tasks(fuzz_file)
+    except MalformedTaskSet:
+        pass
 
 
 def test_episode_seed_stable():
@@ -239,6 +299,69 @@ def test_score_schema_mismatch(trace_dir, tmp_path):
     assert code == EXIT_CONFIG
 
 
+# -- pinned traces ------------------------------------------------------------
+
+# The digests pin the trace bytes of these runs; a change that alters them
+# changes the trace format, and replay of older traces with it.
+DIGESTS = Path(__file__).parent / "data" / "trace_digests.json"
+
+# name -> (script, heat_bread only, extra run flags); every run uses seed 42
+PINNED_RUNS = {
+    "mini7": ("mini7", False, ()),
+    "mini7-static": ("mini7", False, ("--static",)),
+    "mini7-no-std": ("mini7", False, ("--no-std",)),
+    "mini7-cot": ("mini7", False, ("--cot",)),
+    "bread-recovery": ("bread_recovery", True, ()),
+    "bread-noisy": ("bread_noisy", True, ("--noise", "0.3")),
+}
+
+
+def pinned_run(name: str, out: Path) -> Path:
+    """Run one pinned configuration into ``out`` and return its trace file."""
+    script, bread_only, flags = PINNED_RUNS[name]
+    tasks = Path(MINI7)
+    if bread_only:
+        data = json.loads(tasks.read_text())
+        data["scenarios"] = [s for s in data["scenarios"] if s["id"] == "heat_bread"]
+        tasks = out / "heat_bread.json"
+        tasks.write_text(json.dumps(data))
+    assert run_cli("run", "--tasks", str(tasks), "--gateway", "scripted",
+                   "--script", str(asset_path(f"scripts/{script}.json")),
+                   "--seed", "42", "--out", str(out), *flags) == EXIT_OK
+    return out / "traces.jsonl"
+
+
+def normalised_digest(traces: Path) -> str:
+    """sha256 of a trace file with each recorded script path cut to its file
+    name, so the digest does not depend on where the package lives."""
+    text = ""
+    for line in traces.read_text("utf-8").splitlines():
+        record = json.loads(line)
+        gateway = record["config"]["gateway"]
+        gateway["script"] = Path(gateway["script"]).name
+        text += dump_record(record) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_traces(tmp_path_factory) -> dict[str, Path]:
+    return {name: pinned_run(name, tmp_path_factory.mktemp(name)) for name in PINNED_RUNS}
+
+
+def test_pinned_trace_digests(pinned_traces):
+    expected = json.loads(DIGESTS.read_text("utf-8"))
+    assert {name: normalised_digest(path) for name, path in pinned_traces.items()} == expected
+
+
+def test_config_echo_round_trip(pinned_traces):
+    for name, traces in pinned_traces.items():
+        for record in read_traces(traces):
+            echo = record["config"]
+            script = echo["gateway"]["script"]
+            gw = ScriptedGateway(load_script(script), script_path=script)
+            assert EpisodeConfig.from_echo(echo).to_echo(gw) == echo, name
+
+
 # -- replay -------------------------------------------------------------------
 
 
@@ -249,11 +372,13 @@ def test_replay_line_identical(trace_dir, capsys):
     assert "identical" in capsys.readouterr().out
 
 
-def test_replay_every_line(trace_dir):
-    for line in range(1, 8):
-        assert run_cli("replay", "--traces", str(trace_dir / "traces.jsonl"),
-                       "--tasks", MINI7, "--line", str(line),
-                       "--script", SCRIPT) == EXIT_OK
+def test_replay_every_line(pinned_traces, capsys):
+    for name, traces in pinned_traces.items():
+        count = len(traces.read_text("utf-8").splitlines())
+        for line in range(1, count + 1):
+            assert run_cli("replay", "--traces", str(traces), "--tasks", MINI7,
+                           "--line", str(line)) == EXIT_OK, (name, line)
+            assert "identical" in capsys.readouterr().out, (name, line)
 
 
 def test_replay_line_out_of_range(trace_dir):
@@ -333,6 +458,82 @@ def test_missing_tasks_file_is_config_error(tmp_path):
                    "--gateway", "scripted", "--script", SCRIPT,
                    "--seed", "1", "--out", str(tmp_path))
     assert code == EXIT_CONFIG
+
+
+def _mini7_with(change) -> str:
+    data = json.loads(Path(MINI7).read_text())
+    change(data)
+    return json.dumps(data)
+
+
+def _first_trace_with(change) -> str:
+    record = {"schema_version": 1, "task_id": "heat_bread", "config": {
+        "failure_budget": 10, "replanning_enabled": True, "use_std": True,
+        "use_cot": False, "noise": 0.0, "seed": 1,
+        "decode": {"temperature": 0.0, "max_tokens": 512, "token_bias": {}},
+        "gateway": {"kind": "scripted", "script": SCRIPT},
+    }}
+    change(record)
+    return json.dumps(record)
+
+
+def _set(path: tuple, value):
+    def change(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return change
+
+
+def _drop(path: tuple):
+    def change(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return change
+
+
+# (command, task file text or None for mini7, trace file text or None)
+MALFORMED_INPUTS = {
+    "task-root-array": ("run", "[]", None),
+    "scenario-not-object": ("run", '{"scenarios": [5]}', None),
+    "scenarios-not-list": ("run", '{"scenarios": {}}', None),
+    "noise-not-number": ("run", _mini7_with(_set(("scenarios", 0, "noise"), "abc")), None),
+    "floating-one-element": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "floating"), [[1]])), None),
+    "trace-not-json": ("score", None, "not json\n"),
+    "trace-not-object-score": ("score", None, "[1]\n"),
+    "trace-not-object-replay": ("replay", None, "[1]\n"),
+    "echo-missing-seed": ("replay", None, _first_trace_with(_drop(("config", "seed")))),
+    "echo-noise-not-number": ("replay", None, _first_trace_with(
+        _set(("config", "noise"), "abc"))),
+    "echo-bias-not-number": ("replay", None, _first_trace_with(
+        _set(("config", "decode", "token_bias"), {"bread": "x"}))),
+    "echo-budget-zero": ("replay", None, _first_trace_with(
+        _set(("config", "failure_budget"), 0))),
+    "echo-not-object": ("replay", None, _first_trace_with(_set(("config",), []))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(name, tmp_path, capsys):
+    command, task_text, trace_text = MALFORMED_INPUTS[name]
+    tasks = MINI7
+    if task_text is not None:
+        tasks = str(tmp_path / "tasks.json")
+        Path(tasks).write_text(task_text)
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(trace_text or "")
+    argv = {
+        "run": ("run", "--tasks", tasks, "--script", SCRIPT, "--seed", "1",
+                "--out", str(tmp_path / "out")),
+        "score": ("score", "--traces", str(traces), "--tasks", tasks),
+        "replay": ("replay", "--traces", str(traces), "--tasks", tasks, "--line", "1"),
+    }[command]
+    assert run_cli(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_unwritable_out_dir_is_io_error(tmp_path):

@@ -135,7 +135,6 @@ def test_handle_failure_replans_on_invalid(bread_scenario, recovery_gateway):
     assert decision.validity.verdict is Verdict.INVALID
     inserted = [render_subgoal(s) for s in decision.new_plan.steps]
     assert "(Open, fridge)" in inserted
-    assert decision.new_plan.origin == "replanned"
 
 
 def test_handle_failure_redo_needs_observed_and_valid(bread_scenario):

@@ -4,6 +4,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -13,6 +14,7 @@ from askplan.gateway import (
     GatewayTimeout,
     HttpGateway,
     HttpGatewayConfig,
+    MalformedReply,
     MalformedScript,
     OracleScript,
     ProviderRejected,
@@ -25,6 +27,7 @@ from askplan.gateway import (
     parse_script,
     request_text,
 )
+from askplan.engine import EpisodeConfig, run_episode
 from askplan.prompting import RenderedPrompt
 from askplan.world import SceneSnapshot
 
@@ -204,6 +207,32 @@ def stub_server():
     thread.join(timeout=5)
 
 
+@contextmanager
+def _serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+
+
+def _replying(body: bytes):
+    """A stub handler that answers every request with ``body`` and status 200."""
+    class Handler(_StubHandler):
+        requests: list[dict] = []
+
+        def do_POST(self):
+            type(self).requests.append({})
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+    return Handler
+
+
 def _gateway(endpoint: str, retries: int = 2) -> HttpGateway:
     return HttpGateway(HttpGatewayConfig(
         endpoint=endpoint, model="stub-model", retries=retries,
@@ -264,6 +293,31 @@ def test_http_4xx_rejected_without_retry(stub_server):
     finally:
         server.shutdown()
         thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("body", [
+    b"<html>busy</html>",
+    b'{"choices": []}',
+    b'[1]',
+    b'{"choices": [{"message": {"content": null}}]}',
+])
+def test_http_malformed_reply_is_not_retried(body):
+    handler = _replying(body)
+    with _serving(handler) as endpoint:
+        with pytest.raises(MalformedReply):
+            _gateway(endpoint, retries=2).complete(PROMPT, DecodeParams())
+    assert len(handler.requests) == 1
+
+
+def test_http_malformed_reply_is_a_recorded_outcome(bread_scenario):
+    with _serving(_replying(b"<html>busy</html>")) as endpoint:
+        record = run_episode(bread_scenario, _gateway(endpoint),
+                             EpisodeConfig(seed=1)).to_record()
+    assert record["outcome"] == "plan_exhausted"
+    assert "not a chat completion" in record["abort_reason"]
+    assert record["config"]["gateway"]["kind"] == "http"
+    assert record["config"]["seed"] == 1
+    assert [(e["direction"], e["stage"]) for e in record["llm_log"]] == [("req", "decompose")]
 
 
 def test_http_describe_never_contains_key(monkeypatch, stub_server):

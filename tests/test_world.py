@@ -11,7 +11,6 @@ from askplan.world import (
     FLAG_IMPLICATIONS,
     FailReason,
     GoalCondition,
-    GoalSpec,
     InvalidScenario,
     Scenario,
     WorldState,
@@ -361,7 +360,7 @@ def test_all_mini7_gt_cores_execute_to_success(mini7):
 
 def test_negated_flag_condition(bread_scenario):
     world = new_world(bread_scenario)
-    goal = GoalSpec((GoalCondition("state", "bread", flag="is_heated", value=False),))
+    goal = (GoalCondition("state", "bread", flag="is_heated", value=False),)
     assert check_goal_conditions(world, goal) == [True]
 
 
