@@ -20,6 +20,7 @@ from .engine import (
     EpisodeConfig,
     EpisodeTrace,
     SchemaMismatch,
+    checked_field,
     run_episode,
 )
 from .gateway import (
@@ -31,6 +32,7 @@ from .gateway import (
     load_script,
 )
 from .planeval import AnnotationError, MissingGroundTruth, score_dataset
+from .plans import PlanParseError
 from .prompting import QATranscript, RenderedPrompt, gen_cot_prompt, gen_std_prompt, \
     gen_tp_no_std_prompt, gen_tp_prompt
 from .world import InvalidScenario, Scenario
@@ -137,6 +139,8 @@ def dump_record(record: dict) -> str:
 
 
 def read_traces(path: str | Path) -> list[dict]:
+    """Parse a trace file; raises SchemaMismatch, with the line number, on a
+    line that is not a schema-1 record whose scored fields are well typed."""
     records = []
     for number, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         if not line.strip():
@@ -151,6 +155,15 @@ def read_traces(path: str | Path) -> list[dict]:
             raise SchemaMismatch(
                 f"trace line {number}: schema {record.get('schema_version')!r} is not "
                 f"{TRACE_SCHEMA_VERSION} (task {record.get('task_id')!r})")
+        where = f"trace line {number}"
+        checked_field(record, "task_id", str, where)
+        checked_field(record, "sr", int, where)
+        checked_field(record, "gc", (int, float), where)
+        if "task_type" in record:
+            checked_field(record, "task_type", str, where)
+        plan = checked_field(record, "initial_plan", (list, type(None)), where)
+        if not all(isinstance(line, str) for line in plan or ()):
+            raise SchemaMismatch(f"{where}: initial_plan must be a list of strings")
         records.append(record)
     return records
 
@@ -207,10 +220,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path(args.traces).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    report_path.write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", "utf-8")
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    report_path.write_text(text + "\n", "utf-8")
     if args.format == "json":
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        print(text)
     else:
         print(report.format_table())
     print(f"report written to {report_path}", file=sys.stderr)
@@ -372,7 +385,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (MalformedTaskSet, MalformedScript, SchemaMismatch, MissingGroundTruth,
-            InvalidScenario, AnnotationError) as exc:
+            InvalidScenario, AnnotationError, PlanParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:

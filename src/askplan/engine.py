@@ -114,20 +114,20 @@ class EpisodeConfig:
     def from_echo(echo: dict) -> "EpisodeConfig":
         """Inverse of ``to_echo`` (the gateway echo is left to the caller).
         Raises SchemaMismatch on a missing, ill-typed or out-of-range field."""
-        decode = _echo_field(echo, "decode", dict)
-        bias = _echo_field(decode, "token_bias", dict)
+        decode = checked_field(echo, "decode", dict)
+        bias = checked_field(decode, "token_bias", dict)
         for token in bias:
-            _echo_field(bias, token, _NUMBER)
+            checked_field(bias, token, _NUMBER)
         fields = dict(
-            failure_budget=_echo_field(echo, "failure_budget", int),
-            replanning_enabled=_echo_field(echo, "replanning_enabled", bool),
-            use_std=_echo_field(echo, "use_std", bool),
-            use_cot=_echo_field(echo, "use_cot", bool),
-            noise_override=_echo_field(echo, "noise", _NUMBER),
-            seed=_echo_field(echo, "seed", int),
+            failure_budget=checked_field(echo, "failure_budget", int),
+            replanning_enabled=checked_field(echo, "replanning_enabled", bool),
+            use_std=checked_field(echo, "use_std", bool),
+            use_cot=checked_field(echo, "use_cot", bool),
+            noise_override=checked_field(echo, "noise", _NUMBER),
+            seed=checked_field(echo, "seed", int),
         )
-        temperature = _echo_field(decode, "temperature", _NUMBER)
-        max_tokens = _echo_field(decode, "max_tokens", int)
+        temperature = checked_field(decode, "temperature", _NUMBER)
+        max_tokens = checked_field(decode, "max_tokens", int)
         try:
             return EpisodeConfig(decode=DecodeParams(temperature, bias, max_tokens), **fields)
         except ValueError as exc:
@@ -137,11 +137,14 @@ class EpisodeConfig:
 _NUMBER = (int, float)
 
 
-def _echo_field(echo: object, key: str, kind: type | tuple[type, ...]):
+def checked_field(data: object, key: str, kind: type | tuple[type, ...],
+                  where: str = "config echo"):
+    """``data[key]`` when ``data`` is a dict and the value is a ``kind``;
+    otherwise SchemaMismatch naming ``where`` the field was read."""
     # bool is an int subclass, so a flag never passes for a number or back
-    value = echo.get(key) if isinstance(echo, dict) else None
+    value = data.get(key) if isinstance(data, dict) else None
     if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        raise SchemaMismatch(f"config echo field {key!r} is missing or ill-typed: {value!r}")
+        raise SchemaMismatch(f"{where} field {key!r} is missing or ill-typed: {value!r}")
     return value
 
 
@@ -264,15 +267,14 @@ def _parse_qa(text: str) -> QATranscript:
 
 
 def decompose(instruction: str, gw: Gateway, cfg: EpisodeConfig,
-              decode: DecodeParams, log: Optional[list[dict]] = None) -> QATranscript:
+              log: list[dict]) -> QATranscript:
     """Run the decomposition stage and parse its transcript.
 
     In chain-of-thought mode the whole reply becomes a single pseudo-turn
     with an empty question.
     """
-    log = log if log is not None else []
     prompt = gen_cot_prompt(instruction) if cfg.use_cot else gen_std_prompt(instruction)
-    completion = _call(gw, "decompose", prompt, decode, log)
+    completion = _call(gw, "decompose", prompt, cfg.decode, log)
     if cfg.use_cot:
         text = completion.text.strip()
         if not text:
@@ -282,16 +284,14 @@ def decompose(instruction: str, gw: Gateway, cfg: EpisodeConfig,
 
 
 def make_plan(instruction: str, qa: Optional[QATranscript], gw: Gateway,
-              cfg: EpisodeConfig, decode: DecodeParams,
-              log: Optional[list[dict]] = None) -> Plan:
+              cfg: EpisodeConfig, log: list[dict]) -> Plan:
     """Run the planning stage; a completion with no subgoal lines at all is a
     PlanningFailed error."""
-    log = log if log is not None else []
     if qa is not None:
         prompt = gen_tp_prompt(instruction, qa, cot=cfg.use_cot)
     else:
         prompt = gen_tp_no_std_prompt(instruction)
-    completion = _call(gw, "plan", prompt, decode, log)
+    completion = _call(gw, "plan", prompt, cfg.decode, log)
     try:
         plan, _ = parse_plan(completion.text)
     except NoSubgoalsFound as exc:
@@ -301,17 +301,15 @@ def make_plan(instruction: str, qa: Optional[QATranscript], gw: Gateway,
 
 def handle_failure(sg: Subgoal, scene: SceneSnapshot, observed: set[str],
                    current_plan: Plan, instruction: str, gw: Gateway,
-                   cfg: EpisodeConfig, decode: DecodeParams,
-                   log: Optional[list[dict]] = None) -> RecoveryDecision:
+                   cfg: EpisodeConfig, log: list[dict]) -> RecoveryDecision:
     """Decide between redoing the failed subgoal and revising the plan.
 
     Redo requires both that the subgoal's object has been observed and that
     the scene-conditioned validity check comes back valid; anything else asks
     for feedback and a full revised plan.
     """
-    log = log if log is not None else []
     try:
-        v_completion = _call(gw, "validity", gen_validity_prompt(sg), decode, log, scene)
+        v_completion = _call(gw, "validity", gen_validity_prompt(sg), cfg.decode, log, scene)
     except GatewayError as exc:
         return RecoveryDecision("abort", reason=f"gateway_error: {exc}")
     validity = classify_validity(v_completion.text)
@@ -319,11 +317,11 @@ def handle_failure(sg: Subgoal, scene: SceneSnapshot, observed: set[str],
         return RecoveryDecision("redo", validity=validity)
     try:
         f_completion = _call(gw, "feedback", gen_feedback_prompt(sg, validity),
-                             decode, log, scene)
+                             cfg.decode, log, scene)
         feedback = Feedback(f_completion.text)
         replan_prompt = gen_replan_prompt(feedback, current_plan, observed,
                                           validity, instruction)
-        r_completion = _call(gw, "replan", replan_prompt, decode, log)
+        r_completion = _call(gw, "replan", replan_prompt, cfg.decode, log)
     except GatewayError as exc:
         return RecoveryDecision("abort", validity=validity,
                                 reason=f"gateway_error: {exc}")
@@ -398,9 +396,9 @@ def run_episode(scenario: Scenario, gw: Gateway,
     try:
         qa = None
         if cfg.use_cot or cfg.use_std:
-            qa = decompose(scenario.instruction, gw, cfg, cfg.decode, log)
+            qa = decompose(scenario.instruction, gw, cfg, log)
         trace.qa = qa
-        current = make_plan(scenario.instruction, qa, gw, cfg, cfg.decode, log)
+        current = make_plan(scenario.instruction, qa, gw, cfg, log)
     except (GatewayError, PlanningFailed, MalformedTranscript) as exc:
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=str(exc))
     trace.initial_plan = current
@@ -439,7 +437,7 @@ def run_episode(scenario: Scenario, gw: Gateway,
             continue
 
         decision = handle_failure(sg, scene, observed, current, scenario.instruction,
-                                  gw, cfg, cfg.decode, log)
+                                  gw, cfg, log)
         record.decision = decision.kind
         record.validity = decision.validity
         if decision.kind == "redo":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -222,7 +221,6 @@ class HttpGatewayConfig:
     timeout_s: float = 60.0
     retries: int = 3
     backoff_s: float = 0.25
-    max_in_flight: int = 4
 
 
 class HttpGateway:
@@ -239,7 +237,6 @@ class HttpGateway:
 
     def __init__(self, config: HttpGatewayConfig):
         self.config = config
-        self._gate = threading.Semaphore(config.max_in_flight)
 
     def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion:
         return self._request(prompt.system_text, request_text(prompt), params)
@@ -271,12 +268,8 @@ class HttpGateway:
             if attempt:
                 time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
             try:
-                with self._gate:
-                    response = requests.post(self.config.endpoint, json=body,
-                                             headers=headers, timeout=self.config.timeout_s)
-            except requests.Timeout as exc:
-                last_error = exc
-                continue
+                response = requests.post(self.config.endpoint, json=body,
+                                         headers=headers, timeout=self.config.timeout_s)
             except requests.RequestException as exc:
                 last_error = exc
                 continue

@@ -22,10 +22,10 @@ are excluded from matching on both sides.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .plans import ActionKind, Plan, Subgoal, parse_subgoal, render_subgoal
+from .plans import ActionKind, Plan, PlanParseError, Subgoal, parse_subgoal
 
 
 class AnnotationError(ValueError):
@@ -77,28 +77,32 @@ class GtAnnotation:
         gt.validate()
         return gt
 
-    def to_dict(self) -> dict:
-        return {
-            "core": [render_subgoal(sg) for sg in self.core],
-            "floating": [list(pair) for pair in self.floating],
-            "wildcards": list(self.wildcards),
-            "swap_groups": [[list(r) for r in group] for group in self.swap_groups],
-        }
-
     def validate(self) -> None:
         n = len(self.core)
         for sg in self.core:
             if sg.action is ActionKind.NAVIGATE:
                 raise AnnotationError("Navigate steps do not belong in a core annotation")
-        seen_slots = set()
+        anchors: dict[int, int] = {}
         for slot, anchor in self.floating:
             if not (0 <= slot < n and 0 <= anchor < n):
                 raise AnnotationError(f"floating pair ({slot}, {anchor}) out of range")
             if slot == anchor:
                 raise AnnotationError(f"slot {slot} cannot anchor itself")
-            if slot in seen_slots:
+            if slot in anchors:
                 raise AnnotationError(f"slot {slot} floats twice")
-            seen_slots.add(slot)
+            anchors[slot] = anchor
+        # Compiling keeps, of a floating slot's edges, only anchor -> slot and
+        # those to the slots anchored at it; every other edge follows the
+        # core order. So the precedence DAG has a cycle exactly when an
+        # anchor chain returns to a slot it passed.
+        for slot in anchors:
+            chain = {slot}
+            anchor = anchors[slot]
+            while anchor in anchors:
+                if anchor in chain:
+                    raise CyclicPrecedence(f"floating slot {slot} is anchored in a cycle")
+                chain.add(anchor)
+                anchor = anchors[anchor]
         for idx in self.wildcards:
             if not 0 <= idx < n:
                 raise AnnotationError(f"wildcard index {idx} out of range")
@@ -140,26 +144,6 @@ class RelaxedSpec:
     precedence: frozenset[tuple[int, int]]
 
 
-def _assert_acyclic(n: int, edges: set[tuple[int, int]]) -> None:
-    succs: dict[int, set[int]] = {i: set() for i in range(n)}
-    indeg = {i: 0 for i in range(n)}
-    for i, j in edges:
-        if j not in succs[i]:
-            succs[i].add(j)
-            indeg[j] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for nxt in succs[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if seen != n:
-        raise CyclicPrecedence("precedence relation contains a cycle")
-
-
 def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     """Turn annotation markup into slot patterns and a precedence DAG.
 
@@ -181,7 +165,6 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     edges = {(i, j) for i, j in edges if i not in float_map and j not in float_map}
     for slot, anchor in float_map.items():
         edges.add((anchor, slot))
-    _assert_acyclic(n, edges)
     wildcard_set = set(gt.wildcards)
     slots = tuple(
         SlotPattern(sg.action, sg.object, sg.receptacle, any_receptacle=idx in wildcard_set)
@@ -285,45 +268,28 @@ def enumerate_valid_plans(spec: RelaxedSpec,
 
 
 @dataclass(frozen=True)
-class TaskTypeRow:
-    task_type: str
-    n_episodes: int
-    mean_core_len: float
-    sr_pct: float
-    gc_pct: float
-    strict_hlp_pct: float
-    relaxed_hlp_pct: float
+class ScoreSummary:
+    """The figures reported for a set of episodes; ``None`` when it is empty."""
 
-
-@dataclass(frozen=True)
-class MetricsReport:
     n_episodes: int
     sr_pct: Optional[float]
     gc_pct: Optional[float]
     strict_hlp_pct: Optional[float]
     relaxed_hlp_pct: Optional[float]
+
+
+@dataclass(frozen=True)
+class TaskTypeRow(ScoreSummary):
+    task_type: str
+    mean_core_len: float
+
+
+@dataclass(frozen=True)
+class MetricsReport(ScoreSummary):
     per_type: tuple[TaskTypeRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n_episodes": self.n_episodes,
-            "sr_pct": self.sr_pct,
-            "gc_pct": self.gc_pct,
-            "strict_hlp_pct": self.strict_hlp_pct,
-            "relaxed_hlp_pct": self.relaxed_hlp_pct,
-            "per_type": [
-                {
-                    "task_type": row.task_type,
-                    "n_episodes": row.n_episodes,
-                    "mean_core_len": row.mean_core_len,
-                    "sr_pct": row.sr_pct,
-                    "gc_pct": row.gc_pct,
-                    "strict_hlp_pct": row.strict_hlp_pct,
-                    "relaxed_hlp_pct": row.relaxed_hlp_pct,
-                }
-                for row in self.per_type
-            ],
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         def pct(value: Optional[float]) -> str:
@@ -350,17 +316,14 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _plan_from_record(lines: Sequence[str]) -> tuple[Subgoal, ...]:
-    return tuple(parse_subgoal(line) for line in lines)
-
-
 def score_dataset(traces: Iterable[Mapping],
                   gts: Mapping[str, GtAnnotation]) -> MetricsReport:
     """Aggregate SR / GC / StrictHLP / RelaxedHLP over trace records.
 
     Each trace record is the JSON form of an episode trace; HLP accuracy is
     computed on the initial plan only. Raises MissingGroundTruth when a trace
-    references a task id with no annotation.
+    references a task id with no annotation, and PlanParseError when a line
+    of an initial plan is not a subgoal.
     """
     rows: list[dict] = []
     for record in traces:
@@ -368,40 +331,32 @@ def score_dataset(traces: Iterable[Mapping],
         gt = gts.get(task_id)
         if gt is None:
             raise MissingGroundTruth(task_id)
-        spec = compile_relaxed_spec(gt)
-        initial = _plan_from_record(record.get("initial_plan") or [])
+        try:
+            initial = tuple(parse_subgoal(line) for line in record.get("initial_plan") or ())
+        except PlanParseError as exc:
+            raise PlanParseError(f"initial plan of task {task_id!r}: {exc}") from exc
         rows.append({
             "task_type": record.get("task_type", "unknown"),
             "core_len": len(gt.core),
             "sr": int(record["sr"]),
             "gc": float(record["gc"]),
             "strict": strict_match(initial, gt),
-            "relaxed": relaxed_match(initial, spec),
+            "relaxed": relaxed_match(initial, compile_relaxed_spec(gt)),
         })
 
-    if not rows:
-        return MetricsReport(0, None, None, None, None, ())
+    def summary(group: list[dict]) -> dict:
+        def pct(key: str) -> Optional[float]:
+            return 100.0 * sum(row[key] for row in group) / len(group) if group else None
 
-    def pct(values: list) -> float:
-        return 100.0 * sum(values) / len(values)
+        return dict(n_episodes=len(group), sr_pct=pct("sr"), gc_pct=pct("gc"),
+                    strict_hlp_pct=pct("strict"), relaxed_hlp_pct=pct("relaxed"))
 
-    per_type: list[TaskTypeRow] = []
+    per_type = []
     for task_type in sorted({row["task_type"] for row in rows}):
         group = [row for row in rows if row["task_type"] == task_type]
         per_type.append(TaskTypeRow(
             task_type=task_type,
-            n_episodes=len(group),
             mean_core_len=sum(row["core_len"] for row in group) / len(group),
-            sr_pct=pct([row["sr"] for row in group]),
-            gc_pct=pct([row["gc"] for row in group]),
-            strict_hlp_pct=pct([row["strict"] for row in group]),
-            relaxed_hlp_pct=pct([row["relaxed"] for row in group]),
+            **summary(group),
         ))
-    return MetricsReport(
-        n_episodes=len(rows),
-        sr_pct=pct([row["sr"] for row in rows]),
-        gc_pct=pct([row["gc"] for row in rows]),
-        strict_hlp_pct=pct([row["strict"] for row in rows]),
-        relaxed_hlp_pct=pct([row["relaxed"] for row in rows]),
-        per_type=tuple(per_type),
-    )
+    return MetricsReport(per_type=tuple(per_type), **summary(rows))

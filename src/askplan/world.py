@@ -88,15 +88,6 @@ class ObjectEntity:
             raise InvalidScenario(f"unknown entity fields: {sorted(unknown)}")
         return ObjectEntity(**data)
 
-    def to_dict(self) -> dict:
-        out: dict = {"id": self.id, "category": self.category, "zone": self.zone}
-        if self.container is not None:
-            out["container"] = self.container
-        for flag in _BOOL_FLAGS:
-            if getattr(self, flag):
-                out[flag] = True
-        return out
-
 
 @dataclass
 class WorldState:
@@ -135,13 +126,6 @@ class GoalCondition:
             return GoalCondition("state", data["object"], flag=data["flag"],
                                  value=bool(data["value"]))
         raise InvalidScenario(f"unknown goal condition type: {kind!r}")
-
-    def to_dict(self) -> dict:
-        if self.kind == "located":
-            return {"type": "located", "object": self.object, "receptacle": self.receptacle}
-        if self.kind == "in_zone":
-            return {"type": "in_zone", "object": self.object, "zone": self.zone}
-        return {"type": "state", "object": self.object, "flag": self.flag, "value": self.value}
 
 
 @dataclass
@@ -186,19 +170,6 @@ class Scenario:
         validate_scenario(scenario)
         return scenario
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "task_type": self.task_type,
-            "instruction": self.instruction,
-            "agent_zone": self.initial.agent_zone,
-            "held": self.initial.held,
-            "entities": [e.to_dict() for e in self.initial.entities.values()],
-            "goal": [c.to_dict() for c in self.goal],
-            "gt": self.gt.to_dict(),
-            "noise": self.noise,
-        }
-
 
 @dataclass(frozen=True)
 class ExecutionResult:
@@ -241,6 +212,12 @@ def validate_scenario(scenario: Scenario) -> None:
             if parent.zone != entity.zone:
                 raise InvalidScenario(
                     f"{entity.id}: zone differs from container {parent.id!r}")
+            chain = {entity.id}
+            while parent is not None:
+                if parent.id in chain:
+                    raise InvalidScenario(f"{entity.id}: containment cycle through {parent.id!r}")
+                chain.add(parent.id)
+                parent = world.entities.get(parent.container)
     if world.held is not None:
         holder = world.entities.get(world.held)
         if holder is None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -18,6 +19,13 @@ def mini7() -> TaskSet:
 @pytest.fixture(scope="session")
 def bread_scenario(mini7):
     return next(s for s in mini7.scenarios if s.id == "heat_bread")
+
+
+def raw_scenario(scenario_id: str) -> dict:
+    """A fresh copy of one scenario's JSON object in the bundled mini7 file,
+    for building malformed variants of it."""
+    data = json.loads(asset_path("tasks/mini7.json").read_text("utf-8"))
+    return next(s for s in data["scenarios"] if s["id"] == scenario_id)
 
 
 @pytest.fixture()

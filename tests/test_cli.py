@@ -201,23 +201,12 @@ def test_run_http_gateway_requires_endpoint_and_model(tmp_path):
 def test_run_http_gateway_against_stub(tmp_path):
     # the stub answers every chat request with canned prose, so decomposition
     # fails; the batch must still complete with recorded per-episode outcomes
-    import threading
-    from http.server import ThreadingHTTPServer
+    from test_gateway import _serving, _StubHandler
 
-    from test_gateway import _StubHandler
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with _serving(_StubHandler) as endpoint:
         code = run_cli("run", "--tasks", MINI7, "--gateway", "http",
-                       "--endpoint",
-                       f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
-                       "--model", "stub-model", "--seed", "1",
-                       "--out", str(tmp_path))
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
+                       "--endpoint", endpoint, "--model", "stub-model",
+                       "--seed", "1", "--out", str(tmp_path))
     assert code == EXIT_OK
     records = [json.loads(line) for line in
                (tmp_path / "traces.jsonl").read_text().splitlines()]
@@ -353,6 +342,20 @@ def test_pinned_trace_digests(pinned_traces):
     assert {name: normalised_digest(path) for name, path in pinned_traces.items()} == expected
 
 
+# sha256 of the report.json that `score` writes for each pinned run
+REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
+
+
+def test_pinned_report_digests(pinned_traces, tmp_path, capsys):
+    digests = {}
+    for name, traces in pinned_traces.items():
+        out = tmp_path / name
+        assert run_cli("score", "--traces", str(traces), "--tasks", MINI7,
+                       "--out", str(out)) == EXIT_OK
+        digests[name] = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digests == json.loads(REPORT_DIGESTS.read_text("utf-8"))
+
+
 def test_config_echo_round_trip(pinned_traces):
     for name, traces in pinned_traces.items():
         for record in read_traces(traces):
@@ -467,7 +470,8 @@ def _mini7_with(change) -> str:
 
 
 def _first_trace_with(change) -> str:
-    record = {"schema_version": 1, "task_id": "heat_bread", "config": {
+    record = {"schema_version": 1, "task_id": "heat_bread", "sr": 0, "gc": 0.0,
+              "initial_plan": None, "config": {
         "failure_budget": 10, "replanning_enabled": True, "use_std": True,
         "use_cot": False, "noise": 0.0, "seed": 1,
         "decode": {"temperature": 0.0, "max_tokens": 512, "token_bias": {}},
@@ -501,9 +505,22 @@ MALFORMED_INPUTS = {
     "noise-not-number": ("run", _mini7_with(_set(("scenarios", 0, "noise"), "abc")), None),
     "floating-one-element": ("run", _mini7_with(
         _set(("scenarios", 0, "gt", "floating"), [[1]])), None),
+    "floating-cycle": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "floating"), [[1, 2], [2, 1]])), None),
+    "containment-self": ("run", _mini7_with(
+        _set(("scenarios", 0, "entities", 2, "container"), "microwave")), None),
+    "containment-cycle": ("run", _mini7_with(lambda data: (  # microwave <-> fridge
+        _set(("scenarios", 0, "entities", 2, "container"), "fridge")(data),
+        _set(("scenarios", 0, "entities", 3, "container"), "microwave")(data))), None),
     "trace-not-json": ("score", None, "not json\n"),
     "trace-not-object-score": ("score", None, "[1]\n"),
     "trace-not-object-replay": ("replay", None, "[1]\n"),
+    "trace-fields-missing": ("score", None, '{"schema_version": 1}\n'),
+    "trace-sr-missing": ("score", None, '{"schema_version": 1, "task_id": "heat_bread"}\n'),
+    "trace-plan-not-list": ("score", None, _first_trace_with(_set(("initial_plan",), 5))),
+    "trace-plan-unknown-action": ("score", None, _first_trace_with(
+        _set(("initial_plan",), ["(Fly, mug)"]))),
+    "trace-sr-not-int": ("score", None, _first_trace_with(_set(("sr",), "x"))),
     "echo-missing-seed": ("replay", None, _first_trace_with(_drop(("config", "seed")))),
     "echo-noise-not-number": ("replay", None, _first_trace_with(
         _set(("config", "noise"), "abc"))),

@@ -25,6 +25,7 @@ from askplan.prompting import Verdict
 from askplan.world import FailReason, new_world, noise_draw, render_scene
 
 DECODE = DecodeParams()
+CFG = EpisodeConfig(decode=DECODE)
 
 QA_REPLY = (
     "Q: Which sub-tasks make up the instruction?\n"
@@ -56,8 +57,7 @@ def single_noise_failure_seed(p: float = 0.05, within: int = 10) -> int:
 
 def test_decompose_parses_four_turns():
     gw = scripted(ScriptEntry(reply=QA_REPLY, contains_all=("things to discover",)))
-    qa = decompose("put a heated slice of bread in the fridge", gw,
-                   EpisodeConfig(), DECODE)
+    qa = decompose("put a heated slice of bread in the fridge", gw, CFG, [])
     assert len(qa.turns) == 4
     assert qa.turns[0][0].startswith("Which sub-tasks")
 
@@ -66,13 +66,13 @@ def test_decompose_rejects_reply_without_qa_lines():
     gw = scripted(ScriptEntry(reply="no questions here",
                               contains_all=("things to discover",)))
     with pytest.raises(MalformedTranscript):
-        decompose("instruction text", gw, EpisodeConfig(), DECODE)
+        decompose("instruction text", gw, CFG, [])
 
 
 def test_decompose_cot_single_pseudo_turn():
     gw = scripted(ScriptEntry(reply="1. slice 2. heat 3. store",
                               contains_all=("Let's think step by step",)))
-    qa = decompose("instruction text", gw, EpisodeConfig(use_cot=True), DECODE)
+    qa = decompose("instruction text", gw, EpisodeConfig(use_cot=True, decode=DECODE), [])
     assert qa.turns == (("", "1. slice 2. heat 3. store"),)
 
 
@@ -80,9 +80,8 @@ def test_decompose_cot_single_pseudo_turn():
 
 
 def test_make_plan_parses_scripted_reply(bread_scenario, mini7_gateway):
-    qa = decompose(bread_scenario.instruction, mini7_gateway, EpisodeConfig(), DECODE)
-    plan = make_plan(bread_scenario.instruction, qa, mini7_gateway,
-                     EpisodeConfig(), DECODE)
+    qa = decompose(bread_scenario.instruction, mini7_gateway, CFG, [])
+    plan = make_plan(bread_scenario.instruction, qa, mini7_gateway, CFG, [])
     assert render_subgoal(plan.steps[0]) == "(Pickup, knife)"
     assert render_subgoal(plan.steps[1]) == "(Slice, bread)"
     assert render_subgoal(plan.steps[-1]) == "(Close, fridge)"
@@ -93,7 +92,7 @@ def test_make_plan_no_std_degenerate_plan():
     gw = scripted(ScriptEntry(reply="1. (Slice, bread)\n2. (Put, bread, fridge)",
                               contains_all=("Create a detailed plan",)))
     plan = make_plan("slice bread and chill it", None, gw,
-                     EpisodeConfig(use_std=False), DECODE)
+                     EpisodeConfig(use_std=False, decode=DECODE), [])
     actions = [sg.action for sg in plan.steps]
     assert ActionKind.SLICE in actions
     assert ActionKind.PICKUP not in actions
@@ -102,7 +101,7 @@ def test_make_plan_no_std_degenerate_plan():
 def test_make_plan_empty_completion_fails():
     gw = scripted(ScriptEntry(reply="cannot help", contains_all=("Create",)))
     with pytest.raises(PlanningFailed):
-        make_plan("instruction", None, gw, EpisodeConfig(use_std=False), DECODE)
+        make_plan("instruction", None, gw, EpisodeConfig(use_std=False, decode=DECODE), [])
 
 
 # -- handle_failure -----------------------------------------------------------
@@ -129,8 +128,7 @@ def _failed_put_context(bread_scenario):
 def test_handle_failure_replans_on_invalid(bread_scenario, recovery_gateway):
     sg, scene, observed, plan = _failed_put_context(bread_scenario)
     decision = handle_failure(sg, scene, set(observed), plan,
-                              bread_scenario.instruction, recovery_gateway,
-                              EpisodeConfig(), DECODE)
+                              bread_scenario.instruction, recovery_gateway, CFG, [])
     assert decision.kind == "replan"
     assert decision.validity.verdict is Verdict.INVALID
     inserted = [render_subgoal(s) for s in decision.new_plan.steps]
@@ -143,7 +141,7 @@ def test_handle_failure_redo_needs_observed_and_valid(bread_scenario):
     )
     sg, scene, observed, plan = _failed_put_context(bread_scenario)
     decision = handle_failure(sg, scene, set(observed), plan,
-                              bread_scenario.instruction, gw, EpisodeConfig(), DECODE)
+                              bread_scenario.instruction, gw, CFG, [])
     assert decision.kind == "redo"
 
 
@@ -156,7 +154,7 @@ def test_handle_failure_replans_when_object_unobserved(bread_scenario):
     )
     sg, scene, observed, plan = _failed_put_context(bread_scenario)
     decision = handle_failure(sg, scene, set(), plan, bread_scenario.instruction,
-                              gw, EpisodeConfig(), DECODE)
+                              gw, CFG, [])
     assert decision.kind == "replan"
 
 
@@ -164,7 +162,7 @@ def test_handle_failure_aborts_on_gateway_error(bread_scenario):
     gw = scripted()  # strict script with no entries: every call misses
     sg, scene, observed, plan = _failed_put_context(bread_scenario)
     decision = handle_failure(sg, scene, set(observed), plan,
-                              bread_scenario.instruction, gw, EpisodeConfig(), DECODE)
+                              bread_scenario.instruction, gw, CFG, [])
     assert decision.kind == "abort"
     assert "gateway_error" in decision.reason
 
@@ -177,7 +175,7 @@ def test_handle_failure_aborts_on_unparseable_replan(bread_scenario):
     )
     sg, scene, observed, plan = _failed_put_context(bread_scenario)
     decision = handle_failure(sg, scene, set(observed), plan,
-                              bread_scenario.instruction, gw, EpisodeConfig(), DECODE)
+                              bread_scenario.instruction, gw, CFG, [])
     assert decision.kind == "abort"
     assert decision.reason == "replan_unparseable"
 
@@ -374,6 +372,6 @@ def test_mini7_scripted_transcripts_cover_discovery_dimensions(mini7, mini7_gate
     from askplan.prompting import discovery_coverage
 
     for scenario in mini7.scenarios:
-        qa = decompose(scenario.instruction, mini7_gateway, EpisodeConfig(), DECODE)
+        qa = decompose(scenario.instruction, mini7_gateway, CFG, [])
         assert discovery_coverage(qa) == {"sub_tasks", "order", "objects", "execution"}, \
             scenario.id

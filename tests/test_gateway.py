@@ -195,28 +195,26 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def stub_server():
-    _StubHandler.fail_first = 0
-    _StubHandler.requests = []
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
-    server.shutdown()
-    thread.join(timeout=5)
-
-
 @contextmanager
 def _serving(handler):
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    # a short poll interval keeps shutdown() from waiting up to 0.5 s
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture()
+def stub_server():
+    _StubHandler.fail_first = 0
+    _StubHandler.requests = []
+    with _serving(_StubHandler) as endpoint:
+        yield endpoint
 
 
 def _replying(body: bytes):
@@ -273,26 +271,20 @@ def test_http_unreachable_after_retry_exhaustion():
     assert "3 attempts" in str(err.value)
 
 
-def test_http_4xx_rejected_without_retry(stub_server):
+def test_http_4xx_rejected_without_retry():
     class Reject(_StubHandler):
+        requests: list[dict] = []
+
         def do_POST(self):
             type(self).requests.append({})
             self.send_response(401)
             self.end_headers()
             self.wfile.write(b"no key")
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Reject)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        Reject.requests = []
-        gw = _gateway(f"http://127.0.0.1:{server.server_address[1]}/v1/chat")
+    with _serving(Reject) as endpoint:
         with pytest.raises(ProviderRejected):
-            gw.complete(PROMPT, DecodeParams())
-        assert len(Reject.requests) == 1
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
+            _gateway(endpoint).complete(PROMPT, DecodeParams())
+    assert len(Reject.requests) == 1
 
 
 @pytest.mark.parametrize("body", [
@@ -335,24 +327,16 @@ def test_http_timeout_error():
             time.sleep(0.6)
             super().do_POST()
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Slow)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with _serving(Slow) as endpoint:
         gw = HttpGateway(HttpGatewayConfig(
-            endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
-            model="stub-model", retries=1, timeout_s=0.1, backoff_s=0.01))
+            endpoint=endpoint, model="stub-model", retries=1, timeout_s=0.1,
+            backoff_s=0.01))
         with pytest.raises(GatewayTimeout):
             gw.complete(PROMPT, DecodeParams())
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
 
 
-def test_http_concurrent_calls_respect_in_flight_bound(stub_server):
-    gw = HttpGateway(HttpGatewayConfig(
-        endpoint=stub_server, model="stub-model", retries=0,
-        timeout_s=5.0, max_in_flight=2))
+def test_http_concurrent_calls_all_complete(stub_server):
+    gw = _gateway(stub_server, retries=0)
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(
             lambda _: gw.complete(PROMPT, DecodeParams()).text, range(8)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import graphlib
 import itertools
 import random
 
@@ -94,6 +95,40 @@ def test_cyclic_anchor_chain_raises_defensively():
                     floating=[(1, 2), (2, 1)])
     with pytest.raises(CyclicPrecedence):
         compile_relaxed_spec(annotation)
+
+
+def test_anchor_walk_rejects_exactly_the_cyclic_precedences(monkeypatch):
+    from askplan.planeval import CyclicPrecedence
+
+    # compile every annotation, cyclic ones included, with validation skipped,
+    # and compare validate's verdict with a reference cycle check of the edges
+    validate = GtAnnotation.validate
+    monkeypatch.setattr(GtAnnotation, "validate", lambda self: None)
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(500):
+        n = rng.randint(2, 6)
+        floating = [(slot, rng.choice([a for a in range(n) if a != slot]))
+                    for slot in rng.sample(range(n), k=rng.randint(0, n))]
+        cut = rng.randint(1, n - 1)
+        swap = ((rng.randint(0, cut - 1), cut - 1), (cut, rng.randint(cut, n - 1)))
+        annotation = gt(["(Pickup, mug)"] * n, floating=floating,
+                        swap_groups=[swap] * rng.randint(0, 1))
+        preds = {j: {i for i, k in compile_relaxed_spec(annotation).precedence if k == j}
+                 for j in range(n)}
+        try:
+            list(graphlib.TopologicalSorter(preds).static_order())
+            cyclic = False
+        except graphlib.CycleError:
+            cyclic = True
+        try:
+            validate(annotation)
+            rejected = False
+        except CyclicPrecedence:
+            rejected = True
+        assert rejected == cyclic, annotation
+        verdicts.add(cyclic)
+    assert verdicts == {True, False}
 
 
 # -- compilation --------------------------------------------------------------

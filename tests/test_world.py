@@ -23,7 +23,7 @@ from askplan.world import (
     subgoal_effects_satisfied,
 )
 
-from conftest import random_subgoal
+from conftest import random_subgoal, raw_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -68,38 +68,38 @@ def test_new_world_copies_state(bread_scenario):
     assert not bread_scenario.initial.entities["bread"].is_sliced
 
 
-def test_scenario_goal_over_missing_object_rejected(bread_scenario):
-    data = bread_scenario.to_dict()
+def test_scenario_goal_over_missing_object_rejected():
+    data = raw_scenario("heat_bread")
     data["goal"].append({"type": "state", "object": "ghost", "flag": "is_on", "value": True})
     with pytest.raises(InvalidScenario):
         Scenario.from_dict(data)
 
 
-def test_scenario_empty_goal_rejected(bread_scenario):
-    data = bread_scenario.to_dict()
+def test_scenario_empty_goal_rejected():
+    data = raw_scenario("heat_bread")
     data["goal"] = []
     data["entities"] = []
     with pytest.raises(InvalidScenario):
         Scenario.from_dict(data)
 
 
-def test_scenario_flag_implication_rejected(bread_scenario):
-    data = bread_scenario.to_dict()
+def test_scenario_flag_implication_rejected():
+    data = raw_scenario("heat_bread")
     data["entities"][0]["is_heated"] = True
     data["entities"][0].pop("heatable", None)
     with pytest.raises(InvalidScenario):
         Scenario.from_dict(data)
 
 
-def test_scenario_container_must_be_receptacle(bread_scenario):
-    data = bread_scenario.to_dict()
+def test_scenario_container_must_be_receptacle():
+    data = raw_scenario("heat_bread")
     data["entities"][1]["container"] = "bread"
     with pytest.raises(InvalidScenario):
         Scenario.from_dict(data)
 
 
-def test_scenario_noise_range_checked(bread_scenario):
-    data = bread_scenario.to_dict()
+def test_scenario_noise_range_checked():
+    data = raw_scenario("heat_bread")
     data["noise"] = 1.5
     with pytest.raises(InvalidScenario):
         Scenario.from_dict(data)
@@ -215,9 +215,8 @@ def test_put_requires_holding_the_named_object(bread_scenario):
     assert result.reason is FailReason.HAND_EMPTY
 
 
-def test_put_cannot_create_containment_cycle(mini7):
-    stack = next(s for s in mini7.scenarios if s.id == "stack_plate")
-    data = stack.to_dict()
+def test_put_cannot_create_containment_cycle():
+    data = raw_scenario("stack_plate")
     data["entities"].append({"id": "bowl", "category": "bowl", "zone": "kitchen",
                              "pickupable": True, "is_receptacle": True})
     scenario = Scenario.from_dict(data)
