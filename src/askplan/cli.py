@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -140,7 +141,8 @@ def dump_record(record: dict) -> str:
 
 def read_traces(path: str | Path) -> list[dict]:
     """Parse a trace file; raises SchemaMismatch, with the line number, on a
-    line that is not a schema-1 record whose scored fields are well typed."""
+    line that is not a schema-1 record whose scored fields are well typed and
+    in range."""
     records = []
     for number, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         if not line.strip():
@@ -157,8 +159,11 @@ def read_traces(path: str | Path) -> list[dict]:
                 f"{TRACE_SCHEMA_VERSION} (task {record.get('task_id')!r})")
         where = f"trace line {number}"
         checked_field(record, "task_id", str, where)
-        checked_field(record, "sr", int, where)
-        checked_field(record, "gc", (int, float), where)
+        sr = checked_field(record, "sr", int, where)
+        gc = checked_field(record, "gc", (int, float), where)
+        if sr not in (0, 1) or not 0.0 <= gc <= 1.0:  # a NaN gc fails too
+            raise SchemaMismatch(f"{where}: sr must be 0 or 1 and gc in [0, 1], "
+                                 f"got sr={sr!r}, gc={gc!r}")
         if "task_type" in record:
             checked_field(record, "task_type", str, where)
         plan = checked_field(record, "initial_plan", (list, type(None)), where)
@@ -325,6 +330,20 @@ def cmd_prompts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="askplan",
@@ -342,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the self-questioning decomposition stage")
     run_p.add_argument("--cot", action="store_true",
                        help="replace self-QA decomposition with step-by-step text")
-    run_p.add_argument("--noise", type=float, default=None,
+    run_p.add_argument("--noise", type=probability, default=None,
                        help="override per-action controller failure probability")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--parallel", type=int, default=1)
@@ -350,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--model", help="model name (http gateway)")
     run_p.add_argument("--api-key-env", default="ASKPLAN_API_KEY",
                        help="environment variable holding the API key")
-    run_p.add_argument("--timeout", type=float, default=60.0)
+    run_p.add_argument("--timeout", type=positive_float, default=60.0)
     run_p.add_argument("--retries", type=int, default=3)
     run_p.set_defaults(func=cmd_run)
 

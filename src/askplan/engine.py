@@ -41,7 +41,6 @@ from .prompting import (
 )
 from .world import (
     FailReason,
-    SceneSnapshot,
     Scenario,
     WorldState,
     apply_subgoal,
@@ -160,7 +159,6 @@ class RecoveryDecision:
 @dataclass
 class StepRecord:
     subgoal: Subgoal
-    success: bool
     reason: FailReason
     detail: str
     scene: str
@@ -168,7 +166,11 @@ class StepRecord:
     decision: Optional[str] = None
     validity: Optional[Validity] = None
     feedback: Optional[str] = None
-    replan: Optional[tuple[Subgoal, ...]] = None
+    replan: Optional[Plan] = None
+
+    @property
+    def success(self) -> bool:
+        return self.reason is FailReason.OK
 
     def to_dict(self) -> dict:
         return {
@@ -217,7 +219,7 @@ class EpisodeTrace:
             "config": self.config,
             "qa": None if self.qa is None else [list(turn) for turn in self.qa.turns],
             "initial_plan": None if self.initial_plan is None else
-            [render_subgoal(sg) for sg in self.initial_plan.steps],
+            [render_subgoal(sg) for sg in self.initial_plan],
             "steps": [step.to_dict() for step in self.steps],
             "failure_count": self.failure_count,
             "outcome": self.outcome.value,
@@ -230,7 +232,7 @@ class EpisodeTrace:
 
 
 def _call(gw: Gateway, stage: str, prompt: RenderedPrompt, params: DecodeParams,
-          log: list[dict], scene: Optional[SceneSnapshot] = None) -> Completion:
+          log: list[dict], scene: Optional[str] = None) -> Completion:
     # Request goes into the log before the call, the reply right after it
     # returns, so a crashed call still leaves its request on record.
     log.append({"direction": "req", "stage": stage, "text": request_text(prompt, scene)})
@@ -293,13 +295,13 @@ def make_plan(instruction: str, qa: Optional[QATranscript], gw: Gateway,
         prompt = gen_tp_no_std_prompt(instruction)
     completion = _call(gw, "plan", prompt, cfg.decode, log)
     try:
-        plan, _ = parse_plan(completion.text)
+        plan = parse_plan(completion.text)
     except NoSubgoalsFound as exc:
         raise PlanningFailed(f"planner reply contained no subgoals: {exc}") from exc
     return plan
 
 
-def handle_failure(sg: Subgoal, scene: SceneSnapshot, observed: set[str],
+def handle_failure(sg: Subgoal, scene: str, observed: set[str],
                    current_plan: Plan, instruction: str, gw: Gateway,
                    cfg: EpisodeConfig, log: list[dict]) -> RecoveryDecision:
     """Decide between redoing the failed subgoal and revising the plan.
@@ -326,7 +328,7 @@ def handle_failure(sg: Subgoal, scene: SceneSnapshot, observed: set[str],
         return RecoveryDecision("abort", validity=validity,
                                 reason=f"gateway_error: {exc}")
     try:
-        new_plan, _ = parse_plan(r_completion.text)
+        new_plan = parse_plan(r_completion.text)
     except NoSubgoalsFound:
         return RecoveryDecision("abort", validity=validity, feedback=feedback,
                                 reason="replan_unparseable")
@@ -345,8 +347,8 @@ def _resume_index(world: WorldState, revised: Plan, executed: list[Subgoal]) -> 
     """
     history_pos = 0
     index = 0
-    while index < len(revised.steps):
-        sg = revised.steps[index]
+    while index < len(revised):
+        sg = revised[index]
         if history_pos < len(executed) and executed[history_pos] == sg:
             history_pos += 1
             index += 1
@@ -406,18 +408,17 @@ def run_episode(scenario: Scenario, gw: Gateway,
     observed: set[str] = set()
     executed: list[Subgoal] = []
     index = 0
-    while index < len(current.steps):
-        sg = current.steps[index]
+    while index < len(current):
+        sg = current[index]
         result = apply_subgoal(world, sg)
         world = result.state_after
         observed |= detect_objects(world)
         scene = render_scene(world)
         record = StepRecord(
             subgoal=sg,
-            success=result.success,
             reason=result.reason,
             detail=result.detail,
-            scene=scene.description,
+            scene=scene,
             observed=tuple(sorted(observed)),
         )
         trace.steps.append(record)
@@ -444,7 +445,7 @@ def run_episode(scenario: Scenario, gw: Gateway,
             continue
         if decision.kind == "replan":
             record.feedback = decision.feedback.raw
-            record.replan = decision.new_plan.steps
+            record.replan = decision.new_plan
             current = decision.new_plan
             index = _resume_index(world, current, executed)
             continue

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Optional, Protocol
 import requests
 
 from .prompting import RenderedPrompt
-from .world import SceneSnapshot
 
 
 class GatewayError(Exception):
@@ -175,17 +174,18 @@ def load_script(path: str | Path) -> OracleScript:
         raise MalformedScript(f"{path}: {exc}") from exc
 
 
-def request_text(prompt: RenderedPrompt, scene: Optional[SceneSnapshot] = None) -> str:
-    """The canonical text a gateway call carries (and scripts match against)."""
+def request_text(prompt: RenderedPrompt, scene: Optional[str] = None) -> str:
+    """The canonical text a gateway call carries (and scripts match against);
+    ``scene`` is the rendered scene description."""
     if scene is None:
         return prompt.user_text
-    return f"{prompt.user_text}\n\nCurrent scene:\n{scene.description}"
+    return f"{prompt.user_text}\n\nCurrent scene:\n{scene}"
 
 
 class Gateway(Protocol):
     def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion: ...
 
-    def complete_multimodal(self, prompt: RenderedPrompt, scene: SceneSnapshot,
+    def complete_multimodal(self, prompt: RenderedPrompt, scene: str,
                             params: DecodeParams) -> Completion: ...
 
     def describe(self) -> dict: ...
@@ -201,7 +201,7 @@ class ScriptedGateway:
     def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion:
         return self._reply(request_text(prompt))
 
-    def complete_multimodal(self, prompt: RenderedPrompt, scene: SceneSnapshot,
+    def complete_multimodal(self, prompt: RenderedPrompt, scene: str,
                             params: DecodeParams) -> Completion:
         return self._reply(request_text(prompt, scene))
 
@@ -241,7 +241,7 @@ class HttpGateway:
     def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion:
         return self._request(prompt.system_text, request_text(prompt), params)
 
-    def complete_multimodal(self, prompt: RenderedPrompt, scene: SceneSnapshot,
+    def complete_multimodal(self, prompt: RenderedPrompt, scene: str,
                             params: DecodeParams) -> Completion:
         return self._request(prompt.system_text, request_text(prompt, scene), params)
 
@@ -317,7 +317,7 @@ class RecordingGateway:
         self.exchanges.append((request_text(prompt), completion.text))
         return completion
 
-    def complete_multimodal(self, prompt: RenderedPrompt, scene: SceneSnapshot,
+    def complete_multimodal(self, prompt: RenderedPrompt, scene: str,
                             params: DecodeParams) -> Completion:
         completion = self.inner.complete_multimodal(prompt, scene, params)
         self.exchanges.append((request_text(prompt, scene), completion.text))

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .plans import ActionKind, Plan, PlanParseError, Subgoal, parse_subgoal
+from .plans import ActionKind, PlanParseError, Subgoal, parse_subgoal
 
 
 class AnnotationError(ValueError):
@@ -48,7 +48,7 @@ class MissingGroundTruth(KeyError):
 
 @dataclass(frozen=True)
 class GtAnnotation:
-    """Canonical subgoal slots plus relaxation markup.
+    """Canonical subgoal slots plus relaxation markup, checked on construction.
 
     ``floating`` holds (slot, anchor) pairs; ``wildcards`` holds indices of
     Put slots whose receptacle is free; ``swap_groups`` holds groups of
@@ -64,9 +64,8 @@ class GtAnnotation:
     def from_dict(data: dict) -> "GtAnnotation":
         if not isinstance(data, dict):
             raise AnnotationError(f"an annotation must be a JSON object, got {data!r}")
-        core = tuple(parse_subgoal(line) for line in data.get("core", []))
-        gt = GtAnnotation(
-            core=core,
+        return GtAnnotation(
+            core=tuple(parse_subgoal(line) for line in data.get("core", [])),
             floating=tuple((int(s), int(a)) for s, a in data.get("floating", [])),
             wildcards=tuple(int(i) for i in data.get("wildcards", [])),
             swap_groups=tuple(
@@ -74,10 +73,8 @@ class GtAnnotation:
                 for group in data.get("swap_groups", [])
             ),
         )
-        gt.validate()
-        return gt
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n = len(self.core)
         for sg in self.core:
             if sg.action is ActionKind.NAVIGATE:
@@ -152,7 +149,6 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     exactly one incoming edge, anchor -> slot. An unmarked annotation
     therefore compiles to the full total order.
     """
-    gt.validate()
     n = len(gt.core)
     edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
     for group in gt.swap_groups:
@@ -173,17 +169,16 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     return RelaxedSpec(slots, frozenset(edges))
 
 
-def _matchable_steps(candidate: Plan | Sequence[Subgoal]) -> tuple[Subgoal, ...]:
-    steps = candidate.steps if isinstance(candidate, Plan) else tuple(candidate)
-    return tuple(sg for sg in steps if sg.action is not ActionKind.NAVIGATE)
+def _matchable_steps(candidate: Sequence[Subgoal]) -> tuple[Subgoal, ...]:
+    return tuple(sg for sg in candidate if sg.action is not ActionKind.NAVIGATE)
 
 
-def strict_match(candidate: Plan | Sequence[Subgoal], gt: GtAnnotation) -> bool:
+def strict_match(candidate: Sequence[Subgoal], gt: GtAnnotation) -> bool:
     """Exact-sequence comparison against the core; wildcards are not honored."""
     return _matchable_steps(candidate) == gt.core
 
 
-def relaxed_match(candidate: Plan | Sequence[Subgoal], spec: RelaxedSpec) -> bool:
+def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
     """Whether the candidate realizes the spec: a bijection of steps onto slots
     that satisfies every pattern and linearizes the precedence DAG.
 

@@ -1,10 +1,11 @@
 """Subgoal and plan data model, plus the textual template the planner model emits.
 
-Subgoals are written one per line as ``(Action, object)``, or
-``(Put, object, receptacle)`` for placement. Action names are matched
-case-insensitively (internal spaces/underscores tolerated, so ``pick up``
-parses as ``Pickup``); object names are normalized to single lowercase tokens
-with no internal whitespace (``desk lamp`` becomes ``desklamp``).
+A plan is a plain tuple of subgoals. Subgoals are written one per line as
+``(Action, object)``, or ``(Put, object, receptacle)`` for placement. Action
+names are matched case-insensitively (internal spaces/underscores tolerated,
+so ``pick up`` parses as ``Pickup``); object names are normalized to single
+lowercase tokens with no internal whitespace (``desk lamp`` becomes
+``desklamp``).
 """
 
 from __future__ import annotations
@@ -80,11 +81,7 @@ class Subgoal:
             raise ArityMismatch(f"{self.action.value} does not take a receptacle")
 
 
-@dataclass(frozen=True)
-class Plan:
-    """An ordered subgoal sequence."""
-
-    steps: tuple[Subgoal, ...]
+Plan = tuple[Subgoal, ...]
 
 
 def parse_subgoal(line: str) -> Subgoal:
@@ -108,12 +105,12 @@ def parse_subgoal(line: str) -> Subgoal:
     return Subgoal(action, obj, receptacle)
 
 
-def parse_plan(raw: str) -> tuple[Plan, int]:
-    """Extract every template line from a free-form completion, in order.
+def parse_plan(raw: str) -> Plan:
+    """Extract every template line from a free-form completion, in order, and
+    return them as a tuple of subgoals.
 
-    Non-template lines are skipped and counted (blank lines are ignored
-    outright); the count is returned alongside the plan. Raises
-    NoSubgoalsFound when not a single line parses.
+    Non-template lines and blank lines are skipped. Raises NoSubgoalsFound,
+    which counts the skipped non-blank lines, when not a single line parses.
     """
     steps: list[Subgoal] = []
     skipped = 0
@@ -126,7 +123,7 @@ def parse_plan(raw: str) -> tuple[Plan, int]:
             skipped += 1
     if not steps:
         raise NoSubgoalsFound(skipped)
-    return Plan(tuple(steps)), skipped
+    return tuple(steps)
 
 
 def render_subgoal(sg: Subgoal) -> str:

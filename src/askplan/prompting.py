@@ -3,9 +3,9 @@ re-planning, implemented as substitution over versioned template files.
 
 Templates live in the package's ``prompts/`` directory, one file per
 generator, with a ``[system]`` section followed by a ``[user]`` section.
-Placeholders are written ``{name}`` and substituted literally; every
-placeholder appearing in a template must belong to that template's declared
-set, which is checked at load time.
+Placeholders are written ``{name}`` and substituted literally. A template's
+placeholders are the ones its text contains, and a generator must supply
+values for exactly those, so a typo in either fails on the first render.
 """
 
 from __future__ import annotations
@@ -26,17 +26,6 @@ class EmptyTranscript(ValueError):
 class TemplateError(ValueError):
     pass
 
-
-TEMPLATE_PLACEHOLDERS: dict[str, frozenset[str]] = {
-    "std": frozenset({"instruction"}),
-    "tp": frozenset({"instruction", "QA"}),
-    "tp_no_std": frozenset({"instruction"}),
-    "std_cot": frozenset({"instruction"}),
-    "validity": frozenset({"subgoal"}),
-    "feedback": frozenset({"subgoal", "object", "validity"}),
-    "replan": frozenset({"instruction", "initial high-level plan",
-                         "observed_objects", "validity", "feedback"}),
-}
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_ -]*)\}")
 
@@ -85,27 +74,24 @@ class Feedback:
 
 @lru_cache(maxsize=None)
 def load_template(name: str) -> PromptTemplate:
-    declared = TEMPLATE_PLACEHOLDERS.get(name)
-    if declared is None:
-        raise TemplateError(f"unknown template {name!r}")
-    text = resources.files("askplan").joinpath(f"prompts/{name}.txt").read_text("utf-8")
+    try:
+        text = resources.files("askplan").joinpath(f"prompts/{name}.txt").read_text("utf-8")
+    except FileNotFoundError as exc:
+        raise TemplateError(f"unknown template {name!r}") from exc
     match = re.match(r"\[system\]\n(?P<system>.*?)\n\[user\]\n(?P<user>.*)", text, re.DOTALL)
     if not match:
         raise TemplateError(f"template {name!r} lacks [system]/[user] sections")
     system_text = match.group("system").strip()
     user_text = match.group("user").strip()
-    found = set(_PLACEHOLDER_RE.findall(user_text)) | set(_PLACEHOLDER_RE.findall(system_text))
-    stray = found - declared
-    if stray:
-        raise TemplateError(f"template {name!r} has undeclared placeholders: {sorted(stray)}")
-    return PromptTemplate(name, system_text, user_text, declared)
+    placeholders = frozenset(_PLACEHOLDER_RE.findall(f"{system_text}\n{user_text}"))
+    return PromptTemplate(name, system_text, user_text, placeholders)
 
 
 def _render(name: str, values: dict[str, str]) -> RenderedPrompt:
     template = load_template(name)
-    missing = template.placeholders - values.keys()
-    if missing:
-        raise TemplateError(f"template {name!r} missing values for {sorted(missing)}")
+    if values.keys() != template.placeholders:
+        raise TemplateError(f"template {name!r} takes {sorted(template.placeholders)}, "
+                            f"got {sorted(values)}")
     user_text = template.user_text
     system_text = template.system_text
     for key in sorted(template.placeholders, key=len, reverse=True):
@@ -172,11 +158,11 @@ def gen_feedback_prompt(sg: Subgoal, validity: Validity) -> RenderedPrompt:
 def gen_replan_prompt(feedback: Feedback, plan: Plan, observed: set[str] | frozenset[str],
                       validity: Validity, instruction: str) -> RenderedPrompt:
     """Re-planning prompt: instruction, current plan, observations, verdict, feedback."""
-    if not plan.steps:
+    if not plan:
         raise ValueError("cannot request a revision of an empty plan")
     return _render("replan", {
         "instruction": instruction,
-        "initial high-level plan": "\n".join(render_subgoal(sg) for sg in plan.steps),
+        "initial high-level plan": "\n".join(render_subgoal(sg) for sg in plan),
         "observed_objects": ", ".join(sorted(set(observed))),
         "validity": validity.verdict.value.upper(),
         "feedback": feedback.raw,

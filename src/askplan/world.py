@@ -51,13 +51,6 @@ FLAG_IMPLICATIONS = {
     "is_clean": "cleanable",
 }
 
-_BOOL_FLAGS = (
-    "pickupable", "openable", "is_open", "toggleable", "is_on",
-    "sliceable", "is_sliced", "heatable", "is_heated", "coolable",
-    "is_chilled", "cleanable", "is_clean", "is_receptacle", "heavy",
-)
-
-
 @dataclass
 class ObjectEntity:
     id: str
@@ -87,6 +80,9 @@ class ObjectEntity:
         if unknown:
             raise InvalidScenario(f"unknown entity fields: {sorted(unknown)}")
         return ObjectEntity(**data)
+
+
+_BOOL_FLAGS = frozenset(f.name for f in fields(ObjectEntity) if f.type == "bool")
 
 
 @dataclass
@@ -173,20 +169,13 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    success: bool
-    reason: FailReason
     state_after: WorldState
+    reason: FailReason = FailReason.OK
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.success != (self.reason is FailReason.OK):
-            raise ValueError("success must hold exactly when the reason is ok")
-
-
-@dataclass(frozen=True)
-class SceneSnapshot:
-    description: str
-    visible_ids: frozenset[str]
+    @property
+    def success(self) -> bool:
+        return self.reason is FailReason.OK
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -286,10 +275,6 @@ def _sync_zone(world: WorldState, entity_id: str, zone: str) -> None:
             _sync_zone(world, other.id, zone)
 
 
-def _fail(state: WorldState, reason: FailReason, detail: str) -> ExecutionResult:
-    return ExecutionResult(False, reason, state, detail)
-
-
 def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
     """Execute one subgoal against a copy of the world.
 
@@ -300,86 +285,86 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
     state = world.copy()
     state.step_count += 1
     if noise_draw(world.noise_seed, world.step_count) < world.noise_p:
-        return _fail(state, FailReason.CONTROLLER_NOISE, "controller malfunction")
+        return ExecutionResult(state, FailReason.CONTROLLER_NOISE, "controller malfunction")
 
     target = state.entities.get(sg.object)
     if target is None:
-        return _fail(state, FailReason.TARGET_NOT_VISIBLE,
-                     f"no object named {sg.object!r} in the environment")
+        return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE,
+                               f"no object named {sg.object!r} in the environment")
 
     if sg.action is ActionKind.NAVIGATE:
         state.agent_zone = target.zone
         if state.held is not None:
             _sync_zone(state, state.held, state.agent_zone)
-        return ExecutionResult(True, FailReason.OK, state)
+        return ExecutionResult(state)
 
     if not _visible(state, target.id):
-        return _fail(state, FailReason.TARGET_NOT_VISIBLE, f"{sg.object} is not visible")
+        return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE, f"{sg.object} is not visible")
 
     if sg.action is ActionKind.PICKUP:
         if state.held is not None:
-            return _fail(state, FailReason.HAND_OCCUPIED,
-                         f"already holding {state.held}")
+            return ExecutionResult(state, FailReason.HAND_OCCUPIED,
+                                   f"already holding {state.held}")
         if not target.pickupable:
-            return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                         f"{sg.object} is not pickupable")
+            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                                   f"{sg.object} is not pickupable")
         if target.heavy:
-            return _fail(state, FailReason.OBJECT_TOO_HEAVY, f"{sg.object} is too heavy")
+            return ExecutionResult(state, FailReason.OBJECT_TOO_HEAVY, f"{sg.object} is too heavy")
         target.container = None
         state.held = target.id
         _sync_zone(state, target.id, state.agent_zone)
-        return ExecutionResult(True, FailReason.OK, state)
+        return ExecutionResult(state)
 
     if sg.action is ActionKind.PUT:
         if state.held is None:
-            return _fail(state, FailReason.HAND_EMPTY, "nothing is held")
+            return ExecutionResult(state, FailReason.HAND_EMPTY, "nothing is held")
         if state.held != sg.object:
-            return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                         f"holding {state.held}, not {sg.object}")
+            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                                   f"holding {state.held}, not {sg.object}")
         receptacle = state.entities.get(sg.receptacle or "")
         if receptacle is None:
-            return _fail(state, FailReason.TARGET_NOT_VISIBLE,
-                         f"no object named {sg.receptacle!r} in the environment")
+            return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE,
+                                   f"no object named {sg.receptacle!r} in the environment")
         if receptacle.id == target.id:
-            return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                         "cannot put an object into itself")
+            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                                   "cannot put an object into itself")
         if not _visible(state, receptacle.id):
-            return _fail(state, FailReason.TARGET_NOT_VISIBLE,
-                         f"{receptacle.id} is not visible")
+            return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE,
+                                   f"{receptacle.id} is not visible")
         if not receptacle.is_receptacle:
-            return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                         f"{receptacle.id} is not a receptacle")
+            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                                   f"{receptacle.id} is not a receptacle")
         if receptacle.openable and not receptacle.is_open:
-            return _fail(state, FailReason.RECEPTACLE_CLOSED,
-                         f"{receptacle.id} is closed")
+            return ExecutionResult(state, FailReason.RECEPTACLE_CLOSED,
+                                   f"{receptacle.id} is closed")
         # containment must stay acyclic: the receptacle's chain cannot pass
         # through the object being placed
         parent = receptacle
         while parent.container is not None:
             if parent.container == target.id:
-                return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                             f"{receptacle.id} is inside {target.id}")
+                return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                                       f"{receptacle.id} is inside {target.id}")
             parent = state.entities[parent.container]
         target.container = receptacle.id
         state.held = None
         _sync_zone(state, target.id, receptacle.zone)
-        return ExecutionResult(True, FailReason.OK, state)
+        return ExecutionResult(state)
 
     if sg.action in (ActionKind.OPEN, ActionKind.CLOSE):
         if not target.openable:
-            return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                         f"{sg.object} is not openable")
+            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                                   f"{sg.object} is not openable")
         target.is_open = sg.action is ActionKind.OPEN
         if sg.action is ActionKind.CLOSE and target.category == "fridge":
             for other in state.entities.values():
                 if other.container == target.id and other.coolable:
                     other.is_chilled = True
-        return ExecutionResult(True, FailReason.OK, state)
+        return ExecutionResult(state)
 
     if sg.action in (ActionKind.TOGGLE_ON, ActionKind.TOGGLE_OFF):
         if not target.toggleable:
-            return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                         f"{sg.object} is not toggleable")
+            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                                   f"{sg.object} is not toggleable")
         target.is_on = sg.action is ActionKind.TOGGLE_ON
         if sg.action is ActionKind.TOGGLE_ON:
             if target.category == "microwave":
@@ -391,23 +376,23 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
                 for other in state.entities.values():
                     if other.container == basin and other.cleanable:
                         other.is_clean = True
-        return ExecutionResult(True, FailReason.OK, state)
+        return ExecutionResult(state)
 
     if sg.action is ActionKind.SLICE:
         if state.held is None:
-            return _fail(state, FailReason.HAND_EMPTY, "slicing requires holding a knife")
+            return ExecutionResult(state, FailReason.HAND_EMPTY, "slicing requires holding a knife")
         blade = state.entities[state.held]
         if "knife" not in blade.category:
-            return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                         f"{blade.id} cannot slice anything")
+            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                                   f"{blade.id} cannot slice anything")
         if not target.sliceable:
-            return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                         f"{sg.object} is not sliceable")
+            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                                   f"{sg.object} is not sliceable")
         target.is_sliced = True
-        return ExecutionResult(True, FailReason.OK, state)
+        return ExecutionResult(state)
 
-    return _fail(state, FailReason.PRECONDITION_VIOLATED,
-                 f"unhandled action {sg.action.value}")  # unreachable
+    return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                           f"unhandled action {sg.action.value}")  # unreachable
 
 
 def _markers(world: WorldState, entity: ObjectEntity) -> list[str]:
@@ -428,7 +413,7 @@ def _markers(world: WorldState, entity: ObjectEntity) -> list[str]:
     return markers
 
 
-def render_scene(world: WorldState) -> SceneSnapshot:
+def render_scene(world: WorldState) -> str:
     """Textual observation: the agent's zone plus every detected object with
     its state markers, sorted by id for a deterministic rendering."""
     visible = sorted(detect_objects(world))
@@ -440,7 +425,7 @@ def render_scene(world: WorldState) -> SceneSnapshot:
         for oid in visible:
             markers = _markers(world, world.entities[oid])
             lines.append(f"- {oid} ({', '.join(markers)})" if markers else f"- {oid}")
-    return SceneSnapshot("\n".join(lines), frozenset(visible))
+    return "\n".join(lines)
 
 
 def _condition_holds(world: WorldState, cond: GoalCondition) -> bool:

@@ -521,6 +521,10 @@ MALFORMED_INPUTS = {
     "trace-plan-unknown-action": ("score", None, _first_trace_with(
         _set(("initial_plan",), ["(Fly, mug)"]))),
     "trace-sr-not-int": ("score", None, _first_trace_with(_set(("sr",), "x"))),
+    "trace-sr-out-of-range": ("score", None, _first_trace_with(_set(("sr",), 5))),
+    "trace-gc-negative": ("score", None, _first_trace_with(_set(("gc",), -3.0))),
+    "trace-gc-above-one": ("score", None, _first_trace_with(_set(("gc",), 1.5))),
+    "trace-gc-nan": ("score", None, _first_trace_with(_set(("gc",), float("nan")))),
     "echo-missing-seed": ("replay", None, _first_trace_with(_drop(("config", "seed")))),
     "echo-noise-not-number": ("replay", None, _first_trace_with(
         _set(("config", "noise"), "abc"))),
@@ -551,6 +555,21 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--noise", "2"), ("--noise", "nan"), ("--timeout", "0"), ("--timeout", "nan"),
+])
+def test_run_out_of_range_flag_exits_2(flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--tasks", MINI7, "--gateway", "http",
+                "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
+                flag, value, "--out", str(tmp_path))
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "traces.jsonl").exists()
 
 
 def test_unwritable_out_dir_is_io_error(tmp_path):

@@ -82,9 +82,9 @@ def test_decompose_cot_single_pseudo_turn():
 def test_make_plan_parses_scripted_reply(bread_scenario, mini7_gateway):
     qa = decompose(bread_scenario.instruction, mini7_gateway, CFG, [])
     plan = make_plan(bread_scenario.instruction, qa, mini7_gateway, CFG, [])
-    assert render_subgoal(plan.steps[0]) == "(Pickup, knife)"
-    assert render_subgoal(plan.steps[1]) == "(Slice, bread)"
-    assert render_subgoal(plan.steps[-1]) == "(Close, fridge)"
+    assert render_subgoal(plan[0]) == "(Pickup, knife)"
+    assert render_subgoal(plan[1]) == "(Slice, bread)"
+    assert render_subgoal(plan[-1]) == "(Close, fridge)"
 
 
 def test_make_plan_no_std_degenerate_plan():
@@ -93,7 +93,7 @@ def test_make_plan_no_std_degenerate_plan():
                               contains_all=("Create a detailed plan",)))
     plan = make_plan("slice bread and chill it", None, gw,
                      EpisodeConfig(use_std=False, decode=DECODE), [])
-    actions = [sg.action for sg in plan.steps]
+    actions = [sg.action for sg in plan]
     assert ActionKind.SLICE in actions
     assert ActionKind.PICKUP not in actions
 
@@ -109,7 +109,6 @@ def test_make_plan_empty_completion_fails():
 
 def _failed_put_context(bread_scenario):
     """World state right after (Put, bread, fridge) failed on a closed fridge."""
-    from askplan.plans import Plan
     from askplan.world import apply_subgoal, detect_objects
 
     world = new_world(bread_scenario)
@@ -121,7 +120,7 @@ def _failed_put_context(bread_scenario):
     assert result.reason is FailReason.RECEPTACLE_CLOSED
     world = result.state_after
     observed = detect_objects(world)
-    plan = Plan((sg,))
+    plan = (sg,)
     return sg, render_scene(world), observed, plan
 
 
@@ -131,7 +130,7 @@ def test_handle_failure_replans_on_invalid(bread_scenario, recovery_gateway):
                               bread_scenario.instruction, recovery_gateway, CFG, [])
     assert decision.kind == "replan"
     assert decision.validity.verdict is Verdict.INVALID
-    inserted = [render_subgoal(s) for s in decision.new_plan.steps]
+    inserted = [render_subgoal(s) for s in decision.new_plan]
     assert "(Open, fridge)" in inserted
 
 

@@ -29,11 +29,9 @@ from askplan.gateway import (
 )
 from askplan.engine import EpisodeConfig, run_episode
 from askplan.prompting import RenderedPrompt
-from askplan.world import SceneSnapshot
 
 PROMPT = RenderedPrompt("system text", "please plan: heated slice of bread")
-SCENE = SceneSnapshot("Zone: kitchen\nVisible objects:\n- fridge (closed)",
-                      frozenset({"fridge"}))
+SCENE = "Zone: kitchen\nVisible objects:\n- fridge (closed)"
 
 
 # -- scripts ------------------------------------------------------------------
@@ -88,7 +86,7 @@ def test_scripted_deterministic_and_latency_free():
 
 
 def test_empty_scene_request_is_well_formed():
-    empty = SceneSnapshot("Zone: cellar\nVisible objects: none", frozenset())
+    empty = "Zone: cellar\nVisible objects: none"
     assert "Visible objects: none" in request_text(PROMPT, empty)
 
 

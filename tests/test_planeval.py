@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from askplan.plans import ActionKind, Plan, Subgoal, parse_subgoal
+from askplan.plans import ActionKind, Subgoal, parse_subgoal
 from askplan.planeval import (
     AnnotationError,
     GtAnnotation,
@@ -69,32 +69,30 @@ def random_annotation(rng: random.Random, max_slots: int = 7) -> GtAnnotation:
 
 def test_floating_anchor_must_be_in_range():
     with pytest.raises(AnnotationError):
-        gt(["(Pickup, mug)", "(Open, safe)"], floating=[(1, 5)]).validate()
+        gt(["(Pickup, mug)", "(Open, safe)"], floating=[(1, 5)])
 
 
 def test_wildcard_only_on_put_slots():
     with pytest.raises(AnnotationError):
-        gt(["(Pickup, mug)"], wildcards=[0]).validate()
+        gt(["(Pickup, mug)"], wildcards=[0])
 
 
 def test_swap_ranges_must_not_overlap():
     with pytest.raises(AnnotationError):
         gt(["(Pickup, mug)", "(Open, safe)", "(Close, safe)"],
-           swap_groups=[[(0, 1), (1, 2)]]).validate()
+           swap_groups=[[(0, 1), (1, 2)]])
 
 
 def test_navigate_not_allowed_in_core():
     with pytest.raises(AnnotationError):
-        gt(["(Navigate, safe)", "(Open, safe)"]).validate()
+        gt(["(Navigate, safe)", "(Open, safe)"])
 
 
 def test_cyclic_anchor_chain_raises_defensively():
     from askplan.planeval import CyclicPrecedence
 
-    annotation = gt(["(Pickup, mug)", "(Open, safe)", "(Close, safe)"],
-                    floating=[(1, 2), (2, 1)])
     with pytest.raises(CyclicPrecedence):
-        compile_relaxed_spec(annotation)
+        gt(["(Pickup, mug)", "(Open, safe)", "(Close, safe)"], floating=[(1, 2), (2, 1)])
 
 
 def test_anchor_walk_rejects_exactly_the_cyclic_precedences(monkeypatch):
@@ -102,8 +100,8 @@ def test_anchor_walk_rejects_exactly_the_cyclic_precedences(monkeypatch):
 
     # compile every annotation, cyclic ones included, with validation skipped,
     # and compare validate's verdict with a reference cycle check of the edges
-    validate = GtAnnotation.validate
-    monkeypatch.setattr(GtAnnotation, "validate", lambda self: None)
+    validate = GtAnnotation.__post_init__
+    monkeypatch.setattr(GtAnnotation, "__post_init__", lambda self: None)
     rng = random.Random(17)
     verdicts = set()
     for _ in range(500):
@@ -174,23 +172,23 @@ def test_wildcard_slot_becomes_match_any():
 
 
 def test_strict_match_identity(bread_scenario):
-    assert strict_match(Plan(bread_scenario.gt.core), bread_scenario.gt)
+    assert strict_match(bread_scenario.gt.core, bread_scenario.gt)
 
 
 def test_strict_match_rejects_adjacent_swap(bread_scenario):
     steps = list(bread_scenario.gt.core)
     steps[0], steps[1] = steps[1], steps[0]
-    assert not strict_match(Plan(tuple(steps)), bread_scenario.gt)
+    assert not strict_match(steps, bread_scenario.gt)
 
 
 def test_strict_match_ignores_wildcards():
     annotation = gt(["(Put, knife, table)"], wildcards=[0])
-    assert not strict_match(Plan((parse_subgoal("(Put, knife, counter)"),)), annotation)
+    assert not strict_match((parse_subgoal("(Put, knife, counter)"),), annotation)
 
 
 def test_strict_match_skips_navigate_steps(bread_scenario):
     steps = (parse_subgoal("(Navigate, knife)"),) + bread_scenario.gt.core
-    assert strict_match(Plan(steps), bread_scenario.gt)
+    assert strict_match(steps, bread_scenario.gt)
 
 
 # -- relaxed matching ---------------------------------------------------------
@@ -200,17 +198,17 @@ def test_interchangeable_lamp_task_accepts_both_orders():
     annotation = gt(["(Pickup, book)", "(ToggleOn, desklamp)"],
                     swap_groups=[[(0, 0), (1, 1)]])
     spec = compile_relaxed_spec(annotation)
-    assert relaxed_match(Plan((parse_subgoal("(Pickup, book)"),
-                               parse_subgoal("(ToggleOn, desklamp)"))), spec)
-    assert relaxed_match(Plan((parse_subgoal("(ToggleOn, desklamp)"),
-                               parse_subgoal("(Pickup, book)"))), spec)
+    assert relaxed_match((parse_subgoal("(Pickup, book)"),
+                          parse_subgoal("(ToggleOn, desklamp)")), spec)
+    assert relaxed_match((parse_subgoal("(ToggleOn, desklamp)"),
+                          parse_subgoal("(Pickup, book)")), spec)
 
 
 def test_wildcard_receptacle_accepts_any_location():
     annotation = gt(["(Slice, bread)", "(Put, knife, counter)"], wildcards=[1])
     spec = compile_relaxed_spec(annotation)
-    assert relaxed_match(Plan((parse_subgoal("(Slice, bread)"),
-                               parse_subgoal("(Put, knife, shelf)"))), spec)
+    assert relaxed_match((parse_subgoal("(Slice, bread)"),
+                          parse_subgoal("(Put, knife, shelf)")), spec)
 
 
 def test_floating_close_anywhere_after_anchor():
@@ -230,14 +228,14 @@ def test_floating_close_anywhere_after_anchor():
 
 def test_relaxed_match_length_mismatch():
     spec = compile_relaxed_spec(gt(["(Pickup, mug)"]))
-    assert not relaxed_match(Plan(()), spec)
-    assert not relaxed_match(Plan((parse_subgoal("(Pickup, mug)"),
-                                   parse_subgoal("(Pickup, mug)"))), spec)
+    assert not relaxed_match((), spec)
+    assert not relaxed_match((parse_subgoal("(Pickup, mug)"),
+                              parse_subgoal("(Pickup, mug)")), spec)
 
 
 def test_relaxed_match_excludes_navigate_on_candidate_side():
     spec = compile_relaxed_spec(gt(["(Pickup, mug)"]))
-    candidate = Plan((parse_subgoal("(Navigate, mug)"), parse_subgoal("(Pickup, mug)")))
+    candidate = (parse_subgoal("(Navigate, mug)"), parse_subgoal("(Pickup, mug)"))
     assert relaxed_match(candidate, spec)
 
 

@@ -69,15 +69,13 @@ def test_parse_too_many_fields():
 
 
 def test_parse_plan_ordered():
-    plan, skipped = parse_plan("1. (Pickup, knife)\n2. (Slice, bread)")
-    assert [sg.action for sg in plan.steps] == [ActionKind.PICKUP, ActionKind.SLICE]
-    assert skipped == 0
+    plan = parse_plan("1. (Pickup, knife)\n2. (Slice, bread)")
+    assert [sg.action for sg in plan] == [ActionKind.PICKUP, ActionKind.SLICE]
 
 
 def test_parse_plan_skips_prose_lines():
-    plan, skipped = parse_plan("Sure! Here is the plan:\n(ToggleOn, desklamp)")
-    assert plan.steps == (Subgoal(ActionKind.TOGGLE_ON, "desklamp"),)
-    assert skipped == 1
+    plan = parse_plan("Sure! Here is the plan:\n(ToggleOn, desklamp)")
+    assert plan == (Subgoal(ActionKind.TOGGLE_ON, "desklamp"),)
 
 
 def test_parse_plan_no_subgoals():
@@ -88,9 +86,7 @@ def test_parse_plan_no_subgoals():
 
 def test_parse_plan_skips_bad_template_lines_but_keeps_order():
     raw = "(Pickup, knife)\n(Jump, chair)\n(Put, knife, counter)"
-    plan, skipped = parse_plan(raw)
-    assert skipped == 1
-    assert [render_subgoal(sg) for sg in plan.steps] == \
+    assert [render_subgoal(sg) for sg in parse_plan(raw)] == \
         ["(Pickup, knife)", "(Put, knife, counter)"]
 
 

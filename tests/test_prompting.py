@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from askplan.plans import Plan, parse_subgoal
+from askplan import asset_path
+from askplan.plans import parse_subgoal
 from askplan.prompting import (
-    TEMPLATE_PLACEHOLDERS,
     EmptyTranscript,
     Feedback,
     QATranscript,
@@ -29,8 +29,8 @@ from askplan.prompting import (
 DATA = Path(__file__).parent / "data"
 BREAD = "put a heated slice of bread in the fridge"
 
-_PLACEHOLDER_RE = re.compile(
-    r"\{(" + "|".join(sorted({p for ps in TEMPLATE_PLACEHOLDERS.values() for p in ps})) + r")\}")
+TEMPLATE_NAMES = sorted(path.stem for path in asset_path("prompts").glob("*.txt"))
+_PLACEHOLDER_RE = re.compile(r"\{[A-Za-z_][A-Za-z0-9_ -]*\}")
 
 QA = QATranscript((
     ("Which sub-tasks make up the instruction?", "Slice, heat, then store the bread."),
@@ -46,9 +46,11 @@ def assert_placeholder_free(prompt):
 
 
 def test_all_templates_load_with_declared_placeholders_only():
-    for name in TEMPLATE_PLACEHOLDERS:
+    assert len(TEMPLATE_NAMES) == 7
+    for name in TEMPLATE_NAMES:
         template = load_template(name)
         assert template.user_text
+        assert template.placeholders
 
 
 def test_std_prompt_contains_instruction_and_discovery_marker():
@@ -167,8 +169,7 @@ def test_feedback_prompt_golden():
 
 
 def test_replan_prompt_assembles_all_parts():
-    plan = Plan((parse_subgoal("(Navigate, desklamp)"),
-                 parse_subgoal("(Pickup, desklamp)")))
+    plan = (parse_subgoal("(Navigate, desklamp)"), parse_subgoal("(Pickup, desklamp)"))
     feedback = Feedback("The desk lamp is too heavy to lift; toggle it in place instead.")
     validity = classify_validity("INVALID - the lamp cannot be picked up")
     prompt = gen_replan_prompt(feedback, plan, {"desklamp", "book"}, validity,
@@ -181,7 +182,7 @@ def test_replan_prompt_assembles_all_parts():
 
 
 def test_replan_prompt_observed_objects_sorted_deduplicated():
-    plan = Plan((parse_subgoal("(Pickup, mug)"),))
+    plan = (parse_subgoal("(Pickup, mug)"),)
     prompt = gen_replan_prompt(Feedback("f"), plan, {"b", "a", "a", "c"},
                                classify_validity("VALID"), "i")
     assert "a, b, c" in prompt.user_text
@@ -189,7 +190,7 @@ def test_replan_prompt_observed_objects_sorted_deduplicated():
 
 def test_replan_prompt_needs_nonempty_plan():
     with pytest.raises(ValueError):
-        gen_replan_prompt(Feedback("f"), Plan(()), set(),
+        gen_replan_prompt(Feedback("f"), (), set(),
                           classify_validity("VALID"), "i")
 
 
@@ -242,3 +243,5 @@ def test_render_with_missing_value_rejected():
 
     with pytest.raises(TemplateError):
         _render("tp", {"instruction": "x"})  # {QA} left unfilled
+    with pytest.raises(TemplateError):
+        _render("std", {"instruction": "x", "QA": "y"})  # std has no {QA}
