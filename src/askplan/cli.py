@@ -1,8 +1,10 @@
 """Benchmark command line: run scenario sets against a gateway, score trace
 files, replay single trace lines, and dump rendered prompts.
 
-Exit codes: 0 on success, 2 for configuration errors (bad flags, missing or
-malformed input files), 3 for I/O errors while writing results.
+Exit codes: 0 on success, 1 when ``replay`` finds a divergence, 2 for
+anything wrong with a flag or an input file (missing, unreadable, not UTF-8,
+not JSON, or not of the documented shape), 3 for I/O errors while writing
+results.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .engine import (
     EpisodeConfig,
     EpisodeTrace,
     SchemaMismatch,
-    checked_field,
     run_episode,
 )
 from .gateway import (
@@ -32,22 +33,22 @@ from .gateway import (
     ScriptedGateway,
     load_script,
 )
-from .planeval import AnnotationError, MissingGroundTruth, score_dataset
+from .inputs import NUMBER, MalformedInput, checked_field, read_json, read_json_lines
+from .planeval import MissingGroundTruth, score_dataset
 from .plans import PlanParseError
 from .prompting import QATranscript, RenderedPrompt, gen_cot_prompt, gen_std_prompt, \
     gen_tp_no_std_prompt, gen_tp_prompt
-from .world import InvalidScenario, Scenario
+from .world import Scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-class MalformedTaskSet(ValueError):
+class MalformedTaskSet(MalformedInput):
     def __init__(self, scenario_id: str, detail: str):
         super().__init__(f"task set invalid at scenario {scenario_id!r}: {detail}")
         self.scenario_id = scenario_id
-        self.detail = detail
 
 
 @dataclass
@@ -67,34 +68,25 @@ class RunConfig:
 
 
 def load_tasks(path: str | Path) -> TaskSet:
-    """Parse a task file and invariant-check every scenario in it."""
-    try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedTaskSet("<file>", f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise MalformedTaskSet("<file>", "the root must be a JSON object")
-    raw_scenarios = data.get("scenarios")
-    if not isinstance(raw_scenarios, list):
-        raise MalformedTaskSet("<file>", "'scenarios' must be a list")
+    """Read a task file and invariant-check every scenario in it; raises
+    MalformedTaskSet naming the scenario (or ``<file>``) at fault."""
+    label = "<file>"
     scenarios: list[Scenario] = []
     seen: set[str] = set()
-    for index, raw in enumerate(raw_scenarios):
-        if not isinstance(raw, dict):
-            raise MalformedTaskSet(f"#{index}", "a scenario must be a JSON object")
-        scenario_id = str(raw.get("id", "<missing id>"))
-        if scenario_id in seen:
-            raise MalformedTaskSet(scenario_id, "duplicate scenario id")
-        seen.add(scenario_id)
-        try:
+    try:
+        data = read_json(path)
+        name = checked_field(data, "name", str, "task set", Path(path).stem)
+        version = checked_field(data, "version", str, "task set", "0")
+        for index, raw in enumerate(checked_field(data, "scenarios", list, "task set")):
+            label = f"#{index}"  # until the id is read
+            label = checked_field(raw, "id", str, "scenario")
+            if label in seen:
+                raise MalformedInput("duplicate scenario id")
+            seen.add(label)
             scenarios.append(Scenario.from_dict(raw))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedTaskSet(scenario_id, str(exc)) from exc
-    return TaskSet(
-        name=str(data.get("name", Path(path).stem)),
-        version=str(data.get("version", "0")),
-        scenarios=scenarios,
-    )
+    except (MalformedInput, PlanParseError) as exc:  # PlanParseError: a gt core line
+        raise MalformedTaskSet(label, str(exc)) from exc
+    return TaskSet(name, version, scenarios)
 
 
 def episode_seed(global_seed: int, index: int) -> int:
@@ -140,35 +132,25 @@ def dump_record(record: dict) -> str:
 
 
 def read_traces(path: str | Path) -> list[dict]:
-    """Parse a trace file; raises SchemaMismatch, with the line number, on a
-    line that is not a schema-1 record whose scored fields are well typed and
-    in range."""
+    """Read a trace file; raises MalformedInput, with the line number, on a
+    line that is not a JSON object with well-typed scored fields, and
+    SchemaMismatch on one that is not of schema 1 or whose scores are out of
+    range."""
     records = []
-    for number, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaMismatch(f"trace line {number} is not valid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise SchemaMismatch(f"trace line {number} is not a JSON object")
-        if record.get("schema_version") != TRACE_SCHEMA_VERSION:
-            raise SchemaMismatch(
-                f"trace line {number}: schema {record.get('schema_version')!r} is not "
-                f"{TRACE_SCHEMA_VERSION} (task {record.get('task_id')!r})")
+    for number, record in read_json_lines(path):
         where = f"trace line {number}"
+        version = checked_field(record, "schema_version", int, where)
+        if version != TRACE_SCHEMA_VERSION:
+            raise SchemaMismatch(f"{where}: schema {version} is not {TRACE_SCHEMA_VERSION} "
+                                 f"(task {record.get('task_id')!r})")
         checked_field(record, "task_id", str, where)
         sr = checked_field(record, "sr", int, where)
-        gc = checked_field(record, "gc", (int, float), where)
+        gc = checked_field(record, "gc", NUMBER, where)
         if sr not in (0, 1) or not 0.0 <= gc <= 1.0:  # a NaN gc fails too
             raise SchemaMismatch(f"{where}: sr must be 0 or 1 and gc in [0, 1], "
                                  f"got sr={sr!r}, gc={gc!r}")
-        if "task_type" in record:
-            checked_field(record, "task_type", str, where)
-        plan = checked_field(record, "initial_plan", (list, type(None)), where)
-        if not all(isinstance(line, str) for line in plan or ()):
-            raise SchemaMismatch(f"{where}: initial_plan must be a list of strings")
+        checked_field(record, "task_type", str, where, None)
+        checked_field(record, "initial_plan", ([str], type(None)), where)
         records.append(record)
     return records
 
@@ -177,7 +159,7 @@ def _build_gateway(args: argparse.Namespace) -> Gateway:
     if args.gateway == "scripted":
         if not args.script:
             raise MalformedScript("--script is required with the scripted gateway")
-        return ScriptedGateway(load_script(args.script), script_path=str(args.script))
+        return ScriptedGateway(load_script(args.script), script_path=args.script)
     if not args.endpoint or not args.model:
         raise MalformedScript("--endpoint and --model are required with the http gateway")
     return HttpGateway(HttpGatewayConfig(
@@ -243,27 +225,25 @@ def cmd_replay(args: argparse.Namespace) -> int:
     record = records[args.line - 1]
     tasks = load_tasks(args.tasks)
     by_id = {scenario.id: scenario for scenario in tasks.scenarios}
-    scenario = by_id.get(record.get("task_id"))
+    scenario = by_id.get(record["task_id"])
     if scenario is None:
-        raise MissingGroundTruth(record.get("task_id"))
-    echo = record.get("config")
+        raise MissingGroundTruth(record["task_id"])
+    echo = checked_field(record, "config", dict, f"trace line {args.line}")
     cfg = EpisodeConfig.from_echo(echo)
-    gateway_echo = echo.get("gateway")
-    if not isinstance(gateway_echo, dict) or gateway_echo.get("kind") != "scripted":
-        print("error: only traces produced with the scripted gateway can be replayed",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    script_path = args.script or gateway_echo.get("script")
+    gateway_echo = checked_field(echo, "gateway", dict, "config echo")
+    if checked_field(gateway_echo, "kind", str, "gateway echo") != "scripted":
+        raise MalformedInput("only traces produced with the scripted gateway can be replayed")
+    recorded_script = checked_field(gateway_echo, "script", (str, type(None)),
+                                    "gateway echo", None)
+    script_path = args.script or recorded_script
     if not script_path:
-        print("error: trace does not record a script path; pass --script",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    gateway = ScriptedGateway(load_script(script_path), script_path=str(script_path))
+        raise MalformedInput("trace does not record a script path; pass --script")
+    gateway = ScriptedGateway(load_script(script_path), script_path=script_path)
     rerun = run_episode(scenario, gateway, cfg).to_record()
     # The recorded script path must win over the one used for this replay,
     # otherwise passing an equivalent script from another location would
     # spuriously fail the comparison.
-    rerun["config"]["gateway"]["script"] = gateway_echo.get("script")
+    rerun["config"]["gateway"]["script"] = recorded_script
     if dump_record(rerun) == dump_record(record):
         print(f"replay of line {args.line} ({record['task_id']}): identical")
         return EXIT_OK
@@ -403,11 +383,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedTaskSet, MalformedScript, SchemaMismatch, MissingGroundTruth,
-            InvalidScenario, AnnotationError, PlanParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Optional
 
 from .gateway import Completion, DecodeParams, Gateway, GatewayError, request_text
+from .inputs import NUMBER, MalformedInput, checked_field
 from .plans import (
     NoSubgoalsFound,
     Plan,
@@ -62,8 +63,8 @@ class MalformedTranscript(ValueError):
     pass
 
 
-class SchemaMismatch(ValueError):
-    pass
+class SchemaMismatch(MalformedInput):
+    """A trace field that is well typed but outside what schema 1 allows."""
 
 
 class EpisodeOutcome(str, Enum):
@@ -112,39 +113,27 @@ class EpisodeConfig:
     @staticmethod
     def from_echo(echo: dict) -> "EpisodeConfig":
         """Inverse of ``to_echo`` (the gateway echo is left to the caller).
-        Raises SchemaMismatch on a missing, ill-typed or out-of-range field."""
-        decode = checked_field(echo, "decode", dict)
-        bias = checked_field(decode, "token_bias", dict)
+        Raises MalformedInput on a missing or ill-typed field and
+        SchemaMismatch on an out-of-range one."""
+        where = "config echo"
+        decode = checked_field(echo, "decode", dict, where)
+        bias = checked_field(decode, "token_bias", dict, f"{where} decode")
         for token in bias:
-            checked_field(bias, token, _NUMBER)
+            checked_field(bias, token, NUMBER, f"{where} token_bias")
         fields = dict(
-            failure_budget=checked_field(echo, "failure_budget", int),
-            replanning_enabled=checked_field(echo, "replanning_enabled", bool),
-            use_std=checked_field(echo, "use_std", bool),
-            use_cot=checked_field(echo, "use_cot", bool),
-            noise_override=checked_field(echo, "noise", _NUMBER),
-            seed=checked_field(echo, "seed", int),
+            failure_budget=checked_field(echo, "failure_budget", int, where),
+            replanning_enabled=checked_field(echo, "replanning_enabled", bool, where),
+            use_std=checked_field(echo, "use_std", bool, where),
+            use_cot=checked_field(echo, "use_cot", bool, where),
+            noise_override=checked_field(echo, "noise", NUMBER, where),
+            seed=checked_field(echo, "seed", int, where),
         )
-        temperature = checked_field(decode, "temperature", _NUMBER)
-        max_tokens = checked_field(decode, "max_tokens", int)
+        temperature = checked_field(decode, "temperature", NUMBER, f"{where} decode")
+        max_tokens = checked_field(decode, "max_tokens", int, f"{where} decode")
         try:
             return EpisodeConfig(decode=DecodeParams(temperature, bias, max_tokens), **fields)
         except ValueError as exc:
-            raise SchemaMismatch(f"config echo: {exc}") from exc
-
-
-_NUMBER = (int, float)
-
-
-def checked_field(data: object, key: str, kind: type | tuple[type, ...],
-                  where: str = "config echo"):
-    """``data[key]`` when ``data`` is a dict and the value is a ``kind``;
-    otherwise SchemaMismatch naming ``where`` the field was read."""
-    # bool is an int subclass, so a flag never passes for a number or back
-    value = data.get(key) if isinstance(data, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        raise SchemaMismatch(f"{where} field {key!r} is missing or ill-typed: {value!r}")
-    return value
+            raise SchemaMismatch(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -320,6 +309,8 @@ def handle_failure(sg: Subgoal, scene: str, observed: set[str],
     try:
         f_completion = _call(gw, "feedback", gen_feedback_prompt(sg, validity),
                              cfg.decode, log, scene)
+        if not f_completion.text.strip():
+            return RecoveryDecision("abort", validity=validity, reason="feedback_empty")
         feedback = Feedback(f_completion.text)
         replan_prompt = gen_replan_prompt(feedback, current_plan, observed,
                                           validity, instruction)

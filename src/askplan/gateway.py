@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Optional, Protocol
 
 import requests
 
+from .inputs import MalformedInput, checked_field, read_json
 from .prompting import RenderedPrompt
 
 
@@ -49,7 +50,7 @@ class ScriptMiss(GatewayError):
     pass
 
 
-class MalformedScript(ValueError):
+class MalformedScript(MalformedInput):
     pass
 
 
@@ -129,49 +130,42 @@ class OracleScript:
         return out
 
 
-def parse_script(data: dict) -> OracleScript:
-    if not isinstance(data, dict):
-        raise MalformedScript("script root must be a JSON object")
-    raw_entries = data.get("entries")
-    if not isinstance(raw_entries, list) or not raw_entries:
-        raise MalformedScript("script needs a non-empty 'entries' list")
-    entries = []
-    for index, raw in enumerate(raw_entries):
-        if not isinstance(raw, dict) or "reply" not in raw:
-            raise MalformedScript(f"entry {index}: missing 'reply'")
-        has_exact = "exact" in raw
-        has_contains = "contains_all" in raw
-        if has_exact == has_contains:
-            raise MalformedScript(
-                f"entry {index}: exactly one of 'exact' or 'contains_all' required")
-        if has_exact:
-            entries.append(ScriptEntry(reply=str(raw["reply"]), exact=str(raw["exact"])))
-        else:
-            needles = raw["contains_all"]
-            if not isinstance(needles, list) or not needles:
-                raise MalformedScript(f"entry {index}: 'contains_all' must be a non-empty list")
-            entries.append(ScriptEntry(reply=str(raw["reply"]),
-                                       contains_all=tuple(str(n) for n in needles)))
-    mode = data.get("mode", "strict")
-    if mode == "strict":
-        fallback = None
-    elif mode == "fallback":
-        fallback = str(data.get("fallback_reply", ""))
-    else:
-        raise MalformedScript(f"unknown mode {mode!r}")
+def parse_script(data: object) -> OracleScript:
+    """Build a script from its JSON form; raises MalformedScript naming the
+    first field that is missing, ill-typed or out of place."""
+    try:
+        raw_entries = checked_field(data, "entries", list, "script")
+        if not raw_entries:
+            raise MalformedInput("script needs a non-empty 'entries' list")
+        entries = []
+        for index, raw in enumerate(raw_entries):
+            where = f"script entry {index}"
+            reply = checked_field(raw, "reply", str, where)
+            exact = checked_field(raw, "exact", str, where, None)
+            needles = checked_field(raw, "contains_all", [str], where, None)
+            if (exact is None) == (needles is None):
+                raise MalformedInput(f"{where}: exactly one of 'exact' or 'contains_all' required")
+            if needles == []:
+                raise MalformedInput(f"{where}: 'contains_all' must not be empty")
+            entries.append(ScriptEntry(reply, exact, tuple(needles or ())))
+        mode = checked_field(data, "mode", str, "script", "strict")
+        if mode not in ("strict", "fallback"):
+            raise MalformedInput(f"unknown script mode {mode!r}")
+        fallback = checked_field(data, "fallback_reply", str, "script", "") \
+            if mode == "fallback" else None
+    except MalformedInput as exc:
+        raise MalformedScript(str(exc)) from exc
     return OracleScript(tuple(entries), fallback)
 
 
 def load_script(path: str | Path) -> OracleScript:
-    """Parse and validate a script file; raises MalformedScript with detail."""
+    """Read and parse a script file; raises MalformedScript naming the file."""
     try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedScript(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        return parse_script(data)
+        return parse_script(read_json(path))
     except MalformedScript as exc:
         raise MalformedScript(f"{path}: {exc}") from exc
+    except MalformedInput as exc:  # read_json names the file itself
+        raise MalformedScript(str(exc)) from exc
 
 
 def request_text(prompt: RenderedPrompt, scene: Optional[str] = None) -> str:

@@ -1,0 +1,79 @@
+"""The one reader for input files: task sets, oracle scripts and trace files.
+
+``read_json`` and ``read_json_lines`` turn a file into JSON values, and
+``checked_field`` reads one field of a JSON object. Every failure, an
+unreadable file included, is a ``MalformedInput``. A field's type is checked
+exactly and never coerced: ``true`` is not a number, ``"0.5"`` is not a
+number and ``9.7`` is not an integer.
+
+A field's kind is a type, a tuple of alternatives, or a one-element list
+``[kind]`` for a JSON list whose every item has that kind; ``[[int]]`` is a
+list of lists of integers.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+NUMBER = (int, float)
+_REQUIRED = object()
+
+
+class MalformedInput(ValueError):
+    """An input file that cannot be read, or does not have the documented shape."""
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text("utf-8")
+    except OSError as exc:
+        raise MalformedInput(f"{path}: not readable ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _parse(text: str, where: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{where}: not valid JSON ({exc})") from exc
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON value a UTF-8 file holds."""
+    return _parse(_read_text(path), str(path))
+
+
+def read_json_lines(path: str | Path) -> list[tuple[int, object]]:
+    """(line number, JSON value) for every non-blank line of a UTF-8 file."""
+    return [(number, _parse(line, f"{path} line {number}"))
+            for number, line in enumerate(_read_text(path).splitlines(), 1)
+            if line.strip()]
+
+
+def _has_kind(value: object, kind) -> bool:
+    # exact types, so that a JSON true is never taken for a number
+    if type(kind) is list:
+        item_kind = kind[0]
+        return type(value) is list and all(
+            type(item) is item_kind or _has_kind(item, item_kind) for item in value)
+    if type(kind) is tuple:
+        return type(value) in kind or any(_has_kind(value, option) for option in kind)
+    return type(value) is kind
+
+
+def checked_field(data: object, key: str, kind, where: str, default=_REQUIRED):
+    """``data[key]`` when ``data`` is a JSON object and the value has ``kind``;
+    ``default``, when one is given, if the key is absent. Otherwise
+    MalformedInput naming ``where`` the field was read."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{where} is not a JSON object: {data!r:.80}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise MalformedInput(f"{where} lacks the field {key!r}")
+        return default
+    value = data[key]
+    if type(value) is not kind and not _has_kind(value, kind):
+        raise MalformedInput(f"{where} field {key!r} is ill-typed: {value!r:.80}")
+    return value

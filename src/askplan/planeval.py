@@ -25,10 +25,11 @@ import itertools
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .inputs import MalformedInput, checked_field
 from .plans import ActionKind, PlanParseError, Subgoal, parse_subgoal
 
 
-class AnnotationError(ValueError):
+class AnnotationError(MalformedInput):
     pass
 
 
@@ -40,7 +41,7 @@ class TooLarge(ValueError):
     pass
 
 
-class MissingGroundTruth(KeyError):
+class MissingGroundTruth(MalformedInput):
     def __init__(self, task_id: str):
         super().__init__(f"no ground-truth annotation for task {task_id!r}")
         self.task_id = task_id
@@ -61,17 +62,16 @@ class GtAnnotation:
     swap_groups: tuple[tuple[tuple[int, int], ...], ...] = ()
 
     @staticmethod
-    def from_dict(data: dict) -> "GtAnnotation":
-        if not isinstance(data, dict):
-            raise AnnotationError(f"an annotation must be a JSON object, got {data!r}")
+    def from_dict(data: object) -> "GtAnnotation":
+        """Build an annotation from its JSON form; raises MalformedInput on an
+        ill-typed field and PlanParseError on a core line that is no subgoal."""
+        core = checked_field(data, "core", [str], "gt", [])
         return GtAnnotation(
-            core=tuple(parse_subgoal(line) for line in data.get("core", [])),
-            floating=tuple((int(s), int(a)) for s, a in data.get("floating", [])),
-            wildcards=tuple(int(i) for i in data.get("wildcards", [])),
-            swap_groups=tuple(
-                tuple((int(lo), int(hi)) for lo, hi in group)
-                for group in data.get("swap_groups", [])
-            ),
+            core=tuple(parse_subgoal(line) for line in core),
+            floating=_pairs(checked_field(data, "floating", [[int]], "gt", []), "floating"),
+            wildcards=tuple(checked_field(data, "wildcards", [int], "gt", [])),
+            swap_groups=tuple(_pairs(group, "swap_groups") for group
+                              in checked_field(data, "swap_groups", [[[int]]], "gt", [])),
         )
 
     def __post_init__(self) -> None:
@@ -116,6 +116,12 @@ class GtAnnotation:
                 if block & claimed:
                     raise AnnotationError("swap-group ranges overlap")
                 claimed |= block
+
+
+def _pairs(items: list[list[int]], name: str) -> tuple[tuple[int, int], ...]:
+    if any(len(pair) != 2 for pair in items):
+        raise AnnotationError(f"gt field {name!r} holds a list that is not a pair: {items!r:.80}")
+    return tuple((a, b) for a, b in items)
 
 
 @dataclass(frozen=True)
@@ -317,7 +323,7 @@ def score_dataset(traces: Iterable[Mapping],
 
     Each trace record is the JSON form of an episode trace; HLP accuracy is
     computed on the initial plan only. Raises MissingGroundTruth when a trace
-    references a task id with no annotation, and PlanParseError when a line
+    references a task id with no annotation, and MalformedInput when a line
     of an initial plan is not a subgoal.
     """
     rows: list[dict] = []
@@ -329,12 +335,12 @@ def score_dataset(traces: Iterable[Mapping],
         try:
             initial = tuple(parse_subgoal(line) for line in record.get("initial_plan") or ())
         except PlanParseError as exc:
-            raise PlanParseError(f"initial plan of task {task_id!r}: {exc}") from exc
+            raise MalformedInput(f"initial plan of task {task_id!r}: {exc}") from exc
         rows.append({
             "task_type": record.get("task_type", "unknown"),
             "core_len": len(gt.core),
-            "sr": int(record["sr"]),
-            "gc": float(record["gc"]),
+            "sr": record["sr"],
+            "gc": record["gc"],
             "strict": strict_match(initial, gt),
             "relaxed": relaxed_match(initial, compile_relaxed_spec(gt)),
         })

@@ -53,10 +53,11 @@ _ACTION_LOOKUP = {kind.value.lower(): kind for kind in ActionKind}
 
 # Optional list index ("1." / "2)"), then exactly one parenthesized field list.
 _LINE_RE = re.compile(r"^\s*(?:\d+\s*[.)]\s*)?\((?P<body>[^()]*)\)\s*$")
+_SEPARATOR_RE = re.compile(r"[\s_-]+")
 
 
 def _normalize_token(token: str) -> str:
-    return re.sub(r"[\s_-]+", "", token.strip().lower())
+    return _SEPARATOR_RE.sub("", token.strip().lower())
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ re-planning, implemented as substitution over versioned template files.
 
 Templates live in the package's ``prompts/`` directory, one file per
 generator, with a ``[system]`` section followed by a ``[user]`` section.
-Placeholders are written ``{name}`` and substituted literally. A template's
+Placeholders are written ``{name}`` and substituted literally, in one pass,
+so a value that itself contains ``{name}`` is inserted as it is. A template's
 placeholders are the ones its text contains, and a generator must supply
 values for exactly those, so a typo in either fails on the first render.
 """
@@ -92,13 +93,10 @@ def _render(name: str, values: dict[str, str]) -> RenderedPrompt:
     if values.keys() != template.placeholders:
         raise TemplateError(f"template {name!r} takes {sorted(template.placeholders)}, "
                             f"got {sorted(values)}")
-    user_text = template.user_text
-    system_text = template.system_text
-    for key in sorted(template.placeholders, key=len, reverse=True):
-        token = "{" + key + "}"
-        user_text = user_text.replace(token, values[key])
-        system_text = system_text.replace(token, values[key])
-    return RenderedPrompt(system_text, user_text)
+    def substitute(text: str) -> str:
+        return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], text)
+
+    return RenderedPrompt(substitute(template.system_text), substitute(template.user_text))
 
 
 def format_transcript(qa: QATranscript) -> str:

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
+from .inputs import NUMBER, MalformedInput, checked_field
 from .planeval import GtAnnotation
 from .plans import ActionKind, Subgoal
 
 
-class InvalidScenario(ValueError):
+class InvalidScenario(MalformedInput):
     pass
 
 
@@ -74,15 +75,20 @@ class ObjectEntity:
     heavy: bool = False
 
     @staticmethod
-    def from_dict(data: dict) -> "ObjectEntity":
-        known = {f.name for f in fields(ObjectEntity)}
-        unknown = set(data) - known
+    def from_dict(data: object, where: str) -> "ObjectEntity":
+        checked_field(data, "id", str, where)  # first, so that a non-object fails here
+        unknown = data.keys() - _ENTITY_KINDS.keys()
         if unknown:
-            raise InvalidScenario(f"unknown entity fields: {sorted(unknown)}")
-        return ObjectEntity(**data)
+            raise InvalidScenario(f"{where}: unknown fields {sorted(unknown)}")
+        return ObjectEntity(**{key: checked_field(data, key, _ENTITY_KINDS[key], where)
+                               for key in data.keys() | _ENTITY_REQUIRED})
 
 
-_BOOL_FLAGS = frozenset(f.name for f in fields(ObjectEntity) if f.type == "bool")
+# field name -> JSON kind, so Optional[str] becomes (str, NoneType)
+_ENTITY_KINDS = {name: get_args(hint) or hint
+                 for name, hint in get_type_hints(ObjectEntity).items()}
+_ENTITY_REQUIRED = frozenset(f.name for f in fields(ObjectEntity) if f.default is MISSING)
+_BOOL_FLAGS = frozenset(name for name, kind in _ENTITY_KINDS.items() if kind is bool)
 
 
 @dataclass
@@ -110,18 +116,18 @@ class GoalCondition:
     value: Optional[bool] = None
 
     @staticmethod
-    def from_dict(data: dict) -> "GoalCondition":
-        if not isinstance(data, dict):
-            raise InvalidScenario(f"a goal condition must be a JSON object, got {data!r}")
-        kind = data.get("type")
+    def from_dict(data: object, where: str) -> "GoalCondition":
+        kind = checked_field(data, "type", str, where)
+        obj = checked_field(data, "object", str, where)
         if kind == "located":
-            return GoalCondition("located", data["object"], receptacle=data["receptacle"])
+            return GoalCondition(kind, obj,
+                                 receptacle=checked_field(data, "receptacle", str, where))
         if kind == "in_zone":
-            return GoalCondition("in_zone", data["object"], zone=data["zone"])
+            return GoalCondition(kind, obj, zone=checked_field(data, "zone", str, where))
         if kind == "state":
-            return GoalCondition("state", data["object"], flag=data["flag"],
-                                 value=bool(data["value"]))
-        raise InvalidScenario(f"unknown goal condition type: {kind!r}")
+            return GoalCondition(kind, obj, flag=checked_field(data, "flag", str, where),
+                                 value=checked_field(data, "value", bool, where))
+        raise InvalidScenario(f"{where}: unknown type {kind!r}")
 
 
 @dataclass
@@ -141,27 +147,32 @@ class Scenario:
         return set(self.initial.entities)
 
     @staticmethod
-    def from_dict(data: dict) -> "Scenario":
+    def from_dict(data: object) -> "Scenario":
+        """Build and invariant-check a scenario from its JSON form; raises
+        MalformedInput on an ill-typed field and InvalidScenario or
+        AnnotationError on a broken invariant."""
+        where = "scenario"
         entities = {}
-        for raw in data.get("entities", []):
-            entity = ObjectEntity.from_dict(raw)
+        for index, raw in enumerate(checked_field(data, "entities", list, where, [])):
+            entity = ObjectEntity.from_dict(raw, f"entity #{index}")
             if entity.id in entities:
                 raise InvalidScenario(f"duplicate entity id {entity.id!r}")
             entities[entity.id] = entity
         initial = WorldState(
             entities=entities,
-            agent_zone=data["agent_zone"],
-            held=data.get("held"),
+            agent_zone=checked_field(data, "agent_zone", str, where),
+            held=checked_field(data, "held", (str, type(None)), where, None),
         )
-        goal = tuple(GoalCondition.from_dict(c) for c in data.get("goal", []))
+        goal = tuple(GoalCondition.from_dict(raw, f"goal condition #{index}") for index, raw
+                     in enumerate(checked_field(data, "goal", list, where, [])))
         scenario = Scenario(
-            id=data["id"],
-            task_type=data.get("task_type", "unknown"),
-            instruction=data.get("instruction", ""),
+            id=checked_field(data, "id", str, where),
+            task_type=checked_field(data, "task_type", str, where, "unknown"),
+            instruction=checked_field(data, "instruction", str, where, ""),
             initial=initial,
             goal=goal,
-            gt=GtAnnotation.from_dict(data["gt"]),
-            noise=float(data.get("noise", 0.0)),
+            gt=GtAnnotation.from_dict(checked_field(data, "gt", dict, where)),
+            noise=checked_field(data, "noise", NUMBER, where, 0.0),
         )
         validate_scenario(scenario)
         return scenario
@@ -180,7 +191,7 @@ class ExecutionResult:
 
 def validate_scenario(scenario: Scenario) -> None:
     """Raise InvalidScenario with a detail message on any invariant violation."""
-    if not isinstance(scenario.instruction, str) or not scenario.instruction.strip():
+    if not scenario.instruction.strip():
         raise InvalidScenario("instruction must be a non-empty string")
     if not 0.0 <= scenario.noise <= 1.0:
         raise InvalidScenario(f"noise must be in [0, 1], got {scenario.noise}")

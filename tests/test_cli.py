@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import typing
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from askplan.cli import (
     EXIT_IO,
     EXIT_OK,
     MalformedTaskSet,
+    TaskSet,
     dump_record,
     episode_seed,
     load_tasks,
@@ -21,7 +25,7 @@ from askplan.cli import (
     read_traces,
 )
 from askplan.engine import EpisodeConfig
-from askplan.gateway import ScriptedGateway, load_script
+from askplan.gateway import MalformedScript, OracleScript, ScriptedGateway, load_script
 
 MINI7 = str(asset_path("tasks/mini7.json"))
 SCRIPT = str(asset_path("scripts/mini7.json"))
@@ -102,23 +106,78 @@ def _mutate(data, path: tuple, value):
     return data
 
 
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _has_declared_type(value, hint) -> bool:
+    """Whether ``value`` has the type ``hint`` declares, dataclass fields
+    included, all the way down; a ``float`` field also takes an ``int``."""
+    if dataclasses.is_dataclass(hint):
+        hints = _type_hints(hint)
+        return type(value) is hint and all(
+            _has_declared_type(getattr(value, f.name), hints[f.name])
+            for f in dataclasses.fields(hint))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_has_declared_type(value, arg) for arg in args)
+    if origin is dict:
+        return type(value) is dict and all(
+            _has_declared_type(key, args[0]) and _has_declared_type(item, args[1])
+            for key, item in value.items())
+    if origin in (tuple, list):
+        if type(value) is not origin:
+            return False
+        if origin is tuple and args[-1] is not Ellipsis:
+            return len(value) == len(args) and all(map(_has_declared_type, value, args))
+        return all(_has_declared_type(item, args[0]) for item in value)
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
+
+
+def _fuzz_inputs(data):
+    """One to three mutations of ``data``, each at one of its JSON paths."""
+    return st.lists(st.tuples(st.sampled_from(list(_json_paths(data))),
+                              st.sampled_from(_JUNK)), min_size=1, max_size=3)
+
+
+def _mutated(data, mutations):
+    data = json.loads(json.dumps(data))
+    for path, value in mutations:
+        data = _mutate(data, path, value)
+    return data
+
+
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory) -> Path:
-    return tmp_path_factory.mktemp("fuzz") / "tasks.json"
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(list(_json_paths(_MINI7_DATA))),
-                          st.sampled_from(_JUNK)), min_size=1, max_size=3))
+@given(_fuzz_inputs(_MINI7_DATA))
 def test_load_tasks_fuzz_returns_or_raises_malformed(fuzz_file, mutations):
-    data = json.loads(json.dumps(_MINI7_DATA))
-    for path, value in mutations:
-        data = _mutate(data, path, value)
+    fuzz_file.write_text(json.dumps(_mutated(_MINI7_DATA, mutations)))
+    try:
+        tasks = load_tasks(fuzz_file)
+    except MalformedTaskSet:
+        return
+    assert _has_declared_type(tasks, TaskSet)
+
+
+_SCRIPT_DATA = json.loads(Path(SCRIPT).read_text())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_fuzz_inputs(_SCRIPT_DATA))
+def test_load_script_fuzz_returns_or_raises_malformed(fuzz_file, mutations):
+    data = _mutated(_SCRIPT_DATA, mutations)
     fuzz_file.write_text(json.dumps(data))
     try:
-        load_tasks(fuzz_file)
-    except MalformedTaskSet:
-        pass
+        script = load_script(fuzz_file)
+    except MalformedScript:
+        return
+    assert _has_declared_type(script, OracleScript)
+    assert script.to_dict() == {"mode": "strict", **data}  # nothing was coerced
 
 
 def test_episode_seed_stable():
@@ -266,15 +325,18 @@ def test_score_empty_trace_file(tmp_path, capsys):
     assert report["sr_pct"] is None
 
 
-def test_score_unknown_task_id(trace_dir, tmp_path):
+def test_score_unknown_task_id(trace_dir, tmp_path, capsys):
     records = [json.loads(line) for line in
                (trace_dir / "traces.jsonl").read_text().splitlines()]
     records[0]["task_id"] = "ghost_task"
     mangled = tmp_path / "mangled.jsonl"
     mangled.write_text("\n".join(json.dumps(r) for r in records))
+    capsys.readouterr()
     code = run_cli("score", "--traces", str(mangled), "--tasks", MINI7,
                    "--format", "json")
     assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: no ground-truth annotation for task 'ghost_task'\n"
 
 
 def test_score_schema_mismatch(trace_dir, tmp_path):
@@ -463,6 +525,15 @@ def test_missing_tasks_file_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag", ["--tasks", "--script"])
+def test_directory_as_input_file_is_config_error(flag, tmp_path, capsys):
+    files = {"--tasks": MINI7, "--script": SCRIPT, flag: str(tmp_path)}
+    code = run_cli("run", "--tasks", files["--tasks"], "--script", files["--script"],
+                   "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _mini7_with(change) -> str:
     data = json.loads(Path(MINI7).read_text())
     change(data)
@@ -481,6 +552,12 @@ def _first_trace_with(change) -> str:
     return json.dumps(record)
 
 
+def _script_with(change) -> str:
+    data = json.loads(Path(SCRIPT).read_text())
+    change(data)
+    return json.dumps(data)
+
+
 def _set(path: tuple, value):
     def change(data):
         for key in path[:-1]:
@@ -497,7 +574,17 @@ def _drop(path: tuple):
     return change
 
 
-# (command, task file text or None for mini7, trace file text or None)
+class Inputs(typing.NamedTuple):
+    """The files of one case: text or bytes, or None for the bundled one
+    (for the trace file, an empty one)."""
+    command: str
+    tasks: str | bytes | None = None
+    traces: str | bytes | None = None
+    script: str | bytes | None = None
+
+
+NOT_UTF8 = b'{"name": "caf\xe9"}'
+
 MALFORMED_INPUTS = {
     "task-root-array": ("run", "[]", None),
     "scenario-not-object": ("run", '{"scenarios": [5]}', None),
@@ -533,20 +620,45 @@ MALFORMED_INPUTS = {
     "echo-budget-zero": ("replay", None, _first_trace_with(
         _set(("config", "failure_budget"), 0))),
     "echo-not-object": ("replay", None, _first_trace_with(_set(("config",), []))),
+    "echo-script-number": ("replay", None, _first_trace_with(
+        _set(("config", "gateway", "script"), 5))),
+    "echo-script-list": ("replay", None, _first_trace_with(
+        _set(("config", "gateway", "script"), ["a"]))),
+    "echo-script-object": ("replay", None, _first_trace_with(
+        _set(("config", "gateway", "script"), {}))),
+    "task-not-utf8": ("run", NOT_UTF8, None),
+    "script-not-utf8": ("run", None, None, NOT_UTF8),
+    "trace-not-utf8": ("score", None, NOT_UTF8 + b"\n"),
+    "task-type-list": ("run", _mini7_with(
+        _set(("scenarios", 0, "task_type"), ["Heat"])), None),
+    "goal-value-string": ("run", _mini7_with(
+        _set(("scenarios", 0, "goal", 0, "value"), "false")), None),
+    "floating-float": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "floating"), [[9.7, 8]])), None),
+    "entity-flag-string": ("run", _mini7_with(
+        _set(("scenarios", 0, "entities", 0, "pickupable"), "no")), None),
+    "script-reply-null": ("run", None, None, _script_with(
+        _set(("entries", 0, "reply"), None))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2(name, tmp_path, capsys):
-    command, task_text, trace_text = MALFORMED_INPUTS[name]
-    tasks = MINI7
-    if task_text is not None:
-        tasks = str(tmp_path / "tasks.json")
-        Path(tasks).write_text(task_text)
-    traces = tmp_path / "traces.jsonl"
-    traces.write_text(trace_text or "")
+    case = Inputs(*MALFORMED_INPUTS[name])
+
+    def written(content, file_name: str, bundled: str) -> str:
+        if content is None:
+            return bundled
+        path = tmp_path / file_name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        return str(path)
+
+    tasks = written(case.tasks, "tasks.json", MINI7)
+    script = written(case.script, "script.json", SCRIPT)
+    traces = written(case.traces or "", "traces.jsonl", "")
+    command = case.command
     argv = {
-        "run": ("run", "--tasks", tasks, "--script", SCRIPT, "--seed", "1",
+        "run": ("run", "--tasks", tasks, "--script", script, "--seed", "1",
                 "--out", str(tmp_path / "out")),
         "score": ("score", "--traces", str(traces), "--tasks", tasks),
         "replay": ("replay", "--traces", str(traces), "--tasks", tasks, "--line", "1"),

@@ -179,6 +179,27 @@ def test_handle_failure_aborts_on_unparseable_replan(bread_scenario):
     assert decision.reason == "replan_unparseable"
 
 
+def test_empty_feedback_ends_the_episode_as_a_recorded_outcome(bread_scenario):
+    from askplan import asset_path
+    from askplan.gateway import load_script
+
+    script = load_script(asset_path("scripts/bread_recovery.json"))
+    assert "cause of the failure" in script.entries[3].contains_all
+    entries = list(script.entries)
+    entries[3] = ScriptEntry(reply="   ", contains_all=entries[3].contains_all)
+    gw = ScriptedGateway(OracleScript(tuple(entries)), script_path="bread_recovery.json")
+    trace = run_episode(bread_scenario, gw, EpisodeConfig(seed=1))
+    assert trace.outcome is EpisodeOutcome.PLAN_EXHAUSTED
+    assert trace.abort_reason == "feedback_empty"
+    assert trace.config == EpisodeConfig.from_echo(trace.config).to_echo(gw)
+    assert trace.steps[-1].decision == "abort"
+    assert trace.steps[-1].reason is FailReason.RECEPTACLE_CLOSED
+    assert trace.steps[-1].validity.verdict is Verdict.INVALID
+    assert [(entry["direction"], entry["stage"]) for entry in trace.llm_log[-4:]] == [
+        ("req", "validity"), ("res", "validity"), ("req", "feedback"), ("res", "feedback")]
+    assert trace.llm_log[-1]["text"] == "   "
+
+
 # -- run_episode end to end ---------------------------------------------------
 
 

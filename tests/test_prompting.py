@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from askplan import asset_path
 from askplan.plans import parse_subgoal
@@ -245,3 +252,46 @@ def test_render_with_missing_value_rejected():
         _render("tp", {"instruction": "x"})  # {QA} left unfilled
     with pytest.raises(TemplateError):
         _render("std", {"instruction": "x", "QA": "y"})  # std has no {QA}
+
+
+# value text that holds placeholder tokens, of its own template or another
+_VALUE_TEXT = st.lists(st.sampled_from(
+    ["{", "}", " ", "x", "{validity}", "{feedback}", "{instruction}", "{QA}", "{subgoal}",
+     "{object}", "{observed_objects}", "{initial high-level plan}"]), max_size=8).map("".join)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(TEMPLATE_NAMES), st.data())
+def test_render_inserts_every_value_verbatim(name, data):
+    from askplan.prompting import _render
+
+    placeholders = sorted(load_template(name).placeholders)
+    values = {key: data.draw(_VALUE_TEXT, label=key) for key in placeholders}
+    prompt = _render(name, values)
+    text = f"{prompt.system_text}\n{prompt.user_text}"
+    for value in values.values():
+        assert value in text
+
+
+def test_trace_with_placeholder_in_feedback_is_the_same_for_any_hash_seed(tmp_path):
+    script = json.loads(asset_path("scripts/bread_recovery.json").read_text("utf-8"))
+    assert "cause of the failure" in script["entries"][3]["contains_all"]
+    script["entries"][3]["reply"] = "Open the fridge first; {validity} {feedback} {instruction}"
+    tasks = json.loads(asset_path("tasks/mini7.json").read_text("utf-8"))
+    tasks["scenarios"] = [s for s in tasks["scenarios"] if s["id"] == "heat_bread"]
+    (tmp_path / "script.json").write_text(json.dumps(script))
+    (tmp_path / "tasks.json").write_text(json.dumps(tasks))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "askplan.cli", "run", "--tasks",
+                        str(tmp_path / "tasks.json"), "--script", "script.json",
+                        "--seed", "42", "--out", str(out)],
+                       cwd=tmp_path, env=env, check=True, capture_output=True, timeout=60)
+        trace = (out / "traces.jsonl").read_bytes()
+        assert b"Open the fridge first; {validity} {feedback} {instruction}" in trace
+        digests.add(hashlib.sha256(trace).hexdigest())
+    assert len(digests) == 1
