@@ -33,7 +33,8 @@ from .gateway import (
     ScriptedGateway,
     load_script,
 )
-from .inputs import NUMBER, MalformedInput, checked_field, read_json, read_json_lines
+from .inputs import (NUMBER, MalformedInput, checked_field, read_json, read_json_lines,
+                     reject_unknown_keys)
 from .planeval import MissingGroundTruth, score_dataset
 from .plans import PlanParseError
 from .prompting import QATranscript, RenderedPrompt, gen_cot_prompt, gen_std_prompt, \
@@ -75,6 +76,7 @@ def load_tasks(path: str | Path) -> TaskSet:
     seen: set[str] = set()
     try:
         data = read_json(path)
+        reject_unknown_keys(data, {"name", "version", "scenarios"}, "task set")
         name = checked_field(data, "name", str, "task set", Path(path).stem)
         version = checked_field(data, "version", str, "task set", "0")
         for index, raw in enumerate(checked_field(data, "scenarios", list, "task set")):

@@ -1,6 +1,9 @@
 """Chat-completion gateway: a remote HTTP provider client and a deterministic
 scripted stand-in, behind one call shape.
 
+The HTTP client is the standard library's ``urllib.request``, so proxies,
+TLS verification and redirects follow urllib's rules.
+
 Scene-conditioned calls append the textual scene rendering to the user
 message, so both gateway kinds see the same request text. Scripted replies
 are matched against that request text, entry by entry in order, which makes
@@ -10,16 +13,17 @@ session into a script for offline replay.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Protocol
 
-import requests
-
-from .inputs import MalformedInput, checked_field, read_json
+from .inputs import MalformedInput, checked_field, read_json, reject_unknown_keys
 from .prompting import RenderedPrompt
 
 
@@ -134,12 +138,18 @@ def parse_script(data: object) -> OracleScript:
     """Build a script from its JSON form; raises MalformedScript naming the
     first field that is missing, ill-typed or out of place."""
     try:
+        mode = checked_field(data, "mode", str, "script", "strict")
+        if mode not in ("strict", "fallback"):
+            raise MalformedInput(f"unknown script mode {mode!r}")
+        reject_unknown_keys(data, {"mode", "entries", "fallback_reply"} if mode == "fallback"
+                            else {"mode", "entries"}, "script")
         raw_entries = checked_field(data, "entries", list, "script")
         if not raw_entries:
             raise MalformedInput("script needs a non-empty 'entries' list")
         entries = []
         for index, raw in enumerate(raw_entries):
             where = f"script entry {index}"
+            reject_unknown_keys(raw, {"reply", "exact", "contains_all"}, where)
             reply = checked_field(raw, "reply", str, where)
             exact = checked_field(raw, "exact", str, where, None)
             needles = checked_field(raw, "contains_all", [str], where, None)
@@ -148,9 +158,6 @@ def parse_script(data: object) -> OracleScript:
             if needles == []:
                 raise MalformedInput(f"{where}: 'contains_all' must not be empty")
             entries.append(ScriptEntry(reply, exact, tuple(needles or ())))
-        mode = checked_field(data, "mode", str, "script", "strict")
-        if mode not in ("strict", "fallback"):
-            raise MalformedInput(f"unknown script mode {mode!r}")
         fallback = checked_field(data, "fallback_reply", str, "script", "") \
             if mode == "fallback" else None
     except MalformedInput as exc:
@@ -223,10 +230,11 @@ class HttpGateway:
     The request body carries model, messages, temperature, logit_bias and
     max_tokens; the bias map is keyed by surface strings and left to the
     provider to map onto its tokenizer. Transient failures (connection
-    errors, timeouts, 5xx) are retried with exponential backoff; 4xx responses
-    are rejected immediately, and a 200 reply that is not a chat completion
-    raises MalformedReply. The API key is read from the configured
-    environment variable at call time and never stored.
+    errors, timeouts, garbled replies, 5xx) are retried with exponential
+    backoff; any other status but 200 is rejected immediately, and a 200
+    reply that is not a chat completion raises MalformedReply. The API key is
+    read from the configured environment variable at call time and never
+    stored.
     """
 
     def __init__(self, config: HttpGatewayConfig):
@@ -254,6 +262,11 @@ class HttpGateway:
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        try:
+            request = urllib.request.Request(self.config.endpoint, json.dumps(body).encode(),
+                                             headers, method="POST")
+        except ValueError as exc:  # no scheme, e.g. "example.com/v1"
+            raise ProviderUnreachable(f"endpoint is not a URL: {exc}") from exc
 
         attempts = 1 + max(0, self.config.retries)
         last_error: Optional[Exception] = None
@@ -262,32 +275,42 @@ class HttpGateway:
             if attempt:
                 time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
             try:
-                response = requests.post(self.config.endpoint, json=body,
-                                         headers=headers, timeout=self.config.timeout_s)
-            except requests.RequestException as exc:
+                status, raw = self._post(request)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if 500 <= response.status_code < 600:
-                last_error = ProviderRejected(response.status_code, response.text[:200])
+            excerpt = raw.decode("utf-8", "replace")[:200]
+            if 500 <= status < 600:
+                last_error = ProviderRejected(status, excerpt)
                 continue
-            if response.status_code != 200:
-                raise ProviderRejected(response.status_code, response.text[:200])
+            if status != 200:
+                raise ProviderRejected(status, excerpt)
             try:
-                payload = response.json()
+                payload = json.loads(raw)
                 text = payload["choices"][0]["message"]["content"]
             except (ValueError, LookupError, TypeError) as exc:
-                raise MalformedReply(
-                    f"reply is not a chat completion: {response.text[:200]!r}") from exc
+                raise MalformedReply(f"reply is not a chat completion: {excerpt!r}") from exc
             if not isinstance(text, str):
                 raise MalformedReply(f"reply content is not text: {text!r}")
             latency_ms = int(1000 * (time.monotonic() - started))
             return Completion(text, payload.get("model", self.config.model), latency_ms,
                               (len(user_text.split()), len(text.split())))
-        if isinstance(last_error, requests.Timeout):
+        # a connect timeout comes wrapped in URLError.reason
+        if isinstance(getattr(last_error, "reason", last_error), TimeoutError):
             raise GatewayTimeout(
                 f"no response within {self.config.timeout_s}s after {attempts} attempts")
         raise ProviderUnreachable(
             f"gave up after {attempts} attempts: {last_error}")
+
+    def _post(self, request: urllib.request.Request) -> tuple[int, bytes]:
+        """One attempt: the reply's status and body, whatever the status.
+        Transport failures raise OSError or http.client.HTTPException."""
+        try:
+            with urllib.request.urlopen(request, timeout=self.config.timeout_s) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:  # outside 2xx, and not a followed redirect
+            with exc:
+                return exc.code, exc.read()
 
     def describe(self) -> dict:
         return {

@@ -4,7 +4,9 @@
 ``checked_field`` reads one field of a JSON object. Every failure, an
 unreadable file included, is a ``MalformedInput``. A field's type is checked
 exactly and never coerced: ``true`` is not a number, ``"0.5"`` is not a
-number and ``9.7`` is not an integer.
+number and ``9.7`` is not an integer. The task-set and script loaders call
+``reject_unknown_keys`` on every object they read, so a misspelt optional
+field is an error and not silently dropped.
 
 A field's kind is a type, a tuple of alternatives, or a one-element list
 ``[kind]`` for a JSON list whose every item has that kind; ``[[int]]`` is a
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import AbstractSet
 
 NUMBER = (int, float)
 _REQUIRED = object()
@@ -61,6 +64,15 @@ def _has_kind(value: object, kind) -> bool:
     if type(kind) is tuple:
         return type(value) in kind or any(_has_kind(value, option) for option in kind)
     return type(value) is kind
+
+
+def reject_unknown_keys(data: object, known: AbstractSet[str], where: str) -> None:
+    """MalformedInput naming ``where`` and every key of the JSON object
+    ``data`` that is not in ``known``."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{where} is not a JSON object: {data!r:.80}")
+    if not data.keys() <= known:
+        raise MalformedInput(f"{where}: unknown fields {sorted(data.keys() - known)}")
 
 
 def checked_field(data: object, key: str, kind, where: str, default=_REQUIRED):

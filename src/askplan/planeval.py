@@ -25,7 +25,7 @@ import itertools
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .inputs import MalformedInput, checked_field
+from .inputs import MalformedInput, checked_field, reject_unknown_keys
 from .plans import ActionKind, PlanParseError, Subgoal, parse_subgoal
 
 
@@ -65,6 +65,7 @@ class GtAnnotation:
     def from_dict(data: object) -> "GtAnnotation":
         """Build an annotation from its JSON form; raises MalformedInput on an
         ill-typed field and PlanParseError on a core line that is no subgoal."""
+        reject_unknown_keys(data, {"core", "floating", "wildcards", "swap_groups"}, "gt")
         core = checked_field(data, "core", [str], "gt", [])
         return GtAnnotation(
             core=tuple(parse_subgoal(line) for line in core),
@@ -327,11 +328,14 @@ def score_dataset(traces: Iterable[Mapping],
     of an initial plan is not a subgoal.
     """
     rows: list[dict] = []
+    specs: dict[str, RelaxedSpec] = {}  # compiled once per task id
     for record in traces:
         task_id = record["task_id"]
         gt = gts.get(task_id)
         if gt is None:
             raise MissingGroundTruth(task_id)
+        if task_id not in specs:
+            specs[task_id] = compile_relaxed_spec(gt)
         try:
             initial = tuple(parse_subgoal(line) for line in record.get("initial_plan") or ())
         except PlanParseError as exc:
@@ -342,7 +346,7 @@ def score_dataset(traces: Iterable[Mapping],
             "sr": record["sr"],
             "gc": record["gc"],
             "strict": strict_match(initial, gt),
-            "relaxed": relaxed_match(initial, compile_relaxed_spec(gt)),
+            "relaxed": relaxed_match(initial, specs[task_id]),
         })
 
     def summary(group: list[dict]) -> dict:

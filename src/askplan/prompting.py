@@ -123,17 +123,12 @@ def gen_tp_prompt(instruction: str, qa: QATranscript, cot: bool = False) -> Rend
     """Planning prompt fed with the decomposition transcript.
 
     With ``cot=True`` the transcript is free-form decomposition text rather
-    than a conversation, and the surrounding wording changes accordingly.
+    than a conversation, and the ``tp_cot`` template words it so.
     """
     if not qa.turns:
         raise EmptyTranscript("planning with a decomposition requires at least one turn")
-    prompt = _render("tp", {"instruction": instruction, "QA": format_transcript(qa)})
-    if cot:
-        user_text = prompt.user_text.replace("Conversation:", "Decomposition:")
-        user_text = user_text.replace(
-            "Based on this conversation,", "Based on this step-by-step decomposition,")
-        prompt = RenderedPrompt(prompt.system_text, user_text)
-    return prompt
+    return _render("tp_cot" if cot else "tp",
+                   {"instruction": instruction, "QA": format_transcript(qa)})
 
 
 def gen_tp_no_std_prompt(instruction: str) -> RenderedPrompt:

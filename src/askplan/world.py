@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Optional, get_args, get_type_hints
 
-from .inputs import NUMBER, MalformedInput, checked_field
+from .inputs import NUMBER, MalformedInput, checked_field, reject_unknown_keys
 from .planeval import GtAnnotation
 from .plans import ActionKind, Subgoal
 
@@ -76,10 +76,7 @@ class ObjectEntity:
 
     @staticmethod
     def from_dict(data: object, where: str) -> "ObjectEntity":
-        checked_field(data, "id", str, where)  # first, so that a non-object fails here
-        unknown = data.keys() - _ENTITY_KINDS.keys()
-        if unknown:
-            raise InvalidScenario(f"{where}: unknown fields {sorted(unknown)}")
+        reject_unknown_keys(data, _ENTITY_KINDS.keys(), where)
         return ObjectEntity(**{key: checked_field(data, key, _ENTITY_KINDS[key], where)
                                for key in data.keys() | _ENTITY_REQUIRED})
 
@@ -118,16 +115,21 @@ class GoalCondition:
     @staticmethod
     def from_dict(data: object, where: str) -> "GoalCondition":
         kind = checked_field(data, "type", str, where)
-        obj = checked_field(data, "object", str, where)
-        if kind == "located":
-            return GoalCondition(kind, obj,
-                                 receptacle=checked_field(data, "receptacle", str, where))
-        if kind == "in_zone":
-            return GoalCondition(kind, obj, zone=checked_field(data, "zone", str, where))
-        if kind == "state":
-            return GoalCondition(kind, obj, flag=checked_field(data, "flag", str, where),
-                                 value=checked_field(data, "value", bool, where))
-        raise InvalidScenario(f"{where}: unknown type {kind!r}")
+        if kind not in _GOAL_FIELDS:
+            raise InvalidScenario(f"{where}: unknown type {kind!r}")
+        extra = _GOAL_FIELDS[kind]
+        reject_unknown_keys(data, {"type", "object", *extra}, where)
+        return GoalCondition(kind, checked_field(data, "object", str, where),
+                             **{key: checked_field(data, key, key_kind, where)
+                                for key, key_kind in extra.items()})
+
+
+# goal type -> the fields it takes beside "type" and "object", with their kinds
+_GOAL_FIELDS = {
+    "located": {"receptacle": str},
+    "in_zone": {"zone": str},
+    "state": {"flag": str, "value": bool},
+}
 
 
 @dataclass
@@ -152,6 +154,8 @@ class Scenario:
         MalformedInput on an ill-typed field and InvalidScenario or
         AnnotationError on a broken invariant."""
         where = "scenario"
+        reject_unknown_keys(data, {"id", "task_type", "instruction", "agent_zone", "held",
+                                   "entities", "goal", "gt", "noise"}, where)
         entities = {}
         for index, raw in enumerate(checked_field(data, "entities", list, where, [])):
             entity = ObjectEntity.from_dict(raw, f"entity #{index}")

@@ -639,6 +639,16 @@ MALFORMED_INPUTS = {
         _set(("scenarios", 0, "entities", 0, "pickupable"), "no")), None),
     "script-reply-null": ("run", None, None, _script_with(
         _set(("entries", 0, "reply"), None))),
+    "task-root-scenario": ("run", _mini7_with(_set(("scenario",), [])), None),
+    "scenario-goall": ("run", _mini7_with(_set(("scenarios", 0, "goall"), [])), None),
+    "goal-key-of-other-type": ("run", _mini7_with(  # goal 0 is a state goal
+        _set(("scenarios", 0, "goal", 0, "receptacle"), "fridge")), None),
+    "gt-floatng": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "floatng"), [[9, 8]])), None),
+    "script-entry-contians-all": ("run", None, None, _script_with(
+        _set(("entries", 0, "contians_all"), ["bread"]))),
+    "script-stray-fallback-reply": ("run", None, None, _script_with(
+        _set(("fallback_reply",), "fallback"))),
 }
 
 

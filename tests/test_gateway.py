@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -339,3 +345,73 @@ def test_http_concurrent_calls_all_complete(stub_server):
         results = list(pool.map(
             lambda _: gw.complete(PROMPT, DecodeParams()).text, range(8)))
     assert results == ["stub reply"] * 8
+
+
+def _answering_raw(reply: bytes):
+    """A stub handler that reads each request, writes ``reply`` as the whole
+    response (``b""`` for none) and closes the connection."""
+    class Handler(_StubHandler):
+        requests: list[dict] = []
+
+        def do_POST(self):
+            type(self).requests.append({})
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.wfile.write(reply)
+    return Handler
+
+
+@pytest.mark.parametrize("reply", [b"", b"garbage\r\n\r\n"], ids=["hang-up", "garbled-status"])
+def test_http_broken_reply_is_retried_then_a_recorded_outcome(reply, bread_scenario):
+    handler = _answering_raw(reply)
+    with _serving(handler) as endpoint:
+        with pytest.raises(ProviderUnreachable) as err:
+            _gateway(endpoint, retries=2).complete(PROMPT, DecodeParams())
+        assert "3 attempts" in str(err.value)
+        assert len(handler.requests) == 3
+        record = run_episode(bread_scenario, _gateway(endpoint, retries=1),
+                             EpisodeConfig(seed=1)).to_record()
+    assert len(handler.requests) == 5
+    assert record["outcome"] == "plan_exhausted"
+    assert "gave up after 2 attempts" in record["abort_reason"]
+    assert record["config"]["gateway"]["kind"] == "http"
+
+
+def test_http_connect_timeout_is_a_gateway_timeout(monkeypatch):
+    def connect_timeout(request, timeout):
+        raise urllib.error.URLError(TimeoutError("timed out"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", connect_timeout)
+    with pytest.raises(GatewayTimeout):
+        _gateway("http://127.0.0.1:9/v1/chat", retries=1).complete(PROMPT, DecodeParams())
+
+
+def test_http_endpoint_without_scheme_is_unreachable():
+    with pytest.raises(ProviderUnreachable):
+        _gateway("127.0.0.1/v1/chat").complete(PROMPT, DecodeParams())
+
+
+def test_http_4xx_rejection_carries_a_body_excerpt():
+    body = ("quota exceeded – " + "x" * 300).encode()
+
+    class Reject(_StubHandler):
+        def do_POST(self):
+            self.send_response(429)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    with _serving(Reject) as endpoint:
+        with pytest.raises(ProviderRejected) as err:
+            _gateway(endpoint).complete(PROMPT, DecodeParams())
+    assert err.value.status == 429
+    assert err.value.body_excerpt == body.decode()[:200]
+
+
+def test_importing_the_cli_does_not_load_requests():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, askplan.cli; print('requests' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True, timeout=60).stdout
+    assert loaded.strip() == "False"

@@ -53,7 +53,7 @@ def assert_placeholder_free(prompt):
 
 
 def test_all_templates_load_with_declared_placeholders_only():
-    assert len(TEMPLATE_NAMES) == 7
+    assert len(TEMPLATE_NAMES) == 8
     for name in TEMPLATE_NAMES:
         template = load_template(name)
         assert template.user_text
@@ -146,6 +146,14 @@ def test_cot_paired_tp_wording():
     assert "based on this step-by-step decomposition" in prompt.user_text.lower()
     assert "Based on this conversation" not in prompt.user_text
     assert "Decomposition:" in prompt.user_text
+
+
+def test_cot_tp_prompt_inserts_instruction_and_transcript_verbatim():
+    instruction = f"Conversation: {BREAD}"
+    reply = "Conversation: first slice. Based on this conversation, heat it."
+    prompt = gen_tp_prompt(instruction, QATranscript((("", reply),)), cot=True)
+    assert f"Instruction: {instruction}\n" in prompt.user_text
+    assert f"Decomposition:\n{reply}\n" in prompt.user_text
 
 
 def test_validity_prompt_embeds_subgoal():
