@@ -262,11 +262,7 @@ class HttpGateway:
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        try:
-            request = urllib.request.Request(self.config.endpoint, json.dumps(body).encode(),
-                                             headers, method="POST")
-        except ValueError as exc:  # no scheme, e.g. "example.com/v1"
-            raise ProviderUnreachable(f"endpoint is not a URL: {exc}") from exc
+        data = json.dumps(body).encode()
 
         attempts = 1 + max(0, self.config.retries)
         last_error: Optional[Exception] = None
@@ -275,7 +271,7 @@ class HttpGateway:
             if attempt:
                 time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
             try:
-                status, raw = self._post(request)
+                status, raw = self._post(data, headers)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
@@ -302,9 +298,17 @@ class HttpGateway:
         raise ProviderUnreachable(
             f"gave up after {attempts} attempts: {last_error}")
 
-    def _post(self, request: urllib.request.Request) -> tuple[int, bytes]:
+    def _post(self, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
         """One attempt: the reply's status and body, whatever the status.
-        Transport failures raise OSError or http.client.HTTPException."""
+        Transport failures raise OSError or http.client.HTTPException.
+
+        The request is built anew for every attempt: urllib's proxy handling
+        rewrites a request in place, and a reused https request would be sent
+        as plain http by the third attempt through a proxy."""
+        try:
+            request = urllib.request.Request(self.config.endpoint, data, headers, method="POST")
+        except ValueError as exc:  # no scheme, e.g. "example.com/v1"
+            raise ProviderUnreachable(f"endpoint is not a URL: {exc}") from exc
         try:
             with urllib.request.urlopen(request, timeout=self.config.timeout_s) as response:
                 return response.status, response.read()

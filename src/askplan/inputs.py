@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import AbstractSet
 
 NUMBER = (int, float)
-_REQUIRED = object()
+REQUIRED = object()  # the default of a field that must be present
 
 
 class MalformedInput(ValueError):
@@ -75,14 +75,14 @@ def reject_unknown_keys(data: object, known: AbstractSet[str], where: str) -> No
         raise MalformedInput(f"{where}: unknown fields {sorted(data.keys() - known)}")
 
 
-def checked_field(data: object, key: str, kind, where: str, default=_REQUIRED):
+def checked_field(data: object, key: str, kind, where: str, default=REQUIRED):
     """``data[key]`` when ``data`` is a JSON object and the value has ``kind``;
     ``default``, when one is given, if the key is absent. Otherwise
     MalformedInput naming ``where`` the field was read."""
     if not isinstance(data, dict):
         raise MalformedInput(f"{where} is not a JSON object: {data!r:.80}")
     if key not in data:
-        if default is _REQUIRED:
+        if default is REQUIRED:
             raise MalformedInput(f"{where} lacks the field {key!r}")
         return default
     value = data[key]

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Optional, get_args, get_type_hints
 
-from .inputs import NUMBER, MalformedInput, checked_field, reject_unknown_keys
+from .inputs import NUMBER, REQUIRED, MalformedInput, checked_field, reject_unknown_keys
 from .planeval import GtAnnotation
 from .plans import ActionKind, Subgoal
 
@@ -154,32 +154,41 @@ class Scenario:
         MalformedInput on an ill-typed field and InvalidScenario or
         AnnotationError on a broken invariant."""
         where = "scenario"
-        reject_unknown_keys(data, {"id", "task_type", "instruction", "agent_zone", "held",
-                                   "entities", "goal", "gt", "noise"}, where)
+        reject_unknown_keys(data, _SCENARIO_FIELDS.keys(), where)
+        given = {key: checked_field(data, key, kind, where, default)
+                 for key, (kind, default) in _SCENARIO_FIELDS.items()}
         entities = {}
-        for index, raw in enumerate(checked_field(data, "entities", list, where, [])):
+        for index, raw in enumerate(given["entities"]):
             entity = ObjectEntity.from_dict(raw, f"entity #{index}")
             if entity.id in entities:
                 raise InvalidScenario(f"duplicate entity id {entity.id!r}")
             entities[entity.id] = entity
-        initial = WorldState(
-            entities=entities,
-            agent_zone=checked_field(data, "agent_zone", str, where),
-            held=checked_field(data, "held", (str, type(None)), where, None),
-        )
-        goal = tuple(GoalCondition.from_dict(raw, f"goal condition #{index}") for index, raw
-                     in enumerate(checked_field(data, "goal", list, where, [])))
         scenario = Scenario(
-            id=checked_field(data, "id", str, where),
-            task_type=checked_field(data, "task_type", str, where, "unknown"),
-            instruction=checked_field(data, "instruction", str, where, ""),
-            initial=initial,
-            goal=goal,
-            gt=GtAnnotation.from_dict(checked_field(data, "gt", dict, where)),
-            noise=checked_field(data, "noise", NUMBER, where, 0.0),
+            id=given["id"],
+            task_type=given["task_type"],
+            instruction=given["instruction"],
+            initial=WorldState(entities, given["agent_zone"], given["held"]),
+            goal=tuple(GoalCondition.from_dict(raw, f"goal condition #{index}")
+                       for index, raw in enumerate(given["goal"])),
+            gt=GtAnnotation.from_dict(given["gt"]),
+            noise=given["noise"],
         )
         validate_scenario(scenario)
         return scenario
+
+
+# scenario JSON key -> (kind, default)
+_SCENARIO_FIELDS = {
+    "id": (str, REQUIRED),
+    "task_type": (str, "unknown"),
+    "instruction": (str, ""),
+    "agent_zone": (str, REQUIRED),
+    "held": ((str, type(None)), None),
+    "entities": (list, ()),
+    "goal": (list, ()),
+    "gt": (dict, REQUIRED),
+    "noise": (NUMBER, 0.0),
+}
 
 
 @dataclass(frozen=True)

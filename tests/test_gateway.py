@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import socketserver
 import subprocess
 import sys
 import threading
@@ -405,6 +406,71 @@ def test_http_4xx_rejection_carries_a_body_excerpt():
             _gateway(endpoint).complete(PROMPT, DecodeParams())
     assert err.value.status == 429
     assert err.value.body_excerpt == body.decode()[:200]
+
+
+@contextmanager
+def _tunnelling_proxy(seen: list[tuple[bytes, bytes]]):
+    """A stub forward proxy: for each connection it records the request head
+    and, after answering a CONNECT with 200, the first bytes sent through the
+    tunnel; then it hangs up, which fails the TLS handshake."""
+    class Handler(socketserver.BaseRequestHandler):
+        def handle(self):
+            self.request.settimeout(5)
+            head = b""
+            while b"\r\n\r\n" not in head:
+                chunk = self.request.recv(4096)
+                if not chunk:
+                    break
+                head += chunk
+            tunnelled = b""
+            if head.startswith(b"CONNECT "):
+                self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                try:
+                    tunnelled = self.request.recv(4096)
+                except OSError:
+                    pass
+            seen.append((head, tunnelled))
+
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def test_https_retries_through_a_proxy_stay_inside_tls():
+    # urllib reads the proxy variables once per process, so the gateway runs
+    # in a child process that sees only the stub proxy
+    seen: list[tuple[bytes, bytes]] = []
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items()
+           if key.lower() not in ("http_proxy", "https_proxy", "all_proxy", "no_proxy")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env["ASKPLAN_API_KEY"] = "sekrit"
+    code = (
+        "from askplan.gateway import *\n"
+        "from askplan.prompting import RenderedPrompt\n"
+        "gw = HttpGateway(HttpGatewayConfig(endpoint='https://askplan.invalid/v1/chat',"
+        " model='m', retries=2, timeout_s=5.0, backoff_s=0.01))\n"
+        "try:\n"
+        "    gw.complete(RenderedPrompt('s', 'u'), DecodeParams())\n"
+        "except GatewayError as exc:\n"
+        "    print(type(exc).__name__)\n")
+    with _tunnelling_proxy(seen) as proxy:
+        env["HTTPS_PROXY"] = proxy
+        outcome = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True, timeout=60).stdout
+    assert outcome.strip() == "ProviderUnreachable"
+    assert len(seen) == 3
+    for head, tunnelled in seen:
+        assert head.startswith(b"CONNECT askplan.invalid:443 ")
+        assert tunnelled.startswith(b"\x16\x03")  # a TLS handshake record
+        assert b"sekrit" not in head + tunnelled
+        assert b"Authorization" not in head + tunnelled
 
 
 def test_importing_the_cli_does_not_load_requests():
