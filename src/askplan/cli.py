@@ -326,6 +326,20 @@ def positive_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="askplan",
@@ -346,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--noise", type=probability, default=None,
                        help="override per-action controller failure probability")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--parallel", type=int, default=1)
+    run_p.add_argument("--parallel", type=positive_int, default=1)
     run_p.add_argument("--endpoint", help="chat-completion URL (http gateway)")
     run_p.add_argument("--model", help="model name (http gateway)")
     run_p.add_argument("--api-key-env", default="ASKPLAN_API_KEY",
                        help="environment variable holding the API key")
     run_p.add_argument("--timeout", type=positive_float, default=60.0)
-    run_p.add_argument("--retries", type=int, default=3)
+    run_p.add_argument("--retries", type=non_negative_int, default=3)
     run_p.set_defaults(func=cmd_run)
 
     score_p = sub.add_parser("score", help="score a trace file against its task set")

@@ -8,22 +8,32 @@ three relaxations:
   canonical position (e.g. a door may be closed at any later point);
 * wildcard receptacles: a Put slot accepts any receptacle (where an object is
   parked does not matter);
-* swap groups: contiguous blocks of slots whose relative order is free
-  (e.g. the slicing block and the chilling block of a task may come in either
-  order).
+* swap groups: blocks of slots with no order between the blocks of one
+  group. Each block keeps its own internal order, but the blocks may
+  interleave, not only trade places: with the blocks ``(Pickup, remote)
+  (Put, remote, sofa)`` and ``(Pickup, remote2) (Put, remote2, sofa)``, the
+  plan ``(Pickup, remote) (Pickup, remote2) (Put, remote, sofa) (Put,
+  remote2, sofa)`` matches.
 
 The relaxations compile into a partial order over slots. A candidate plan
 matches when some one-to-one assignment of its steps to slots respects every
 slot pattern and orders the slots consistently with the partial order, i.e.
 the candidate is a linear extension. Navigate steps are controller-level and
 are excluded from matching on both sides.
+
+The matcher is a depth-first search over sets of used slots that remembers
+the sets from which no assignment exists, and counts sets that differ only
+by an exchange of identical blocks of one group (twins) as one. Within a
+swap group, the sets it expands are therefore polynomial in the number of
+identical blocks, and bounded by the product of (block length + 1) over
+distinct blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .inputs import MalformedInput, checked_field, reject_unknown_keys
 from .plans import ActionKind, PlanParseError, Subgoal, parse_subgoal
@@ -142,10 +152,16 @@ class SlotPattern:
 
 @dataclass(frozen=True)
 class RelaxedSpec:
-    """Slot patterns plus a precedence DAG: (i, j) means slot i before slot j."""
+    """Slot patterns plus a precedence DAG: (i, j) means slot i before slot j.
+
+    ``twins`` holds classes of interchangeable blocks, as [start, end] slot
+    ranges (inclusive): exchanging two blocks of a class slot by slot maps
+    the patterns and the DAG onto themselves.
+    """
 
     slots: tuple[SlotPattern, ...]
     precedence: frozenset[tuple[int, int]]
+    twins: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
@@ -154,7 +170,8 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     Starting from the total order of the core, swap groups drop every edge
     that crosses two blocks of the same group, and each floating slot keeps
     exactly one incoming edge, anchor -> slot. An unmarked annotation
-    therefore compiles to the full total order.
+    therefore compiles to the full total order. Twin blocks are sought within
+    each swap group.
     """
     n = len(gt.core)
     edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
@@ -173,7 +190,33 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
         SlotPattern(sg.action, sg.object, sg.receptacle, any_receptacle=idx in wildcard_set)
         for idx, sg in enumerate(gt.core)
     )
-    return RelaxedSpec(slots, frozenset(edges))
+    twins = []
+    for group in gt.swap_groups:
+        classes: list[list[tuple[int, int]]] = []
+        for block in group:
+            for members in classes:
+                if _interchangeable(members[0], block, slots, edges):
+                    members.append(block)
+                    break
+            else:
+                classes.append([block])
+        twins += [tuple(members) for members in classes if len(members) > 1]
+    return RelaxedSpec(slots, frozenset(edges), tuple(twins))
+
+
+def _interchangeable(a: tuple[int, int], b: tuple[int, int],
+                     slots: Sequence[SlotPattern], edges: set[tuple[int, int]]) -> bool:
+    """Whether exchanging blocks ``a`` and ``b`` slot by slot maps the slot
+    patterns and the precedence set onto themselves.
+
+    The exchanges that pass against one block of a class generate every
+    permutation of the class, so each is checked only against the first.
+    """
+    a_slots, b_slots = range(a[0], a[1] + 1), range(b[0], b[1] + 1)
+    if len(a_slots) != len(b_slots) or any(slots[i] != slots[j] for i, j in zip(a_slots, b_slots)):
+        return False
+    swap = dict(zip(a_slots, b_slots)) | dict(zip(b_slots, a_slots))
+    return {(swap.get(i, i), swap.get(j, j)) for i, j in edges} == edges
 
 
 def _matchable_steps(candidate: Sequence[Subgoal]) -> tuple[Subgoal, ...]:
@@ -189,37 +232,83 @@ def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
     """Whether the candidate realizes the spec: a bijection of steps onto slots
     that satisfies every pattern and linearizes the precedence DAG.
 
-    Backtracking over candidate positions in order; a slot is eligible at a
-    position when its pattern matches and all its predecessors are already
-    assigned to earlier positions.
+    Depth-first over candidate positions; a slot is eligible at a position
+    when its pattern matches and all its predecessors are already assigned
+    to earlier positions. A plan that matches on the first descent costs no
+    more than that descent; see ``_expand`` for how failed branches are
+    remembered.
     """
     steps = _matchable_steps(candidate)
     n = len(spec.slots)
     if len(steps) != n:
         return False
-    compatible = [
-        frozenset(s for s in range(n) if spec.slots[s].matches(step)) for step in steps
-    ]
-    if any(not c for c in compatible):
-        return False
-    preds: dict[int, set[int]] = {s: set() for s in range(n)}
+    preds = [0] * n
     for i, j in spec.precedence:
-        preds[j].add(i)
-    used: set[int] = set()
+        preds[j] |= 1 << i
+    by_name: dict[tuple[ActionKind, str], list[int]] = {}
+    for s, pattern in enumerate(spec.slots):
+        by_name.setdefault((pattern.action, pattern.object), []).append(s)
+    options = []
+    for step in steps:
+        choices = [(1 << s, preds[s]) for s in by_name.get((step.action, step.object), ())
+                   if spec.slots[s].matches(step)]
+        if not choices:
+            return False
+        options.append(choices)
+    return _expand(_Search(options, _state_key(spec.twins)), 0, 0)
 
-    def assign(pos: int) -> bool:
-        if pos == n:
-            return True
-        for slot in compatible[pos]:
-            if slot in used or not preds[slot] <= used:
-                continue
-            used.add(slot)
-            if assign(pos + 1):
-                return True
-            used.remove(slot)
+
+class _Search:
+    """One ``relaxed_match`` call: per position, the (slot bit, predecessor
+    bits) of every compatible slot; the key of a set of used slots; and the
+    keys of the sets already found dead."""
+
+    __slots__ = ("options", "key", "dead")
+
+    def __init__(self, options: list[list[tuple[int, int]]],
+                 key: Callable[[int], Hashable]) -> None:
+        self.options = options
+        self.key = key
+        self.dead: set[Hashable] = set()
+
+
+def _expand(search: _Search, pos: int, used: int) -> bool:
+    """Whether the steps from ``pos`` on can take slots outside ``used``, the
+    bit set of the slots held by the steps before ``pos``.
+
+    ``pos`` is the size of ``used``, so a key of ``used`` names the whole
+    state. Each failed state records its key, and a state whose key is
+    recorded is not expanded again. Keys are computed only once a branch has
+    failed, so a first descent that matches computes none.
+    """
+    options = search.options
+    if pos == len(options):
+        return True
+    dead = search.dead
+    if dead and search.key(used) in dead:
         return False
+    for bit, need in options[pos]:
+        if not used & bit and need & used == need and _expand(search, pos + 1, used | bit):
+            return True
+    dead.add(search.key(used))
+    return False
 
-    return assign(0)
+
+def _state_key(twins: tuple[tuple[tuple[int, int], ...], ...]) -> Callable[[int], Hashable]:
+    """The key of a set of used slots: the used slots outside twin blocks,
+    and per twin class the sorted used-offset patterns of its blocks. Sets
+    that differ by an exchange of twin blocks get one key."""
+    if not twins:
+        return lambda used: used
+    classes = [([lo for lo, _ in members], (1 << (members[0][1] - members[0][0] + 1)) - 1)
+               for members in twins]
+    outside = ~sum(mask << lo for los, mask in classes for lo in los)
+
+    def key(used: int) -> Hashable:
+        return (used & outside,
+                *(tuple(sorted((used >> lo) & mask for lo in los)) for los, mask in classes))
+
+    return key
 
 
 def enumerate_valid_plans(spec: RelaxedSpec,

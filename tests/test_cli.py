@@ -681,6 +681,7 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--noise", "2"), ("--noise", "nan"), ("--timeout", "0"), ("--timeout", "nan"),
+    ("--parallel", "0"), ("--parallel", "-1"), ("--parallel", "1.5"), ("--retries", "-1"),
 ])
 def test_run_out_of_range_flag_exits_2(flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,6 @@ import socketserver
 import subprocess
 import sys
 import threading
-import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -327,17 +326,27 @@ def test_http_describe_never_contains_key(monkeypatch, stub_server):
 
 
 def test_http_timeout_error():
-    class Slow(_StubHandler):
-        def do_POST(self):
-            time.sleep(0.6)
-            super().do_POST()
+    # the handler answers nothing: it waits until the client has given up,
+    # so no reply is written to a socket the client has closed
+    arrived = threading.Semaphore(0)
+    released = threading.Event()
 
-    with _serving(Slow) as endpoint:
+    class Silent(_StubHandler):
+        def do_POST(self):
+            arrived.release()
+            released.wait(5)
+
+    with _serving(Silent) as endpoint:
         gw = HttpGateway(HttpGatewayConfig(
             endpoint=endpoint, model="stub-model", retries=1, timeout_s=0.1,
             backoff_s=0.01))
-        with pytest.raises(GatewayTimeout):
-            gw.complete(PROMPT, DecodeParams())
+        try:
+            with pytest.raises(GatewayTimeout, match="after 2 attempts"):
+                gw.complete(PROMPT, DecodeParams())
+        finally:
+            released.set()
+    assert arrived.acquire(timeout=5) and arrived.acquire(timeout=5)
+    assert not arrived.acquire(blocking=False)
 
 
 def test_http_concurrent_calls_all_complete(stub_server):
