@@ -255,42 +255,29 @@ def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
         if not choices:
             return False
         options.append(choices)
-    return _expand(_Search(options, _state_key(spec.twins)), 0, 0)
+    return _expand(options, _state_key(spec.twins), set(), 0, 0)
 
 
-class _Search:
-    """One ``relaxed_match`` call: per position, the (slot bit, predecessor
-    bits) of every compatible slot; the key of a set of used slots; and the
-    keys of the sets already found dead."""
-
-    __slots__ = ("options", "key", "dead")
-
-    def __init__(self, options: list[list[tuple[int, int]]],
-                 key: Callable[[int], Hashable]) -> None:
-        self.options = options
-        self.key = key
-        self.dead: set[Hashable] = set()
-
-
-def _expand(search: _Search, pos: int, used: int) -> bool:
+def _expand(options: list[list[tuple[int, int]]], key: Callable[[int], Hashable],
+            dead: set[Hashable], pos: int, used: int) -> bool:
     """Whether the steps from ``pos`` on can take slots outside ``used``, the
     bit set of the slots held by the steps before ``pos``.
 
-    ``pos`` is the size of ``used``, so a key of ``used`` names the whole
-    state. Each failed state records its key, and a state whose key is
-    recorded is not expanded again. Keys are computed only once a branch has
-    failed, so a first descent that matches computes none.
+    ``options[p]`` lists (slot bit, predecessor bits) for every slot that
+    step ``p`` matches. ``pos`` is the size of ``used``, so ``key(used)``
+    names the whole state. Each failed state adds its key to ``dead``, and a
+    state whose key is there is not expanded again. Keys are computed only
+    once a branch has failed, so a first descent that matches computes none.
     """
-    options = search.options
     if pos == len(options):
         return True
-    dead = search.dead
-    if dead and search.key(used) in dead:
+    if dead and key(used) in dead:
         return False
     for bit, need in options[pos]:
-        if not used & bit and need & used == need and _expand(search, pos + 1, used | bit):
+        if not used & bit and need & used == need \
+                and _expand(options, key, dead, pos + 1, used | bit):
             return True
-    dead.add(search.key(used))
+    dead.add(key(used))
     return False
 
 
