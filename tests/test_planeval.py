@@ -38,9 +38,10 @@ ACTION_POOL = (ActionKind.PICKUP, ActionKind.OPEN, ActionKind.CLOSE,
 
 def random_annotation(rng: random.Random, max_slots: int = 7,
                       min_slots: int = 3) -> GtAnnotation:
-    """Annotation with up to 2 floats and, half of the time, one swap group of
-    2-4 blocks of 1-3 slots. In half of the groups every block has one length
-    and repeats the first block's steps half of the time; a block is
+    """Annotation with up to 2 floats and, half of the time, one swap group.
+    Half of the groups are two adjacent blocks of any length; the other half
+    are 2-4 blocks of 1-3 slots, in half of which every block has one length
+    and repeats the first block's steps half of the time, and a block is
     sometimes set apart from the one before it by a core slot."""
     n = rng.randint(min_slots, max_slots)
     core = []
@@ -56,7 +57,12 @@ def random_annotation(rng: random.Random, max_slots: int = 7,
         floating.append((slot, rng.randrange(0, slot)))
 
     swap_groups = []
-    if rng.random() < 0.5:
+    shape = rng.random()
+    if shape < 0.25:
+        cut = rng.randint(1, n - 1)
+        swap_groups.append(((rng.randint(0, cut - 1), cut - 1),
+                            (cut, rng.randint(cut, n - 1))))
+    elif shape < 0.5:
         identical = rng.random() < 0.5
         length = rng.randint(1, 3)
         blocks, lo = [], rng.randint(0, n // 3)
@@ -364,7 +370,7 @@ def test_relaxed_match_agrees_with_reference_on_9_to_14_slots():
     rng = random.Random(9014)
     verdicts = {True: 0, False: 0}
     twinned = 0
-    for _ in range(200):
+    for _ in range(300):
         spec = compile_relaxed_spec(random_annotation(rng, max_slots=14, min_slots=9))
         twinned += bool(spec.twins)
         for _ in range(10):
