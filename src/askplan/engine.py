@@ -403,8 +403,9 @@ def run_episode(scenario: Scenario, gw: Gateway,
         sg = current[index]
         result = apply_subgoal(world, sg)
         world = result.state_after
-        observed |= detect_objects(world)
-        scene = render_scene(world)
+        visible = detect_objects(world)
+        observed |= visible
+        scene = render_scene(world, visible)
         record = StepRecord(
             subgoal=sg,
             reason=result.reason,

@@ -7,6 +7,12 @@ chilled/clean, and which objects the agent can currently see. Transitions are
 functional (a fresh state is returned) and fully deterministic given the
 state's noise seed and step counter, so episodes replay bit-for-bit.
 
+Entities are immutable values. A step returns a new ``WorldState`` whose
+entity dict is a fresh copy that shares every entity the step does not
+change. ``WorldState.edit`` is the one way to change an entity: it replaces
+that entity in its own state's dict only, so no state ever sees a change
+made to another, and a step builds new values only for what it changes.
+
 Appliance semantics are keyed by entity category: a ``microwave`` heats its
 heatable contents when toggled on, a ``fridge`` chills its coolable contents
 when closed, and a ``faucet`` cleans cleanable objects inside the receptacle
@@ -16,11 +22,10 @@ requires holding an entity whose category contains ``knife``.
 
 from __future__ import annotations
 
-import copy
 import hashlib
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, get_args, get_type_hints
+from typing import NamedTuple, Optional, get_args, get_type_hints
 
 from .inputs import NUMBER, REQUIRED, MalformedInput, checked_field, reject_unknown_keys
 from .planeval import GtAnnotation
@@ -52,8 +57,12 @@ FLAG_IMPLICATIONS = {
     "is_clean": "cleanable",
 }
 
-@dataclass
-class ObjectEntity:
+class ObjectEntity(NamedTuple):
+    """One object of the scene, as an immutable value: change it with
+    ``WorldState.edit``. A NamedTuple, because the world builds and replaces
+    entities on every load and step, and a frozen dataclass does both several
+    times slower."""
+
     id: str
     category: str
     zone: str
@@ -84,7 +93,7 @@ class ObjectEntity:
 # field name -> JSON kind, so Optional[str] becomes (str, NoneType)
 _ENTITY_KINDS = {name: get_args(hint) or hint
                  for name, hint in get_type_hints(ObjectEntity).items()}
-_ENTITY_REQUIRED = frozenset(f.name for f in fields(ObjectEntity) if f.default is MISSING)
+_ENTITY_REQUIRED = frozenset(ObjectEntity._fields) - ObjectEntity._field_defaults.keys()
 _BOOL_FLAGS = frozenset(name for name, kind in _ENTITY_KINDS.items() if kind is bool)
 
 
@@ -98,7 +107,14 @@ class WorldState:
     noise_p: float = 0.0
 
     def copy(self) -> "WorldState":
-        return copy.deepcopy(self)
+        """A new state with its own entity dict, sharing every entity."""
+        return replace(self, entities=dict(self.entities))
+
+    def edit(self, entity_id: str, **changes) -> None:
+        """Replace one entity of this state by a copy with ``changes`` applied;
+        states that share the old entity keep it. It replaces a dict value
+        and adds no key, so a loop over ``entities`` may edit as it goes."""
+        self.entities[entity_id] = self.entities[entity_id]._replace(**changes)
 
 
 @dataclass(frozen=True)
@@ -249,7 +265,8 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 def new_world(scenario: Scenario) -> WorldState:
-    """Fresh world for one episode: deep copy of the initial state, step 0."""
+    """Fresh world for one episode: the initial state with its own entity
+    dict, at step 0."""
     world = scenario.initial.copy()
     world.step_count = 0
     world.noise_p = scenario.noise
@@ -293,14 +310,24 @@ def detect_objects(world: WorldState) -> set[str]:
 
 def _sync_zone(world: WorldState, entity_id: str, zone: str) -> None:
     # Moves an entity and (recursively) anything it contains.
-    world.entities[entity_id].zone = zone
+    world.edit(entity_id, zone=zone)
     for other in world.entities.values():
         if other.container == entity_id and other.zone != zone:
             _sync_zone(world, other.id, zone)
 
 
+def _set_on_contents(world: WorldState, container: str, flag: str) -> None:
+    # An appliance effect: sets ``flag`` on every entity directly inside
+    # ``container`` that has the capability for it.
+    capability = FLAG_IMPLICATIONS[flag]
+    for other in world.entities.values():
+        if other.container == container and getattr(other, capability):
+            world.edit(other.id, **{flag: True})
+
+
 def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
-    """Execute one subgoal against a copy of the world.
+    """Execute one subgoal and return a new state; ``world`` is not changed,
+    and the new state shares every entity the step leaves as it was.
 
     The controller noise draw happens before any semantics; a failed step
     leaves everything unchanged except the step counter. Never raises on a
@@ -334,7 +361,7 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
                                    f"{sg.object} is not pickupable")
         if target.heavy:
             return ExecutionResult(state, FailReason.OBJECT_TOO_HEAVY, f"{sg.object} is too heavy")
-        target.container = None
+        state.edit(target.id, container=None)
         state.held = target.id
         _sync_zone(state, target.id, state.agent_zone)
         return ExecutionResult(state)
@@ -369,7 +396,7 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
                 return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
                                        f"{receptacle.id} is inside {target.id}")
             parent = state.entities[parent.container]
-        target.container = receptacle.id
+        state.edit(target.id, container=receptacle.id)
         state.held = None
         _sync_zone(state, target.id, receptacle.zone)
         return ExecutionResult(state)
@@ -378,28 +405,21 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
         if not target.openable:
             return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
                                    f"{sg.object} is not openable")
-        target.is_open = sg.action is ActionKind.OPEN
+        state.edit(target.id, is_open=sg.action is ActionKind.OPEN)
         if sg.action is ActionKind.CLOSE and target.category == "fridge":
-            for other in state.entities.values():
-                if other.container == target.id and other.coolable:
-                    other.is_chilled = True
+            _set_on_contents(state, target.id, "is_chilled")
         return ExecutionResult(state)
 
     if sg.action in (ActionKind.TOGGLE_ON, ActionKind.TOGGLE_OFF):
         if not target.toggleable:
             return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
                                    f"{sg.object} is not toggleable")
-        target.is_on = sg.action is ActionKind.TOGGLE_ON
+        state.edit(target.id, is_on=sg.action is ActionKind.TOGGLE_ON)
         if sg.action is ActionKind.TOGGLE_ON:
             if target.category == "microwave":
-                for other in state.entities.values():
-                    if other.container == target.id and other.heatable:
-                        other.is_heated = True
+                _set_on_contents(state, target.id, "is_heated")
             if target.category == "faucet" and target.container is not None:
-                basin = target.container
-                for other in state.entities.values():
-                    if other.container == basin and other.cleanable:
-                        other.is_clean = True
+                _set_on_contents(state, target.container, "is_clean")
         return ExecutionResult(state)
 
     if sg.action is ActionKind.SLICE:
@@ -412,7 +432,7 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
         if not target.sliceable:
             return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
                                    f"{sg.object} is not sliceable")
-        target.is_sliced = True
+        state.edit(target.id, is_sliced=True)
         return ExecutionResult(state)
 
     return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
@@ -437,16 +457,16 @@ def _markers(world: WorldState, entity: ObjectEntity) -> list[str]:
     return markers
 
 
-def render_scene(world: WorldState) -> str:
-    """Textual observation: the agent's zone plus every detected object with
-    its state markers, sorted by id for a deterministic rendering."""
-    visible = sorted(detect_objects(world))
+def render_scene(world: WorldState, visible: set[str]) -> str:
+    """Textual observation: the agent's zone plus every object in ``visible``
+    (what ``detect_objects`` reports for ``world``) with its state markers,
+    sorted by id for a deterministic rendering."""
     lines = [f"Zone: {world.agent_zone}"]
     if not visible:
         lines.append("Visible objects: none")
     else:
         lines.append("Visible objects:")
-        for oid in visible:
+        for oid in sorted(visible):
             markers = _markers(world, world.entities[oid])
             lines.append(f"- {oid} ({', '.join(markers)})" if markers else f"- {oid}")
     return "\n".join(lines)

@@ -100,7 +100,13 @@ def test_c5_relaxed_oracle_equivalence():
     started = time.monotonic()
     disagreements = 0
     checked = 0
-    for _ in range(120):
+    drawn = 0
+    # How many distinct candidates an annotation yields is luck of the draw
+    # (repeated steps collapse permutations), so keep drawing past 120 until
+    # the floor below is met, up to a hard cap: the floor is reached by
+    # checking more candidates, never by lowering it.
+    while drawn < 120 or (checked <= 10000 and drawn < 240):
+        drawn += 1
         annotation = random_annotation(rng, max_slots=7)
         spec = compile_relaxed_spec(annotation)
         oracle = enumerate_valid_plans(spec, RECEPTACLE_POOL)

@@ -110,8 +110,9 @@ _type_hints = functools.cache(typing.get_type_hints)
 
 
 def _has_declared_type(value, hint) -> bool:
-    """Whether ``value`` has the type ``hint`` declares, dataclass fields
-    included, all the way down; a ``float`` field also takes an ``int``."""
+    """Whether ``value`` has the type ``hint`` declares, dataclass and
+    NamedTuple fields included, all the way down; a ``float`` field also
+    takes an ``int``."""
     if dataclasses.is_dataclass(hint):
         hints = _type_hints(hint)
         return type(value) is hint and all(
@@ -130,6 +131,10 @@ def _has_declared_type(value, hint) -> bool:
         if origin is tuple and args[-1] is not Ellipsis:
             return len(value) == len(args) and all(map(_has_declared_type, value, args))
         return all(_has_declared_type(item, args[0]) for item in value)
+    if origin is None and hasattr(hint, "_fields"):  # a NamedTuple class
+        hints = _type_hints(hint)
+        return type(value) is hint and all(
+            _has_declared_type(getattr(value, name), hints[name]) for name in hint._fields)
     if hint is float:
         return type(value) in (int, float)
     return type(value) is hint

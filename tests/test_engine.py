@@ -121,7 +121,7 @@ def _failed_put_context(bread_scenario):
     world = result.state_after
     observed = detect_objects(world)
     plan = (sg,)
-    return sg, render_scene(world), observed, plan
+    return sg, render_scene(world, observed), observed, plan
 
 
 def test_handle_failure_replans_on_invalid(bread_scenario, recovery_gateway):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from askplan.engine import EpisodeConfig, run_episode
 from askplan.plans import ActionKind, Subgoal, parse_subgoal
 from askplan.world import (
     FLAG_IMPLICATIONS,
@@ -62,10 +63,18 @@ def test_new_world_bread_fixture(bread_scenario):
     assert "knife" in world.entities
 
 
-def test_new_world_copies_state(bread_scenario):
+def test_new_world_copies_state(bread_scenario, mini7, mini7_gateway):
     world = new_world(bread_scenario)
-    world.entities["bread"].is_sliced = True
+    with pytest.raises(AttributeError):
+        world.entities["bread"].is_sliced = True
+    world.edit("bread", is_sliced=True)
+    assert world.entities["bread"].is_sliced
     assert not bread_scenario.initial.entities["bread"].is_sliced
+    for scenario in mini7.scenarios:
+        initial = copy.deepcopy(scenario.initial)
+        trace = run_episode(scenario, mini7_gateway, EpisodeConfig(seed=1))
+        assert trace.steps, scenario.id
+        assert scenario.initial == initial, scenario.id
 
 
 def test_scenario_goal_over_missing_object_rejected():
@@ -315,7 +324,7 @@ def test_scene_golden(bread_scenario):
         "(Pickup, bread)", "(Open, microwave)", "(Put, bread, microwave)",
         "(Pickup, knife)",
     ])
-    scene = render_scene(world)
+    scene = render_scene(world, detect_objects(world))
     assert scene == (DATA / "golden_scene_microwave.txt").read_text().rstrip("\n")
     assert "microwave (open)" in scene
     assert "bread (in microwave)" in scene
@@ -332,16 +341,18 @@ def test_scene_lists_exactly_detected_ids_randomized(bread_scenario):
             sg = Subgoal(sg.action, obj, rng.choice(vocab)
                          if sg.action is ActionKind.PUT else None)
         world = apply_subgoal(world, sg).state_after
+        visible = detect_objects(world)
         listed = {line[2:].split(" (")[0]
-                  for line in render_scene(world).splitlines() if line.startswith("- ")}
-        assert listed == detect_objects(world)
+                  for line in render_scene(world, visible).splitlines() if line.startswith("- ")}
+        assert listed == visible
 
 
 def test_scene_empty_zone(mini7):
     pick = next(s for s in mini7.scenarios if s.id == "pick_watch")
     world = new_world(pick)
     world.agent_zone = "cellar"
-    assert render_scene(world).splitlines()[1:] == ["Visible objects: none"]
+    assert render_scene(world, detect_objects(world)).splitlines()[1:] == \
+        ["Visible objects: none"]
 
 
 # -- goal conditions ----------------------------------------------------------
@@ -409,6 +420,39 @@ def test_random_sequences_preserve_invariants(mini7):
                 if not result.success:
                     before.step_count += 1
                     assert world == before, "failed step must only advance the counter"
+
+
+def _with_distractors(scenario_id: str, count: int) -> Scenario:
+    # Inert distractors: no capability flag and no container, spread over the
+    # zones the scenario uses, so no step of its plans can touch one.
+    raw = raw_scenario(scenario_id)
+    zones = sorted({entity["zone"] for entity in raw["entities"]} | {raw["agent_zone"]})
+    raw["entities"] += [{"id": f"distractor{k:04d}", "category": "vase",
+                         "zone": zones[k % len(zones)]} for k in range(count)]
+    return Scenario.from_dict(raw)
+
+
+def test_steps_share_every_entity_they_do_not_change(mini7):
+    for scenario_id in (s.id for s in mini7.scenarios):
+        scenario = _with_distractors(scenario_id, 1000)
+        own = {eid for eid in scenario.initial.entities if not eid.startswith("distractor")}
+        distractors = scenario.initial.entities.keys() - own
+        world = new_world(scenario)
+        assert all(world.entities[eid] is scenario.initial.entities[eid] for eid in distractors)
+        for sg in scenario.gt.core:  # with Navigate inserted, as in run_core_with_navigation
+            anchor = sg.receptacle if sg.action is ActionKind.PUT else sg.object
+            steps = [sg] if world.entities[anchor].zone == world.agent_zone else \
+                [Subgoal(ActionKind.NAVIGATE, anchor), sg]
+            for step in steps:
+                result = apply_subgoal(world, step)
+                assert result.success, f"{scenario_id}: {step} failed: {result.detail}"
+                after = result.state_after.entities
+                assert all(after[eid] is world.entities[eid] for eid in distractors), \
+                    f"{scenario_id}: {step} replaced a distractor"
+                changed = [eid for eid in after if after[eid] is not world.entities[eid]]
+                assert len(changed) <= len(own), f"{scenario_id}: {step} replaced {changed}"
+                world = result.state_after
+        assert all(check_goal_conditions(world, scenario.goal)), scenario_id
 
 
 def test_effects_satisfied_helper(bread_scenario):
