@@ -23,6 +23,8 @@ from .engine import (
     EpisodeConfig,
     EpisodeTrace,
     SchemaMismatch,
+    decomposition_prompt,
+    planning_prompt,
     run_episode,
 )
 from .gateway import (
@@ -37,8 +39,7 @@ from .inputs import (NUMBER, MalformedInput, checked_field, read_json, read_json
                      reject_unknown_keys)
 from .planeval import MissingGroundTruth, score_dataset
 from .plans import PlanParseError
-from .prompting import QATranscript, RenderedPrompt, gen_cot_prompt, gen_std_prompt, \
-    gen_tp_no_std_prompt, gen_tp_prompt
+from .prompting import RenderedPrompt
 from .world import Scenario
 
 EXIT_OK = 0
@@ -103,26 +104,21 @@ def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "traces.jsonl"
 
-    def one(pair: tuple[int, Scenario]) -> tuple[int, dict]:
-        index, scenario = pair
+    def one(index: int, scenario: Scenario) -> dict:
         seed = episode_seed(cfg.seed, index)
         episode_cfg = replace(cfg.episode, seed=seed)
         try:
-            record = run_episode(scenario, cfg.gateway, episode_cfg).to_record()
+            return run_episode(scenario, cfg.gateway, episode_cfg).to_record()
         except Exception as exc:  # defensive: a bug must not sink the batch
-            record = EpisodeTrace(scenario.id, scenario.task_type, scenario.instruction,
-                                  seed, {}, abort_reason=f"internal_error: {exc}").to_record()
-        return index, record
+            return EpisodeTrace(scenario.id, scenario.task_type, scenario.instruction,
+                                seed, {}, abort_reason=f"internal_error: {exc}").to_record()
 
-    records: list[Optional[dict]] = [None] * len(tasks.scenarios)
+    indices = range(len(tasks.scenarios))
     if cfg.parallelism <= 1:
-        for pair in enumerate(tasks.scenarios):
-            index, record = one(pair)
-            records[index] = record
+        records = list(map(one, indices, tasks.scenarios))
     else:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            for index, record in pool.map(one, enumerate(tasks.scenarios)):
-                records[index] = record
+            records = list(pool.map(one, indices, tasks.scenarios))
     with out_path.open("w", encoding="utf-8") as handle:
         for record in records:
             handle.write(dump_record(record) + "\n")
@@ -256,13 +252,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 1
 
 
-_SAMPLE_QA = QATranscript((
+_SAMPLE_QA = (
     ("Which sub-tasks make up the instruction?",
      "(answer produced by the decomposition stage at run time)"),
-))
-_SAMPLE_COT = QATranscript((
+)
+_SAMPLE_COT = (
     ("", "(step-by-step decomposition produced at run time)"),
-))
+)
 
 
 def _prompt_block(title: str, prompt: RenderedPrompt) -> str:
@@ -284,21 +280,17 @@ def cmd_prompts(args: argparse.Namespace) -> int:
     else:
         scenario = tasks.scenarios[0]
 
-    blocks: list[tuple[str, str]] = []
+    cfg = EpisodeConfig(use_std=not args.no_std, use_cot=args.cot)
     instruction = scenario.instruction
-    if args.cot:
-        blocks.append(("decomposer", _prompt_block("decomposer (chain-of-thought)",
-                                                   gen_cot_prompt(instruction))))
-        blocks.append(("planner", _prompt_block(
-            "planner", gen_tp_prompt(instruction, _SAMPLE_COT, cot=True))))
-    elif args.no_std:
-        blocks.append(("planner", _prompt_block(
-            "planner (no decomposition)", gen_tp_no_std_prompt(instruction))))
+    decomposer = decomposition_prompt(instruction, cfg)
+    if decomposer is None:
+        blocks = [("planner", _prompt_block("planner (no decomposition)",
+                                            planning_prompt(instruction, None, cfg)))]
     else:
-        blocks.append(("decomposer", _prompt_block("decomposer",
-                                                   gen_std_prompt(instruction))))
-        blocks.append(("planner", _prompt_block(
-            "planner", gen_tp_prompt(instruction, _SAMPLE_QA))))
+        title = "decomposer (chain-of-thought)" if cfg.use_cot else "decomposer"
+        qa = _SAMPLE_COT if cfg.use_cot else _SAMPLE_QA
+        blocks = [("decomposer", _prompt_block(title, decomposer)),
+                  ("planner", _prompt_block("planner", planning_prompt(instruction, qa, cfg)))]
 
     if args.out:
         out_dir = Path(args.out)

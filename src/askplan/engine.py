@@ -26,7 +26,6 @@ from .plans import (
     render_subgoal,
 )
 from .prompting import (
-    Feedback,
     QATranscript,
     RenderedPrompt,
     Validity,
@@ -140,7 +139,7 @@ class EpisodeConfig:
 class RecoveryDecision:
     kind: str  # "redo" | "replan" | "abort"
     validity: Optional[Validity] = None
-    feedback: Optional[Feedback] = None
+    feedback: Optional[str] = None
     new_plan: Optional[Plan] = None
     reason: Optional[str] = None
 
@@ -206,7 +205,7 @@ class EpisodeTrace:
             "instruction": self.instruction,
             "seed": self.seed,
             "config": self.config,
-            "qa": None if self.qa is None else [list(turn) for turn in self.qa.turns],
+            "qa": None if self.qa is None else [list(turn) for turn in self.qa],
             "initial_plan": None if self.initial_plan is None else
             [render_subgoal(sg) for sg in self.initial_plan],
             "steps": [step.to_dict() for step in self.steps],
@@ -254,23 +253,45 @@ def _parse_qa(text: str) -> QATranscript:
         turns.append((question, answer))
     if not turns:
         raise MalformedTranscript("no Q/A pairs found in the decomposition reply")
-    return QATranscript(tuple(turns))
+    return tuple(turns)
+
+
+def decomposition_prompt(instruction: str, cfg: EpisodeConfig) -> Optional[RenderedPrompt]:
+    """The decomposition stage's prompt, or None when ``cfg`` has no
+    decomposition stage."""
+    if cfg.use_cot:
+        return gen_cot_prompt(instruction)
+    if cfg.use_std:
+        return gen_std_prompt(instruction)
+    return None
+
+
+def planning_prompt(instruction: str, qa: Optional[QATranscript],
+                    cfg: EpisodeConfig) -> RenderedPrompt:
+    """The planning stage's prompt, given the decomposition transcript (None
+    without a decomposition stage)."""
+    if qa is None:
+        return gen_tp_no_std_prompt(instruction)
+    return gen_tp_prompt(instruction, qa, cot=cfg.use_cot)
 
 
 def decompose(instruction: str, gw: Gateway, cfg: EpisodeConfig,
-              log: list[dict]) -> QATranscript:
-    """Run the decomposition stage and parse its transcript.
+              log: list[dict]) -> Optional[QATranscript]:
+    """Run the decomposition stage and parse its transcript; None, with no
+    model call, when ``cfg`` has no decomposition stage.
 
     In chain-of-thought mode the whole reply becomes a single pseudo-turn
     with an empty question.
     """
-    prompt = gen_cot_prompt(instruction) if cfg.use_cot else gen_std_prompt(instruction)
+    prompt = decomposition_prompt(instruction, cfg)
+    if prompt is None:
+        return None
     completion = _call(gw, "decompose", prompt, cfg.decode, log)
     if cfg.use_cot:
         text = completion.text.strip()
         if not text:
             raise MalformedTranscript("empty decomposition reply")
-        return QATranscript((("", text),))
+        return (("", text),)
     return _parse_qa(completion.text)
 
 
@@ -278,11 +299,7 @@ def make_plan(instruction: str, qa: Optional[QATranscript], gw: Gateway,
               cfg: EpisodeConfig, log: list[dict]) -> Plan:
     """Run the planning stage; a completion with no subgoal lines at all is a
     PlanningFailed error."""
-    if qa is not None:
-        prompt = gen_tp_prompt(instruction, qa, cot=cfg.use_cot)
-    else:
-        prompt = gen_tp_no_std_prompt(instruction)
-    completion = _call(gw, "plan", prompt, cfg.decode, log)
+    completion = _call(gw, "plan", planning_prompt(instruction, qa, cfg), cfg.decode, log)
     try:
         plan = parse_plan(completion.text)
     except NoSubgoalsFound as exc:
@@ -311,7 +328,7 @@ def handle_failure(sg: Subgoal, scene: str, observed: set[str],
                              cfg.decode, log, scene)
         if not f_completion.text.strip():
             return RecoveryDecision("abort", validity=validity, reason="feedback_empty")
-        feedback = Feedback(f_completion.text)
+        feedback = f_completion.text
         replan_prompt = gen_replan_prompt(feedback, current_plan, observed,
                                           validity, instruction)
         r_completion = _call(gw, "replan", replan_prompt, cfg.decode, log)
@@ -387,9 +404,7 @@ def run_episode(scenario: Scenario, gw: Gateway,
         return trace
 
     try:
-        qa = None
-        if cfg.use_cot or cfg.use_std:
-            qa = decompose(scenario.instruction, gw, cfg, log)
+        qa = decompose(scenario.instruction, gw, cfg, log)
         trace.qa = qa
         current = make_plan(scenario.instruction, qa, gw, cfg, log)
     except (GatewayError, PlanningFailed, MalformedTranscript) as exc:
@@ -433,16 +448,14 @@ def run_episode(scenario: Scenario, gw: Gateway,
                                   gw, cfg, log)
         record.decision = decision.kind
         record.validity = decision.validity
+        record.feedback = decision.feedback
         if decision.kind == "redo":
             continue
         if decision.kind == "replan":
-            record.feedback = decision.feedback.raw
             record.replan = decision.new_plan
             current = decision.new_plan
             index = _resume_index(world, current, executed)
             continue
-        if decision.feedback is not None:
-            record.feedback = decision.feedback.raw
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=decision.reason)
 
     final = EpisodeOutcome.SUCCESS if all(check_goal_conditions(world, scenario.goal)) \

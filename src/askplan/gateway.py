@@ -7,8 +7,7 @@ TLS verification and redirects follow urllib's rules.
 Scene-conditioned calls append the textual scene rendering to the user
 message, so both gateway kinds see the same request text. Scripted replies
 are matched against that request text, entry by entry in order, which makes
-whole episodes replayable bit-for-bit. A recording wrapper can capture a live
-session into a script for offline replay.
+whole episodes replayable bit-for-bit.
 """
 
 from __future__ import annotations
@@ -71,15 +70,10 @@ class DecodeParams:
             raise ValueError("max_tokens must be positive")
 
     @staticmethod
-    def for_vocab(vocab: Iterable[str], bias: float = 0.1,
-                  max_tokens: int = 512) -> "DecodeParams":
+    def for_vocab(vocab: Iterable[str]) -> "DecodeParams":
         """Default decode profile: greedy decoding with a small positive bias
         on every object name the scenario admits."""
-        return DecodeParams(
-            temperature=0.0,
-            token_bias={token: bias for token in sorted(set(vocab))},
-            max_tokens=max_tokens,
-        )
+        return DecodeParams(token_bias={token: 0.1 for token in sorted(set(vocab))})
 
 
 @dataclass(frozen=True)
@@ -117,21 +111,6 @@ class OracleScript:
         if self.fallback_reply is not None:
             return self.fallback_reply
         raise ScriptMiss(f"no script entry matches request: {request_text[:120]!r}...")
-
-    def to_dict(self) -> dict:
-        entries = []
-        for entry in self.entries:
-            item: dict = {"reply": entry.reply}
-            if entry.exact is not None:
-                item["exact"] = entry.exact
-            else:
-                item["contains_all"] = list(entry.contains_all)
-            entries.append(item)
-        out: dict = {"mode": "strict" if self.fallback_reply is None else "fallback",
-                     "entries": entries}
-        if self.fallback_reply is not None:
-            out["fallback_reply"] = self.fallback_reply
-        return out
 
 
 def parse_script(data: object) -> OracleScript:
@@ -323,35 +302,3 @@ class HttpGateway:
             "model": self.config.model,
             "api_key_env": self.config.api_key_env,
         }
-
-
-class RecordingGateway:
-    """Wraps any gateway and captures (request, reply) pairs so a live session
-    can be replayed later as a script (exact-match entries, first wins)."""
-
-    def __init__(self, inner: Gateway):
-        self.inner = inner
-        self.exchanges: list[tuple[str, str]] = []
-
-    def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion:
-        completion = self.inner.complete(prompt, params)
-        self.exchanges.append((request_text(prompt), completion.text))
-        return completion
-
-    def complete_multimodal(self, prompt: RenderedPrompt, scene: str,
-                            params: DecodeParams) -> Completion:
-        completion = self.inner.complete_multimodal(prompt, scene, params)
-        self.exchanges.append((request_text(prompt, scene), completion.text))
-        return completion
-
-    def describe(self) -> dict:
-        return self.inner.describe()
-
-    def to_script(self) -> OracleScript:
-        return OracleScript(tuple(
-            ScriptEntry(reply=reply, exact=request)
-            for request, reply in self.exchanges
-        ))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_script().to_dict(), indent=2) + "\n", "utf-8")

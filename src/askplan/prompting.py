@@ -45,12 +45,9 @@ class RenderedPrompt:
     user_text: str
 
 
-@dataclass(frozen=True)
-class QATranscript:
-    """Ordered (question, answer) turns; a lone answer with an empty question
-    holds free-form decomposition text from the chain-of-thought variant."""
-
-    turns: tuple[tuple[str, str], ...]
+# Ordered (question, answer) turns; a lone answer with an empty question
+# holds free-form decomposition text from the chain-of-thought variant.
+QATranscript = tuple[tuple[str, str], ...]
 
 
 class Verdict(str, Enum):
@@ -62,15 +59,6 @@ class Verdict(str, Enum):
 class Validity:
     verdict: Verdict
     raw: str
-
-
-@dataclass(frozen=True)
-class Feedback:
-    raw: str
-
-    def __post_init__(self) -> None:
-        if not self.raw.strip():
-            raise ValueError("feedback text must be non-empty")
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +89,7 @@ def _render(name: str, values: dict[str, str]) -> RenderedPrompt:
 
 def format_transcript(qa: QATranscript) -> str:
     blocks = []
-    for question, answer in qa.turns:
+    for question, answer in qa:
         if question:
             blocks.append(f"Q: {question}\nA: {answer}")
         else:
@@ -125,7 +113,7 @@ def gen_tp_prompt(instruction: str, qa: QATranscript, cot: bool = False) -> Rend
     With ``cot=True`` the transcript is free-form decomposition text rather
     than a conversation, and the ``tp_cot`` template words it so.
     """
-    if not qa.turns:
+    if not qa:
         raise EmptyTranscript("planning with a decomposition requires at least one turn")
     return _render("tp_cot" if cot else "tp",
                    {"instruction": instruction, "QA": format_transcript(qa)})
@@ -148,17 +136,19 @@ def gen_feedback_prompt(sg: Subgoal, validity: Validity) -> RenderedPrompt:
     })
 
 
-def gen_replan_prompt(feedback: Feedback, plan: Plan, observed: set[str] | frozenset[str],
+def gen_replan_prompt(feedback: str, plan: Plan, observed: set[str] | frozenset[str],
                       validity: Validity, instruction: str) -> RenderedPrompt:
     """Re-planning prompt: instruction, current plan, observations, verdict, feedback."""
     if not plan:
         raise ValueError("cannot request a revision of an empty plan")
+    if not feedback.strip():
+        raise ValueError("feedback text must be non-empty")
     return _render("replan", {
         "instruction": instruction,
         "initial high-level plan": "\n".join(render_subgoal(sg) for sg in plan),
         "observed_objects": ", ".join(sorted(set(observed))),
         "validity": validity.verdict.value.upper(),
-        "feedback": feedback.raw,
+        "feedback": feedback,
     })
 
 
@@ -187,7 +177,7 @@ DISCOVERY_DIMENSIONS: dict[str, tuple[str, ...]] = {
 def discovery_coverage(qa: QATranscript) -> set[str]:
     """Lexical proxy for transcript quality: which discovery dimensions the
     questions touch, judged by keyword presence."""
-    text = " ".join(question.lower() for question, _ in qa.turns)
+    text = " ".join(question.lower() for question, _ in qa)
     return {
         dimension
         for dimension, keywords in DISCOVERY_DIMENSIONS.items()

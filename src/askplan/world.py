@@ -280,32 +280,24 @@ def noise_draw(seed: int, step: int) -> float:
 
 
 def _visible(world: WorldState, entity_id: str) -> bool:
-    entity = world.entities.get(entity_id)
-    if entity is None:
-        return False
+    # Every container exists and no containment chain loops: load checks
+    # both, Put keeps chains acyclic, and no step removes an entity.
     if entity_id == world.held:
         return True
+    entity = world.entities[entity_id]
     if entity.zone != world.agent_zone:
         return False
-    seen = {entity_id}
     while entity.container is not None:
-        parent = world.entities.get(entity.container)
-        if parent is None or (parent.openable and not parent.is_open):
+        entity = world.entities[entity.container]
+        if entity.openable and not entity.is_open:
             return False
-        if parent.id in seen:  # defensive; containment cycles are invalid
-            return False
-        seen.add(parent.id)
-        entity = parent
     return True
 
 
 def detect_objects(world: WorldState) -> set[str]:
     """Ids the agent's detector reports: same-zone entities not hidden inside a
     closed container, plus whatever is held."""
-    found = {eid for eid in world.entities if _visible(world, eid)}
-    if world.held is not None:
-        found.add(world.held)
-    return found
+    return {eid for eid in world.entities if _visible(world, eid)}
 
 
 def _sync_zone(world: WorldState, entity_id: str, zone: str) -> None:

@@ -182,7 +182,11 @@ def test_load_script_fuzz_returns_or_raises_malformed(fuzz_file, mutations):
     except MalformedScript:
         return
     assert _has_declared_type(script, OracleScript)
-    assert script.to_dict() == {"mode": "strict", **data}  # nothing was coerced
+    # nothing was coerced: every field holds its JSON value as written
+    assert data.get("mode", "strict") == "strict" and script.fallback_reply is None
+    assert [{"reply": entry.reply, **({"exact": entry.exact} if entry.exact is not None
+                                      else {"contains_all": list(entry.contains_all)})}
+            for entry in script.entries] == data["entries"]
 
 
 def test_episode_seed_stable():
@@ -493,6 +497,7 @@ def test_prompts_no_std_lacks_qa_lines(tmp_path):
     assert code == EXIT_OK
     assert not (out / "decomposer.txt").exists()
     planner = (out / "planner.txt").read_text()
+    assert planner.splitlines()[0] == "### planner (no decomposition)"
     assert "Q:" not in planner
     assert "put a heated slice of bread in the fridge" in planner
 
@@ -503,9 +508,11 @@ def test_prompts_cot_contains_marker(tmp_path):
                    "--out", str(out))
     assert code == EXIT_OK
     decomposer = (out / "decomposer.txt").read_text()
+    assert decomposer.splitlines()[0] == "### decomposer (chain-of-thought)"
     assert "Let's think step by step" in decomposer
     assert "Q:" not in decomposer
     planner = (out / "planner.txt").read_text()
+    assert planner.splitlines()[0] == "### planner"
     assert "step-by-step decomposition" in planner
 
 

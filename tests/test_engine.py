@@ -58,8 +58,8 @@ def single_noise_failure_seed(p: float = 0.05, within: int = 10) -> int:
 def test_decompose_parses_four_turns():
     gw = scripted(ScriptEntry(reply=QA_REPLY, contains_all=("things to discover",)))
     qa = decompose("put a heated slice of bread in the fridge", gw, CFG, [])
-    assert len(qa.turns) == 4
-    assert qa.turns[0][0].startswith("Which sub-tasks")
+    assert len(qa) == 4
+    assert qa[0][0].startswith("Which sub-tasks")
 
 
 def test_decompose_rejects_reply_without_qa_lines():
@@ -73,7 +73,7 @@ def test_decompose_cot_single_pseudo_turn():
     gw = scripted(ScriptEntry(reply="1. slice 2. heat 3. store",
                               contains_all=("Let's think step by step",)))
     qa = decompose("instruction text", gw, EpisodeConfig(use_cot=True, decode=DECODE), [])
-    assert qa.turns == (("", "1. slice 2. heat 3. store"),)
+    assert qa == (("", "1. slice 2. heat 3. store"),)
 
 
 # -- make_plan ----------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_bread_episode_success(bread_scenario, mini7_gateway):
     assert trace.gc == 1.0
     assert trace.failure_count == 0
     assert not any(step.decision == "replan" for step in trace.steps)
-    assert len(trace.qa.turns) == 4
+    assert len(trace.qa) == 4
 
 
 def test_fridge_recovery_episode(bread_scenario, recovery_gateway):
@@ -357,8 +357,8 @@ def test_cot_episode_end_to_end(mini7):
     )
     trace = run_episode(examine, gw, EpisodeConfig(seed=1, use_cot=True))
     assert trace.outcome is EpisodeOutcome.SUCCESS
-    assert trace.qa.turns[0][0] == ""  # single pseudo-turn, no question
-    assert "Toggle the lamp" in trace.qa.turns[0][1]
+    assert trace.qa[0][0] == ""  # single pseudo-turn, no question
+    assert "Toggle the lamp" in trace.qa[0][1]
 
 
 def test_heavy_lamp_failure_replans_to_toggle_in_place(mini7):

@@ -25,7 +25,6 @@ from askplan.gateway import (
     OracleScript,
     ProviderRejected,
     ProviderUnreachable,
-    RecordingGateway,
     ScriptEntry,
     ScriptMiss,
     ScriptedGateway,
@@ -132,25 +131,26 @@ def test_duplicate_exact_keys_first_wins():
     assert script.reply_for("same") == "one"
 
 
-def test_recording_round_trip():
-    inner = ScriptedGateway(OracleScript(
-        (ScriptEntry(reply="canned", contains_all=("plan",)),)))
-    recorder = RecordingGateway(inner)
-    recorder.complete(PROMPT, DecodeParams())
-    recorder.complete_multimodal(PROMPT, SCENE, DecodeParams())
-    replayed = ScriptedGateway(recorder.to_script())
-    assert replayed.complete(PROMPT, DecodeParams()).text == "canned"
-    assert replayed.complete_multimodal(PROMPT, SCENE, DecodeParams()).text == "canned"
+def test_llm_log_as_exact_entries_replays_its_episode(mini7):
+    # A trace's llm_log is the session record: its req/res pairs, written as
+    # exact entries, make a script that reruns the episode to the same record.
+    from askplan import asset_path
 
-
-def test_recording_save_is_loadable(tmp_path):
-    inner = ScriptedGateway(OracleScript(
-        (ScriptEntry(reply="canned", contains_all=("plan",)),)))
-    recorder = RecordingGateway(inner)
-    recorder.complete(PROMPT, DecodeParams())
-    path = tmp_path / "recorded.json"
-    recorder.save(path)
-    assert load_script(path).reply_for(request_text(PROMPT)) == "canned"
+    bread = next(s for s in mini7.scenarios if s.id == "heat_bread")
+    runs = [(scenario, "mini7", EpisodeConfig(seed=42)) for scenario in mini7.scenarios]
+    runs += [(bread, name, EpisodeConfig(seed=seed, noise_override=0.15))
+             for name in ("bread_recovery", "bread_noisy") for seed in range(40)]
+    decisions = set()
+    for scenario, name, cfg in runs:
+        live = ScriptedGateway(load_script(asset_path(f"scripts/{name}.json")))
+        record = run_episode(scenario, live, cfg).to_record()
+        log = record["llm_log"]
+        script = parse_script({"entries": [{"exact": req["text"], "reply": res["text"]}
+                                           for req, res in zip(log[::2], log[1::2])]})
+        rerun = run_episode(scenario, ScriptedGateway(script), cfg).to_record()
+        assert rerun == record, (scenario.id, name, cfg.seed)
+        decisions |= {step["decision"] for step in record["steps"]}
+    assert {"redo", "replan"} <= decisions
 
 
 # -- decode params ------------------------------------------------------------

@@ -16,8 +16,6 @@ from askplan import asset_path
 from askplan.plans import parse_subgoal
 from askplan.prompting import (
     EmptyTranscript,
-    Feedback,
-    QATranscript,
     Validity,
     Verdict,
     classify_validity,
@@ -39,12 +37,12 @@ BREAD = "put a heated slice of bread in the fridge"
 TEMPLATE_NAMES = sorted(path.stem for path in asset_path("prompts").glob("*.txt"))
 _PLACEHOLDER_RE = re.compile(r"\{[A-Za-z_][A-Za-z0-9_ -]*\}")
 
-QA = QATranscript((
+QA = (
     ("Which sub-tasks make up the instruction?", "Slice, heat, then store the bread."),
     ("In which order must the sub-tasks be carried out?", "Slice first, then heat, then store."),
     ("Which target objects and receptacles are involved?", "Bread, knife, microwave, fridge."),
     ("How is each sub-task executed, step by step?", "Slice with the knife, heat in the microwave."),
-))
+)
 
 
 def assert_placeholder_free(prompt):
@@ -90,9 +88,9 @@ def test_std_prompt_golden():
 
 def test_tp_prompt_embeds_qa_in_order():
     prompt = gen_tp_prompt(BREAD, QA)
-    positions = [prompt.user_text.index(q) for q, _ in QA.turns]
+    positions = [prompt.user_text.index(q) for q, _ in QA]
     assert positions == sorted(positions)
-    for _, answer in QA.turns:
+    for _, answer in QA:
         assert answer in prompt.user_text
     assert_placeholder_free(prompt)
 
@@ -106,7 +104,7 @@ def test_tp_prompt_contains_template_rule_verbatim():
 
 def test_tp_prompt_rejects_empty_transcript():
     with pytest.raises(EmptyTranscript):
-        gen_tp_prompt(BREAD, QATranscript(()))
+        gen_tp_prompt(BREAD, ())
 
 
 def test_tp_no_std_has_no_qa_lines():
@@ -141,7 +139,7 @@ def test_cot_prompt_marker_and_instruction():
 
 
 def test_cot_paired_tp_wording():
-    cot_qa = QATranscript((("", "1. Slice the bread. 2. Heat it. 3. Store it."),))
+    cot_qa = (("", "1. Slice the bread. 2. Heat it. 3. Store it."),)
     prompt = gen_tp_prompt(BREAD, cot_qa, cot=True)
     assert "based on this step-by-step decomposition" in prompt.user_text.lower()
     assert "Based on this conversation" not in prompt.user_text
@@ -151,7 +149,7 @@ def test_cot_paired_tp_wording():
 def test_cot_tp_prompt_inserts_instruction_and_transcript_verbatim():
     instruction = f"Conversation: {BREAD}"
     reply = "Conversation: first slice. Based on this conversation, heat it."
-    prompt = gen_tp_prompt(instruction, QATranscript((("", reply),)), cot=True)
+    prompt = gen_tp_prompt(instruction, (("", reply),), cot=True)
     assert f"Instruction: {instruction}\n" in prompt.user_text
     assert f"Decomposition:\n{reply}\n" in prompt.user_text
 
@@ -185,12 +183,12 @@ def test_feedback_prompt_golden():
 
 def test_replan_prompt_assembles_all_parts():
     plan = (parse_subgoal("(Navigate, desklamp)"), parse_subgoal("(Pickup, desklamp)"))
-    feedback = Feedback("The desk lamp is too heavy to lift; toggle it in place instead.")
+    feedback = "The desk lamp is too heavy to lift; toggle it in place instead."
     validity = classify_validity("INVALID - the lamp cannot be picked up")
     prompt = gen_replan_prompt(feedback, plan, {"desklamp", "book"}, validity,
                                "turn on the desk lamp")
     assert "(Pickup, desklamp)" in prompt.user_text
-    assert feedback.raw in prompt.user_text
+    assert feedback in prompt.user_text
     assert "turn on the desk lamp" in prompt.user_text
     assert "book, desklamp" in prompt.user_text  # sorted, deduplicated
     assert_placeholder_free(prompt)
@@ -198,14 +196,14 @@ def test_replan_prompt_assembles_all_parts():
 
 def test_replan_prompt_observed_objects_sorted_deduplicated():
     plan = (parse_subgoal("(Pickup, mug)"),)
-    prompt = gen_replan_prompt(Feedback("f"), plan, {"b", "a", "a", "c"},
+    prompt = gen_replan_prompt("f", plan, {"b", "a", "a", "c"},
                                classify_validity("VALID"), "i")
     assert "a, b, c" in prompt.user_text
 
 
 def test_replan_prompt_needs_nonempty_plan():
     with pytest.raises(ValueError):
-        gen_replan_prompt(Feedback("f"), (), set(),
+        gen_replan_prompt("f", (), set(),
                           classify_validity("VALID"), "i")
 
 
@@ -228,8 +226,9 @@ def test_validity_keeps_raw_text():
 
 
 def test_feedback_requires_text():
-    with pytest.raises(ValueError):
-        Feedback("   ")
+    plan = (parse_subgoal("(Pickup, mug)"),)
+    with pytest.raises(ValueError, match="feedback"):
+        gen_replan_prompt("   ", plan, set(), classify_validity("VALID"), "i")
 
 
 def test_discovery_coverage_on_fixture_transcript():
@@ -237,12 +236,12 @@ def test_discovery_coverage_on_fixture_transcript():
 
 
 def test_discovery_coverage_partial():
-    qa = QATranscript((("What should I do?", "Something."),))
+    qa = (("What should I do?", "Something."),)
     assert discovery_coverage(qa) == set()
 
 
 def test_format_transcript_cot_pseudo_turn():
-    qa = QATranscript((("", "Step-by-step text."),))
+    qa = (("", "Step-by-step text."),)
     assert format_transcript(qa) == "Step-by-step text."
 
 

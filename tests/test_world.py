@@ -396,6 +396,27 @@ def _flags_consistent(world: WorldState) -> bool:
     return True
 
 
+def _containment_consistent(world: WorldState) -> bool:
+    # every container exists and is a receptacle in the same zone, no chain
+    # loops, and the held entity is in no container and in the agent's zone
+    for entity in world.entities.values():
+        parent = world.entities.get(entity.container)
+        if entity.container is not None and (
+                parent is None or not parent.is_receptacle or parent.zone != entity.zone):
+            return False
+    for entity in world.entities.values():
+        chain = {entity.id}
+        while entity.container is not None:
+            entity = world.entities[entity.container]
+            if entity.id in chain:
+                return False
+            chain.add(entity.id)
+    if world.held is None:
+        return True
+    held = world.entities[world.held]
+    return held.container is None and held.zone == world.agent_zone
+
+
 def test_random_sequences_preserve_invariants(mini7):
     rng = random.Random(123)
     for scenario in mini7.scenarios:
@@ -416,6 +437,7 @@ def test_random_sequences_preserve_invariants(mini7):
                 # at most one held object, by construction of the field; flags stay legal
                 assert world.held is None or world.held in world.entities
                 assert _flags_consistent(world)
+                assert _containment_consistent(world), f"{sg} broke containment"
                 assert world.step_count == before.step_count + 1
                 if not result.success:
                     before.step_count += 1
