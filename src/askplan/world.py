@@ -18,6 +18,10 @@ heatable contents when toggled on, a ``fridge`` chills its coolable contents
 when closed, and a ``faucet`` cleans cleanable objects inside the receptacle
 the faucet is attached to (its ``container``) when toggled on. Slicing
 requires holding an entity whose category contains ``knife``.
+
+Zones change only on Navigate, which carries the held object and whatever it
+contains to the agent's new zone; every other step acts inside the agent's
+zone, where its target and receptacle already are.
 """
 
 from __future__ import annotations
@@ -56,6 +60,25 @@ FLAG_IMPLICATIONS = {
     "is_chilled": "coolable",
     "is_clean": "cleanable",
 }
+
+# flag action -> (state flag, value it sets); the action needs the flag's
+# capability, FLAG_IMPLICATIONS[flag]
+_FLAG_ACTIONS = {
+    ActionKind.OPEN: ("is_open", True),
+    ActionKind.CLOSE: ("is_open", False),
+    ActionKind.TOGGLE_ON: ("is_on", True),
+    ActionKind.TOGGLE_OFF: ("is_on", False),
+    ActionKind.SLICE: ("is_sliced", True),
+}
+
+# (flag action, appliance category) -> the state flag the action sets on every
+# entity directly inside the appliance's site that has the capability for it
+_APPLIANCE_EFFECTS = {
+    (ActionKind.CLOSE, "fridge"): "is_chilled",
+    (ActionKind.TOGGLE_ON, "microwave"): "is_heated",
+    (ActionKind.TOGGLE_ON, "faucet"): "is_clean",
+}
+
 
 class ObjectEntity(NamedTuple):
     """One object of the scene, as an immutable value: change it with
@@ -253,6 +276,8 @@ def validate_scenario(scenario: Scenario) -> None:
             raise InvalidScenario(f"held object {world.held!r} does not exist")
         if holder.container is not None:
             raise InvalidScenario(f"held object {world.held!r} has a container")
+        if holder.zone != world.agent_zone:
+            raise InvalidScenario(f"held object {world.held!r} is not in the agent's zone")
     if not scenario.goal:
         raise InvalidScenario("goal must have at least one condition")
     for cond in scenario.goal:
@@ -301,20 +326,12 @@ def detect_objects(world: WorldState) -> set[str]:
 
 
 def _sync_zone(world: WorldState, entity_id: str, zone: str) -> None:
-    # Moves an entity and (recursively) anything it contains.
+    # Navigate's carry into a new zone: moves an entity and (recursively)
+    # anything it contains. No other step changes a zone.
     world.edit(entity_id, zone=zone)
     for other in world.entities.values():
-        if other.container == entity_id and other.zone != zone:
+        if other.container == entity_id:
             _sync_zone(world, other.id, zone)
-
-
-def _set_on_contents(world: WorldState, container: str, flag: str) -> None:
-    # An appliance effect: sets ``flag`` on every entity directly inside
-    # ``container`` that has the capability for it.
-    capability = FLAG_IMPLICATIONS[flag]
-    for other in world.entities.values():
-        if other.container == container and getattr(other, capability):
-            world.edit(other.id, **{flag: True})
 
 
 def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
@@ -336,9 +353,9 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
                                f"no object named {sg.object!r} in the environment")
 
     if sg.action is ActionKind.NAVIGATE:
+        if state.held is not None and target.zone != state.agent_zone:
+            _sync_zone(state, state.held, target.zone)
         state.agent_zone = target.zone
-        if state.held is not None:
-            _sync_zone(state, state.held, state.agent_zone)
         return ExecutionResult(state)
 
     if not _visible(state, target.id):
@@ -355,7 +372,6 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
             return ExecutionResult(state, FailReason.OBJECT_TOO_HEAVY, f"{sg.object} is too heavy")
         state.edit(target.id, container=None)
         state.held = target.id
-        _sync_zone(state, target.id, state.agent_zone)
         return ExecutionResult(state)
 
     if sg.action is ActionKind.PUT:
@@ -390,28 +406,6 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
             parent = state.entities[parent.container]
         state.edit(target.id, container=receptacle.id)
         state.held = None
-        _sync_zone(state, target.id, receptacle.zone)
-        return ExecutionResult(state)
-
-    if sg.action in (ActionKind.OPEN, ActionKind.CLOSE):
-        if not target.openable:
-            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
-                                   f"{sg.object} is not openable")
-        state.edit(target.id, is_open=sg.action is ActionKind.OPEN)
-        if sg.action is ActionKind.CLOSE and target.category == "fridge":
-            _set_on_contents(state, target.id, "is_chilled")
-        return ExecutionResult(state)
-
-    if sg.action in (ActionKind.TOGGLE_ON, ActionKind.TOGGLE_OFF):
-        if not target.toggleable:
-            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
-                                   f"{sg.object} is not toggleable")
-        state.edit(target.id, is_on=sg.action is ActionKind.TOGGLE_ON)
-        if sg.action is ActionKind.TOGGLE_ON:
-            if target.category == "microwave":
-                _set_on_contents(state, target.id, "is_heated")
-            if target.category == "faucet" and target.container is not None:
-                _set_on_contents(state, target.container, "is_clean")
         return ExecutionResult(state)
 
     if sg.action is ActionKind.SLICE:
@@ -421,14 +415,21 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
         if "knife" not in blade.category:
             return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
                                    f"{blade.id} cannot slice anything")
-        if not target.sliceable:
-            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
-                                   f"{sg.object} is not sliceable")
-        state.edit(target.id, is_sliced=True)
-        return ExecutionResult(state)
-
-    return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
-                           f"unhandled action {sg.action.value}")  # unreachable
+    flag, value = _FLAG_ACTIONS[sg.action]
+    capability = FLAG_IMPLICATIONS[flag]
+    if not getattr(target, capability):
+        return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                               f"{sg.object} is not {capability}")
+    state.edit(target.id, **{flag: value})
+    effect = _APPLIANCE_EFFECTS.get((sg.action, target.category))
+    # a faucet works on the receptacle it is attached to, any other appliance on itself
+    site = target.container if target.category == "faucet" else target.id
+    if effect is not None and site is not None:
+        capability = FLAG_IMPLICATIONS[effect]
+        for other in state.entities.values():
+            if other.container == site and getattr(other, capability):
+                state.edit(other.id, **{effect: True})
+    return ExecutionResult(state)
 
 
 def _markers(world: WorldState, entity: ObjectEntity) -> list[str]:
@@ -489,16 +490,7 @@ def subgoal_effects_satisfied(world: WorldState, sg: Subgoal) -> bool:
         return world.held == sg.object
     if sg.action is ActionKind.PUT:
         return entity.container == sg.receptacle
-    if sg.action is ActionKind.OPEN:
-        return entity.is_open
-    if sg.action is ActionKind.CLOSE:
-        return entity.openable and not entity.is_open
-    if sg.action is ActionKind.TOGGLE_ON:
-        return entity.is_on
-    if sg.action is ActionKind.TOGGLE_OFF:
-        return entity.toggleable and not entity.is_on
-    if sg.action is ActionKind.SLICE:
-        return entity.is_sliced
     if sg.action is ActionKind.NAVIGATE:
         return world.agent_zone == entity.zone
-    return False
+    flag, value = _FLAG_ACTIONS[sg.action]
+    return getattr(entity, FLAG_IMPLICATIONS[flag]) and getattr(entity, flag) == value

@@ -8,8 +8,6 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from askplan import asset_path
 from askplan.cli import (
@@ -86,26 +84,6 @@ _DELETE = object()
 _JUNK = (_DELETE, None, True, 0, -1, 2.5, "", "abc", [], [[1]], [5], {}, {"x": 1})
 
 
-def _mutate(data, path: tuple, value):
-    """Replace (or delete) the value at ``path``; a path that no longer
-    resolves leaves ``data`` as it is."""
-    if value is not _DELETE:
-        value = json.loads(json.dumps(value))  # junk values are shared
-    if not path:
-        return data if value is _DELETE else value
-    node = data
-    try:
-        for key in path[:-1]:
-            node = node[key]
-        if value is _DELETE:
-            del node[path[-1]]
-        else:
-            node[path[-1]] = value
-    except (LookupError, TypeError):
-        pass
-    return data
-
-
 _type_hints = functools.cache(typing.get_type_hints)
 
 
@@ -140,53 +118,69 @@ def _has_declared_type(value, hint) -> bool:
     return type(value) is hint
 
 
-def _fuzz_inputs(data):
-    """One to three mutations of ``data``, each at one of its JSON paths."""
-    return st.lists(st.tuples(st.sampled_from(list(_json_paths(data))),
-                              st.sampled_from(_JUNK)), min_size=1, max_size=3)
-
-
-def _mutated(data, mutations):
+def _write_mutated(file: Path, data, path: tuple, value):
+    """Write ``data`` with the value at ``path`` replaced by ``value`` (or
+    deleted, for _DELETE) to a fresh ``file``, and return what was written.
+    The old file is unlinked: rewriting one in place is several times slower
+    on some filesystems."""
     data = json.loads(json.dumps(data))
-    for path, value in mutations:
-        data = _mutate(data, path, value)
+    if not path:
+        data = data if value is _DELETE else value
+    else:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    file.unlink(missing_ok=True)
+    file.write_text(json.dumps(data))
     return data
 
 
-@pytest.fixture(scope="module")
-def fuzz_file(tmp_path_factory) -> Path:
-    return tmp_path_factory.mktemp("fuzz") / "input.json"
+def _task_set_paths():
+    """(task set, path) for every JSON path of mini7. A path inside scenario
+    k comes with a task set that holds only scenario k, so each load reads one
+    scenario instead of seven."""
+    outer = [(_MINI7_DATA, path) for path in _json_paths(_MINI7_DATA) if len(path) < 2]
+    return outer + [({**_MINI7_DATA, "scenarios": [scenario]}, ("scenarios", 0, *path))
+                    for scenario in _MINI7_DATA["scenarios"] for path in _json_paths(scenario)]
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(_fuzz_inputs(_MINI7_DATA))
-def test_load_tasks_fuzz_returns_or_raises_malformed(fuzz_file, mutations):
-    fuzz_file.write_text(json.dumps(_mutated(_MINI7_DATA, mutations)))
-    try:
-        tasks = load_tasks(fuzz_file)
-    except MalformedTaskSet:
-        return
-    assert _has_declared_type(tasks, TaskSet)
+def test_load_tasks_every_single_mutation_returns_or_raises_malformed(tmp_path):
+    file = tmp_path / "tasks.json"
+    paths = _task_set_paths()
+    assert len(paths) == len(list(_json_paths(_MINI7_DATA)))
+    for data, path in paths:
+        for value in _JUNK:
+            _write_mutated(file, data, path, value)
+            try:
+                tasks = load_tasks(file)
+            except MalformedTaskSet:
+                continue
+            assert _has_declared_type(tasks, TaskSet), (path, value)
 
 
 _SCRIPT_DATA = json.loads(Path(SCRIPT).read_text())
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(_fuzz_inputs(_SCRIPT_DATA))
-def test_load_script_fuzz_returns_or_raises_malformed(fuzz_file, mutations):
-    data = _mutated(_SCRIPT_DATA, mutations)
-    fuzz_file.write_text(json.dumps(data))
-    try:
-        script = load_script(fuzz_file)
-    except MalformedScript:
-        return
-    assert _has_declared_type(script, OracleScript)
-    # nothing was coerced: every field holds its JSON value as written
-    assert data.get("mode", "strict") == "strict" and script.fallback_reply is None
-    assert [{"reply": entry.reply, **({"exact": entry.exact} if entry.exact is not None
-                                      else {"contains_all": list(entry.contains_all)})}
-            for entry in script.entries] == data["entries"]
+def test_load_script_every_single_mutation_returns_or_raises_malformed(tmp_path):
+    file = tmp_path / "script.json"
+    for path in _json_paths(_SCRIPT_DATA):
+        for value in _JUNK:
+            data = _write_mutated(file, _SCRIPT_DATA, path, value)
+            try:
+                script = load_script(file)
+            except MalformedScript:
+                continue
+            assert _has_declared_type(script, OracleScript), (path, value)
+            # nothing was coerced: every field holds its JSON value as written
+            assert data.get("mode", "strict") == "strict" and script.fallback_reply is None
+            assert [{"reply": entry.reply,
+                     **({"exact": entry.exact} if entry.exact is not None
+                        else {"contains_all": list(entry.contains_all)})}
+                    for entry in script.entries] == data["entries"], (path, value)
 
 
 def test_episode_seed_stable():

@@ -3,14 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from askplan import asset_path
 from askplan.plans import parse_subgoal
@@ -261,23 +260,24 @@ def test_render_with_missing_value_rejected():
         _render("std", {"instruction": "x", "QA": "y"})  # std has no {QA}
 
 
-# value text that holds placeholder tokens, of its own template or another
-_VALUE_TEXT = st.lists(st.sampled_from(
-    ["{", "}", " ", "x", "{validity}", "{feedback}", "{instruction}", "{QA}", "{subgoal}",
-     "{object}", "{observed_objects}", "{initial high-level plan}"]), max_size=8).map("".join)
+# value text is drawn from these: placeholder tokens of its own template or another
+_VALUE_TOKENS = ("{", "}", " ", "x", "{validity}", "{feedback}", "{instruction}", "{QA}",
+                 "{subgoal}", "{object}", "{observed_objects}", "{initial high-level plan}")
 
 
-@settings(derandomize=True, deadline=None)
-@given(st.sampled_from(TEMPLATE_NAMES), st.data())
-def test_render_inserts_every_value_verbatim(name, data):
+def test_render_inserts_every_value_verbatim():
     from askplan.prompting import _render
 
-    placeholders = sorted(load_template(name).placeholders)
-    values = {key: data.draw(_VALUE_TEXT, label=key) for key in placeholders}
-    prompt = _render(name, values)
-    text = f"{prompt.system_text}\n{prompt.user_text}"
-    for value in values.values():
-        assert value in text
+    rng = random.Random(11)
+    for name in TEMPLATE_NAMES:
+        placeholders = sorted(load_template(name).placeholders)
+        for _ in range(40):
+            values = {key: "".join(rng.choices(_VALUE_TOKENS, k=rng.randrange(9)))
+                      for key in placeholders}
+            prompt = _render(name, values)
+            text = f"{prompt.system_text}\n{prompt.user_text}"
+            for value in values.values():
+                assert value in text, (name, values)
 
 
 def test_trace_with_placeholder_in_feedback_is_the_same_for_any_hash_seed(tmp_path):

@@ -114,6 +114,15 @@ def test_scenario_flag_implication_rejected():
         Scenario.from_dict(data)
 
 
+def test_scenario_held_object_must_be_in_the_agents_zone():
+    data = raw_scenario("pick_watch")  # agent in bedroom, watch in livingroom
+    data["held"] = "watch"
+    with pytest.raises(InvalidScenario, match="agent's zone"):
+        Scenario.from_dict(data)
+    data["agent_zone"] = "livingroom"
+    Scenario.from_dict(data)
+
+
 def test_scenario_container_must_be_receptacle():
     data = raw_scenario("heat_bread")
     data["entities"][1]["container"] = "bread"
@@ -168,6 +177,24 @@ def test_navigate_moves_agent_and_held_object(mini7):
     assert world.entities["watch"].zone == "bedroom"
 
 
+def test_navigate_carries_what_the_held_object_contains():
+    data = raw_scenario("stack_plate")
+    data["entities"].append({"id": "table", "category": "table", "zone": "diningroom",
+                             "is_receptacle": True})
+    world = run_plan(new_world(Scenario.from_dict(data)), [
+        "(Pickup, spoon)", "(Put, spoon, plate)", "(Pickup, plate)", "(Navigate, table)",
+        "(Put, plate, table)",
+    ])
+    assert world.entities["spoon"].zone == world.entities["plate"].zone == "diningroom"
+    assert world.entities["countertop"].zone == "kitchen"
+
+
+def test_navigate_within_the_zone_replaces_no_entity(bread_scenario):
+    world = run_plan(new_world(bread_scenario), ["(Pickup, knife)"])
+    after = apply_subgoal(world, parse_subgoal("(Navigate, fridge)")).state_after
+    assert all(after.entities[eid] is world.entities[eid] for eid in world.entities)
+
+
 def test_interaction_across_zones_fails(mini7):
     pick = next(s for s in mini7.scenarios if s.id == "pick_watch")
     world = new_world(pick)  # agent in bedroom, watch in livingroom
@@ -182,14 +209,17 @@ def test_unknown_object_is_failure_not_crash(bread_scenario):
     assert result.reason is FailReason.TARGET_NOT_VISIBLE
 
 
-def test_open_requires_openable(bread_scenario):
-    result = apply_subgoal(new_world(bread_scenario), parse_subgoal("(Open, bread)"))
+@pytest.mark.parametrize("action, target, capability", [
+    ("Open", "bread", "openable"), ("Close", "bread", "openable"),
+    ("ToggleOn", "bread", "toggleable"), ("ToggleOff", "bread", "toggleable"),
+    ("Slice", "counter", "sliceable"),
+], ids=["Open", "Close", "ToggleOn", "ToggleOff", "Slice"])
+def test_flag_action_requires_capability(bread_scenario, action, target, capability):
+    world = run_plan(new_world(bread_scenario), ["(Pickup, knife)"])  # Slice's blade
+    result = apply_subgoal(world, parse_subgoal(f"({action}, {target})"))
     assert result.reason is FailReason.PRECONDITION_VIOLATED
-
-
-def test_toggle_requires_toggleable(bread_scenario):
-    result = apply_subgoal(new_world(bread_scenario), parse_subgoal("(ToggleOn, bread)"))
-    assert result.reason is FailReason.PRECONDITION_VIOLATED
+    assert result.detail == f"{target} is not {capability}"
+    assert result.state_after.entities == world.entities
 
 
 def test_put_into_non_receptacle(bread_scenario):
@@ -227,6 +257,26 @@ def test_cleaning_applies_when_faucet_turns_on(mini7):
     world = run_plan(new_world(clean),
                      ["(Pickup, ladle)", "(Put, ladle, sink)", "(ToggleOn, faucet)"])
     assert world.entities["ladle"].is_clean
+
+
+def test_each_appliance_effect_fires_only_for_its_own_pair(bread_scenario):
+    # bread is heatable and coolable: opening the fridge chills nothing, and
+    # turning the microwave off or closing it heats and chills nothing
+    world = run_plan(new_world(bread_scenario), [
+        "(Open, fridge)", "(Pickup, bread)", "(Put, bread, fridge)", "(Open, fridge)",
+    ])
+    assert not world.entities["bread"].is_chilled
+    world = run_plan(new_world(bread_scenario), [
+        "(Open, microwave)", "(Pickup, bread)", "(Put, bread, microwave)",
+        "(ToggleOff, microwave)", "(Close, microwave)",
+    ])
+    assert not world.entities["bread"].is_heated and not world.entities["bread"].is_chilled
+    # a faucet attached to nothing runs, and cleans nothing
+    data = raw_scenario("clean_ladle")
+    next(entity for entity in data["entities"] if entity["id"] == "faucet").pop("container")
+    world = run_plan(new_world(Scenario.from_dict(data)),
+                     ["(Pickup, ladle)", "(Put, ladle, sink)", "(ToggleOn, faucet)"])
+    assert world.entities["faucet"].is_on and not world.entities["ladle"].is_clean
 
 
 def test_put_requires_holding_the_named_object(bread_scenario):
@@ -419,6 +469,7 @@ def _containment_consistent(world: WorldState) -> bool:
 
 def test_random_sequences_preserve_invariants(mini7):
     rng = random.Random(123)
+    succeeded = set()
     for scenario in mini7.scenarios:
         for _ in range(10):
             world = new_world(scenario)
@@ -434,6 +485,9 @@ def test_random_sequences_preserve_invariants(mini7):
                 result = apply_subgoal(world, sg)
                 assert world == before, f"{sg} mutated its input world"
                 world = result.state_after
+                if result.success:  # what the step did is what resuming checks for
+                    assert subgoal_effects_satisfied(world, sg), f"{sg} left no effect"
+                    succeeded.add(sg.action)
                 # at most one held object, by construction of the field; flags stay legal
                 assert world.held is None or world.held in world.entities
                 assert _flags_consistent(world)
@@ -442,6 +496,7 @@ def test_random_sequences_preserve_invariants(mini7):
                 if not result.success:
                     before.step_count += 1
                     assert world == before, "failed step must only advance the counter"
+    assert succeeded == set(ActionKind)
 
 
 def _with_distractors(scenario_id: str, count: int) -> Scenario:
