@@ -27,12 +27,18 @@ by an exchange of identical blocks of one group (twins) as one. Within a
 swap group, the sets it expands are therefore polynomial in the number of
 identical blocks, and bounded by the product of (block length + 1) over
 distinct blocks.
+
+The tables the matcher reads that depend only on the annotation (each slot's
+predecessor bits, the slots of each (action, object), and the twin block
+masks of the state key) are compiled once per spec, by
+``compile_relaxed_spec``; a match builds only each step's choices. Scoring a
+trace set parses each distinct plan line once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .inputs import MalformedInput, checked_field, reject_unknown_keys
@@ -157,11 +163,31 @@ class RelaxedSpec:
     ``twins`` holds classes of interchangeable blocks, as [start, end] slot
     ranges (inclusive): exchanging two blocks of a class slot by slot maps
     the patterns and the DAG onto themselves.
+
+    The other fields are the matcher's tables, compiled once per spec from
+    those three and left out of comparison and hashing: ``preds``, per slot
+    the bits of the slots before it; ``by_name``, per (action, object) its
+    slots in order; per twin class, the start slots of its blocks and one
+    block's bit mask (``twin_masks``), and the bits of the slots in no twin
+    block (``outside``), which ``state_key`` reads.
     """
 
     slots: tuple[SlotPattern, ...]
     precedence: frozenset[tuple[int, int]]
     twins: tuple[tuple[tuple[int, int], ...], ...]
+    preds: tuple[int, ...] = field(compare=False, repr=False)
+    by_name: Mapping[tuple[ActionKind, str], tuple[int, ...]] = field(compare=False, repr=False)
+    twin_masks: tuple[tuple[tuple[int, ...], int], ...] = field(compare=False, repr=False)
+    outside: int = field(compare=False, repr=False)
+
+    def state_key(self, used: int) -> Hashable:
+        """The key of a set of used slots: the used slots outside twin blocks,
+        and per twin class the sorted used-offset patterns of its blocks. Sets
+        that differ by an exchange of twin blocks get one key."""
+        if not self.twin_masks:
+            return used
+        return (used & self.outside, *(tuple(sorted((used >> lo) & mask for lo in los))
+                                       for los, mask in self.twin_masks))
 
 
 def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
@@ -201,7 +227,18 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
             else:
                 classes.append([block])
         twins += [tuple(members) for members in classes if len(members) > 1]
-    return RelaxedSpec(slots, frozenset(edges), tuple(twins))
+    preds = [0] * n
+    for i, j in edges:
+        preds[j] |= 1 << i
+    by_name: dict[tuple[ActionKind, str], tuple[int, ...]] = {}
+    for s, pattern in enumerate(slots):
+        name = (pattern.action, pattern.object)
+        by_name[name] = by_name.get(name, ()) + (s,)
+    twin_masks = tuple((tuple(lo for lo, _ in members),
+                        (1 << (members[0][1] - members[0][0] + 1)) - 1) for members in twins)
+    outside = ~sum(mask << lo for los, mask in twin_masks for lo in los)
+    return RelaxedSpec(slots, frozenset(edges), tuple(twins), tuple(preds), by_name,
+                       twin_masks, outside)
 
 
 def _interchangeable(a: tuple[int, int], b: tuple[int, int],
@@ -239,23 +276,17 @@ def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
     remembered.
     """
     steps = _matchable_steps(candidate)
-    n = len(spec.slots)
-    if len(steps) != n:
+    if len(steps) != len(spec.slots):
         return False
-    preds = [0] * n
-    for i, j in spec.precedence:
-        preds[j] |= 1 << i
-    by_name: dict[tuple[ActionKind, str], list[int]] = {}
-    for s, pattern in enumerate(spec.slots):
-        by_name.setdefault((pattern.action, pattern.object), []).append(s)
     options = []
     for step in steps:
-        choices = [(1 << s, preds[s]) for s in by_name.get((step.action, step.object), ())
+        choices = [(1 << s, spec.preds[s])
+                   for s in spec.by_name.get((step.action, step.object), ())
                    if spec.slots[s].matches(step)]
         if not choices:
             return False
         options.append(choices)
-    return _expand(options, _state_key(spec.twins), set(), 0, 0)
+    return _expand(options, spec.state_key, set(), 0, 0)
 
 
 def _expand(options: list[list[tuple[int, int]]], key: Callable[[int], Hashable],
@@ -279,23 +310,6 @@ def _expand(options: list[list[tuple[int, int]]], key: Callable[[int], Hashable]
             return True
     dead.add(key(used))
     return False
-
-
-def _state_key(twins: tuple[tuple[tuple[int, int], ...], ...]) -> Callable[[int], Hashable]:
-    """The key of a set of used slots: the used slots outside twin blocks,
-    and per twin class the sorted used-offset patterns of its blocks. Sets
-    that differ by an exchange of twin blocks get one key."""
-    if not twins:
-        return lambda used: used
-    classes = [([lo for lo, _ in members], (1 << (members[0][1] - members[0][0] + 1)) - 1)
-               for members in twins]
-    outside = ~sum(mask << lo for los, mask in classes for lo in los)
-
-    def key(used: int) -> Hashable:
-        return (used & outside,
-                *(tuple(sorted((used >> lo) & mask for lo in los)) for los, mask in classes))
-
-    return key
 
 
 def enumerate_valid_plans(spec: RelaxedSpec,
@@ -402,9 +416,14 @@ def score_dataset(traces: Iterable[Mapping],
     computed on the initial plan only. Raises MissingGroundTruth when a trace
     references a task id with no annotation, and MalformedInput when a line
     of an initial plan is not a subgoal.
+
+    Each spec is compiled once per task id and each distinct plan line parsed
+    once per call; a trace set repeats a few distinct lines many times.
     """
     rows: list[dict] = []
-    specs: dict[str, RelaxedSpec] = {}  # compiled once per task id
+    by_type: dict[str, list[dict]] = {}
+    specs: dict[str, RelaxedSpec] = {}
+    parsed: dict[str, Subgoal] = {}  # only lines that parse
     for record in traces:
         task_id = record["task_id"]
         gt = gts.get(task_id)
@@ -412,18 +431,25 @@ def score_dataset(traces: Iterable[Mapping],
             raise MissingGroundTruth(task_id)
         if task_id not in specs:
             specs[task_id] = compile_relaxed_spec(gt)
-        try:
-            initial = tuple(parse_subgoal(line) for line in record.get("initial_plan") or ())
-        except PlanParseError as exc:
-            raise MalformedInput(f"initial plan of task {task_id!r}: {exc}") from exc
-        rows.append({
+        initial = []
+        for line in record.get("initial_plan") or ():
+            step = parsed.get(line)
+            if step is None:
+                try:
+                    step = parsed[line] = parse_subgoal(line)
+                except PlanParseError as exc:
+                    raise MalformedInput(f"initial plan of task {task_id!r}: {exc}") from exc
+            initial.append(step)
+        row = {
             "task_type": record.get("task_type", "unknown"),
             "core_len": len(gt.core),
             "sr": record["sr"],
             "gc": record["gc"],
             "strict": strict_match(initial, gt),
             "relaxed": relaxed_match(initial, specs[task_id]),
-        })
+        }
+        rows.append(row)
+        by_type.setdefault(row["task_type"], []).append(row)
 
     def summary(group: list[dict]) -> dict:
         def pct(key: str) -> Optional[float]:
@@ -433,8 +459,7 @@ def score_dataset(traces: Iterable[Mapping],
                     strict_hlp_pct=pct("strict"), relaxed_hlp_pct=pct("relaxed"))
 
     per_type = []
-    for task_type in sorted({row["task_type"] for row in rows}):
-        group = [row for row in rows if row["task_type"] == task_type]
+    for task_type, group in sorted(by_type.items()):
         per_type.append(TaskTypeRow(
             task_type=task_type,
             mean_core_len=sum(row["core_len"] for row in group) / len(group),

@@ -11,6 +11,7 @@ from askplan.plans import ActionKind, Subgoal, parse_subgoal
 from askplan.planeval import (
     AnnotationError,
     GtAnnotation,
+    MalformedInput,
     MissingGroundTruth,
     TooLarge,
     compile_relaxed_spec,
@@ -313,20 +314,43 @@ def _candidate_variants(rng, core):
     return variants
 
 
-def test_relaxed_match_agrees_with_oracle_on_150_random_specs():
+def _oracle_cases():
+    """150 random annotations, each with its candidate plans."""
     rng = random.Random(424242)
-    disagreements = 0
-    twinned = 0
     for _ in range(150):
         annotation = random_annotation(rng)
+        yield annotation, _candidate_variants(rng, annotation.core)
+
+
+def test_relaxed_match_agrees_with_oracle_on_150_random_specs():
+    disagreements = 0
+    twinned = 0
+    for annotation, candidates in _oracle_cases():
         spec = compile_relaxed_spec(annotation)
         twinned += bool(spec.twins)
         oracle = enumerate_valid_plans(spec, RECEPTACLE_POOL)
-        for candidate in _candidate_variants(rng, annotation.core):
+        for candidate in candidates:
             if relaxed_match(candidate, spec) != (candidate in oracle):
                 disagreements += 1
     assert disagreements == 0
     assert twinned
+
+
+def test_compiled_tables_agree_with_the_spec_on_150_random_specs():
+    for annotation, _ in _oracle_cases():
+        spec = compile_relaxed_spec(annotation)
+        n = len(spec.slots)
+        assert len(spec.preds) == n
+        assert {(i, j) for i in range(n) for j in range(n)
+                if spec.preds[j] >> i & 1} == spec.precedence
+        names = {(pattern.action, pattern.object) for pattern in spec.slots}
+        assert spec.by_name.keys() == names
+        for name, slots in spec.by_name.items():
+            assert slots == tuple(s for s, pattern in enumerate(spec.slots)
+                                  if (pattern.action, pattern.object) == name)
+        again = compile_relaxed_spec(annotation)
+        assert again == spec
+        assert hash(again) == hash(spec)
 
 
 def reference_match(candidate, spec):
@@ -499,6 +523,38 @@ def test_score_dataset_strict_le_relaxed():
     ], gts)
     assert report.strict_hlp_pct == 0.0
     assert report.relaxed_hlp_pct == 100.0
+
+
+def test_score_dataset_parses_each_distinct_line_once_per_call(monkeypatch):
+    gts = {"a": gt(["(Pickup, mug)", "(Put, mug, shelf)"]),
+           "b": gt(["(Pickup, book)", "(Put, book, shelf)"])}
+    records = [
+        _record("a", 1, 1.0, ["(Pickup, mug)", "(Put, mug, shelf)"]),
+        _record("b", 1, 1.0, ["(Pickup, book)", "(Put, book, shelf)"]),
+        _record("a", 0, 0.5, ["(Put, mug, shelf)", "(Pickup, mug)"]),
+        _record("b", 0, 0.0, ["(Pickup, book)", "(Put, book, shelf)"]),
+    ]
+    distinct = sorted({line for record in records for line in record["initial_plan"]})
+    calls = []
+    parse = planeval.parse_subgoal
+
+    def counting(line):
+        calls.append(line)
+        return parse(line)
+
+    monkeypatch.setattr(planeval, "parse_subgoal", counting)
+    report = score_dataset(records, gts)
+    assert sorted(calls) == distinct
+    assert report.strict_hlp_pct == report.relaxed_hlp_pct == 75.0
+    # the parsed lines do not outlive a call
+    calls.clear()
+    assert score_dataset(records, gts) == report
+    assert sorted(calls) == distinct
+    # a bad line still names its task, after valid lines of that task
+    records.append(_record("a", 1, 1.0, ["(Pickup, mug)", "(Pickp, mug)"]))
+    with pytest.raises(MalformedInput) as info:
+        score_dataset(records, gts)
+    assert str(info.value) == "initial plan of task 'a': unknown action 'Pickp'"
 
 
 def test_score_dataset_missing_gt():
