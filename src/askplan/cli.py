@@ -21,7 +21,6 @@ from typing import Optional
 from .engine import (
     TRACE_SCHEMA_VERSION,
     EpisodeConfig,
-    EpisodeTrace,
     SchemaMismatch,
     decomposition_prompt,
     planning_prompt,
@@ -99,19 +98,15 @@ def episode_seed(global_seed: int, index: int) -> int:
 
 def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
     """Run every scenario and write one canonical JSON line per task, in task
-    order no matter how execution interleaves. Per-episode problems land in
-    the trace; only configuration errors abort the batch."""
+    order no matter how execution interleaves. Per-episode problems, crashes
+    included, land in the episode's own trace (see ``run_episode``); only
+    configuration errors abort the batch."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "traces.jsonl"
 
     def one(index: int, scenario: Scenario) -> dict:
-        seed = episode_seed(cfg.seed, index)
-        episode_cfg = replace(cfg.episode, seed=seed)
-        try:
-            return run_episode(scenario, cfg.gateway, episode_cfg).to_record()
-        except Exception as exc:  # defensive: a bug must not sink the batch
-            return EpisodeTrace(scenario.id, scenario.task_type, scenario.instruction,
-                                seed, {}, abort_reason=f"internal_error: {exc}").to_record()
+        episode_cfg = replace(cfg.episode, seed=episode_seed(cfg.seed, index))
+        return run_episode(scenario, cfg.gateway, episode_cfg).to_record()
 
     indices = range(len(tasks.scenarios))
     if cfg.parallelism <= 1:
@@ -236,12 +231,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     script_path = args.script or recorded_script
     if not script_path:
         raise MalformedInput("trace does not record a script path; pass --script")
-    gateway = ScriptedGateway(load_script(script_path), script_path=script_path)
+    # echoes the recorded path, so a copy of the script elsewhere replays alike
+    gateway = ScriptedGateway(load_script(script_path), script_path=recorded_script)
     rerun = run_episode(scenario, gateway, cfg).to_record()
-    # The recorded script path must win over the one used for this replay,
-    # otherwise passing an equivalent script from another location would
-    # spuriously fail the comparison.
-    rerun["config"]["gateway"]["script"] = recorded_script
     if dump_record(rerun) == dump_record(record):
         print(f"replay of line {args.line} ({record['task_id']}): identical")
         return EXIT_OK

@@ -7,11 +7,13 @@ verdict is valid, the failure is attributed to the controller and the step is
 redone. Otherwise feedback is requested and the plan is revised, with
 execution resuming at the first revised subgoal that is neither already
 executed nor already satisfied in the current world. A global failure budget
-bounds every episode.
+bounds every episode. Controller noise is drawn here, by the episode: the
+world has no randomness.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
@@ -40,6 +42,7 @@ from .prompting import (
     gen_validity_prompt,
 )
 from .world import (
+    ExecutionResult,
     FailReason,
     Scenario,
     WorldState,
@@ -184,7 +187,6 @@ class EpisodeTrace:
     task_id: str
     task_type: str
     instruction: str
-    seed: int
     config: dict
     qa: Optional[QATranscript] = None
     initial_plan: Optional[Plan] = None
@@ -203,7 +205,7 @@ class EpisodeTrace:
             "task_id": self.task_id,
             "task_type": self.task_type,
             "instruction": self.instruction,
-            "seed": self.seed,
+            "seed": self.config["seed"],
             "config": self.config,
             "qa": None if self.qa is None else [list(turn) for turn in self.qa],
             "initial_plan": None if self.initial_plan is None else
@@ -368,40 +370,53 @@ def _resume_index(world: WorldState, revised: Plan, executed: list[Subgoal]) -> 
     return index
 
 
+def noise_draw(seed: int, step: int) -> float:
+    """Deterministic pseudo-random draw in [0, 1) keyed by (seed, step)."""
+    digest = hashlib.sha256(f"{seed}:{step}".encode("ascii")).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+
+
 def run_episode(scenario: Scenario, gw: Gateway,
                 cfg: Optional[EpisodeConfig] = None) -> EpisodeTrace:
     """Run one full episode and return its trace.
 
-    Mid-episode failures of any kind (controller, gateway, unparseable
-    replies) become recorded outcomes rather than exceptions; only an invalid
-    scenario or configuration raises before the loop starts.
+    The seed (default 0), the noise (default the scenario's) and the decode
+    profile (default ``DecodeParams.for_vocab``) are resolved first, and the
+    trace echoes them. Step ``k`` (0-based, retries included) fails with
+    ``controller_noise`` on an unchanged world when ``noise_draw(seed, k)``
+    is below the noise. Failures of any kind become recorded outcomes; only
+    an invalid configuration raises. Any other exception ends the trace as
+    an ``internal_error`` that keeps what was recorded before it.
     """
     cfg = cfg or EpisodeConfig()
-    world = new_world(scenario)
-    if cfg.seed is not None:
-        world.noise_seed = cfg.seed
-    if cfg.noise_override is not None:
-        world.noise_p = cfg.noise_override
-    cfg = replace(cfg, seed=world.noise_seed, noise_override=world.noise_p,
+    cfg = replace(cfg, seed=cfg.seed or 0,
+                  noise_override=scenario.noise if cfg.noise_override is None
+                  else cfg.noise_override,
                   decode=cfg.decode or DecodeParams.for_vocab(scenario.vocabulary))
-    log: list[dict] = []
     trace = EpisodeTrace(
         task_id=scenario.id,
         task_type=scenario.task_type,
         instruction=scenario.instruction,
-        seed=cfg.seed,
         config=cfg.to_echo(gw),
-        llm_log=log,
     )
+    try:
+        _play(scenario, gw, cfg, trace)
+    except Exception as exc:  # a bug must not sink the batch or lose what was recorded
+        trace.abort_reason = f"internal_error: {exc}"  # outcome and scores keep their defaults
+    return trace
 
-    def finish(outcome: EpisodeOutcome, abort_reason: Optional[str] = None) -> EpisodeTrace:
+
+def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTrace) -> None:
+    # The episode loop of run_episode, on a resolved config; it fills ``trace``.
+    world = new_world(scenario)
+    log = trace.llm_log
+
+    def finish(outcome: EpisodeOutcome, abort_reason: Optional[str] = None) -> None:
+        # computes before it writes, so a crash in it leaves the defaults in place
         conditions = check_goal_conditions(world, scenario.goal)
-        trace.outcome = outcome
-        trace.abort_reason = abort_reason
-        trace.goal_conditions = conditions
-        trace.sr = 1 if all(conditions) else 0
-        trace.gc = sum(conditions) / len(conditions)
-        return trace
+        gc = sum(conditions) / len(conditions)
+        trace.outcome, trace.abort_reason = outcome, abort_reason
+        trace.goal_conditions, trace.sr, trace.gc = conditions, int(all(conditions)), gc
 
     try:
         qa = decompose(scenario.instruction, gw, cfg, log)
@@ -416,7 +431,10 @@ def run_episode(scenario: Scenario, gw: Gateway,
     index = 0
     while index < len(current):
         sg = current[index]
-        result = apply_subgoal(world, sg)
+        if noise_draw(cfg.seed, len(trace.steps)) < cfg.noise_override:
+            result = ExecutionResult(world, FailReason.CONTROLLER_NOISE, "controller malfunction")
+        else:
+            result = apply_subgoal(world, sg)
         world = result.state_after
         visible = detect_objects(world)
         observed |= visible
@@ -460,4 +478,4 @@ def run_episode(scenario: Scenario, gw: Gateway,
 
     final = EpisodeOutcome.SUCCESS if all(check_goal_conditions(world, scenario.goal)) \
         else EpisodeOutcome.PLAN_EXHAUSTED
-    return finish(final)
+    finish(final)

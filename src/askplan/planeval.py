@@ -28,11 +28,12 @@ swap group, the sets it expands are therefore polynomial in the number of
 identical blocks, and bounded by the product of (block length + 1) over
 distinct blocks.
 
-The tables the matcher reads that depend only on the annotation (each slot's
-predecessor bits, the slots of each (action, object), and the twin block
-masks of the state key) are compiled once per spec, by
-``compile_relaxed_spec``; a match builds only each step's choices. Scoring a
-trace set parses each distinct plan line once.
+The tables the matcher reads that depend only on the annotation (per
+(action, object), each slot's receptacle, bit and predecessor bits; and the
+twin block masks of the state key) are compiled once per spec, by
+``compile_relaxed_spec``; a match builds each step's choices with one lookup
+and a receptacle test. Scoring a trace set parses each distinct plan line
+once.
 """
 
 from __future__ import annotations
@@ -148,12 +149,10 @@ class SlotPattern:
     receptacle: Optional[str]
     any_receptacle: bool = False
 
-    def matches(self, sg: Subgoal) -> bool:
-        if sg.action is not self.action or sg.object != self.object:
-            return False
-        if self.any_receptacle:
-            return True
-        return sg.receptacle == self.receptacle
+
+# one slot of an (action, object) in the matcher's table: its receptacle (None
+# for any), its bit and the bits of the slots before it
+SlotEntry = tuple[Optional[str], int, int]
 
 
 @dataclass(frozen=True)
@@ -165,18 +164,19 @@ class RelaxedSpec:
     the patterns and the DAG onto themselves.
 
     The other fields are the matcher's tables, compiled once per spec from
-    those three and left out of comparison and hashing: ``preds``, per slot
-    the bits of the slots before it; ``by_name``, per (action, object) its
-    slots in order; per twin class, the start slots of its blocks and one
-    block's bit mask (``twin_masks``), and the bits of the slots in no twin
-    block (``outside``), which ``state_key`` reads.
+    those three and left out of comparison and hashing: ``by_name``, per
+    (action, object) its slots in order, each as (receptacle, or None for
+    any, slot bit, bits of the slots before it); per twin class, the start
+    slots of its blocks and one block's bit mask (``twin_masks``), and the
+    bits of the slots in no twin block (``outside``), which ``state_key``
+    reads.
     """
 
     slots: tuple[SlotPattern, ...]
     precedence: frozenset[tuple[int, int]]
     twins: tuple[tuple[tuple[int, int], ...], ...]
-    preds: tuple[int, ...] = field(compare=False, repr=False)
-    by_name: Mapping[tuple[ActionKind, str], tuple[int, ...]] = field(compare=False, repr=False)
+    by_name: Mapping[tuple[ActionKind, str], tuple[SlotEntry, ...]] = \
+        field(compare=False, repr=False)
     twin_masks: tuple[tuple[tuple[int, ...], int], ...] = field(compare=False, repr=False)
     outside: int = field(compare=False, repr=False)
 
@@ -230,15 +230,16 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     preds = [0] * n
     for i, j in edges:
         preds[j] |= 1 << i
-    by_name: dict[tuple[ActionKind, str], tuple[int, ...]] = {}
+    # a non-Put step has no receptacle, so None also stands for any on its slots
+    by_name: dict[tuple[ActionKind, str], tuple[SlotEntry, ...]] = {}
     for s, pattern in enumerate(slots):
         name = (pattern.action, pattern.object)
-        by_name[name] = by_name.get(name, ()) + (s,)
+        receptacle = None if pattern.any_receptacle else pattern.receptacle
+        by_name[name] = by_name.get(name, ()) + ((receptacle, 1 << s, preds[s]),)
     twin_masks = tuple((tuple(lo for lo, _ in members),
                         (1 << (members[0][1] - members[0][0] + 1)) - 1) for members in twins)
     outside = ~sum(mask << lo for los, mask in twin_masks for lo in los)
-    return RelaxedSpec(slots, frozenset(edges), tuple(twins), tuple(preds), by_name,
-                       twin_masks, outside)
+    return RelaxedSpec(slots, frozenset(edges), tuple(twins), by_name, twin_masks, outside)
 
 
 def _interchangeable(a: tuple[int, int], b: tuple[int, int],
@@ -280,9 +281,9 @@ def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
         return False
     options = []
     for step in steps:
-        choices = [(1 << s, spec.preds[s])
-                   for s in spec.by_name.get((step.action, step.object), ())
-                   if spec.slots[s].matches(step)]
+        choices = [(bit, need)
+                   for receptacle, bit, need in spec.by_name.get((step.action, step.object), ())
+                   if receptacle is None or receptacle == step.receptacle]
         if not choices:
             return False
         options.append(choices)

@@ -3,9 +3,10 @@ scene rendering, and goal-condition checks.
 
 The environment stands in for a 3D household simulator at the granularity a
 subgoal planner cares about: what is where, what is open/on/sliced/heated/
-chilled/clean, and which objects the agent can currently see. Transitions are
-functional (a fresh state is returned) and fully deterministic given the
-state's noise seed and step counter, so episodes replay bit-for-bit.
+chilled/clean, and which objects the agent can currently see. A state is the
+scene alone (entities, the agent's zone, the held object), and a transition
+is a pure function of a state and a subgoal that returns a fresh state. The
+world has no randomness: ``engine.run_episode`` draws the controller noise.
 
 Entities are immutable values. A step returns a new ``WorldState`` whose
 entity dict is a fresh copy that shares every entity the step does not
@@ -26,8 +27,7 @@ zone, where its target and receptacle already are.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, get_args, get_type_hints
 
@@ -125,13 +125,10 @@ class WorldState:
     entities: dict[str, ObjectEntity]
     agent_zone: str
     held: Optional[str] = None
-    step_count: int = 0
-    noise_seed: int = 0
-    noise_p: float = 0.0
 
     def copy(self) -> "WorldState":
         """A new state with its own entity dict, sharing every entity."""
-        return replace(self, entities=dict(self.entities))
+        return WorldState(dict(self.entities), self.agent_zone, self.held)
 
     def edit(self, entity_id: str, **changes) -> None:
         """Replace one entity of this state by a copy with ``changes`` applied;
@@ -291,17 +288,8 @@ def validate_scenario(scenario: Scenario) -> None:
 
 def new_world(scenario: Scenario) -> WorldState:
     """Fresh world for one episode: the initial state with its own entity
-    dict, at step 0."""
-    world = scenario.initial.copy()
-    world.step_count = 0
-    world.noise_p = scenario.noise
-    return world
-
-
-def noise_draw(seed: int, step: int) -> float:
-    """Deterministic pseudo-random draw in [0, 1) keyed by (seed, step)."""
-    digest = hashlib.sha256(f"{seed}:{step}".encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+    dict."""
+    return scenario.initial.copy()
 
 
 def _visible(world: WorldState, entity_id: str) -> bool:
@@ -338,15 +326,11 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
     """Execute one subgoal and return a new state; ``world`` is not changed,
     and the new state shares every entity the step leaves as it was.
 
-    The controller noise draw happens before any semantics; a failed step
-    leaves everything unchanged except the step counter. Never raises on a
-    well-formed subgoal: unknown names come back as target_not_visible.
+    A pure function of ``(world, sg)``. A failed step returns a state equal
+    to ``world``. Never raises on a well-formed subgoal: unknown names come
+    back as target_not_visible.
     """
     state = world.copy()
-    state.step_count += 1
-    if noise_draw(world.noise_seed, world.step_count) < world.noise_p:
-        return ExecutionResult(state, FailReason.CONTROLLER_NOISE, "controller malfunction")
-
     target = state.entities.get(sg.object)
     if target is None:
         return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE,

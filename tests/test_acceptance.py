@@ -18,7 +18,7 @@ from askplan.engine import EpisodeConfig, EpisodeOutcome, run_episode
 from askplan.planeval import compile_relaxed_spec, enumerate_valid_plans, \
     relaxed_match, strict_match
 from askplan.plans import parse_subgoal, render_subgoal
-from askplan.world import noise_draw
+from askplan.engine import noise_draw
 
 from conftest import random_subgoal
 from test_planeval import RECEPTACLE_POOL, random_annotation

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from askplan import asset_path
+from askplan import asset_path, engine
 from askplan.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -24,6 +24,7 @@ from askplan.cli import (
 )
 from askplan.engine import EpisodeConfig
 from askplan.gateway import MalformedScript, OracleScript, ScriptedGateway, load_script
+from askplan.plans import render_subgoal
 
 MINI7 = str(asset_path("tasks/mini7.json"))
 SCRIPT = str(asset_path("scripts/mini7.json"))
@@ -467,6 +468,85 @@ def test_replay_detects_divergence(trace_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "DIVERGED" in out
     assert "'sr'" in out
+
+
+def test_replay_with_a_copy_of_the_script_at_another_path(pinned_traces, tmp_path, capsys):
+    copy = tmp_path / "elsewhere" / "copy.json"
+    copy.parent.mkdir()
+    copy.write_bytes(Path(SCRIPT).read_bytes())
+    traces = pinned_traces["mini7"]
+    assert read_traces(traces)[0]["config"]["gateway"]["script"] != str(copy)
+    assert run_cli("replay", "--traces", str(traces), "--tasks", MINI7,
+                   "--line", "1", "--script", str(copy)) == EXIT_OK
+    assert "identical" in capsys.readouterr().out
+
+
+# -- a crash inside one episode -------------------------------------------------
+
+CRASH_VICTIM = "cool_tomato"
+
+
+def _crash_in_step(monkeypatch, victim: dict) -> None:
+    # "(Pickup, tomato)" is step 3 of the victim and no step of any other task
+    apply_subgoal = engine.apply_subgoal
+
+    def crashing(world, sg):
+        if render_subgoal(sg) == "(Pickup, tomato)":
+            raise RuntimeError("injected crash in (Pickup, tomato)")
+        return apply_subgoal(world, sg)
+
+    monkeypatch.setattr(engine, "apply_subgoal", crashing)
+
+
+def _crash_in_model_call(monkeypatch, victim: dict) -> None:
+    # the victim's planning call raises something that is no GatewayError
+    complete = ScriptedGateway.complete
+
+    def crashing(self, prompt, params):
+        if prompt.system_text.startswith("You are a household robot's task planner") \
+                and victim["instruction"] in prompt.user_text:
+            raise KeyError("injected crash in the planning call")
+        return complete(self, prompt, params)
+
+    monkeypatch.setattr(ScriptedGateway, "complete", crashing)
+
+
+@pytest.mark.parametrize("inject, steps, log_entries", [
+    (_crash_in_step, 3, 4),  # decompose and plan, request and reply each
+    (_crash_in_model_call, 0, 3),  # the planning request has no reply
+], ids=["step", "model-call"])
+def test_crash_in_one_episode_is_recorded_in_its_own_line(inject, steps, log_entries,
+                                                          tmp_path, monkeypatch, capsys):
+    plain_path = pinned_run("mini7", tmp_path / "plain")
+    plain = plain_path.read_text("utf-8").splitlines()
+    victim_index = [json.loads(line)["task_id"] for line in plain].index(CRASH_VICTIM)
+    expected = json.loads(plain[victim_index])
+    inject(monkeypatch, expected)
+
+    out = tmp_path / "crashed"
+    assert run_cli("run", "--tasks", MINI7, "--gateway", "scripted", "--script", SCRIPT,
+                   "--seed", "42", "--out", str(out), "--parallel", "2") == EXIT_OK
+    crashed = (out / "traces.jsonl").read_text("utf-8").splitlines()
+    assert len(crashed) == len(plain)
+    assert [line for k, line in enumerate(crashed) if k != victim_index] == \
+        [line for k, line in enumerate(plain) if k != victim_index]
+
+    record = json.loads(crashed[victim_index])
+    assert record["outcome"] == "plan_exhausted"
+    assert record["abort_reason"].startswith("internal_error: ")
+    assert "injected crash" in record["abort_reason"]
+    assert record["sr"] == 0 and record["gc"] == 0 and record["goal_conditions"] == []
+    assert record["config"] == expected["config"]
+    assert record["seed"] == expected["seed"]
+    assert record["qa"] == expected["qa"]
+    assert record["initial_plan"] == (expected["initial_plan"] if steps else None)
+    assert record["steps"] == expected["steps"][:steps]
+    assert record["llm_log"] == expected["llm_log"][:log_entries]
+
+    capsys.readouterr()
+    assert run_cli("replay", "--traces", str(out / "traces.jsonl"), "--tasks", MINI7,
+                   "--line", str(victim_index + 1)) == EXIT_OK
+    assert "identical" in capsys.readouterr().out
 
 
 # -- prompts ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from askplan.engine import (
     decompose,
     handle_failure,
     make_plan,
+    noise_draw,
     run_episode,
 )
 from askplan.gateway import (
@@ -22,7 +23,7 @@ from askplan.gateway import (
 )
 from askplan.plans import ActionKind, parse_subgoal, render_subgoal
 from askplan.prompting import Verdict
-from askplan.world import FailReason, new_world, noise_draw, render_scene
+from askplan.world import FailReason, new_world, render_scene
 
 DECODE = DecodeParams()
 CFG = EpisodeConfig(decode=DECODE)

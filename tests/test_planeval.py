@@ -185,8 +185,12 @@ def test_swap_group_drops_cross_block_edges():
 
 def test_wildcard_slot_becomes_match_any():
     spec = compile_relaxed_spec(gt(["(Put, knife, counter)"], wildcards=[0]))
-    assert spec.slots[0].matches(parse_subgoal("(Put, knife, sink)"))
-    assert not spec.slots[0].matches(parse_subgoal("(Put, fork, sink)"))
+    assert spec.slots[0].any_receptacle
+    assert relaxed_match([parse_subgoal("(Put, knife, sink)")], spec)
+    assert not relaxed_match([parse_subgoal("(Put, fork, sink)")], spec)
+    fixed = compile_relaxed_spec(gt(["(Put, knife, counter)"]))
+    assert relaxed_match([parse_subgoal("(Put, knife, counter)")], fixed)
+    assert not relaxed_match([parse_subgoal("(Put, knife, sink)")], fixed)
 
 
 # -- strict matching ----------------------------------------------------------
@@ -339,22 +343,32 @@ def test_relaxed_match_agrees_with_oracle_on_150_random_specs():
 def test_compiled_tables_agree_with_the_spec_on_150_random_specs():
     for annotation, _ in _oracle_cases():
         spec = compile_relaxed_spec(annotation)
-        n = len(spec.slots)
-        assert len(spec.preds) == n
-        assert {(i, j) for i in range(n) for j in range(n)
-                if spec.preds[j] >> i & 1} == spec.precedence
         names = {(pattern.action, pattern.object) for pattern in spec.slots}
         assert spec.by_name.keys() == names
-        for name, slots in spec.by_name.items():
-            assert slots == tuple(s for s, pattern in enumerate(spec.slots)
-                                  if (pattern.action, pattern.object) == name)
+        for name, entries in spec.by_name.items():
+            slots = [s for s, pattern in enumerate(spec.slots)
+                     if (pattern.action, pattern.object) == name]
+            assert [bit for _, bit, _ in entries] == [1 << s for s in slots]
+            for (receptacle, _, need), s in zip(entries, slots):
+                pattern = spec.slots[s]
+                assert receptacle == (None if pattern.any_receptacle else pattern.receptacle)
+                assert {i for i in range(len(spec.slots)) if need >> i & 1} == \
+                    {i for i, j in spec.precedence if j == s}
         again = compile_relaxed_spec(annotation)
         assert again == spec
         assert hash(again) == hash(spec)
 
 
+def slot_matches(pattern, sg):
+    """The slot rule: same action and object, and the slot's receptacle unless
+    the slot is a wildcard."""
+    return (sg.action, sg.object) == (pattern.action, pattern.object) and \
+        (pattern.any_receptacle or sg.receptacle == pattern.receptacle)
+
+
 def reference_match(candidate, spec):
-    """The matcher before memoization: plain backtracking over positions."""
+    """The matcher before memoization: plain backtracking over positions,
+    reading only the patterns and the precedence set."""
     steps = [sg for sg in candidate if sg.action is not ActionKind.NAVIGATE]
     n = len(spec.slots)
     preds = [{i for i, j in spec.precedence if j == s} for s in range(n)]
@@ -364,7 +378,8 @@ def reference_match(candidate, spec):
         if pos == n:
             return True
         for slot in range(n):
-            if slot not in used and preds[slot] <= used and spec.slots[slot].matches(steps[pos]):
+            if slot not in used and preds[slot] <= used and slot_matches(spec.slots[slot],
+                                                                          steps[pos]):
                 used.add(slot)
                 if assign(pos + 1):
                     return True

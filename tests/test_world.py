@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from askplan.engine import EpisodeConfig, run_episode
+from askplan.engine import EpisodeConfig, noise_draw, run_episode
 from askplan.plans import ActionKind, Subgoal, parse_subgoal
 from askplan.world import (
     FLAG_IMPLICATIONS,
@@ -19,7 +19,6 @@ from askplan.world import (
     check_goal_conditions,
     detect_objects,
     new_world,
-    noise_draw,
     render_scene,
     subgoal_effects_satisfied,
 )
@@ -55,7 +54,7 @@ def run_core_with_navigation(world: WorldState, core) -> WorldState:
 
 def test_new_world_bread_fixture(bread_scenario):
     world = new_world(bread_scenario)
-    assert world.step_count == 0
+    assert world == bread_scenario.initial
     bread = world.entities["bread"]
     assert not bread.is_sliced and not bread.is_heated
     assert not world.entities["microwave"].is_open
@@ -311,39 +310,61 @@ def test_contained_object_moves_with_carried_receptacle(mini7):
     assert world.entities["plate"].container == "countertop"
 
 
-# -- noise --------------------------------------------------------------------
+# -- controller noise ---------------------------------------------------------
+# The episode draws the noise and the world never sees it, so these run whole
+# episodes: the noisy script answers every validity check VALID, so each
+# noisy step is redone.
 
 
-def test_noise_zero_never_fires(bread_scenario):
-    world = new_world(bread_scenario)
-    assert world.noise_p == 0.0
-    for _ in range(30):
-        result = apply_subgoal(world, parse_subgoal("(Open, fridge)"))
-        assert result.reason is not FailReason.CONTROLLER_NOISE
-        world = result.state_after
+def _noisy_episode(scenario, gateway, seed, noise, budget=10):
+    return run_episode(scenario, gateway, EpisodeConfig(
+        seed=seed, noise_override=noise, failure_budget=budget))
 
 
-def test_noise_one_always_fires(bread_scenario):
-    world = new_world(bread_scenario)
-    world.noise_p = 1.0
-    result = apply_subgoal(world, parse_subgoal("(Open, fridge)"))
-    assert result.reason is FailReason.CONTROLLER_NOISE
-    assert not result.state_after.entities["fridge"].is_open
+def test_noise_zero_never_fires(bread_scenario, noisy_gateway):
+    assert bread_scenario.noise == 0.0
+    for seed in range(10):
+        for cfg in (EpisodeConfig(seed=seed), EpisodeConfig(seed=seed, noise_override=0.0)):
+            trace = run_episode(bread_scenario, noisy_gateway, cfg)
+            assert trace.config["noise"] == 0.0
+            assert trace.failure_count == 0
+            assert all(step.reason is not FailReason.CONTROLLER_NOISE for step in trace.steps)
 
 
-def test_noise_draw_deterministic():
+def test_noise_one_always_fires(bread_scenario, noisy_gateway):
+    trace = _noisy_episode(bread_scenario, noisy_gateway, seed=5, noise=1.0, budget=30)
+    assert trace.failure_count == 30
+    assert all(step.reason is FailReason.CONTROLLER_NOISE and step.decision == "redo"
+               for step in trace.steps[:-1])
+    # a noisy step changes nothing: every scene is the initial one
+    initial = new_world(bread_scenario)
+    assert {step.scene for step in trace.steps} == \
+        {render_scene(initial, detect_objects(initial))}
+    assert trace.goal_conditions == check_goal_conditions(initial, bread_scenario.goal)
+
+
+def test_noise_draw_deterministic(bread_scenario, noisy_gateway):
     assert noise_draw(42, 7) == noise_draw(42, 7)
     assert 0.0 <= noise_draw(42, 7) < 1.0
+    # step k of an episode fails exactly when the draw for (seed, k) is below the noise
+    trace = _noisy_episode(bread_scenario, noisy_gateway, seed=99, noise=0.3)
+    assert trace.failure_count
+    assert [step.reason is FailReason.CONTROLLER_NOISE for step in trace.steps] == \
+        [noise_draw(99, k) < 0.3 for k in range(len(trace.steps))]
 
 
-def test_identical_inputs_identical_results(bread_scenario):
+def test_identical_inputs_identical_results(bread_scenario, noisy_gateway):
     world = new_world(bread_scenario)
-    world.noise_p = 0.5
-    world.noise_seed = 99
     first = apply_subgoal(world, parse_subgoal("(Pickup, knife)"))
     second = apply_subgoal(world, parse_subgoal("(Pickup, knife)"))
-    assert first.reason == second.reason
-    assert first.state_after == second.state_after
+    assert first == second
+    runs = [_noisy_episode(bread_scenario, noisy_gateway, seed=99, noise=0.5).to_record()
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0]["failure_count"]
+    other = _noisy_episode(bread_scenario, noisy_gateway, seed=98, noise=0.5).to_record()
+    assert [step["reason"] for step in other["steps"]] != \
+        [step["reason"] for step in runs[0]["steps"]]
 
 
 # -- visibility and scene -----------------------------------------------------
@@ -473,8 +494,6 @@ def test_random_sequences_preserve_invariants(mini7):
     for scenario in mini7.scenarios:
         for _ in range(10):
             world = new_world(scenario)
-            world.noise_p = 0.2
-            world.noise_seed = rng.randrange(2 ** 32)
             vocab = sorted(world.entities)
             for _ in range(30):
                 obj = rng.choice(vocab)
@@ -492,10 +511,8 @@ def test_random_sequences_preserve_invariants(mini7):
                 assert world.held is None or world.held in world.entities
                 assert _flags_consistent(world)
                 assert _containment_consistent(world), f"{sg} broke containment"
-                assert world.step_count == before.step_count + 1
                 if not result.success:
-                    before.step_count += 1
-                    assert world == before, "failed step must only advance the counter"
+                    assert world == before, f"failed {sg} changed the world"
     assert succeeded == set(ActionKind)
 
 
