@@ -23,7 +23,6 @@ from .engine import (
     EpisodeConfig,
     SchemaMismatch,
     decomposition_prompt,
-    planning_prompt,
     run_episode,
 )
 from .gateway import (
@@ -38,7 +37,7 @@ from .inputs import (NUMBER, MalformedInput, checked_field, read_json, read_json
                      reject_unknown_keys)
 from .planeval import MissingGroundTruth, score_dataset
 from .plans import PlanParseError
-from .prompting import RenderedPrompt
+from .prompting import RenderedPrompt, gen_tp_prompt
 from .world import Scenario
 
 EXIT_OK = 0
@@ -275,14 +274,15 @@ def cmd_prompts(args: argparse.Namespace) -> int:
     cfg = EpisodeConfig(use_std=not args.no_std, use_cot=args.cot)
     instruction = scenario.instruction
     decomposer = decomposition_prompt(instruction, cfg)
-    if decomposer is None:
-        blocks = [("planner", _prompt_block("planner (no decomposition)",
-                                            planning_prompt(instruction, None, cfg)))]
-    else:
+    blocks = []
+    qa = None
+    if decomposer is not None:
         title = "decomposer (chain-of-thought)" if cfg.use_cot else "decomposer"
         qa = _SAMPLE_COT if cfg.use_cot else _SAMPLE_QA
-        blocks = [("decomposer", _prompt_block(title, decomposer)),
-                  ("planner", _prompt_block("planner", planning_prompt(instruction, qa, cfg)))]
+        blocks.append(("decomposer", _prompt_block(title, decomposer)))
+    planner = gen_tp_prompt(instruction, qa, cot=cfg.use_cot)
+    blocks.append(("planner", _prompt_block(
+        "planner" if qa else "planner (no decomposition)", planner)))
 
     if args.out:
         out_dir = Path(args.out)

@@ -33,11 +33,9 @@ from .prompting import (
     Validity,
     Verdict,
     classify_validity,
-    gen_cot_prompt,
     gen_feedback_prompt,
     gen_replan_prompt,
     gen_std_prompt,
-    gen_tp_no_std_prompt,
     gen_tp_prompt,
     gen_validity_prompt,
 )
@@ -261,20 +259,9 @@ def _parse_qa(text: str) -> QATranscript:
 def decomposition_prompt(instruction: str, cfg: EpisodeConfig) -> Optional[RenderedPrompt]:
     """The decomposition stage's prompt, or None when ``cfg`` has no
     decomposition stage."""
-    if cfg.use_cot:
-        return gen_cot_prompt(instruction)
-    if cfg.use_std:
-        return gen_std_prompt(instruction)
+    if cfg.use_std or cfg.use_cot:
+        return gen_std_prompt(instruction, cot=cfg.use_cot)
     return None
-
-
-def planning_prompt(instruction: str, qa: Optional[QATranscript],
-                    cfg: EpisodeConfig) -> RenderedPrompt:
-    """The planning stage's prompt, given the decomposition transcript (None
-    without a decomposition stage)."""
-    if qa is None:
-        return gen_tp_no_std_prompt(instruction)
-    return gen_tp_prompt(instruction, qa, cot=cfg.use_cot)
 
 
 def decompose(instruction: str, gw: Gateway, cfg: EpisodeConfig,
@@ -301,7 +288,8 @@ def make_plan(instruction: str, qa: Optional[QATranscript], gw: Gateway,
               cfg: EpisodeConfig, log: list[dict]) -> Plan:
     """Run the planning stage; a completion with no subgoal lines at all is a
     PlanningFailed error."""
-    completion = _call(gw, "plan", planning_prompt(instruction, qa, cfg), cfg.decode, log)
+    completion = _call(gw, "plan", gen_tp_prompt(instruction, qa, cot=cfg.use_cot),
+                       cfg.decode, log)
     try:
         plan = parse_plan(completion.text)
     except NoSubgoalsFound as exc:
@@ -402,7 +390,8 @@ def run_episode(scenario: Scenario, gw: Gateway,
     try:
         _play(scenario, gw, cfg, trace)
     except Exception as exc:  # a bug must not sink the batch or lose what was recorded
-        trace.abort_reason = f"internal_error: {exc}"  # outcome and scores keep their defaults
+        # outcome and scores keep their defaults
+        trace.abort_reason = f"internal_error: {type(exc).__name__}: {exc}"
     return trace
 
 

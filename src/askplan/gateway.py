@@ -1,5 +1,8 @@
 """Chat-completion gateway: a remote HTTP provider client and a deterministic
-scripted stand-in, behind one call shape.
+scripted stand-in, both subclasses of one ``Gateway`` base. The base writes
+the two call shapes, ``complete`` and the scene-conditioned
+``complete_multimodal``, once; each kind implements only ``_send`` and
+``describe``.
 
 The HTTP client is the standard library's ``urllib.request``, so proxies,
 TLS verification and redirects follow urllib's rules.
@@ -20,7 +23,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Protocol
+from typing import Iterable, Mapping, Optional
 
 from .inputs import MalformedInput, checked_field, read_json, reject_unknown_keys
 from .prompting import RenderedPrompt
@@ -162,32 +165,34 @@ def request_text(prompt: RenderedPrompt, scene: Optional[str] = None) -> str:
     return f"{prompt.user_text}\n\nCurrent scene:\n{scene}"
 
 
-class Gateway(Protocol):
-    def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion: ...
+class Gateway:
+    """Both call shapes, written once: each formats its request text with
+    ``request_text`` and hands it to the gateway kind's ``_send``."""
+
+    def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion:
+        return self._send(prompt.system_text, request_text(prompt), params)
 
     def complete_multimodal(self, prompt: RenderedPrompt, scene: str,
-                            params: DecodeParams) -> Completion: ...
+                            params: DecodeParams) -> Completion:
+        return self._send(prompt.system_text, request_text(prompt, scene), params)
 
-    def describe(self) -> dict: ...
+    def _send(self, system_text: str, user_text: str, params: DecodeParams) -> Completion:
+        raise NotImplementedError
+
+    def describe(self) -> dict:
+        raise NotImplementedError
 
 
-class ScriptedGateway:
+class ScriptedGateway(Gateway):
     """Deterministic oracle: same request text, same reply, no clock, no RNG."""
 
     def __init__(self, script: OracleScript, script_path: Optional[str] = None):
         self.script = script
         self.script_path = script_path
 
-    def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion:
-        return self._reply(request_text(prompt))
-
-    def complete_multimodal(self, prompt: RenderedPrompt, scene: str,
-                            params: DecodeParams) -> Completion:
-        return self._reply(request_text(prompt, scene))
-
-    def _reply(self, text: str) -> Completion:
-        reply = self.script.reply_for(text)
-        return Completion(reply, "scripted", 0, (len(text.split()), len(reply.split())))
+    def _send(self, system_text: str, user_text: str, params: DecodeParams) -> Completion:
+        reply = self.script.reply_for(user_text)
+        return Completion(reply, "scripted", 0, (len(user_text.split()), len(reply.split())))
 
     def describe(self) -> dict:
         return {"kind": "scripted", "script": self.script_path}
@@ -203,7 +208,7 @@ class HttpGatewayConfig:
     backoff_s: float = 0.25
 
 
-class HttpGateway:
+class HttpGateway(Gateway):
     """Chat-completion client over a provider's HTTP endpoint.
 
     The request body carries model, messages, temperature, logit_bias and
@@ -219,14 +224,7 @@ class HttpGateway:
     def __init__(self, config: HttpGatewayConfig):
         self.config = config
 
-    def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion:
-        return self._request(prompt.system_text, request_text(prompt), params)
-
-    def complete_multimodal(self, prompt: RenderedPrompt, scene: str,
-                            params: DecodeParams) -> Completion:
-        return self._request(prompt.system_text, request_text(prompt, scene), params)
-
-    def _request(self, system_text: str, user_text: str, params: DecodeParams) -> Completion:
+    def _send(self, system_text: str, user_text: str, params: DecodeParams) -> Completion:
         body = {
             "model": self.config.model,
             "messages": [

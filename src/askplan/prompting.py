@@ -1,8 +1,10 @@
-"""Prompt generators for decomposition, planning, validity, feedback and
-re-planning, implemented as substitution over versioned template files.
+"""Prompt generators, one per stage: decomposition, planning, validity,
+feedback and re-planning, implemented as substitution over versioned
+template files. The decomposition and planning generators also pick their
+ablation variant's template (chain-of-thought, no decomposition).
 
 Templates live in the package's ``prompts/`` directory, one file per
-generator, with a ``[system]`` section followed by a ``[user]`` section.
+template, with a ``[system]`` section followed by a ``[user]`` section.
 Placeholders are written ``{name}`` and substituted literally, in one pass,
 so a value that itself contains ``{name}`` is inserted as it is. A template's
 placeholders are the ones its text contains, and a generator must supply
@@ -97,31 +99,26 @@ def format_transcript(qa: QATranscript) -> str:
     return "\n".join(blocks)
 
 
-def gen_std_prompt(instruction: str) -> RenderedPrompt:
-    """Self-questioning decomposition prompt for a raw instruction."""
-    return _render("std", {"instruction": instruction})
+def gen_std_prompt(instruction: str, cot: bool = False) -> RenderedPrompt:
+    """Decomposition prompt for a raw instruction: self-questioning, or with
+    ``cot=True`` the step-by-step ablation variant."""
+    return _render("std_cot" if cot else "std", {"instruction": instruction})
 
 
-def gen_cot_prompt(instruction: str) -> RenderedPrompt:
-    """Ablation variant: step-by-step decomposition instead of self-QA."""
-    return _render("std_cot", {"instruction": instruction})
-
-
-def gen_tp_prompt(instruction: str, qa: QATranscript, cot: bool = False) -> RenderedPrompt:
-    """Planning prompt fed with the decomposition transcript.
+def gen_tp_prompt(instruction: str, qa: QATranscript | None,
+                  cot: bool = False) -> RenderedPrompt:
+    """Planning prompt fed with the decomposition transcript, or with
+    ``qa=None`` the no-decomposition ablation's prompt.
 
     With ``cot=True`` the transcript is free-form decomposition text rather
     than a conversation, and the ``tp_cot`` template words it so.
     """
+    if qa is None:
+        return _render("tp_no_std", {"instruction": instruction})
     if not qa:
         raise EmptyTranscript("planning with a decomposition requires at least one turn")
     return _render("tp_cot" if cot else "tp",
                    {"instruction": instruction, "QA": format_transcript(qa)})
-
-
-def gen_tp_no_std_prompt(instruction: str) -> RenderedPrompt:
-    """Planning prompt for the no-decomposition ablation."""
-    return _render("tp_no_std", {"instruction": instruction})
 
 
 def gen_validity_prompt(sg: Subgoal) -> RenderedPrompt:

@@ -511,11 +511,15 @@ def _crash_in_model_call(monkeypatch, victim: dict) -> None:
     monkeypatch.setattr(ScriptedGateway, "complete", crashing)
 
 
-@pytest.mark.parametrize("inject, steps, log_entries", [
-    (_crash_in_step, 3, 4),  # decompose and plan, request and reply each
-    (_crash_in_model_call, 0, 3),  # the planning request has no reply
+@pytest.mark.parametrize("inject, steps, log_entries, reason", [
+    # decompose and plan, request and reply each
+    (_crash_in_step, 3, 4,
+     "internal_error: RuntimeError: injected crash in (Pickup, tomato)"),
+    # the planning request has no reply
+    (_crash_in_model_call, 0, 3,
+     "internal_error: KeyError: 'injected crash in the planning call'"),
 ], ids=["step", "model-call"])
-def test_crash_in_one_episode_is_recorded_in_its_own_line(inject, steps, log_entries,
+def test_crash_in_one_episode_is_recorded_in_its_own_line(inject, steps, log_entries, reason,
                                                           tmp_path, monkeypatch, capsys):
     plain_path = pinned_run("mini7", tmp_path / "plain")
     plain = plain_path.read_text("utf-8").splitlines()
@@ -533,8 +537,7 @@ def test_crash_in_one_episode_is_recorded_in_its_own_line(inject, steps, log_ent
 
     record = json.loads(crashed[victim_index])
     assert record["outcome"] == "plan_exhausted"
-    assert record["abort_reason"].startswith("internal_error: ")
-    assert "injected crash" in record["abort_reason"]
+    assert record["abort_reason"] == reason
     assert record["sr"] == 0 and record["gc"] == 0 and record["goal_conditions"] == []
     assert record["config"] == expected["config"]
     assert record["seed"] == expected["seed"]
@@ -588,6 +591,21 @@ def test_prompts_cot_contains_marker(tmp_path):
     planner = (out / "planner.txt").read_text()
     assert planner.splitlines()[0] == "### planner"
     assert "step-by-step decomposition" in planner
+
+
+# sha256 of what `prompts --id heat_bread` prints for each flag combination
+PROMPT_DIGESTS = Path(__file__).parent / "data" / "prompt_digests.json"
+PROMPT_FLAGS = {"default": (), "no-std": ("--no-std",), "cot": ("--cot",),
+                "no-std-cot": ("--no-std", "--cot")}
+
+
+def test_pinned_prompt_digests(capsys):
+    digests = {}
+    for name, flags in PROMPT_FLAGS.items():
+        capsys.readouterr()
+        assert run_cli("prompts", "--tasks", MINI7, "--id", "heat_bread", *flags) == EXIT_OK
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == json.loads(PROMPT_DIGESTS.read_text("utf-8"))
 
 
 def test_prompts_unknown_id(tmp_path):
@@ -680,6 +698,17 @@ MALFORMED_INPUTS = {
         _set(("scenarios", 0, "gt", "floating"), [[1]])), None),
     "floating-cycle": ("run", _mini7_with(
         _set(("scenarios", 0, "gt", "floating"), [[1, 2], [2, 1]])), None),
+    "floating-self-anchor": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "floating"), [[1, 1]])), None),
+    "floating-twice": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "floating"), [[9, 8], [9, 7]])), None),
+    "entity-id-duplicate": ("run", _mini7_with(
+        lambda data: data["scenarios"][0]["entities"].append(
+            dict(data["scenarios"][0]["entities"][1]))), None),
+    "held-missing": ("run", _mini7_with(_set(("scenarios", 0, "held"), "ghost")), None),
+    "held-in-container": ("run", _mini7_with(lambda data: (  # the knife, on the counter
+        _set(("scenarios", 0, "entities", 1, "container"), "counter")(data),
+        _set(("scenarios", 0, "held"), "knife")(data))), None),
     "containment-self": ("run", _mini7_with(
         _set(("scenarios", 0, "entities", 2, "container"), "microwave")), None),
     "containment-cycle": ("run", _mini7_with(lambda data: (  # microwave <-> fridge
@@ -712,6 +741,11 @@ MALFORMED_INPUTS = {
         _set(("config", "gateway", "script"), ["a"]))),
     "echo-script-object": ("replay", None, _first_trace_with(
         _set(("config", "gateway", "script"), {}))),
+    "trace-task-unknown": ("replay", None, _first_trace_with(_set(("task_id",), "ghost"))),
+    "echo-kind-http": ("replay", None, _first_trace_with(
+        _set(("config", "gateway", "kind"), "http"))),
+    "echo-script-null": ("replay", None, _first_trace_with(
+        _set(("config", "gateway", "script"), None))),
     "task-not-utf8": ("run", NOT_UTF8, None),
     "script-not-utf8": ("run", None, None, NOT_UTF8),
     "trace-not-utf8": ("score", None, NOT_UTF8 + b"\n"),

@@ -14,6 +14,7 @@ from askplan.engine import (
     make_plan,
     noise_draw,
     run_episode,
+    _resume_index,
 )
 from askplan.gateway import (
     DecodeParams,
@@ -23,7 +24,7 @@ from askplan.gateway import (
 )
 from askplan.plans import ActionKind, parse_subgoal, render_subgoal
 from askplan.prompting import Verdict
-from askplan.world import FailReason, new_world, render_scene
+from askplan.world import FailReason, apply_subgoal, new_world, render_scene
 
 DECODE = DecodeParams()
 CFG = EpisodeConfig(decode=DECODE)
@@ -75,6 +76,23 @@ def test_decompose_cot_single_pseudo_turn():
                               contains_all=("Let's think step by step",)))
     qa = decompose("instruction text", gw, EpisodeConfig(use_cot=True, decode=DECODE), [])
     assert qa == (("", "1. slice 2. heat 3. store"),)
+
+
+def test_decompose_joins_continuation_lines_of_a_question_and_an_answer():
+    reply = ("Q: Which sub-tasks\n  make up the instruction?\n"
+             "A: Slice, heat,\nthen store.\n"
+             "Q: In which order?\nA: In that order.")
+    gw = scripted(ScriptEntry(reply=reply, contains_all=("things to discover",)))
+    assert decompose("instruction text", gw, CFG, []) == (
+        ("Which sub-tasks make up the instruction?", "Slice, heat, then store."),
+        ("In which order?", "In that order."),
+    )
+
+
+def test_decompose_cot_rejects_an_empty_reply():
+    gw = scripted(ScriptEntry(reply=" \n ", contains_all=("Let's think step by step",)))
+    with pytest.raises(MalformedTranscript, match="empty decomposition reply"):
+        decompose("instruction text", gw, EpisodeConfig(use_cot=True, decode=DECODE), [])
 
 
 # -- make_plan ----------------------------------------------------------------
@@ -167,6 +185,26 @@ def test_handle_failure_aborts_on_gateway_error(bread_scenario):
     assert "gateway_error" in decision.reason
 
 
+@pytest.mark.parametrize("answered, failed_stage", [
+    (1, "feedback"),  # the validity check is answered, the feedback call misses
+    (2, "replan"),
+])
+def test_handle_failure_aborts_on_gateway_error_after_the_validity_check(
+        bread_scenario, answered, failed_stage):
+    gw = scripted(*(
+        ScriptEntry(reply="INVALID - door closed", contains_all=("Answer with VALID",)),
+        ScriptEntry(reply="open the door first", contains_all=("cause of the failure",)),
+    )[:answered])
+    sg, scene, observed, plan = _failed_put_context(bread_scenario)
+    log = []
+    decision = handle_failure(sg, scene, set(observed), plan,
+                              bread_scenario.instruction, gw, CFG, log)
+    assert decision.kind == "abort"
+    assert decision.reason.startswith("gateway_error: ")
+    assert decision.validity.verdict is Verdict.INVALID
+    assert log[-1]["direction"] == "req" and log[-1]["stage"] == failed_stage
+
+
 def test_handle_failure_aborts_on_unparseable_replan(bread_scenario):
     gw = scripted(
         ScriptEntry(reply="INVALID - door closed", contains_all=("Answer with VALID",)),
@@ -199,6 +237,17 @@ def test_empty_feedback_ends_the_episode_as_a_recorded_outcome(bread_scenario):
     assert [(entry["direction"], entry["stage"]) for entry in trace.llm_log[-4:]] == [
         ("req", "validity"), ("res", "validity"), ("req", "feedback"), ("res", "feedback")]
     assert trace.llm_log[-1]["text"] == "   "
+
+
+def test_resume_skips_a_revised_step_whose_effect_already_holds(bread_scenario):
+    world = new_world(bread_scenario)
+    for line in ["(Pickup, knife)", "(Slice, bread)"]:
+        world = apply_subgoal(world, parse_subgoal(line)).state_after
+    executed = [parse_subgoal("(Pickup, knife)")]  # the slice is not on record
+    revised = tuple(parse_subgoal(line) for line in [
+        "(Slice, bread)", "(Put, knife, counter)", "(Pickup, bread)"])
+    # the bread is already sliced, so the plan resumes at the knife's Put
+    assert _resume_index(world, revised, executed) == 1
 
 
 # -- run_episode end to end ---------------------------------------------------

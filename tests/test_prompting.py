@@ -20,11 +20,9 @@ from askplan.prompting import (
     classify_validity,
     discovery_coverage,
     format_transcript,
-    gen_cot_prompt,
     gen_feedback_prompt,
     gen_replan_prompt,
     gen_std_prompt,
-    gen_tp_no_std_prompt,
     gen_tp_prompt,
     gen_validity_prompt,
     load_template,
@@ -107,7 +105,7 @@ def test_tp_prompt_rejects_empty_transcript():
 
 
 def test_tp_no_std_has_no_qa_lines():
-    prompt = gen_tp_no_std_prompt(BREAD)
+    prompt = gen_tp_prompt(BREAD, None)
     assert "Q:" not in prompt.user_text
     assert "Based on this conversation" not in prompt.user_text
     assert_placeholder_free(prompt)
@@ -117,7 +115,7 @@ def test_tp_vs_no_std_structural_diff():
     # the two planner prompts differ by exactly the conversation block and
     # the command sentence
     with_qa = gen_tp_prompt(BREAD, QA).user_text.splitlines()
-    without = gen_tp_no_std_prompt(BREAD).user_text.splitlines()
+    without = gen_tp_prompt(BREAD, None).user_text.splitlines()
     added = [line for line in with_qa if line not in without]
     removed = [line for line in without if line not in with_qa]
     expected_added = ["Conversation:"]
@@ -130,7 +128,7 @@ def test_tp_vs_no_std_structural_diff():
 
 
 def test_cot_prompt_marker_and_instruction():
-    prompt = gen_cot_prompt(BREAD)
+    prompt = gen_std_prompt(BREAD, cot=True)
     assert "Let's think step by step" in prompt.user_text
     assert BREAD in prompt.user_text
     assert "Q:" not in prompt.user_text

@@ -300,6 +300,38 @@ def test_put_cannot_create_containment_cycle():
     assert "inside" in result.detail
 
 
+def _stack_with_bowl_and_cup() -> Scenario:
+    data = raw_scenario("stack_plate")
+    for name in ("bowl", "cup"):
+        data["entities"].append({"id": name, "category": name, "zone": "kitchen",
+                                 "pickupable": True, "is_receptacle": True})
+    return Scenario.from_dict(data)
+
+
+def test_put_into_a_receptacle_inside_another_succeeds():
+    world = run_plan(new_world(_stack_with_bowl_and_cup()), [
+        "(Pickup, bowl)", "(Put, bowl, plate)", "(Pickup, plate)", "(Put, plate, countertop)",
+        "(Pickup, cup)",
+    ])
+    result = apply_subgoal(world, parse_subgoal("(Put, cup, bowl)"))
+    assert result.reason is FailReason.OK
+    entities = result.state_after.entities
+    assert (entities["cup"].container, entities["bowl"].container,
+            entities["plate"].container) == ("bowl", "plate", "countertop")
+
+
+def test_put_cannot_close_a_containment_cycle_two_levels_up():
+    world = run_plan(new_world(_stack_with_bowl_and_cup()), [
+        "(Pickup, cup)", "(Put, cup, bowl)", "(Pickup, bowl)", "(Put, bowl, plate)",
+        "(Pickup, plate)",
+    ])
+    # the cup sits in the bowl, which sits in the held plate
+    result = apply_subgoal(world, parse_subgoal("(Put, plate, cup)"))
+    assert result.reason is FailReason.PRECONDITION_VIOLATED
+    assert result.detail == "cup is inside plate"
+    assert result.state_after.entities == world.entities
+
+
 def test_contained_object_moves_with_carried_receptacle(mini7):
     stack = next(s for s in mini7.scenarios if s.id == "stack_plate")
     world = run_plan(new_world(stack), [
