@@ -21,7 +21,6 @@ from typing import Optional
 from .engine import (
     TRACE_SCHEMA_VERSION,
     EpisodeConfig,
-    SchemaMismatch,
     decomposition_prompt,
     run_episode,
 )
@@ -29,13 +28,12 @@ from .gateway import (
     Gateway,
     HttpGateway,
     HttpGatewayConfig,
-    MalformedScript,
     ScriptedGateway,
     load_script,
 )
 from .inputs import (NUMBER, MalformedInput, checked_field, read_json, read_json_lines,
                      reject_unknown_keys)
-from .planeval import MissingGroundTruth, score_dataset
+from .planeval import score_dataset
 from .plans import PlanParseError
 from .prompting import RenderedPrompt, gen_tp_prompt
 from .world import Scenario
@@ -43,12 +41,6 @@ from .world import Scenario
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-
-class MalformedTaskSet(MalformedInput):
-    def __init__(self, scenario_id: str, detail: str):
-        super().__init__(f"task set invalid at scenario {scenario_id!r}: {detail}")
-        self.scenario_id = scenario_id
 
 
 @dataclass
@@ -69,7 +61,7 @@ class RunConfig:
 
 def load_tasks(path: str | Path) -> TaskSet:
     """Read a task file and invariant-check every scenario in it; raises
-    MalformedTaskSet naming the scenario (or ``<file>``) at fault."""
+    MalformedInput naming the scenario (or ``<file>``) at fault."""
     label = "<file>"
     scenarios: list[Scenario] = []
     seen: set[str] = set()
@@ -86,7 +78,7 @@ def load_tasks(path: str | Path) -> TaskSet:
             seen.add(label)
             scenarios.append(Scenario.from_dict(raw))
     except (MalformedInput, PlanParseError) as exc:  # PlanParseError: a gt core line
-        raise MalformedTaskSet(label, str(exc)) from exc
+        raise MalformedInput(f"task set invalid at scenario {label!r}: {exc}") from exc
     return TaskSet(name, version, scenarios)
 
 
@@ -125,21 +117,20 @@ def dump_record(record: dict) -> str:
 
 def read_traces(path: str | Path) -> list[dict]:
     """Read a trace file; raises MalformedInput, with the line number, on a
-    line that is not a JSON object with well-typed scored fields, and
-    SchemaMismatch on one that is not of schema 1 or whose scores are out of
-    range."""
+    line that is not a JSON object of schema 1 with well-typed, in-range
+    scored fields."""
     records = []
     for number, record in read_json_lines(path):
         where = f"trace line {number}"
         version = checked_field(record, "schema_version", int, where)
         if version != TRACE_SCHEMA_VERSION:
-            raise SchemaMismatch(f"{where}: schema {version} is not {TRACE_SCHEMA_VERSION} "
+            raise MalformedInput(f"{where}: schema {version} is not {TRACE_SCHEMA_VERSION} "
                                  f"(task {record.get('task_id')!r})")
         checked_field(record, "task_id", str, where)
         sr = checked_field(record, "sr", int, where)
         gc = checked_field(record, "gc", NUMBER, where)
         if sr not in (0, 1) or not 0.0 <= gc <= 1.0:  # a NaN gc fails too
-            raise SchemaMismatch(f"{where}: sr must be 0 or 1 and gc in [0, 1], "
+            raise MalformedInput(f"{where}: sr must be 0 or 1 and gc in [0, 1], "
                                  f"got sr={sr!r}, gc={gc!r}")
         checked_field(record, "task_type", str, where, None)
         checked_field(record, "initial_plan", ([str], type(None)), where)
@@ -150,10 +141,10 @@ def read_traces(path: str | Path) -> list[dict]:
 def _build_gateway(args: argparse.Namespace) -> Gateway:
     if args.gateway == "scripted":
         if not args.script:
-            raise MalformedScript("--script is required with the scripted gateway")
+            raise MalformedInput("--script is required with the scripted gateway")
         return ScriptedGateway(load_script(args.script), script_path=args.script)
     if not args.endpoint or not args.model:
-        raise MalformedScript("--endpoint and --model are required with the http gateway")
+        raise MalformedInput("--endpoint and --model are required with the http gateway")
     return HttpGateway(HttpGatewayConfig(
         endpoint=args.endpoint,
         model=args.model,
@@ -219,7 +210,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     by_id = {scenario.id: scenario for scenario in tasks.scenarios}
     scenario = by_id.get(record["task_id"])
     if scenario is None:
-        raise MissingGroundTruth(record["task_id"])
+        raise MalformedInput(f"no ground-truth annotation for task {record['task_id']!r}")
     echo = checked_field(record, "config", dict, f"trace line {args.line}")
     cfg = EpisodeConfig.from_echo(echo)
     gateway_echo = checked_field(echo, "gateway", dict, "config echo")
@@ -262,7 +253,7 @@ def cmd_prompts(args: argparse.Namespace) -> int:
     if not tasks.scenarios:
         print("error: task set is empty", file=sys.stderr)
         return EXIT_CONFIG
-    if args.id:
+    if args.id is not None:
         matches = [s for s in tasks.scenarios if s.id == args.id]
         if not matches:
             print(f"error: no scenario with id {args.id!r}", file=sys.stderr)

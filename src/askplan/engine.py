@@ -56,15 +56,7 @@ TRACE_SCHEMA_VERSION = 1
 
 
 class PlanningFailed(RuntimeError):
-    pass
-
-
-class MalformedTranscript(ValueError):
-    pass
-
-
-class SchemaMismatch(MalformedInput):
-    """A trace field that is well typed but outside what schema 1 allows."""
+    """The decomposition or planning reply cannot be used."""
 
 
 class EpisodeOutcome(str, Enum):
@@ -113,8 +105,7 @@ class EpisodeConfig:
     @staticmethod
     def from_echo(echo: dict) -> "EpisodeConfig":
         """Inverse of ``to_echo`` (the gateway echo is left to the caller).
-        Raises MalformedInput on a missing or ill-typed field and
-        SchemaMismatch on an out-of-range one."""
+        Raises MalformedInput on a missing, ill-typed or out-of-range field."""
         where = "config echo"
         decode = checked_field(echo, "decode", dict, where)
         bias = checked_field(decode, "token_bias", dict, f"{where} decode")
@@ -133,7 +124,7 @@ class EpisodeConfig:
         try:
             return EpisodeConfig(decode=DecodeParams(temperature, bias, max_tokens), **fields)
         except ValueError as exc:
-            raise SchemaMismatch(f"{where}: {exc}") from exc
+            raise MalformedInput(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -252,7 +243,7 @@ def _parse_qa(text: str) -> QATranscript:
     if question is not None and answer is not None:
         turns.append((question, answer))
     if not turns:
-        raise MalformedTranscript("no Q/A pairs found in the decomposition reply")
+        raise PlanningFailed("no Q/A pairs found in the decomposition reply")
     return tuple(turns)
 
 
@@ -270,7 +261,8 @@ def decompose(instruction: str, gw: Gateway, cfg: EpisodeConfig,
     model call, when ``cfg`` has no decomposition stage.
 
     In chain-of-thought mode the whole reply becomes a single pseudo-turn
-    with an empty question.
+    with an empty question. A reply with no Q/A pair, or an empty
+    chain-of-thought reply, is a PlanningFailed error.
     """
     prompt = decomposition_prompt(instruction, cfg)
     if prompt is None:
@@ -279,7 +271,7 @@ def decompose(instruction: str, gw: Gateway, cfg: EpisodeConfig,
     if cfg.use_cot:
         text = completion.text.strip()
         if not text:
-            raise MalformedTranscript("empty decomposition reply")
+            raise PlanningFailed("empty decomposition reply")
         return (("", text),)
     return _parse_qa(completion.text)
 
@@ -411,7 +403,7 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
         qa = decompose(scenario.instruction, gw, cfg, log)
         trace.qa = qa
         current = make_plan(scenario.instruction, qa, gw, cfg, log)
-    except (GatewayError, PlanningFailed, MalformedTranscript) as exc:
+    except (GatewayError, PlanningFailed) as exc:
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=str(exc))
     trace.initial_plan = current
 

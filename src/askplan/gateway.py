@@ -40,8 +40,6 @@ class ProviderUnreachable(GatewayError):
 class ProviderRejected(GatewayError):
     def __init__(self, status: int, body_excerpt: str):
         super().__init__(f"provider rejected the request (HTTP {status}): {body_excerpt}")
-        self.status = status
-        self.body_excerpt = body_excerpt
 
 
 class GatewayTimeout(GatewayError):
@@ -53,10 +51,6 @@ class MalformedReply(GatewayError):
 
 
 class ScriptMiss(GatewayError):
-    pass
-
-
-class MalformedScript(MalformedInput):
     pass
 
 
@@ -117,44 +111,40 @@ class OracleScript:
 
 
 def parse_script(data: object) -> OracleScript:
-    """Build a script from its JSON form; raises MalformedScript naming the
+    """Build a script from its JSON form; raises MalformedInput naming the
     first field that is missing, ill-typed or out of place."""
-    try:
-        mode = checked_field(data, "mode", str, "script", "strict")
-        if mode not in ("strict", "fallback"):
-            raise MalformedInput(f"unknown script mode {mode!r}")
-        reject_unknown_keys(data, {"mode", "entries", "fallback_reply"} if mode == "fallback"
-                            else {"mode", "entries"}, "script")
-        raw_entries = checked_field(data, "entries", list, "script")
-        if not raw_entries:
-            raise MalformedInput("script needs a non-empty 'entries' list")
-        entries = []
-        for index, raw in enumerate(raw_entries):
-            where = f"script entry {index}"
-            reject_unknown_keys(raw, {"reply", "exact", "contains_all"}, where)
-            reply = checked_field(raw, "reply", str, where)
-            exact = checked_field(raw, "exact", str, where, None)
-            needles = checked_field(raw, "contains_all", [str], where, None)
-            if (exact is None) == (needles is None):
-                raise MalformedInput(f"{where}: exactly one of 'exact' or 'contains_all' required")
-            if needles == []:
-                raise MalformedInput(f"{where}: 'contains_all' must not be empty")
-            entries.append(ScriptEntry(reply, exact, tuple(needles or ())))
-        fallback = checked_field(data, "fallback_reply", str, "script", "") \
-            if mode == "fallback" else None
-    except MalformedInput as exc:
-        raise MalformedScript(str(exc)) from exc
+    mode = checked_field(data, "mode", str, "script", "strict")
+    if mode not in ("strict", "fallback"):
+        raise MalformedInput(f"unknown script mode {mode!r}")
+    reject_unknown_keys(data, {"mode", "entries", "fallback_reply"} if mode == "fallback"
+                        else {"mode", "entries"}, "script")
+    raw_entries = checked_field(data, "entries", list, "script")
+    if not raw_entries:
+        raise MalformedInput("script needs a non-empty 'entries' list")
+    entries = []
+    for index, raw in enumerate(raw_entries):
+        where = f"script entry {index}"
+        reject_unknown_keys(raw, {"reply", "exact", "contains_all"}, where)
+        reply = checked_field(raw, "reply", str, where)
+        exact = checked_field(raw, "exact", str, where, None)
+        needles = checked_field(raw, "contains_all", [str], where, None)
+        if (exact is None) == (needles is None):
+            raise MalformedInput(f"{where}: exactly one of 'exact' or 'contains_all' required")
+        if needles == []:
+            raise MalformedInput(f"{where}: 'contains_all' must not be empty")
+        entries.append(ScriptEntry(reply, exact, tuple(needles or ())))
+    fallback = checked_field(data, "fallback_reply", str, "script", "") \
+        if mode == "fallback" else None
     return OracleScript(tuple(entries), fallback)
 
 
 def load_script(path: str | Path) -> OracleScript:
-    """Read and parse a script file; raises MalformedScript naming the file."""
+    """Read and parse a script file; raises MalformedInput naming the file."""
+    data = read_json(path)  # names the file itself
     try:
-        return parse_script(read_json(path))
-    except MalformedScript as exc:
-        raise MalformedScript(f"{path}: {exc}") from exc
-    except MalformedInput as exc:  # read_json names the file itself
-        raise MalformedScript(str(exc)) from exc
+        return parse_script(data)
+    except MalformedInput as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
 
 
 def request_text(prompt: RenderedPrompt, scene: Optional[str] = None) -> str:

@@ -46,24 +46,6 @@ from .inputs import MalformedInput, checked_field, reject_unknown_keys
 from .plans import ActionKind, PlanParseError, Subgoal, parse_subgoal
 
 
-class AnnotationError(MalformedInput):
-    pass
-
-
-class CyclicPrecedence(AnnotationError):
-    pass
-
-
-class TooLarge(ValueError):
-    pass
-
-
-class MissingGroundTruth(MalformedInput):
-    def __init__(self, task_id: str):
-        super().__init__(f"no ground-truth annotation for task {task_id!r}")
-        self.task_id = task_id
-
-
 @dataclass(frozen=True)
 class GtAnnotation:
     """Canonical subgoal slots plus relaxation markup, checked on construction.
@@ -81,7 +63,8 @@ class GtAnnotation:
     @staticmethod
     def from_dict(data: object) -> "GtAnnotation":
         """Build an annotation from its JSON form; raises MalformedInput on an
-        ill-typed field and PlanParseError on a core line that is no subgoal."""
+        ill-typed field or a broken invariant, and PlanParseError on a core
+        line that is no subgoal."""
         reject_unknown_keys(data, {"core", "floating", "wildcards", "swap_groups"}, "gt")
         core = checked_field(data, "core", [str], "gt", [])
         return GtAnnotation(
@@ -96,15 +79,15 @@ class GtAnnotation:
         n = len(self.core)
         for sg in self.core:
             if sg.action is ActionKind.NAVIGATE:
-                raise AnnotationError("Navigate steps do not belong in a core annotation")
+                raise MalformedInput("Navigate steps do not belong in a core annotation")
         anchors: dict[int, int] = {}
         for slot, anchor in self.floating:
             if not (0 <= slot < n and 0 <= anchor < n):
-                raise AnnotationError(f"floating pair ({slot}, {anchor}) out of range")
+                raise MalformedInput(f"floating pair ({slot}, {anchor}) out of range")
             if slot == anchor:
-                raise AnnotationError(f"slot {slot} cannot anchor itself")
+                raise MalformedInput(f"slot {slot} cannot anchor itself")
             if slot in anchors:
-                raise AnnotationError(f"slot {slot} floats twice")
+                raise MalformedInput(f"slot {slot} floats twice")
             anchors[slot] = anchor
         # Compiling keeps, of a floating slot's edges, only anchor -> slot and
         # those to the slots anchored at it; every other edge follows the
@@ -115,30 +98,30 @@ class GtAnnotation:
             anchor = anchors[slot]
             while anchor in anchors:
                 if anchor in chain:
-                    raise CyclicPrecedence(f"floating slot {slot} is anchored in a cycle")
+                    raise MalformedInput(f"floating slot {slot} is anchored in a cycle")
                 chain.add(anchor)
                 anchor = anchors[anchor]
         for idx in self.wildcards:
             if not 0 <= idx < n:
-                raise AnnotationError(f"wildcard index {idx} out of range")
+                raise MalformedInput(f"wildcard index {idx} out of range")
             if self.core[idx].action is not ActionKind.PUT:
-                raise AnnotationError(f"wildcard on non-Put slot {idx}")
+                raise MalformedInput(f"wildcard on non-Put slot {idx}")
         claimed: set[int] = set()
         for group in self.swap_groups:
             if len(group) < 2:
-                raise AnnotationError("a swap group needs at least two blocks")
+                raise MalformedInput("a swap group needs at least two blocks")
             for lo, hi in group:
                 if not (0 <= lo <= hi < n):
-                    raise AnnotationError(f"swap range [{lo}, {hi}] out of range")
+                    raise MalformedInput(f"swap range [{lo}, {hi}] out of range")
                 block = set(range(lo, hi + 1))
                 if block & claimed:
-                    raise AnnotationError("swap-group ranges overlap")
+                    raise MalformedInput("swap-group ranges overlap")
                 claimed |= block
 
 
 def _pairs(items: list[list[int]], name: str) -> tuple[tuple[int, int], ...]:
     if any(len(pair) != 2 for pair in items):
-        raise AnnotationError(f"gt field {name!r} holds a list that is not a pair: {items!r:.80}")
+        raise MalformedInput(f"gt field {name!r} holds a list that is not a pair: {items!r:.80}")
     return tuple((a, b) for a, b in items)
 
 
@@ -323,7 +306,7 @@ def enumerate_valid_plans(spec: RelaxedSpec,
     """
     n = len(spec.slots)
     if n > 8:
-        raise TooLarge(f"{n} slots exceeds the enumeration guard of 8")
+        raise ValueError(f"{n} slots exceeds the enumeration guard of 8")
     pool = sorted(set(receptacles))
     choices: list[list[Optional[str]]] = []
     for pattern in spec.slots:
@@ -414,9 +397,9 @@ def score_dataset(traces: Iterable[Mapping],
     """Aggregate SR / GC / StrictHLP / RelaxedHLP over trace records.
 
     Each trace record is the JSON form of an episode trace; HLP accuracy is
-    computed on the initial plan only. Raises MissingGroundTruth when a trace
-    references a task id with no annotation, and MalformedInput when a line
-    of an initial plan is not a subgoal.
+    computed on the initial plan only. Raises MalformedInput when a trace
+    references a task id with no annotation or a line of an initial plan is
+    not a subgoal.
 
     Each spec is compiled once per task id and each distinct plan line parsed
     once per call; a trace set repeats a few distinct lines many times.
@@ -429,7 +412,7 @@ def score_dataset(traces: Iterable[Mapping],
         task_id = record["task_id"]
         gt = gts.get(task_id)
         if gt is None:
-            raise MissingGroundTruth(task_id)
+            raise MalformedInput(f"no ground-truth annotation for task {task_id!r}")
         if task_id not in specs:
             specs[task_id] = compile_relaxed_spec(gt)
         initial = []

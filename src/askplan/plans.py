@@ -20,22 +20,8 @@ class PlanParseError(ValueError):
     """A line (or completion) violates the subgoal template."""
 
 
-class UnknownAction(PlanParseError):
-    pass
-
-
-class ArityMismatch(PlanParseError):
-    pass
-
-
-class EmptyObject(PlanParseError):
-    pass
-
-
 class NoSubgoalsFound(PlanParseError):
-    def __init__(self, skipped_lines: int):
-        super().__init__(f"no subgoal lines found ({skipped_lines} lines skipped)")
-        self.skipped_lines = skipped_lines
+    """A completion in which not a single line is a subgoal."""
 
 
 class ActionKind(str, Enum):
@@ -73,34 +59,32 @@ class Subgoal:
 
     def __post_init__(self) -> None:
         if not self.object:
-            raise EmptyObject("subgoal object must be a non-empty token")
+            raise PlanParseError("subgoal object must be a non-empty token")
         if self.receptacle is not None and not self.receptacle:
-            raise EmptyObject("subgoal receptacle must be a non-empty token")
+            raise PlanParseError("subgoal receptacle must be a non-empty token")
         if self.action is ActionKind.PUT and self.receptacle is None:
-            raise ArityMismatch("Put requires a receptacle")
+            raise PlanParseError("Put requires a receptacle")
         if self.action is not ActionKind.PUT and self.receptacle is not None:
-            raise ArityMismatch(f"{self.action.value} does not take a receptacle")
+            raise PlanParseError(f"{self.action.value} does not take a receptacle")
 
 
 Plan = tuple[Subgoal, ...]
 
 
 def parse_subgoal(line: str) -> Subgoal:
-    """Parse one template line into a Subgoal.
-
-    Raises UnknownAction, ArityMismatch or EmptyObject for template
-    violations, and bare PlanParseError when the line has no template shape.
-    """
+    """Parse one template line into a Subgoal; raises PlanParseError on a
+    line with no template shape, an unknown action, the wrong number of
+    fields or an empty object or receptacle."""
     match = _LINE_RE.match(line)
     if not match:
         raise PlanParseError(f"not a subgoal template line: {line!r}")
     fields = [part.strip() for part in match.group("body").split(",")]
     if len(fields) < 2 or len(fields) > 3:
-        raise ArityMismatch(f"expected 2 or 3 fields, got {len(fields)}: {line!r}")
+        raise PlanParseError(f"expected 2 or 3 fields, got {len(fields)}: {line!r}")
     action_key = _normalize_token(fields[0])
     action = _ACTION_LOOKUP.get(action_key)
     if action is None:
-        raise UnknownAction(f"unknown action {fields[0]!r}")
+        raise PlanParseError(f"unknown action {fields[0]!r}")
     obj = _normalize_token(fields[1])
     receptacle = _normalize_token(fields[2]) if len(fields) == 3 else None
     return Subgoal(action, obj, receptacle)
@@ -111,7 +95,8 @@ def parse_plan(raw: str) -> Plan:
     return them as a tuple of subgoals.
 
     Non-template lines and blank lines are skipped. Raises NoSubgoalsFound,
-    which counts the skipped non-blank lines, when not a single line parses.
+    whose message counts the skipped non-blank lines, when not a single line
+    parses.
     """
     steps: list[Subgoal] = []
     skipped = 0
@@ -123,7 +108,7 @@ def parse_plan(raw: str) -> Plan:
         except PlanParseError:
             skipped += 1
     if not steps:
-        raise NoSubgoalsFound(skipped)
+        raise NoSubgoalsFound(f"no subgoal lines found ({skipped} lines skipped)")
     return tuple(steps)
 
 

@@ -22,14 +22,6 @@ from importlib import resources
 from .plans import Plan, Subgoal, render_subgoal
 
 
-class EmptyTranscript(ValueError):
-    pass
-
-
-class TemplateError(ValueError):
-    pass
-
-
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_ -]*)\}")
 
 
@@ -68,10 +60,10 @@ def load_template(name: str) -> PromptTemplate:
     try:
         text = resources.files("askplan").joinpath(f"prompts/{name}.txt").read_text("utf-8")
     except FileNotFoundError as exc:
-        raise TemplateError(f"unknown template {name!r}") from exc
+        raise ValueError(f"unknown template {name!r}") from exc
     match = re.match(r"\[system\]\n(?P<system>.*?)\n\[user\]\n(?P<user>.*)", text, re.DOTALL)
     if not match:
-        raise TemplateError(f"template {name!r} lacks [system]/[user] sections")
+        raise ValueError(f"template {name!r} lacks [system]/[user] sections")
     system_text = match.group("system").strip()
     user_text = match.group("user").strip()
     placeholders = frozenset(_PLACEHOLDER_RE.findall(f"{system_text}\n{user_text}"))
@@ -81,8 +73,8 @@ def load_template(name: str) -> PromptTemplate:
 def _render(name: str, values: dict[str, str]) -> RenderedPrompt:
     template = load_template(name)
     if values.keys() != template.placeholders:
-        raise TemplateError(f"template {name!r} takes {sorted(template.placeholders)}, "
-                            f"got {sorted(values)}")
+        raise ValueError(f"template {name!r} takes {sorted(template.placeholders)}, "
+                         f"got {sorted(values)}")
     def substitute(text: str) -> str:
         return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], text)
 
@@ -116,7 +108,7 @@ def gen_tp_prompt(instruction: str, qa: QATranscript | None,
     if qa is None:
         return _render("tp_no_std", {"instruction": instruction})
     if not qa:
-        raise EmptyTranscript("planning with a decomposition requires at least one turn")
+        raise ValueError("planning with a decomposition requires at least one turn")
     return _render("tp_cot" if cot else "tp",
                    {"instruction": instruction, "QA": format_transcript(qa)})
 
@@ -149,14 +141,18 @@ def gen_replan_prompt(feedback: str, plan: Plan, observed: set[str] | frozenset[
     })
 
 
+_VERDICT_WORD_RE = re.compile(r"\b(?:IN)?VALID\b")
+
+
 def classify_validity(raw: str) -> Validity:
-    """Keyword rule: INVALID anywhere wins (checked first so VALID inside
-    INVALID cannot be misread); bare VALID passes; anything else is treated
-    as invalid so that re-planning is triggered rather than a blind retry."""
-    upper = raw.upper()
-    if "INVALID" in upper:
+    """Keyword rule over whole words, in any case: the word INVALID anywhere
+    wins, and the word VALID passes. Anything else, ``validity`` included, is
+    treated as invalid so that re-planning is triggered rather than a blind
+    retry."""
+    words = set(_VERDICT_WORD_RE.findall(raw.upper()))
+    if "INVALID" in words:
         verdict = Verdict.INVALID
-    elif "VALID" in upper:
+    elif "VALID" in words:
         verdict = Verdict.VALID
     else:
         verdict = Verdict.INVALID

@@ -36,10 +36,6 @@ from .planeval import GtAnnotation
 from .plans import ActionKind, Subgoal
 
 
-class InvalidScenario(MalformedInput):
-    pass
-
-
 class FailReason(str, Enum):
     OK = "ok"
     PRECONDITION_VIOLATED = "precondition_violated"
@@ -152,7 +148,7 @@ class GoalCondition:
     def from_dict(data: object, where: str) -> "GoalCondition":
         kind = checked_field(data, "type", str, where)
         if kind not in _GOAL_FIELDS:
-            raise InvalidScenario(f"{where}: unknown type {kind!r}")
+            raise MalformedInput(f"{where}: unknown type {kind!r}")
         extra = _GOAL_FIELDS[kind]
         reject_unknown_keys(data, {"type", "object", *extra}, where)
         return GoalCondition(kind, checked_field(data, "object", str, where),
@@ -187,8 +183,8 @@ class Scenario:
     @staticmethod
     def from_dict(data: object) -> "Scenario":
         """Build and invariant-check a scenario from its JSON form; raises
-        MalformedInput on an ill-typed field and InvalidScenario or
-        AnnotationError on a broken invariant."""
+        MalformedInput on an ill-typed field or a broken invariant, and
+        PlanParseError on a ground-truth core line that is no subgoal."""
         where = "scenario"
         reject_unknown_keys(data, _SCENARIO_FIELDS.keys(), where)
         given = {key: checked_field(data, key, kind, where, default)
@@ -197,7 +193,7 @@ class Scenario:
         for index, raw in enumerate(given["entities"]):
             entity = ObjectEntity.from_dict(raw, f"entity #{index}")
             if entity.id in entities:
-                raise InvalidScenario(f"duplicate entity id {entity.id!r}")
+                raise MalformedInput(f"duplicate entity id {entity.id!r}")
             entities[entity.id] = entity
         scenario = Scenario(
             id=given["id"],
@@ -239,51 +235,51 @@ class ExecutionResult:
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    """Raise InvalidScenario with a detail message on any invariant violation."""
+    """Raise MalformedInput with a detail message on any invariant violation."""
     if not scenario.instruction.strip():
-        raise InvalidScenario("instruction must be a non-empty string")
+        raise MalformedInput("instruction must be a non-empty string")
     if not 0.0 <= scenario.noise <= 1.0:
-        raise InvalidScenario(f"noise must be in [0, 1], got {scenario.noise}")
+        raise MalformedInput(f"noise must be in [0, 1], got {scenario.noise}")
     world = scenario.initial
     for entity in world.entities.values():
         for state_flag, capability in FLAG_IMPLICATIONS.items():
             if getattr(entity, state_flag) and not getattr(entity, capability):
-                raise InvalidScenario(
+                raise MalformedInput(
                     f"{entity.id}: {state_flag} set without {capability}")
         if entity.container is not None:
             parent = world.entities.get(entity.container)
             if parent is None:
-                raise InvalidScenario(
+                raise MalformedInput(
                     f"{entity.id}: container {entity.container!r} does not exist")
             if not parent.is_receptacle:
-                raise InvalidScenario(
+                raise MalformedInput(
                     f"{entity.id}: container {entity.container!r} is not a receptacle")
             if parent.zone != entity.zone:
-                raise InvalidScenario(
+                raise MalformedInput(
                     f"{entity.id}: zone differs from container {parent.id!r}")
             chain = {entity.id}
             while parent is not None:
                 if parent.id in chain:
-                    raise InvalidScenario(f"{entity.id}: containment cycle through {parent.id!r}")
+                    raise MalformedInput(f"{entity.id}: containment cycle through {parent.id!r}")
                 chain.add(parent.id)
                 parent = world.entities.get(parent.container)
     if world.held is not None:
         holder = world.entities.get(world.held)
         if holder is None:
-            raise InvalidScenario(f"held object {world.held!r} does not exist")
+            raise MalformedInput(f"held object {world.held!r} does not exist")
         if holder.container is not None:
-            raise InvalidScenario(f"held object {world.held!r} has a container")
+            raise MalformedInput(f"held object {world.held!r} has a container")
         if holder.zone != world.agent_zone:
-            raise InvalidScenario(f"held object {world.held!r} is not in the agent's zone")
+            raise MalformedInput(f"held object {world.held!r} is not in the agent's zone")
     if not scenario.goal:
-        raise InvalidScenario("goal must have at least one condition")
+        raise MalformedInput("goal must have at least one condition")
     for cond in scenario.goal:
         if cond.object not in world.entities:
-            raise InvalidScenario(f"goal references missing object {cond.object!r}")
+            raise MalformedInput(f"goal references missing object {cond.object!r}")
         if cond.kind == "located" and cond.receptacle not in world.entities:
-            raise InvalidScenario(f"goal references missing receptacle {cond.receptacle!r}")
+            raise MalformedInput(f"goal references missing receptacle {cond.receptacle!r}")
         if cond.kind == "state" and cond.flag not in _BOOL_FLAGS:
-            raise InvalidScenario(f"goal references unknown flag {cond.flag!r}")
+            raise MalformedInput(f"goal references unknown flag {cond.flag!r}")
 
 
 def new_world(scenario: Scenario) -> WorldState:
@@ -364,7 +360,7 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
         if state.held != sg.object:
             return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
                                    f"holding {state.held}, not {sg.object}")
-        receptacle = state.entities.get(sg.receptacle or "")
+        receptacle = state.entities.get(sg.receptacle)
         if receptacle is None:
             return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE,
                                    f"no object named {sg.receptacle!r} in the environment")
@@ -450,9 +446,8 @@ def render_scene(world: WorldState, visible: set[str]) -> str:
 
 
 def _condition_holds(world: WorldState, cond: GoalCondition) -> bool:
-    entity = world.entities.get(cond.object)
-    if entity is None:
-        return False
+    # load rejects a goal over a missing object, and no step removes an entity
+    entity = world.entities[cond.object]
     if cond.kind == "located":
         return entity.container == cond.receptacle
     if cond.kind == "in_zone":

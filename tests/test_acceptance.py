@@ -176,7 +176,7 @@ def test_c8_determinism(tmp_path):
 @criterion("C9 parser: 1000 render/parse round-trips clean; Put arity "
            "errors raised as specified")
 def test_c9_parser_round_trip():
-    from askplan.plans import ArityMismatch
+    from askplan.plans import PlanParseError
 
     rng = random.Random(909)
     failures = 0
@@ -185,9 +185,9 @@ def test_c9_parser_round_trip():
         if parse_subgoal(render_subgoal(sg)) != sg:
             failures += 1
     assert failures == 0
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(PlanParseError, match="Put requires a receptacle"):
         parse_subgoal("(Put, mug)")
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(PlanParseError, match="Pickup does not take a receptacle"):
         parse_subgoal("(Pickup, mug, fridge)")
 
 

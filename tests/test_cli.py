@@ -14,16 +14,18 @@ from askplan.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
-    MalformedTaskSet,
     TaskSet,
+    build_parser,
     dump_record,
     episode_seed,
     load_tasks,
     main,
     read_traces,
+    _build_gateway,
 )
 from askplan.engine import EpisodeConfig
-from askplan.gateway import MalformedScript, OracleScript, ScriptedGateway, load_script
+from askplan.gateway import HttpGatewayConfig, OracleScript, ScriptedGateway, load_script
+from askplan.inputs import MalformedInput
 from askplan.plans import render_subgoal
 
 MINI7 = str(asset_path("tasks/mini7.json"))
@@ -50,7 +52,8 @@ def test_load_tasks_duplicate_id(tmp_path):
     data["scenarios"].append(data["scenarios"][0])
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(MalformedTaskSet):
+    with pytest.raises(MalformedInput, match="task set invalid at scenario 'heat_bread': "
+                                             "duplicate scenario id"):
         load_tasks(path)
 
 
@@ -66,9 +69,8 @@ def test_load_tasks_invalid_scenario_reports_id(tmp_path):
     data["scenarios"][0]["goal"] = []
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(MalformedTaskSet) as err:
+    with pytest.raises(MalformedInput, match="^task set invalid at scenario 'heat_bread': "):
         load_tasks(path)
-    assert err.value.scenario_id == "heat_bread"
 
 
 def _json_paths(node, prefix: tuple = ()):
@@ -158,7 +160,8 @@ def test_load_tasks_every_single_mutation_returns_or_raises_malformed(tmp_path):
             _write_mutated(file, data, path, value)
             try:
                 tasks = load_tasks(file)
-            except MalformedTaskSet:
+            except MalformedInput as exc:
+                assert str(exc).startswith("task set invalid at scenario "), (path, value)
                 continue
             assert _has_declared_type(tasks, TaskSet), (path, value)
 
@@ -173,7 +176,8 @@ def test_load_script_every_single_mutation_returns_or_raises_malformed(tmp_path)
             data = _write_mutated(file, _SCRIPT_DATA, path, value)
             try:
                 script = load_script(file)
-            except MalformedScript:
+            except MalformedInput as exc:
+                assert str(exc).startswith(f"{file}: "), (path, value)
                 continue
             assert _has_declared_type(script, OracleScript), (path, value)
             # nothing was coerced: every field holds its JSON value as written
@@ -267,10 +271,14 @@ def test_run_http_gateway_against_stub(tmp_path):
     from test_gateway import _serving, _StubHandler
 
     with _serving(_StubHandler) as endpoint:
-        code = run_cli("run", "--tasks", MINI7, "--gateway", "http",
-                       "--endpoint", endpoint, "--model", "stub-model",
-                       "--seed", "1", "--out", str(tmp_path))
+        argv = ["run", "--tasks", MINI7, "--gateway", "http",
+                "--endpoint", endpoint, "--model", "stub-model",
+                "--timeout", "5", "--retries", "0",
+                "--seed", "1", "--out", str(tmp_path)]
+        code = run_cli(*argv)
     assert code == EXIT_OK
+    assert _build_gateway(build_parser().parse_args(argv)).config == \
+        HttpGatewayConfig(endpoint, "stub-model", timeout_s=5.0, retries=0)
     records = [json.loads(line) for line in
                (tmp_path / "traces.jsonl").read_text().splitlines()]
     assert len(records) == 7
@@ -613,6 +621,18 @@ def test_prompts_unknown_id(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_prompts_empty_id_is_an_unknown_id(capsys):
+    assert run_cli("prompts", "--tasks", MINI7, "--id", "") == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: no scenario with id ''\n"
+
+
+def test_prompts_on_an_empty_task_set_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"scenarios": []}))
+    assert run_cli("prompts", "--tasks", str(path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: task set is empty\n"
+
+
 def test_prompts_stdout_when_no_out(capsys):
     code = run_cli("prompts", "--tasks", MINI7)
     assert code == EXIT_OK
@@ -734,6 +754,8 @@ MALFORMED_INPUTS = {
         _set(("config", "decode", "token_bias"), {"bread": "x"}))),
     "echo-budget-zero": ("replay", None, _first_trace_with(
         _set(("config", "failure_budget"), 0))),
+    "echo-noise-out-of-range": ("replay", None, _first_trace_with(
+        _set(("config", "noise"), 1.5))),
     "echo-not-object": ("replay", None, _first_trace_with(_set(("config",), []))),
     "echo-script-number": ("replay", None, _first_trace_with(
         _set(("config", "gateway", "script"), 5))),

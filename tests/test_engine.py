@@ -7,7 +7,6 @@ import pytest
 from askplan.engine import (
     EpisodeConfig,
     EpisodeOutcome,
-    MalformedTranscript,
     PlanningFailed,
     decompose,
     handle_failure,
@@ -67,7 +66,7 @@ def test_decompose_parses_four_turns():
 def test_decompose_rejects_reply_without_qa_lines():
     gw = scripted(ScriptEntry(reply="no questions here",
                               contains_all=("things to discover",)))
-    with pytest.raises(MalformedTranscript):
+    with pytest.raises(PlanningFailed, match="no Q/A pairs found in the decomposition reply"):
         decompose("instruction text", gw, CFG, [])
 
 
@@ -91,7 +90,7 @@ def test_decompose_joins_continuation_lines_of_a_question_and_an_answer():
 
 def test_decompose_cot_rejects_an_empty_reply():
     gw = scripted(ScriptEntry(reply=" \n ", contains_all=("Let's think step by step",)))
-    with pytest.raises(MalformedTranscript, match="empty decomposition reply"):
+    with pytest.raises(PlanningFailed, match="empty decomposition reply"):
         decompose("instruction text", gw, EpisodeConfig(use_cot=True, decode=DECODE), [])
 
 
@@ -248,6 +247,14 @@ def test_resume_skips_a_revised_step_whose_effect_already_holds(bread_scenario):
         "(Slice, bread)", "(Put, knife, counter)", "(Pickup, bread)"])
     # the bread is already sliced, so the plan resumes at the knife's Put
     assert _resume_index(world, revised, executed) == 1
+
+
+def test_resume_stops_at_a_revised_step_whose_object_is_unknown(bread_scenario):
+    pickup = parse_subgoal("(Pickup, knife)")
+    world = apply_subgoal(new_world(bread_scenario), pickup).state_after
+    revised = tuple(parse_subgoal(line) for line in [
+        "(Pickup, knife)", "(Open, ghost)", "(Slice, bread)"])
+    assert _resume_index(world, revised, [pickup]) == 1
 
 
 # -- run_episode end to end ---------------------------------------------------

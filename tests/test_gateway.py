@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socketserver
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from askplan.gateway import (
     HttpGateway,
     HttpGatewayConfig,
     MalformedReply,
-    MalformedScript,
     OracleScript,
     ProviderRejected,
     ProviderUnreachable,
@@ -33,6 +33,7 @@ from askplan.gateway import (
     request_text,
 )
 from askplan.engine import EpisodeConfig, run_episode
+from askplan.inputs import MalformedInput
 from askplan.prompting import RenderedPrompt
 
 PROMPT = RenderedPrompt("system text", "please plan: heated slice of bread")
@@ -106,20 +107,20 @@ def test_load_script_fixture():
 def test_load_script_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("")
-    with pytest.raises(MalformedScript):
+    with pytest.raises(MalformedInput, match=f"^{re.escape(str(path))}: not valid JSON "):
         load_script(path)
 
 
 def test_parse_script_rejects_bad_entries():
-    with pytest.raises(MalformedScript):
+    with pytest.raises(MalformedInput, match="script needs a non-empty 'entries' list"):
         parse_script({"entries": []})
-    with pytest.raises(MalformedScript):
+    with pytest.raises(MalformedInput, match="exactly one of 'exact' or 'contains_all'"):
         parse_script({"entries": [{"reply": "r"}]})
-    with pytest.raises(MalformedScript):
+    with pytest.raises(MalformedInput, match="exactly one of 'exact' or 'contains_all'"):
         parse_script({"entries": [{"reply": "r", "exact": "a", "contains_all": ["b"]}]})
-    with pytest.raises(MalformedScript):
+    with pytest.raises(MalformedInput, match="script entry 0 lacks the field 'reply'"):
         parse_script({"entries": [{"exact": "a"}]})
-    with pytest.raises(MalformedScript):
+    with pytest.raises(MalformedInput, match="unknown script mode 'chaotic'"):
         parse_script({"mode": "chaotic", "entries": [{"reply": "r", "exact": "a"}]})
 
 
@@ -413,8 +414,8 @@ def test_http_4xx_rejection_carries_a_body_excerpt():
     with _serving(Reject) as endpoint:
         with pytest.raises(ProviderRejected) as err:
             _gateway(endpoint).complete(PROMPT, DecodeParams())
-    assert err.value.status == 429
-    assert err.value.body_excerpt == body.decode()[:200]
+    assert str(err.value) == \
+        f"provider rejected the request (HTTP 429): {body.decode()[:200]}"
 
 
 @contextmanager

@@ -6,12 +6,9 @@ import pytest
 
 from askplan.plans import (
     ActionKind,
-    ArityMismatch,
-    EmptyObject,
     NoSubgoalsFound,
     PlanParseError,
     Subgoal,
-    UnknownAction,
     parse_plan,
     parse_subgoal,
     render_subgoal,
@@ -29,23 +26,28 @@ def test_parse_put_with_receptacle():
 
 
 def test_parse_put_without_receptacle_is_arity_error():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(PlanParseError, match="Put requires a receptacle"):
         parse_subgoal("(Put, mug)")
 
 
 def test_parse_receptacle_on_non_put_is_arity_error():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(PlanParseError, match="Pickup does not take a receptacle"):
         parse_subgoal("(Pickup, mug, fridge)")
 
 
 def test_parse_unknown_action():
-    with pytest.raises(UnknownAction):
+    with pytest.raises(PlanParseError, match="unknown action 'Jump'"):
         parse_subgoal("(Jump, chair)")
 
 
 def test_parse_empty_object():
-    with pytest.raises(EmptyObject):
+    with pytest.raises(PlanParseError, match="subgoal object must be a non-empty token"):
         parse_subgoal("(Pickup, )")
+
+
+def test_parse_empty_receptacle():
+    with pytest.raises(PlanParseError, match="subgoal receptacle must be a non-empty token"):
+        parse_subgoal("(Put, bread, )")
 
 
 def test_parse_is_case_insensitive_and_normalizes_objects():
@@ -64,7 +66,7 @@ def test_parse_rejects_non_template_line():
 
 
 def test_parse_too_many_fields():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(PlanParseError, match="expected 2 or 3 fields, got 4"):
         parse_subgoal("(Put, a, b, c)")
 
 
@@ -79,9 +81,13 @@ def test_parse_plan_skips_prose_lines():
 
 
 def test_parse_plan_no_subgoals():
-    with pytest.raises(NoSubgoalsFound) as err:
+    with pytest.raises(NoSubgoalsFound, match=r"\(1 lines skipped\)"):
         parse_plan("I cannot help.")
-    assert err.value.skipped_lines == 1
+
+
+def test_parse_plan_does_not_count_blank_lines_as_skipped():
+    with pytest.raises(NoSubgoalsFound, match=r"\(1 lines skipped\)"):
+        parse_plan("\n  \nI cannot help.\n\t\n")
 
 
 def test_parse_plan_skips_bad_template_lines_but_keeps_order():
@@ -103,9 +109,9 @@ def test_render_parse_round_trip_1000():
 
 
 def test_subgoal_constructor_enforces_put_arity():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(PlanParseError, match="Put requires a receptacle"):
         Subgoal(ActionKind.PUT, "pan")
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(PlanParseError, match="Open does not take a receptacle"):
         Subgoal(ActionKind.OPEN, "fridge", "counter")
 
 

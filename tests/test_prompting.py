@@ -14,7 +14,6 @@ import pytest
 from askplan import asset_path
 from askplan.plans import parse_subgoal
 from askplan.prompting import (
-    EmptyTranscript,
     Validity,
     Verdict,
     classify_validity,
@@ -100,7 +99,7 @@ def test_tp_prompt_contains_template_rule_verbatim():
 
 
 def test_tp_prompt_rejects_empty_transcript():
-    with pytest.raises(EmptyTranscript):
+    with pytest.raises(ValueError, match="planning with a decomposition requires"):
         gen_tp_prompt(BREAD, ())
 
 
@@ -210,6 +209,9 @@ def test_classify_validity_rules():
     assert classify_validity("I'm not sure.").verdict is Verdict.INVALID
     assert classify_validity("valid, go ahead").verdict is Verdict.VALID
     assert classify_validity("this is inVALID here").verdict is Verdict.INVALID
+    # whole words only: "validity" is neither verdict
+    assert classify_validity("I cannot judge its validity").verdict is Verdict.INVALID
+    assert classify_validity("Validity: the fridge is closed.").verdict is Verdict.INVALID
 
 
 def test_classify_validity_never_reads_invalid_as_valid():
@@ -243,18 +245,18 @@ def test_format_transcript_cot_pseudo_turn():
 
 
 def test_unknown_template_name_rejected():
-    from askplan.prompting import TemplateError
-
-    with pytest.raises(TemplateError):
+    with pytest.raises(ValueError, match="unknown template 'nonexistent'"):
         load_template("nonexistent")
 
 
 def test_render_with_missing_value_rejected():
-    from askplan.prompting import TemplateError, _render
+    from askplan.prompting import _render
 
-    with pytest.raises(TemplateError):
+    with pytest.raises(ValueError, match=r"template 'tp' takes \['QA', 'instruction'\], "
+                                         r"got \['instruction'\]"):
         _render("tp", {"instruction": "x"})  # {QA} left unfilled
-    with pytest.raises(TemplateError):
+    with pytest.raises(ValueError, match=r"template 'std' takes \['instruction'\], "
+                                         r"got \['QA', 'instruction'\]"):
         _render("std", {"instruction": "x", "QA": "y"})  # std has no {QA}
 
 

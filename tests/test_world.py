@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 from askplan.engine import EpisodeConfig, noise_draw, run_episode
+from askplan.inputs import MalformedInput
 from askplan.plans import ActionKind, Subgoal, parse_subgoal
 from askplan.world import (
     FLAG_IMPLICATIONS,
     FailReason,
     GoalCondition,
-    InvalidScenario,
     Scenario,
     WorldState,
     apply_subgoal,
@@ -79,7 +79,7 @@ def test_new_world_copies_state(bread_scenario, mini7, mini7_gateway):
 def test_scenario_goal_over_missing_object_rejected():
     data = raw_scenario("heat_bread")
     data["goal"].append({"type": "state", "object": "ghost", "flag": "is_on", "value": True})
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(MalformedInput, match="goal references missing object 'ghost'"):
         Scenario.from_dict(data)
 
 
@@ -93,7 +93,7 @@ def test_scenario_goal_flag_must_be_a_boolean_entity_field(flag, valid):
     if valid:
         Scenario.from_dict(data)
     else:
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(MalformedInput, match=f"goal references unknown flag '{flag}'"):
             Scenario.from_dict(data)
 
 
@@ -101,7 +101,7 @@ def test_scenario_empty_goal_rejected():
     data = raw_scenario("heat_bread")
     data["goal"] = []
     data["entities"] = []
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(MalformedInput, match="goal must have at least one condition"):
         Scenario.from_dict(data)
 
 
@@ -109,14 +109,14 @@ def test_scenario_flag_implication_rejected():
     data = raw_scenario("heat_bread")
     data["entities"][0]["is_heated"] = True
     data["entities"][0].pop("heatable", None)
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(MalformedInput, match="is_heated set without heatable"):
         Scenario.from_dict(data)
 
 
 def test_scenario_held_object_must_be_in_the_agents_zone():
     data = raw_scenario("pick_watch")  # agent in bedroom, watch in livingroom
     data["held"] = "watch"
-    with pytest.raises(InvalidScenario, match="agent's zone"):
+    with pytest.raises(MalformedInput, match="agent's zone"):
         Scenario.from_dict(data)
     data["agent_zone"] = "livingroom"
     Scenario.from_dict(data)
@@ -125,14 +125,14 @@ def test_scenario_held_object_must_be_in_the_agents_zone():
 def test_scenario_container_must_be_receptacle():
     data = raw_scenario("heat_bread")
     data["entities"][1]["container"] = "bread"
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(MalformedInput, match="container 'bread' is not a receptacle"):
         Scenario.from_dict(data)
 
 
 def test_scenario_noise_range_checked():
     data = raw_scenario("heat_bread")
     data["noise"] = 1.5
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(MalformedInput, match=r"noise must be in \[0, 1\], got 1.5"):
         Scenario.from_dict(data)
 
 
