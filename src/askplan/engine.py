@@ -76,7 +76,7 @@ class EpisodeConfig:
     use_cot: bool = False
     decode: Optional[DecodeParams] = None
     noise_override: Optional[float] = None
-    seed: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.failure_budget < 1:
@@ -230,7 +230,7 @@ def _parse_qa(text: str) -> QATranscript:
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.lower().startswith("q:"):
-            if question is not None and answer is not None:
+            if answer is not None:
                 turns.append((question, answer))
             question, answer = stripped[2:].strip(), None
         elif stripped.lower().startswith("a:"):
@@ -238,9 +238,9 @@ def _parse_qa(text: str) -> QATranscript:
                 answer = stripped[2:].strip()
         elif stripped and answer is not None:
             answer = f"{answer} {stripped}"
-        elif stripped and question is not None and answer is None:
+        elif stripped and question is not None:
             question = f"{question} {stripped}"
-    if question is not None and answer is not None:
+    if answer is not None:
         turns.append((question, answer))
     if not turns:
         raise PlanningFailed("no Q/A pairs found in the decomposition reply")
@@ -360,16 +360,16 @@ def run_episode(scenario: Scenario, gw: Gateway,
                 cfg: Optional[EpisodeConfig] = None) -> EpisodeTrace:
     """Run one full episode and return its trace.
 
-    The seed (default 0), the noise (default the scenario's) and the decode
-    profile (default ``DecodeParams.for_vocab``) are resolved first, and the
-    trace echoes them. Step ``k`` (0-based, retries included) fails with
+    The noise (default the scenario's) and the decode profile (default
+    ``DecodeParams.for_vocab``) are resolved first, and the trace echoes them
+    with the seed. Step ``k`` (0-based, retries included) fails with
     ``controller_noise`` on an unchanged world when ``noise_draw(seed, k)``
     is below the noise. Failures of any kind become recorded outcomes; only
     an invalid configuration raises. Any other exception ends the trace as
     an ``internal_error`` that keeps what was recorded before it.
     """
     cfg = cfg or EpisodeConfig()
-    cfg = replace(cfg, seed=cfg.seed or 0,
+    cfg = replace(cfg,
                   noise_override=scenario.noise if cfg.noise_override is None
                   else cfg.noise_override,
                   decode=cfg.decode or DecodeParams.for_vocab(scenario.vocabulary))

@@ -141,21 +141,21 @@ def gen_replan_prompt(feedback: str, plan: Plan, observed: set[str] | frozenset[
     })
 
 
-_VERDICT_WORD_RE = re.compile(r"\b(?:IN)?VALID\b")
+# a verdict word, with the "not" or "n't" word that denies it and the "?"
+# that makes it a question
+_VERDICT_RE = re.compile(r"((?:\bNOT|N['’]T)\s+(?:AN?\s+)?)?\b(IN)?VALID\b(\s*\?)?")
 
 
 def classify_validity(raw: str) -> Validity:
     """Keyword rule over whole words, in any case: the word INVALID anywhere
-    wins, and the word VALID passes. Anything else, ``validity`` included, is
-    treated as invalid so that re-planning is triggered rather than a blind
-    retry."""
-    words = set(_VERDICT_WORD_RE.findall(raw.upper()))
-    if "INVALID" in words:
-        verdict = Verdict.INVALID
-    elif "VALID" in words:
-        verdict = Verdict.VALID
-    else:
-        verdict = Verdict.INVALID
+    wins, and the word VALID passes unless ``not`` or an ``n't`` word denies
+    it (``not valid``, ``isn't a valid``) or a ``?`` makes it a question.
+    Anything else, ``validity`` included, is treated as invalid so that
+    re-planning is triggered rather than a blind retry."""
+    found = _VERDICT_RE.findall(raw.upper())
+    affirmed = any(not denied and not asked for denied, _, asked in found)
+    invalid = any(word for _, word, _ in found)
+    verdict = Verdict.VALID if affirmed and not invalid else Verdict.INVALID
     return Validity(verdict, raw)
 
 

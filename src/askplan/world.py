@@ -5,14 +5,14 @@ The environment stands in for a 3D household simulator at the granularity a
 subgoal planner cares about: what is where, what is open/on/sliced/heated/
 chilled/clean, and which objects the agent can currently see. A state is the
 scene alone (entities, the agent's zone, the held object), and a transition
-is a pure function of a state and a subgoal that returns a fresh state. The
-world has no randomness: ``engine.run_episode`` draws the controller noise.
+is a pure function of a state and a subgoal. The world has no randomness:
+``engine.run_episode`` draws the controller noise.
 
-Entities are immutable values. A step returns a new ``WorldState`` whose
-entity dict is a fresh copy that shares every entity the step does not
-change. ``WorldState.edit`` is the one way to change an entity: it replaces
-that entity in its own state's dict only, so no state ever sees a change
-made to another, and a step builds new values only for what it changes.
+States, scenarios and entities are values: no code changes one once it is
+built. A step checks its preconditions on the state it is given; a failed
+step returns that state itself, and a successful one builds its successor
+with ``WorldState.after``, whose entity dict shares every entity the step
+does not change.
 
 Appliance semantics are keyed by entity category: a ``microwave`` heats its
 heatable contents when toggled on, a ``fridge`` chills its coolable contents
@@ -77,10 +77,10 @@ _APPLIANCE_EFFECTS = {
 
 
 class ObjectEntity(NamedTuple):
-    """One object of the scene, as an immutable value: change it with
-    ``WorldState.edit``. A NamedTuple, because the world builds and replaces
-    entities on every load and step, and a frozen dataclass does both several
-    times slower."""
+    """One object of the scene, as an immutable value: a step's successor
+    state replaces it through ``WorldState.after``. A NamedTuple, because the
+    world builds and replaces entities on every load and step, and a frozen
+    dataclass does both several times slower."""
 
     id: str
     category: str
@@ -116,21 +116,22 @@ _ENTITY_REQUIRED = frozenset(ObjectEntity._fields) - ObjectEntity._field_default
 _BOOL_FLAGS = frozenset(name for name, kind in _ENTITY_KINDS.items() if kind is bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldState:
+    """One scene. No code writes to ``entities`` once the state is built."""
+
     entities: dict[str, ObjectEntity]
     agent_zone: str
     held: Optional[str] = None
 
-    def copy(self) -> "WorldState":
-        """A new state with its own entity dict, sharing every entity."""
-        return WorldState(dict(self.entities), self.agent_zone, self.held)
-
-    def edit(self, entity_id: str, **changes) -> None:
-        """Replace one entity of this state by a copy with ``changes`` applied;
-        states that share the old entity keep it. It replaces a dict value
-        and adds no key, so a loop over ``entities`` may edit as it goes."""
-        self.entities[entity_id] = self.entities[entity_id]._replace(**changes)
+    def after(self, changes: dict[str, dict[str, object]], agent_zone: str,
+              held: Optional[str]) -> "WorldState":
+        """The successor state: ``changes`` maps an entity id to the fields
+        that change on it, and every other entity is shared with this state."""
+        entities = dict(self.entities)
+        for entity_id, fields in changes.items():
+            entities[entity_id] = entities[entity_id]._replace(**fields)
+        return WorldState(entities, agent_zone, held)
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ _GOAL_FIELDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """One benchmark task: initial world, instruction, goal, ground truth, noise."""
 
@@ -283,9 +284,9 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 def new_world(scenario: Scenario) -> WorldState:
-    """Fresh world for one episode: the initial state with its own entity
-    dict."""
-    return scenario.initial.copy()
+    """The world an episode starts in: the scenario's initial state, which no
+    step changes."""
+    return scenario.initial
 
 
 def _visible(world: WorldState, entity_id: str) -> bool:
@@ -309,107 +310,102 @@ def detect_objects(world: WorldState) -> set[str]:
     return {eid for eid in world.entities if _visible(world, eid)}
 
 
-def _sync_zone(world: WorldState, entity_id: str, zone: str) -> None:
-    # Navigate's carry into a new zone: moves an entity and (recursively)
-    # anything it contains. No other step changes a zone.
-    world.edit(entity_id, zone=zone)
-    for other in world.entities.values():
-        if other.container == entity_id:
-            _sync_zone(world, other.id, zone)
-
-
 def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
-    """Execute one subgoal and return a new state; ``world`` is not changed,
-    and the new state shares every entity the step leaves as it was.
+    """Execute one subgoal; ``world`` is not changed.
 
-    A pure function of ``(world, sg)``. A failed step returns a state equal
-    to ``world``. Never raises on a well-formed subgoal: unknown names come
-    back as target_not_visible.
+    A pure function of ``(world, sg)``. A failed step returns ``world``
+    itself, and a successful one a new state that shares every entity the
+    step leaves as it was. Never raises on a well-formed subgoal: unknown
+    names come back as target_not_visible.
     """
-    state = world.copy()
-    target = state.entities.get(sg.object)
+    target = world.entities.get(sg.object)
     if target is None:
-        return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE,
+        return ExecutionResult(world, FailReason.TARGET_NOT_VISIBLE,
                                f"no object named {sg.object!r} in the environment")
 
     if sg.action is ActionKind.NAVIGATE:
-        if state.held is not None and target.zone != state.agent_zone:
-            _sync_zone(state, state.held, target.zone)
-        state.agent_zone = target.zone
-        return ExecutionResult(state)
+        changes = {}
+        if world.held is not None and target.zone != world.agent_zone:
+            # the carry: the held object and everything inside it, at any depth
+            pending = [world.held]
+            while pending:
+                carried = pending.pop()
+                changes[carried] = {"zone": target.zone}
+                pending += [other.id for other in world.entities.values()
+                            if other.container == carried]
+        return ExecutionResult(world.after(changes, target.zone, world.held))
 
-    if not _visible(state, target.id):
-        return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE, f"{sg.object} is not visible")
+    if not _visible(world, target.id):
+        return ExecutionResult(world, FailReason.TARGET_NOT_VISIBLE, f"{sg.object} is not visible")
 
     if sg.action is ActionKind.PICKUP:
-        if state.held is not None:
-            return ExecutionResult(state, FailReason.HAND_OCCUPIED,
-                                   f"already holding {state.held}")
+        if world.held is not None:
+            return ExecutionResult(world, FailReason.HAND_OCCUPIED,
+                                   f"already holding {world.held}")
         if not target.pickupable:
-            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+            return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
                                    f"{sg.object} is not pickupable")
         if target.heavy:
-            return ExecutionResult(state, FailReason.OBJECT_TOO_HEAVY, f"{sg.object} is too heavy")
-        state.edit(target.id, container=None)
-        state.held = target.id
-        return ExecutionResult(state)
+            return ExecutionResult(world, FailReason.OBJECT_TOO_HEAVY, f"{sg.object} is too heavy")
+        return ExecutionResult(world.after({target.id: {"container": None}},
+                                           world.agent_zone, target.id))
 
     if sg.action is ActionKind.PUT:
-        if state.held is None:
-            return ExecutionResult(state, FailReason.HAND_EMPTY, "nothing is held")
-        if state.held != sg.object:
-            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
-                                   f"holding {state.held}, not {sg.object}")
-        receptacle = state.entities.get(sg.receptacle)
+        if world.held is None:
+            return ExecutionResult(world, FailReason.HAND_EMPTY, "nothing is held")
+        if world.held != sg.object:
+            return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
+                                   f"holding {world.held}, not {sg.object}")
+        receptacle = world.entities.get(sg.receptacle)
         if receptacle is None:
-            return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE,
+            return ExecutionResult(world, FailReason.TARGET_NOT_VISIBLE,
                                    f"no object named {sg.receptacle!r} in the environment")
         if receptacle.id == target.id:
-            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+            return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
                                    "cannot put an object into itself")
-        if not _visible(state, receptacle.id):
-            return ExecutionResult(state, FailReason.TARGET_NOT_VISIBLE,
+        if not _visible(world, receptacle.id):
+            return ExecutionResult(world, FailReason.TARGET_NOT_VISIBLE,
                                    f"{receptacle.id} is not visible")
         if not receptacle.is_receptacle:
-            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+            return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
                                    f"{receptacle.id} is not a receptacle")
         if receptacle.openable and not receptacle.is_open:
-            return ExecutionResult(state, FailReason.RECEPTACLE_CLOSED,
+            return ExecutionResult(world, FailReason.RECEPTACLE_CLOSED,
                                    f"{receptacle.id} is closed")
         # containment must stay acyclic: the receptacle's chain cannot pass
         # through the object being placed
         parent = receptacle
         while parent.container is not None:
             if parent.container == target.id:
-                return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+                return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
                                        f"{receptacle.id} is inside {target.id}")
-            parent = state.entities[parent.container]
-        state.edit(target.id, container=receptacle.id)
-        state.held = None
-        return ExecutionResult(state)
+            parent = world.entities[parent.container]
+        return ExecutionResult(world.after({target.id: {"container": receptacle.id}},
+                                           world.agent_zone, None))
 
     if sg.action is ActionKind.SLICE:
-        if state.held is None:
-            return ExecutionResult(state, FailReason.HAND_EMPTY, "slicing requires holding a knife")
-        blade = state.entities[state.held]
+        if world.held is None:
+            return ExecutionResult(world, FailReason.HAND_EMPTY, "slicing requires holding a knife")
+        blade = world.entities[world.held]
         if "knife" not in blade.category:
-            return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+            return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
                                    f"{blade.id} cannot slice anything")
     flag, value = _FLAG_ACTIONS[sg.action]
     capability = FLAG_IMPLICATIONS[flag]
     if not getattr(target, capability):
-        return ExecutionResult(state, FailReason.PRECONDITION_VIOLATED,
+        return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
                                f"{sg.object} is not {capability}")
-    state.edit(target.id, **{flag: value})
+    changes = {target.id: {flag: value}}
     effect = _APPLIANCE_EFFECTS.get((sg.action, target.category))
     # a faucet works on the receptacle it is attached to, any other appliance on itself
     site = target.container if target.category == "faucet" else target.id
     if effect is not None and site is not None:
         capability = FLAG_IMPLICATIONS[effect]
-        for other in state.entities.values():
+        for other in world.entities.values():
             if other.container == site and getattr(other, capability):
-                state.edit(other.id, **{effect: True})
-    return ExecutionResult(state)
+                # merged: a cleanable faucet sits in the sink it cleans
+                changes.setdefault(other.id, {})[effect] = True
+    return ExecutionResult(world.after(changes, world.agent_zone, world.held))
 
 
 def _markers(world: WorldState, entity: ObjectEntity) -> list[str]:

@@ -235,6 +235,14 @@ def test_run_missing_script_is_config_error(tmp_path):
     assert not (tmp_path / "traces.jsonl").exists()
 
 
+def test_an_unreadable_input_is_named_with_the_os_reason_alone(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    code = run_cli("run", "--tasks", str(missing), "--script", SCRIPT, "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: task set invalid at scenario '<file>': "
+                                       f"{missing}: not readable (No such file or directory)\n")
+
+
 def test_run_scripted_without_script_flag_is_config_error(tmp_path):
     code = run_cli("run", "--tasks", MINI7, "--gateway", "scripted",
                    "--seed", "1", "--out", str(tmp_path))
@@ -263,6 +271,26 @@ def test_run_http_gateway_requires_endpoint_and_model(tmp_path):
     code = run_cli("run", "--tasks", MINI7, "--gateway", "http",
                    "--seed", "1", "--out", str(tmp_path))
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("given", [("--endpoint", "http://127.0.0.1:9/v1"), ("--model", "m")],
+                         ids=["endpoint-only", "model-only"])
+def test_run_http_gateway_requires_both_endpoint_and_model(given, tmp_path, capsys):
+    code = run_cli("run", "--tasks", MINI7, "--gateway", "http", *given, "--retries", "0",
+                   "--timeout", "1", "--seed", "1", "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "--endpoint and --model are required" in capsys.readouterr().err
+    assert not (tmp_path / "traces.jsonl").exists()
+
+
+def test_run_noise_zero_is_in_range(tmp_path):
+    assert run_cli("run", "--tasks", MINI7, "--gateway", "scripted", "--script", SCRIPT,
+                   "--seed", "1", "--noise", "0", "--out", str(tmp_path)) == EXIT_OK
+    records = [json.loads(line) for line in
+               (tmp_path / "traces.jsonl").read_text().splitlines()]
+    assert [r["config"]["noise"] for r in records] == [0.0] * 7
+    assert not any(step["reason"] == "controller_noise"
+                   for r in records for step in r["steps"])
 
 
 def test_run_http_gateway_against_stub(tmp_path):
@@ -791,6 +819,15 @@ MALFORMED_INPUTS = {
         _set(("entries", 0, "contians_all"), ["bread"]))),
     "script-stray-fallback-reply": ("run", None, None, _script_with(
         _set(("fallback_reply",), "fallback"))),
+    # scenario 0's core has 13 steps, so 13 is the first index out of range
+    "wildcard-at-core-length": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "wildcards"), [13])), None),
+    "floating-slot-at-core-length": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "floating"), [[13, 8]])), None),
+    "floating-anchor-at-core-length": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "floating"), [[9, 13]])), None),
+    "swap-end-at-core-length": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "swap_groups"), [[[0, 0], [12, 13]]])), None),
 }
 
 
@@ -823,6 +860,7 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--noise", "2"), ("--noise", "nan"), ("--timeout", "0"), ("--timeout", "nan"),
+    ("--timeout", "inf"),
     ("--parallel", "0"), ("--parallel", "-1"), ("--parallel", "1.5"), ("--retries", "-1"),
 ])
 def test_run_out_of_range_flag_exits_2(flag, value, tmp_path, capsys):

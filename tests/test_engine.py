@@ -116,6 +116,18 @@ def test_make_plan_no_std_degenerate_plan():
     assert ActionKind.PICKUP not in actions
 
 
+def test_an_episode_that_runs_off_the_end_of_its_plan_is_plan_exhausted(bread_scenario):
+    # every step succeeds, but two steps meet none of the goal conditions
+    gw = scripted(ScriptEntry(reply="1. (Pickup, knife)\n2. (Slice, bread)",
+                              contains_all=("Create a detailed plan",)))
+    record = run_episode(bread_scenario, gw,
+                         EpisodeConfig(use_std=False, seed=1)).to_record()
+    assert (record["outcome"], record["abort_reason"]) == ("plan_exhausted", None)
+    assert [(step["subgoal"], step["success"]) for step in record["steps"]] == [
+        ("(Pickup, knife)", True), ("(Slice, bread)", True)]
+    assert (record["failure_count"], record["sr"]) == (0, 0)
+
+
 def test_make_plan_empty_completion_fails():
     gw = scripted(ScriptEntry(reply="cannot help", contains_all=("Create",)))
     with pytest.raises(PlanningFailed):
@@ -255,6 +267,16 @@ def test_resume_stops_at_a_revised_step_whose_object_is_unknown(bread_scenario):
     revised = tuple(parse_subgoal(line) for line in [
         "(Pickup, knife)", "(Open, ghost)", "(Slice, bread)"])
     assert _resume_index(world, revised, [pickup]) == 1
+
+
+def test_resume_after_a_revised_plan_that_repeats_the_whole_history(bread_scenario):
+    history = [parse_subgoal("(Pickup, knife)"), parse_subgoal("(Slice, bread)")]
+    world = new_world(bread_scenario)
+    for sg in history:
+        world = apply_subgoal(world, sg).state_after
+    added = parse_subgoal("(Put, knife, counter)")
+    assert _resume_index(world, (*history, added), history) == 2
+    assert _resume_index(world, tuple(history), history) == 2
 
 
 # -- run_episode end to end ---------------------------------------------------

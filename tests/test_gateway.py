@@ -168,6 +168,7 @@ def test_decode_params_validated():
         DecodeParams(temperature=-1.0)
     with pytest.raises(ValueError):
         DecodeParams(max_tokens=0)
+    assert DecodeParams(max_tokens=1).max_tokens == 1
 
 
 # -- http gateway against a local stub ----------------------------------------

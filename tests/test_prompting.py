@@ -212,6 +212,11 @@ def test_classify_validity_rules():
     # whole words only: "validity" is neither verdict
     assert classify_validity("I cannot judge its validity").verdict is Verdict.INVALID
     assert classify_validity("Validity: the fridge is closed.").verdict is Verdict.INVALID
+    # a denied VALID and a questioned one are no verdict to redo on
+    for text in ("This step is not valid.", "NOT VALID - the door is closed",
+                 "isn't valid", "Valid? No.", "This is not a valid step.", "It isn’t valid"):
+        assert classify_validity(text).verdict is Verdict.INVALID, text
+    assert classify_validity("Is it valid? Yes, VALID.").verdict is Verdict.VALID
 
 
 def test_classify_validity_never_reads_invalid_as_valid():

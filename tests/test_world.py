@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import copy
 import random
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
-from askplan.engine import EpisodeConfig, noise_draw, run_episode
+from askplan.engine import EpisodeConfig, EpisodeOutcome, noise_draw, run_episode
 from askplan.inputs import MalformedInput
 from askplan.plans import ActionKind, Subgoal, parse_subgoal
 from askplan.world import (
@@ -66,7 +67,7 @@ def test_new_world_copies_state(bread_scenario, mini7, mini7_gateway):
     world = new_world(bread_scenario)
     with pytest.raises(AttributeError):
         world.entities["bread"].is_sliced = True
-    world.edit("bread", is_sliced=True)
+    world = world.after({"bread": {"is_sliced": True}}, world.agent_zone, world.held)
     assert world.entities["bread"].is_sliced
     assert not bread_scenario.initial.entities["bread"].is_sliced
     for scenario in mini7.scenarios:
@@ -74,6 +75,17 @@ def test_new_world_copies_state(bread_scenario, mini7, mini7_gateway):
         trace = run_episode(scenario, mini7_gateway, EpisodeConfig(seed=1))
         assert trace.steps, scenario.id
         assert scenario.initial == initial, scenario.id
+
+
+def test_states_and_scenarios_are_values(bread_scenario):
+    assert new_world(bread_scenario) is bread_scenario.initial
+    with pytest.raises(FrozenInstanceError):
+        bread_scenario.initial.held = "knife"
+    with pytest.raises(FrozenInstanceError):
+        bread_scenario.initial.agent_zone = "cellar"
+    with pytest.raises(FrozenInstanceError):
+        bread_scenario.noise = 1.0
+    assert bread_scenario.initial.held is None and bread_scenario.noise == 0.0
 
 
 def test_scenario_goal_over_missing_object_rejected():
@@ -282,7 +294,7 @@ def test_put_requires_holding_the_named_object(bread_scenario):
     world = run_plan(new_world(bread_scenario), ["(Pickup, knife)", "(Open, fridge)"])
     result = apply_subgoal(world, parse_subgoal("(Put, bread, fridge)"))
     assert result.reason is FailReason.PRECONDITION_VIOLATED
-    world.held = None
+    world = world.after({}, world.agent_zone, None)
     result = apply_subgoal(world, parse_subgoal("(Put, bread, fridge)"))
     assert result.reason is FailReason.HAND_EMPTY
 
@@ -342,6 +354,76 @@ def test_contained_object_moves_with_carried_receptacle(mini7):
     assert world.entities["plate"].container == "countertop"
 
 
+def _failure_scene() -> Scenario:
+    data = raw_scenario("heat_bread")
+    data["entities"] += [
+        {"id": "vase", "category": "vase", "zone": "hallway", "is_receptacle": True},
+        {"id": "anvil", "category": "anvil", "zone": "kitchen", "pickupable": True,
+         "heavy": True},
+        {"id": "bowl", "category": "bowl", "zone": "kitchen", "pickupable": True,
+         "is_receptacle": True},
+        {"id": "plate", "category": "plate", "zone": "kitchen", "pickupable": True,
+         "is_receptacle": True},
+    ]
+    return Scenario.from_dict(data)
+
+
+# one row per failure path of apply_subgoal: steps that set it up, the failing
+# step, and the reason and detail it fails with
+FAILED_STEPS = [
+    ([], "(Pickup, unicorn)", FailReason.TARGET_NOT_VISIBLE,
+     "no object named 'unicorn' in the environment"),
+    ([], "(Pickup, vase)", FailReason.TARGET_NOT_VISIBLE, "vase is not visible"),
+    (["(Pickup, knife)"], "(Pickup, bread)", FailReason.HAND_OCCUPIED, "already holding knife"),
+    ([], "(Pickup, counter)", FailReason.PRECONDITION_VIOLATED, "counter is not pickupable"),
+    ([], "(Pickup, anvil)", FailReason.OBJECT_TOO_HEAVY, "anvil is too heavy"),
+    ([], "(Put, bread, counter)", FailReason.HAND_EMPTY, "nothing is held"),
+    (["(Pickup, knife)"], "(Put, bread, counter)", FailReason.PRECONDITION_VIOLATED,
+     "holding knife, not bread"),
+    (["(Pickup, bread)"], "(Put, bread, unicorn)", FailReason.TARGET_NOT_VISIBLE,
+     "no object named 'unicorn' in the environment"),
+    (["(Pickup, bowl)"], "(Put, bowl, bowl)", FailReason.PRECONDITION_VIOLATED,
+     "cannot put an object into itself"),
+    (["(Pickup, bread)"], "(Put, bread, vase)", FailReason.TARGET_NOT_VISIBLE,
+     "vase is not visible"),
+    (["(Pickup, bread)"], "(Put, bread, knife)", FailReason.PRECONDITION_VIOLATED,
+     "knife is not a receptacle"),
+    (["(Pickup, bread)"], "(Put, bread, fridge)", FailReason.RECEPTACLE_CLOSED,
+     "fridge is closed"),
+    (["(Pickup, plate)", "(Put, plate, bowl)", "(Pickup, bowl)"], "(Put, bowl, plate)",
+     FailReason.PRECONDITION_VIOLATED, "plate is inside bowl"),
+    ([], "(Slice, bread)", FailReason.HAND_EMPTY, "slicing requires holding a knife"),
+    (["(Pickup, bread)"], "(Slice, bread)", FailReason.PRECONDITION_VIOLATED,
+     "bread cannot slice anything"),
+    ([], "(Open, bread)", FailReason.PRECONDITION_VIOLATED, "bread is not openable"),
+]
+
+
+@pytest.mark.parametrize("setup, line, reason, detail", FAILED_STEPS,
+                         ids=[f"{row[1]}-{row[3]}" for row in FAILED_STEPS])
+def test_a_failed_step_returns_its_input(setup, line, reason, detail):
+    world = run_plan(new_world(_failure_scene()), setup)
+    result = apply_subgoal(world, parse_subgoal(line))
+    assert (result.reason, result.detail) == (reason, detail)
+    assert result.state_after is world
+
+
+def test_failed_steps_cover_every_reason_a_step_can_fail_with():
+    assert {row[2] for row in FAILED_STEPS} == \
+        set(FailReason) - {FailReason.OK, FailReason.CONTROLLER_NOISE}
+
+
+def test_toggling_a_cleanable_faucet_on_cleans_it_with_its_sink():
+    # the faucet is both the toggled target and part of the site it cleans
+    data = raw_scenario("clean_ladle")
+    next(entity for entity in data["entities"] if entity["id"] == "faucet")["cleanable"] = True
+    world = run_plan(new_world(Scenario.from_dict(data)),
+                     ["(Pickup, ladle)", "(Put, ladle, sink)", "(ToggleOn, faucet)"])
+    faucet = world.entities["faucet"]
+    assert faucet.is_on and faucet.is_clean
+    assert world.entities["ladle"].is_clean
+
+
 # -- controller noise ---------------------------------------------------------
 # The episode draws the noise and the world never sees it, so these run whole
 # episodes: the noisy script answers every validity check VALID, so each
@@ -373,6 +455,18 @@ def test_noise_one_always_fires(bread_scenario, noisy_gateway):
     assert {step.scene for step in trace.steps} == \
         {render_scene(initial, detect_objects(initial))}
     assert trace.goal_conditions == check_goal_conditions(initial, bread_scenario.goal)
+
+
+def test_a_task_with_noise_one_loads_and_fails_every_step(noisy_gateway):
+    data = raw_scenario("heat_bread")
+    data["noise"] = 1.0
+    scenario = Scenario.from_dict(data)
+    for budget in (10, 1):
+        trace = run_episode(scenario, noisy_gateway, EpisodeConfig(seed=3, failure_budget=budget))
+        assert trace.config["noise"] == 1.0
+        assert trace.outcome is EpisodeOutcome.BUDGET_EXHAUSTED
+        assert trace.failure_count == len(trace.steps) == budget
+        assert all(step.reason is FailReason.CONTROLLER_NOISE for step in trace.steps)
 
 
 def test_noise_draw_deterministic(bread_scenario, noisy_gateway):
@@ -453,7 +547,7 @@ def test_scene_lists_exactly_detected_ids_randomized(bread_scenario):
 def test_scene_empty_zone(mini7):
     pick = next(s for s in mini7.scenarios if s.id == "pick_watch")
     world = new_world(pick)
-    world.agent_zone = "cellar"
+    world = WorldState(world.entities, "cellar", world.held)
     assert render_scene(world, detect_objects(world)).splitlines()[1:] == \
         ["Visible objects: none"]
 
