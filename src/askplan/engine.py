@@ -408,6 +408,7 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
     trace.initial_plan = current
 
     observed: set[str] = set()
+    observed_ids: tuple[str, ...] = ()  # sorted(observed), redone only when it grows
     executed: list[Subgoal] = []
     index = 0
     while index < len(current):
@@ -418,14 +419,16 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
             result = apply_subgoal(world, sg)
         world = result.state_after
         visible = detect_objects(world)
-        observed |= visible
+        if not visible <= observed:
+            observed |= visible
+            observed_ids = tuple(sorted(observed))
         scene = render_scene(world, visible)
         record = StepRecord(
             subgoal=sg,
             reason=result.reason,
             detail=result.detail,
             scene=scene,
-            observed=tuple(sorted(observed)),
+            observed=observed_ids,
         )
         trace.steps.append(record)
 

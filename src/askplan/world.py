@@ -14,6 +14,16 @@ step returns that state itself, and a successful one builds its successor
 with ``WorldState.after``, whose entity dict shares every entity the step
 does not change.
 
+A state also keeps what it derives from its entities: a ``SceneIndex`` (the
+ids with no container in each zone, and the ids directly inside each
+container) and the scene line of each entity ``render_scene`` has drawn.
+``after`` is the only code that updates them: it hands the index on
+copy-on-write, replacing only the buckets of an entity that changed zone or
+container, and drops the lines of the entities that changed. So a step reads
+the agent's zone and what it moves, not the whole scene: ``detect_objects``
+walks down from the zone's roots into every container that is not closed,
+and a scene re-renders only the lines of entities that changed.
+
 Appliance semantics are keyed by entity category: a ``microwave`` heats its
 heatable contents when toggled on, a ``fridge`` chills its coolable contents
 when closed, and a ``faucet`` cleans cleanable objects inside the receptacle
@@ -27,7 +37,7 @@ zone, where its target and receptacle already are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, get_args, get_type_hints
 
@@ -116,22 +126,95 @@ _ENTITY_REQUIRED = frozenset(ObjectEntity._fields) - ObjectEntity._field_default
 _BOOL_FLAGS = frozenset(name for name, kind in _ENTITY_KINDS.items() if kind is bool)
 
 
+class SceneIndex(NamedTuple):
+    """Where each entity of a scene hangs. ``roots`` maps a zone to the ids of
+    the entities in it that have no container, ``children`` maps a container
+    id to the ids directly inside it. Two maps, since a zone may share its
+    name with an entity. Buckets are frozensets, so a successor's index can
+    share every bucket it does not change."""
+
+    roots: dict[str, frozenset[str]]
+    children: dict[str, frozenset[str]]
+
+    @staticmethod
+    def build(entities: dict[str, ObjectEntity]) -> "SceneIndex":
+        roots: dict[str, set[str]] = {}
+        children: dict[str, set[str]] = {}
+        for entity in entities.values():
+            if entity.container is None:
+                roots.setdefault(entity.zone, set()).add(entity.id)
+            else:
+                children.setdefault(entity.container, set()).add(entity.id)
+        return SceneIndex({zone: frozenset(ids) for zone, ids in roots.items()},
+                          {parent: frozenset(ids) for parent, ids in children.items()})
+
+
+def _rebucket(buckets: dict[str, frozenset[str]], entity_id: str,
+              old: Optional[str], new: Optional[str]) -> None:
+    # Moves entity_id from bucket ``old`` to bucket ``new`` (None: no bucket)
+    # in a map the caller owns, replacing each bucket it changes.
+    if old == new:
+        return
+    if old is not None:
+        rest = buckets[old] - {entity_id}
+        if rest:
+            buckets[old] = rest
+        else:
+            del buckets[old]
+    if new is not None:
+        buckets[new] = buckets.get(new, frozenset()) | {entity_id}
+
+
+def _root_zone(entity: ObjectEntity) -> Optional[str]:
+    return entity.zone if entity.container is None else None
+
+
 @dataclass(frozen=True)
 class WorldState:
-    """One scene. No code writes to ``entities`` once the state is built."""
+    """One scene. No code writes to ``entities`` once the state is built.
+
+    The last two fields are derived from the others, so equality ignores
+    them: the state's ``SceneIndex``, which a state not built by ``after``
+    builds on first use, and the scene lines ``render_scene`` has drawn for
+    it, keyed by entity id. A line depends on its entity and on whether that
+    entity is held. Episodes on parallel threads share a scenario's initial
+    state; two threads that fill either field at once write equal values."""
 
     entities: dict[str, ObjectEntity]
     agent_zone: str
     held: Optional[str] = None
+    _index: Optional[SceneIndex] = field(default=None, compare=False, repr=False)
+    _lines: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
+
+    def index(self) -> SceneIndex:
+        """This state's ``SceneIndex``, built from ``entities`` on first use."""
+        if self._index is None:
+            object.__setattr__(self, "_index", SceneIndex.build(self.entities))
+        return self._index
 
     def after(self, changes: dict[str, dict[str, object]], agent_zone: str,
               held: Optional[str]) -> "WorldState":
         """The successor state: ``changes`` maps an entity id to the fields
-        that change on it, and every other entity is shared with this state."""
-        entities = dict(self.entities)
+        that change on it, and every other entity is shared with this state,
+        as is every index bucket and scene line the changes leave valid."""
+        entities = self.entities.copy()
+        roots, children = index = self.index()
+        lines = self._lines.copy()
+        if held != self.held:
+            lines.pop(self.held, None)
+            lines.pop(held, None)
         for entity_id, fields in changes.items():
-            entities[entity_id] = entities[entity_id]._replace(**fields)
-        return WorldState(entities, agent_zone, held)
+            old = entities[entity_id]
+            new = entities[entity_id] = old._replace(**fields)
+            lines.pop(entity_id, None)
+            if new.zone != old.zone or new.container != old.container:
+                if roots is index.roots:
+                    roots, children = dict(roots), dict(children)
+                _rebucket(roots, entity_id, _root_zone(old), _root_zone(new))
+                _rebucket(children, entity_id, old.container, new.container)
+        if roots is not index.roots:
+            index = SceneIndex(roots, children)
+        return WorldState(entities, agent_zone, held, index, lines)
 
 
 @dataclass(frozen=True)
@@ -306,8 +389,21 @@ def _visible(world: WorldState, entity_id: str) -> bool:
 
 def detect_objects(world: WorldState) -> set[str]:
     """Ids the agent's detector reports: same-zone entities not hidden inside a
-    closed container, plus whatever is held."""
-    return {eid for eid in world.entities if _visible(world, eid)}
+    closed container, plus whatever is held. Walks down from the roots of the
+    agent's zone, into every container that is not closed."""
+    roots, children = world.index()
+    visible = set(roots.get(world.agent_zone, ()))
+    pending = list(visible & children.keys())
+    while pending:
+        container = world.entities[pending.pop()]
+        if container.openable and not container.is_open:
+            continue
+        inside = children[container.id]
+        visible |= inside
+        pending += inside & children.keys()
+    if world.held is not None:
+        visible.add(world.held)
+    return visible
 
 
 def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
@@ -327,12 +423,12 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
         changes = {}
         if world.held is not None and target.zone != world.agent_zone:
             # the carry: the held object and everything inside it, at any depth
+            children = world.index().children
             pending = [world.held]
             while pending:
                 carried = pending.pop()
                 changes[carried] = {"zone": target.zone}
-                pending += [other.id for other in world.entities.values()
-                            if other.container == carried]
+                pending += children.get(carried, ())
         return ExecutionResult(world.after(changes, target.zone, world.held))
 
     if not _visible(world, target.id):
@@ -401,14 +497,14 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
     site = target.container if target.category == "faucet" else target.id
     if effect is not None and site is not None:
         capability = FLAG_IMPLICATIONS[effect]
-        for other in world.entities.values():
-            if other.container == site and getattr(other, capability):
+        for other_id in world.index().children.get(site, ()):
+            if getattr(world.entities[other_id], capability):
                 # merged: a cleanable faucet sits in the sink it cleans
-                changes.setdefault(other.id, {})[effect] = True
+                changes.setdefault(other_id, {})[effect] = True
     return ExecutionResult(world.after(changes, world.agent_zone, world.held))
 
 
-def _markers(world: WorldState, entity: ObjectEntity) -> list[str]:
+def _scene_line(world: WorldState, entity: ObjectEntity) -> str:
     markers = []
     if entity.id == world.held:
         markers.append("held")
@@ -423,21 +519,23 @@ def _markers(world: WorldState, entity: ObjectEntity) -> list[str]:
                          ("heavy", "heavy")):
         if getattr(entity, flag):
             markers.append(marker)
-    return markers
+    return f"- {entity.id} ({', '.join(markers)})" if markers else f"- {entity.id}"
 
 
 def render_scene(world: WorldState, visible: set[str]) -> str:
     """Textual observation: the agent's zone plus every object in ``visible``
     (what ``detect_objects`` reports for ``world``) with its state markers,
-    sorted by id for a deterministic rendering."""
+    sorted by id for a deterministic rendering. An entity's line is drawn once
+    per state and kept on it."""
     lines = [f"Zone: {world.agent_zone}"]
     if not visible:
         lines.append("Visible objects: none")
     else:
         lines.append("Visible objects:")
-        for oid in sorted(visible):
-            markers = _markers(world, world.entities[oid])
-            lines.append(f"- {oid} ({', '.join(markers)})" if markers else f"- {oid}")
+        drawn = world._lines
+        for oid in visible - drawn.keys():
+            drawn[oid] = _scene_line(world, world.entities[oid])
+        lines += map(drawn.__getitem__, sorted(visible))
     return "\n".join(lines)
 
 

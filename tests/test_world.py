@@ -3,17 +3,19 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import FrozenInstanceError
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from askplan.engine import EpisodeConfig, EpisodeOutcome, noise_draw, run_episode
 from askplan.inputs import MalformedInput
-from askplan.plans import ActionKind, Subgoal, parse_subgoal
+from askplan.plans import ActionKind, Subgoal, parse_subgoal, render_subgoal
 from askplan.world import (
     FLAG_IMPLICATIONS,
     FailReason,
     GoalCondition,
+    SceneIndex,
     Scenario,
     WorldState,
     apply_subgoal,
@@ -37,17 +39,20 @@ def run_plan(world: WorldState, lines: list[str]) -> WorldState:
     return world
 
 
-def run_core_with_navigation(world: WorldState, core) -> WorldState:
+def core_with_navigation(scenario: Scenario) -> list[Subgoal]:
     # Cores omit Navigate steps (they are controller-level); insert the zone
     # move a low-level controller would perform before each interaction.
-    for sg in core:
+    world, steps = new_world(scenario), []
+    for sg in scenario.gt.core:
         anchor = sg.receptacle if sg.action is ActionKind.PUT else sg.object
-        if world.entities[anchor].zone != world.agent_zone:
-            world = apply_subgoal(world, Subgoal(ActionKind.NAVIGATE, anchor)).state_after
-        result = apply_subgoal(world, sg)
-        assert result.success, f"{sg} failed: {result.detail}"
-        world = result.state_after
-    return world
+        moves = [] if world.entities[anchor].zone == world.agent_zone else \
+            [Subgoal(ActionKind.NAVIGATE, anchor)]
+        for step in moves + [sg]:
+            result = apply_subgoal(world, step)
+            assert result.success, f"{step} failed: {result.detail}"
+            world = result.state_after
+            steps.append(step)
+    return steps
 
 
 # -- scenario loading ---------------------------------------------------------
@@ -572,7 +577,9 @@ def test_goal_conditions_after_full_gt_plan(bread_scenario):
 
 def test_all_mini7_gt_cores_execute_to_success(mini7):
     for scenario in mini7.scenarios:
-        world = run_core_with_navigation(new_world(scenario), scenario.gt.core)
+        world = new_world(scenario)
+        for step in core_with_navigation(scenario):
+            world = apply_subgoal(world, step).state_after
         assert all(check_goal_conditions(world, scenario.goal)), scenario.id
 
 
@@ -681,3 +688,213 @@ def test_effects_satisfied_helper(bread_scenario):
     assert not subgoal_effects_satisfied(world, parse_subgoal("(Close, fridge)"))
     assert not subgoal_effects_satisfied(world, parse_subgoal("(Pickup, knife)"))
     assert subgoal_effects_satisfied(world, parse_subgoal("(Navigate, knife)"))
+
+
+# -- the scene index and the scene lines a state keeps ------------------------
+
+
+def _with_storage_distractors(scenario_id: str, count: int) -> dict:
+    # Inert distractors in three storage zones no entity of the scenario uses,
+    # as the cluttered-scene benchmark adds them, so the agent never sees one.
+    raw = raw_scenario(scenario_id)
+    raw["entities"] += [{"id": f"stored{k:04d}", "category": "crate", "zone": f"storage{k % 3}"}
+                        for k in range(count)]
+    return raw
+
+
+def _storage_scene(scenario_id: str) -> Scenario:
+    return Scenario.from_dict(_with_storage_distractors(scenario_id, 30))
+
+
+def _scan_visible(world: WorldState) -> set[str]:
+    # The documented rule, entity by entity: the held object, and every entity
+    # in the agent's zone with no closed container on its chain.
+    visible = set()
+    for entity in world.entities.values():
+        if entity.id == world.held:
+            visible.add(entity.id)
+            continue
+        if entity.zone != world.agent_zone:
+            continue
+        parent = entity
+        while parent.container is not None:
+            parent = world.entities[parent.container]
+            if parent.openable and not parent.is_open:
+                break
+        else:
+            visible.add(entity.id)
+    return visible
+
+
+def _assert_index_holds(world: WorldState, where: str) -> None:
+    visible = detect_objects(world)
+    assert visible == _scan_visible(world), where
+    assert world.index() == SceneIndex.build(world.entities), where
+    # a state with an empty line cache draws every line afresh
+    fresh = WorldState(dict(world.entities), world.agent_zone, world.held)
+    assert render_scene(world, visible) == render_scene(fresh, visible), where
+
+
+def _garden_scene() -> Scenario:
+    # stack_plate, with a closed chest on the countertop, a bowl and a cup to
+    # nest, a table in another zone, and a zone that shares its name with a
+    # receptacle entity: zone "garden" and the entity "garden" in the kitchen
+    data = raw_scenario("stack_plate")
+    data["entities"] += [
+        {"id": "chest", "category": "chest", "zone": "kitchen", "container": "countertop",
+         "openable": True, "is_receptacle": True},
+        {"id": "bowl", "category": "bowl", "zone": "kitchen", "pickupable": True,
+         "is_receptacle": True},
+        {"id": "cup", "category": "cup", "zone": "kitchen", "pickupable": True,
+         "is_receptacle": True},
+        {"id": "table", "category": "table", "zone": "diningroom", "is_receptacle": True},
+        {"id": "garden", "category": "planter", "zone": "kitchen", "is_receptacle": True},
+        {"id": "shed", "category": "shed", "zone": "garden", "is_receptacle": True},
+        {"id": "rake", "category": "rake", "zone": "garden", "container": "shed",
+         "pickupable": True},
+    ]
+    return Scenario.from_dict(data)
+
+
+# scene -> (its scenario, the steps run before the random walks: each must
+# succeed, except one marked "!", which must fail; None runs the core)
+INDEX_SCENES = {
+    **{f"{scenario_id}+storage": (partial(_storage_scene, scenario_id), None)
+       for scenario_id in ("heat_bread", "cool_tomato", "clean_ladle", "picktwo_remotes",
+                           "stack_plate", "pick_watch", "examine_book")},
+    "nested stack": (_stack_with_bowl_and_cup, [
+        "(Pickup, cup)", "(Put, cup, bowl)", "(Pickup, bowl)", "(Put, bowl, plate)",
+        "(Pickup, plate)", "(Put, plate, countertop)",
+    ]),
+    # the plate carries the bowl, which holds the cup, to the table's zone and back
+    "carried receptacle": (_garden_scene, [
+        "(Pickup, cup)", "(Put, cup, bowl)", "(Pickup, bowl)", "(Put, bowl, plate)",
+        "(Pickup, plate)", "(Navigate, table)", "(Put, plate, table)", "(Pickup, plate)",
+        "(Navigate, countertop)",
+    ]),
+    # put into an open chain, close it, put into the closed chest and into the
+    # bowl it hides, then open the chain and put into it again
+    "container chains": (_garden_scene, [
+        "(Open, chest)", "(Pickup, bowl)", "(Put, bowl, chest)", "(Pickup, cup)",
+        "(Put, cup, bowl)", "(Close, chest)", "(Pickup, spoon)", "!(Put, spoon, chest)",
+        "!(Put, spoon, bowl)", "(Open, chest)", "(Put, spoon, cup)", "(Close, chest)",
+    ]),
+    # a zone and a receptacle both named garden
+    "zone named like an entity": (_garden_scene, [
+        "(Pickup, spoon)", "(Put, spoon, garden)", "(Navigate, shed)", "(Pickup, rake)",
+        "(Navigate, garden)", "(Put, rake, garden)",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_SCENES)
+def test_index_matches_a_scan_of_the_scene_after_every_step(name):
+    build, prefix = INDEX_SCENES[name]
+    scenario = build()
+    # the core fires all three appliance effects on heat_bread, cool_tomato
+    # and clean_ladle
+    prefix = [render_subgoal(sg) for sg in core_with_navigation(scenario)] \
+        if prefix is None else prefix
+    world = new_world(scenario)
+    _assert_index_holds(world, f"{name}: initial state")
+    for line in prefix:
+        result = apply_subgoal(world, parse_subgoal(line.lstrip("!")))
+        assert result.success != line.startswith("!"), f"{name}: {line}: {result.detail}"
+        world = result.state_after
+        _assert_index_holds(world, f"{name}: after {line}")
+    rng = random.Random(name)
+    vocab = sorted(world.entities)
+    for walk in range(4):
+        world = new_world(scenario)
+        for _ in range(40):
+            action = rng.choice(list(ActionKind))
+            step = Subgoal(action, rng.choice(vocab),
+                           rng.choice(vocab) if action is ActionKind.PUT else None)
+            world = apply_subgoal(world, step).state_after
+            _assert_index_holds(world, f"{name}: walk {walk}, after {step}")
+
+
+def test_index_keeps_a_zone_and_an_entity_of_one_name_apart():
+    world = run_plan(new_world(_garden_scene()), ["(Pickup, spoon)", "(Put, spoon, garden)"])
+    roots, children = world.index()
+    assert roots["garden"] == {"shed"} and children["garden"] == {"spoon"}
+    assert "rake" not in detect_objects(world) and "spoon" in detect_objects(world)
+
+
+def test_the_held_object_is_detected_wherever_the_agent_is(mini7):
+    # load and Navigate keep the held object in the agent's zone; the rule
+    # does not depend on it
+    pick = next(s for s in mini7.scenarios if s.id == "pick_watch")
+    world = WorldState(new_world(pick).entities, "cellar", "watch")
+    assert detect_objects(world) == _scan_visible(world) == {"watch"}
+
+
+def test_scene_lines_follow_the_held_object_through_after(bread_scenario):
+    # the held marker is the one part of a line that depends on the state
+    world = new_world(bread_scenario)
+    render_scene(world, detect_objects(world))
+    for held in ("knife", "bread", None):
+        world = world.after({}, world.agent_zone, held)
+        _assert_index_holds(world, f"holding {held}")
+
+
+class _CountingEntities(dict):
+    """An entity dict that counts the entities read through it. A copy shares
+    the count, so every successor ``WorldState.after`` builds counts too. The
+    copy itself is not counted: for a plain dict ``after`` takes it in C,
+    without reading an entity, so what is counted is what the step's own
+    code reads."""
+
+    def __init__(self, entities: dict, reads: list[int]):
+        super().__init__(entities)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads[0] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads[0] += 1
+        return super().get(key, default)
+
+    def values(self):
+        self.reads[0] += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads[0] += len(self)
+        return super().items()
+
+    def __iter__(self):
+        self.reads[0] += len(self)
+        return super().__iter__()
+
+    def copy(self):
+        return _CountingEntities(dict(dict.items(self)), self.reads)
+
+
+def _reads_per_step(raw: dict) -> list[int]:
+    # entities read by each step of the core (Navigate inserted) plus the
+    # detect_objects and render_scene that follow it in an episode
+    scenario = Scenario.from_dict(raw)
+    steps = core_with_navigation(scenario)
+    reads = [0]
+    initial = scenario.initial
+    world = WorldState(_CountingEntities(initial.entities, reads), initial.agent_zone,
+                       initial.held)
+    world.index()  # built once, on the scenario's initial state
+    per_step = []
+    for step in steps:
+        reads[0] = 0
+        world = apply_subgoal(world, step).state_after
+        render_scene(world, detect_objects(world))
+        per_step.append(reads[0])
+    return per_step
+
+
+def test_a_step_reads_no_more_entities_with_1000_storage_distractors(mini7):
+    for scenario_id in (s.id for s in mini7.scenarios):
+        plain = _reads_per_step(_with_storage_distractors(scenario_id, 0))
+        assert plain and all(plain), scenario_id
+        assert _reads_per_step(_with_storage_distractors(scenario_id, 1000)) == plain, \
+            scenario_id
