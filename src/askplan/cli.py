@@ -173,7 +173,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         out_dir=Path(args.out),
         parallelism=args.parallel,
     )
-    out_path = run_bench(tasks, cfg)
+    try:
+        out_path = run_bench(tasks, cfg)
+    finally:
+        gateway.close()
     for line in out_path.read_text("utf-8").splitlines():
         record = json.loads(line)
         print(f"{record['task_id']}: {record['outcome']} "

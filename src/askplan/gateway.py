@@ -4,8 +4,10 @@ the two call shapes, ``complete`` and the scene-conditioned
 ``complete_multimodal``, once; each kind implements only ``_send`` and
 ``describe``.
 
-The HTTP client is the standard library's ``urllib.request``, so proxies,
-TLS verification and redirects follow urllib's rules.
+The HTTP client is the standard library's ``http.client``. Each HTTP
+gateway keeps its connections alive and reuses them from one call to the
+next; proxies and TLS verification follow urllib's rules, and redirects are
+not followed.
 
 Scene-conditioned calls append the textual scene rendering to the user
 message, so both gateway kinds see the same request text. Scripted replies
@@ -15,16 +17,20 @@ whole episodes replayable bit-for-bit.
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
 import os
+import ssl
+import threading
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
+from . import __version__
 from .inputs import MalformedInput, checked_field, read_json, reject_unknown_keys
 from .prompting import RenderedPrompt
 
@@ -172,6 +178,9 @@ class Gateway:
     def describe(self) -> dict:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the gateway keeps between calls; it stays usable."""
+
 
 class ScriptedGateway(Gateway):
     """Deterministic oracle: same request text, same reply, no clock, no RNG."""
@@ -198,6 +207,63 @@ class HttpGatewayConfig:
     backoff_s: float = 0.25
 
 
+@dataclass(frozen=True)
+class _Route:
+    """How requests reach an endpoint, worked out once per gateway.
+
+    Without a proxy a connection goes to the endpoint's host. Behind a proxy
+    (from ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY``, as urllib reads
+    them) it goes to the proxy: an https endpoint asks it for a CONNECT
+    tunnel, an http endpoint sends it the absolute URL. The proxy URL's
+    userinfo becomes a Basic ``Proxy-Authorization`` header, sent with the
+    CONNECT or with each plain-http request."""
+
+    address: str  # host[:port] the socket connects to
+    target: str  # the request line's target
+    headers: Mapping[str, str]  # added to every request
+    tls: Optional[ssl.SSLContext]  # None for plain http
+    tunnel: Optional[str]  # host[:port] of the CONNECT
+    tunnel_headers: Mapping[str, str]
+
+    @staticmethod
+    def resolve(endpoint: str) -> "_Route":
+        parts = urllib.parse.urlsplit(endpoint)
+        try:
+            parts.port  # raises on a port that is not a number in range
+        except ValueError as exc:
+            raise ProviderUnreachable(f"endpoint is not a URL: {exc}") from exc
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ProviderUnreachable(f"endpoint is not a URL: {endpoint!r}")
+        netloc = parts.netloc.rpartition("@")[2]
+        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        # one context per gateway: building one loads the trust store
+        tls = ssl.create_default_context() if parts.scheme == "https" else None
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if not proxy or urllib.request.proxy_bypass(netloc):
+            return _Route(netloc, target, {}, tls, None, {})
+        proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        auth = {}
+        if proxy_parts.username and proxy_parts.password:
+            credentials = (f"{urllib.parse.unquote(proxy_parts.username)}:"
+                           f"{urllib.parse.unquote(proxy_parts.password)}")
+            auth["Proxy-Authorization"] = \
+                "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
+        address = proxy_parts.netloc.rpartition("@")[2]
+        if tls is not None:
+            return _Route(address, target, {}, tls, netloc, auth)
+        return _Route(address, f"http://{netloc}{target}", auth, None, None, {})
+
+    def connection(self, timeout_s: float) -> http.client.HTTPConnection:
+        """A new, not yet connected connection; it connects on its first
+        request and reconnects on the first request after ``close``."""
+        if self.tls is None:
+            return http.client.HTTPConnection(self.address, timeout=timeout_s)
+        conn = http.client.HTTPSConnection(self.address, timeout=timeout_s, context=self.tls)
+        if self.tunnel is not None:
+            conn.set_tunnel(self.tunnel, headers=dict(self.tunnel_headers))
+        return conn
+
+
 class HttpGateway(Gateway):
     """Chat-completion client over a provider's HTTP endpoint.
 
@@ -205,14 +271,24 @@ class HttpGateway(Gateway):
     max_tokens; the bias map is keyed by surface strings and left to the
     provider to map onto its tokenizer. Transient failures (connection
     errors, timeouts, garbled replies, 5xx) are retried with exponential
-    backoff; any other status but 200 is rejected immediately, and a 200
-    reply that is not a chat completion raises MalformedReply. The API key is
-    read from the configured environment variable at call time and never
-    stored.
+    backoff; any other status but 200, a redirect included, is rejected
+    immediately, and a 200 reply that is not a chat completion raises
+    MalformedReply. The API key is read from the configured environment
+    variable at call time and never stored.
+
+    Connections are kept alive in a pool the gateway owns: a call takes an
+    idle connection or opens one, and puts it back only after reading the
+    whole reply, and only when the server keeps it open. So the pool grows to
+    the most calls that ran at once, and a connection whose exchange failed
+    is closed, never reused, so a late reply cannot be read as the next
+    call's. ``close`` closes the idle connections.
     """
 
     def __init__(self, config: HttpGatewayConfig):
         self.config = config
+        self._lock = threading.Lock()
+        self._route: Optional[_Route] = None
+        self._idle: list[http.client.HTTPConnection] = []
 
     def _send(self, system_text: str, user_text: str, params: DecodeParams) -> Completion:
         body = {
@@ -225,7 +301,7 @@ class HttpGateway(Gateway):
             "logit_bias": dict(params.token_bias),
             "max_tokens": params.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": f"askplan/{__version__}"}
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
@@ -233,15 +309,18 @@ class HttpGateway(Gateway):
 
         attempts = 1 + max(0, self.config.retries)
         last_error: Optional[Exception] = None
-        started = time.monotonic()
+        spent_s = 0.0  # in attempts only, without the backoff sleeps
         for attempt in range(attempts):
             if attempt:
                 time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
+            started = time.monotonic()
             try:
                 status, raw = self._post(data, headers)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
+            finally:
+                spent_s += time.monotonic() - started
             excerpt = raw.decode("utf-8", "replace")[:200]
             if 500 <= status < 600:
                 last_error = ProviderRejected(status, excerpt)
@@ -255,11 +334,9 @@ class HttpGateway(Gateway):
                 raise MalformedReply(f"reply is not a chat completion: {excerpt!r}") from exc
             if not isinstance(text, str):
                 raise MalformedReply(f"reply content is not text: {text!r}")
-            latency_ms = int(1000 * (time.monotonic() - started))
-            return Completion(text, payload.get("model", self.config.model), latency_ms,
-                              (len(user_text.split()), len(text.split())))
-        # a connect timeout comes wrapped in URLError.reason
-        if isinstance(getattr(last_error, "reason", last_error), TimeoutError):
+            return Completion(text, payload.get("model", self.config.model),
+                              int(1000 * spent_s), (len(user_text.split()), len(text.split())))
+        if isinstance(last_error, TimeoutError):
             raise GatewayTimeout(
                 f"no response within {self.config.timeout_s}s after {attempts} attempts")
         raise ProviderUnreachable(
@@ -269,19 +346,48 @@ class HttpGateway(Gateway):
         """One attempt: the reply's status and body, whatever the status.
         Transport failures raise OSError or http.client.HTTPException.
 
-        The request is built anew for every attempt: urllib's proxy handling
-        rewrites a request in place, and a reused https request would be sent
-        as plain http by the third attempt through a proxy."""
+        A kept-alive connection the server has since closed fails before any
+        byte of the reply arrives; the request is then sent once more at once
+        on a new connection, which is not another attempt."""
+        conn, reused = self._take()
+        route = self._route
+        headers = {**headers, **route.headers}
         try:
-            request = urllib.request.Request(self.config.endpoint, data, headers, method="POST")
-        except ValueError as exc:  # no scheme, e.g. "example.com/v1"
-            raise ProviderUnreachable(f"endpoint is not a URL: {exc}") from exc
-        try:
-            with urllib.request.urlopen(request, timeout=self.config.timeout_s) as response:
-                return response.status, response.read()
-        except urllib.error.HTTPError as exc:  # outside 2xx, and not a followed redirect
-            with exc:
-                return exc.code, exc.read()
+            try:
+                conn.request("POST", route.target, data, headers)
+                response = conn.getresponse()
+            except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected too
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", route.target, data, headers)
+                response = conn.getresponse()
+            with response:
+                raw = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response.status, raw
+
+    def _take(self) -> tuple[http.client.HTTPConnection, bool]:
+        """An idle connection (reused: True) or a new one."""
+        with self._lock:
+            if self._route is None:
+                self._route = _Route.resolve(self.config.endpoint)
+            if self._idle:
+                return self._idle.pop(), True
+            return self._route.connection(self.config.timeout_s), False
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def describe(self) -> dict:
         return {

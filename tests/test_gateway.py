@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import os
 import re
+import socket
 import socketserver
 import subprocess
 import sys
 import threading
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -223,14 +224,18 @@ def stub_server():
         yield endpoint
 
 
-def _replying(body: bytes):
-    """A stub handler that answers every request with ``body`` and status 200."""
+def _replying(body: bytes, status: int = 200):
+    """A stub handler that answers every request with ``body`` and ``status``
+    (a redirect points back at the request's path) and records each request's
+    target and headers."""
     class Handler(_StubHandler):
         requests: list[dict] = []
 
         def do_POST(self):
-            type(self).requests.append({})
-            self.send_response(200)
+            type(self).requests.append({"path": self.path, "headers": dict(self.headers)})
+            self.send_response(status)
+            if 300 <= status < 400:
+                self.send_header("Location", self.path)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
@@ -389,10 +394,10 @@ def test_http_broken_reply_is_retried_then_a_recorded_outcome(reply, bread_scena
 
 
 def test_http_connect_timeout_is_a_gateway_timeout(monkeypatch):
-    def connect_timeout(request, timeout):
-        raise urllib.error.URLError(TimeoutError("timed out"))
+    def connect_timeout(conn):
+        raise TimeoutError("timed out")
 
-    monkeypatch.setattr(urllib.request, "urlopen", connect_timeout)
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect_timeout)
     with pytest.raises(GatewayTimeout):
         _gateway("http://127.0.0.1:9/v1/chat", retries=1).complete(PROMPT, DecodeParams())
 
@@ -417,6 +422,168 @@ def test_http_4xx_rejection_carries_a_body_excerpt():
             _gateway(endpoint).complete(PROMPT, DecodeParams())
     assert str(err.value) == \
         f"provider rejected the request (HTTP 429): {body.decode()[:200]}"
+
+
+def test_http_latency_leaves_out_the_backoff(stub_server):
+    _StubHandler.fail_first = 1
+    gw = HttpGateway(HttpGatewayConfig(
+        endpoint=stub_server, model="stub-model", retries=1, timeout_s=5.0, backoff_s=0.3))
+    completion = gw.complete(PROMPT, DecodeParams())
+    assert completion.text == "stub reply"
+    assert completion.latency_ms < 300
+    assert len(_StubHandler.requests) == 2
+
+
+@pytest.mark.parametrize("status, error, requests", [
+    (302, ProviderRejected, 1),
+    (307, ProviderRejected, 1),
+    (599, ProviderUnreachable, 2),  # a 5xx, retried until the attempts run out
+    (600, ProviderRejected, 1),
+])
+def test_http_redirects_are_rejected_and_only_5xx_retried(status, error, requests):
+    handler = _replying(b"", status)
+    with _serving(handler) as endpoint:
+        with pytest.raises(error, match=f"HTTP {status}"):
+            _gateway(endpoint, retries=1).complete(PROMPT, DecodeParams())
+    assert len(handler.requests) == requests
+
+
+def _clear_proxy_variables(monkeypatch):
+    for key in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(key, raising=False)
+        monkeypatch.delenv(key.upper(), raising=False)
+
+
+def test_http_endpoint_behind_a_proxy_sends_the_absolute_url(monkeypatch, stub_server):
+    proxy = _replying(b'{"choices": [{"message": {"content": "via the proxy"}}]}')
+    _clear_proxy_variables(monkeypatch)
+    with _serving(proxy) as proxy_endpoint:
+        monkeypatch.setenv("HTTP_PROXY", f"http://user:p%40ss@{proxy_endpoint.split('/')[2]}")
+        with closing(_gateway(stub_server, retries=0)) as gw:
+            assert gw.complete(PROMPT, DecodeParams()).text == "via the proxy"
+        (request,) = proxy.requests
+        assert request["path"] == stub_server
+        assert request["headers"]["Host"] == stub_server.split("/")[2]
+        assert request["headers"]["Proxy-Authorization"] == \
+            "Basic " + base64.b64encode(b"user:p@ss").decode("ascii")
+        assert _StubHandler.requests == []
+
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        with closing(_gateway(stub_server, retries=0)) as gw:
+            assert gw.complete(PROMPT, DecodeParams()).text == "stub reply"
+    assert len(proxy.requests) == 1
+    assert len(_StubHandler.requests) == 1
+
+
+# -- kept-alive connections ---------------------------------------------------
+
+
+def _keep_alive(hang_up: bool = False):
+    """An HTTP/1.1 stub handler that keeps connections open and counts them
+    and the requests. It replies ``re: <user text>``; the text ``reject``
+    gets a 404, and ``slow`` waits until ``late`` is set. With ``hang_up``
+    it closes every connection after one reply, without saying so."""
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        lock = threading.Lock()
+        connections = 0
+        requests = 0
+        late = threading.Event()
+
+        def setup(self):
+            super().setup()
+            # the head and the body go out in two writes
+            self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self.lock:
+                type(self).connections += 1
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with self.lock:
+                type(self).requests += 1
+            text = body["messages"][1]["content"]
+            if text == "slow":
+                self.late.wait(5)
+                # the client has given up: read nothing more from it
+                self.close_connection = True
+            data = json.dumps({"choices": [{"message": {"content": f"re: {text}"}}]}).encode()
+            try:
+                self.send_response(404 if text == "reject" else 200)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+            except OSError:  # the late reply to a closed connection
+                pass
+            if hang_up:
+                self.close_connection = True
+
+        def log_message(self, *args):
+            pass
+    return Handler
+
+
+def _ask(gw: HttpGateway, text: str) -> str:
+    return gw.complete(RenderedPrompt("system text", text), DecodeParams()).text
+
+
+def test_http_sequential_calls_share_one_connection():
+    handler = _keep_alive()
+    with _serving(handler) as endpoint:
+        with closing(_gateway(endpoint, retries=0)) as gw:
+            assert [_ask(gw, f"call {i}") for i in range(20)] == \
+                [f"re: call {i}" for i in range(20)]
+    assert (handler.connections, handler.requests) == (1, 20)
+
+
+def test_http_concurrent_calls_open_at_most_one_connection_each():
+    handler = _keep_alive()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _serving(handler) as endpoint:
+            with closing(_gateway(endpoint, retries=0)) as gw, \
+                    ThreadPoolExecutor(max_workers=8) as pool:
+                replies = list(pool.map(
+                    lambda worker: [_ask(gw, f"{worker}.{i}") for i in range(5)], range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == [[f"re: {worker}.{i}" for i in range(5)] for worker in range(8)]
+    assert handler.requests == 40
+    assert 1 <= handler.connections <= 8
+
+
+def test_http_connection_closed_by_the_server_is_reopened_within_the_attempt():
+    handler = _keep_alive(hang_up=True)
+    with _serving(handler) as endpoint:
+        with closing(_gateway(endpoint, retries=0)) as gw:
+            assert [_ask(gw, f"call {i}") for i in range(5)] == \
+                [f"re: call {i}" for i in range(5)]
+    assert (handler.connections, handler.requests) == (5, 5)
+
+
+def test_http_late_reply_after_a_timeout_is_never_read_as_the_next_reply():
+    handler = _keep_alive()
+    with _serving(handler) as endpoint:
+        gw = HttpGateway(HttpGatewayConfig(
+            endpoint=endpoint, model="stub-model", retries=0, timeout_s=0.2))
+        with closing(gw):
+            try:
+                with pytest.raises(GatewayTimeout):
+                    _ask(gw, "slow")
+            finally:
+                handler.late.set()
+            assert _ask(gw, "fast") == "re: fast"
+    assert (handler.connections, handler.requests) == (2, 2)
+
+
+def test_http_4xx_leaves_the_connection_reusable():
+    handler = _keep_alive()
+    with _serving(handler) as endpoint:
+        with closing(_gateway(endpoint, retries=0)) as gw:
+            with pytest.raises(ProviderRejected, match="HTTP 404"):
+                _ask(gw, "reject")
+            assert _ask(gw, "accept") == "re: accept"
+    assert (handler.connections, handler.requests) == (1, 2)
 
 
 @contextmanager
@@ -482,6 +649,21 @@ def test_https_retries_through_a_proxy_stay_inside_tls():
         assert tunnelled.startswith(b"\x16\x03")  # a TLS handshake record
         assert b"sekrit" not in head + tunnelled
         assert b"Authorization" not in head + tunnelled
+
+
+def test_https_proxy_credentials_go_with_the_connect_only(monkeypatch):
+    seen: list[tuple[bytes, bytes]] = []
+    _clear_proxy_variables(monkeypatch)
+    with _tunnelling_proxy(seen) as proxy:
+        monkeypatch.setenv("HTTPS_PROXY", proxy.replace("http://", "http://user:p%40ss@"))
+        with pytest.raises(ProviderUnreachable):
+            _gateway("https://askplan.invalid/v1/chat", retries=0).complete(
+                PROMPT, DecodeParams())
+    ((head, tunnelled),) = seen
+    assert head.startswith(b"CONNECT askplan.invalid:443 ")
+    assert b"\r\nProxy-Authorization: Basic " + base64.b64encode(b"user:p@ss") + b"\r\n" \
+        in head
+    assert tunnelled.startswith(b"\x16\x03")
 
 
 def test_importing_the_cli_does_not_load_requests():
