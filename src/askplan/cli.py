@@ -15,6 +15,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -105,14 +106,22 @@ def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
     else:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             records = list(pool.map(one, indices, tasks.scenarios))
-    with out_path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(dump_record(record) + "\n")
+    write_output(out_path, "".join(dump_record(record) + "\n" for record in records))
     return out_path
 
 
 def dump_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def write_output(path: Path, text: str) -> None:
+    """Replace the file at ``path`` with ``text``, in one write. The old file
+    is unlinked first, not truncated in place: a reader that has it open
+    keeps a complete copy, a symlink or hard link at ``path`` is replaced
+    rather than written through, and ext4 starts no writeback of the old
+    data that the next truncate of the file would wait for."""
+    path.unlink(missing_ok=True)
+    path.write_text(text, "utf-8")
 
 
 def read_traces(path: str | Path) -> list[dict]:
@@ -194,7 +203,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    report_path.write_text(text + "\n", "utf-8")
+    write_output(report_path, text + "\n")
     if args.format == "json":
         print(text)
     else:
@@ -232,9 +241,34 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"replay of line {args.line} ({record['task_id']}): DIVERGED")
     for key in sorted(set(rerun) | set(record)):
-        if dump_record({key: rerun.get(key)}) != dump_record({key: record.get(key)}):
-            print(f"  field {key!r} differs")
+        path = first_difference(key, record.get(key, _ABSENT), rerun.get(key, _ABSENT))
+        if path is not None:
+            print(f"  field {key!r} differs, first at {path}")
     return 1
+
+
+_ABSENT = object()  # the value of a key or list item that one side lacks
+
+
+def first_difference(path: str, recorded, replayed) -> Optional[str]:
+    """The path (``steps[3].reason``) where two JSON values first differ,
+    walking objects in sorted key order and lists in index order; None when
+    the values dump to the same bytes."""
+    if isinstance(recorded, dict) and isinstance(replayed, dict):
+        parts = [(f"{path}.{key}", recorded.get(key, _ABSENT), replayed.get(key, _ABSENT))
+                 for key in sorted(recorded.keys() | replayed.keys())]
+    elif isinstance(recorded, list) and isinstance(replayed, list):
+        parts = [(f"{path}[{index}]", *pair) for index, pair in
+                 enumerate(zip_longest(recorded, replayed, fillvalue=_ABSENT))]
+    elif _ABSENT in (recorded, replayed) or json.dumps(recorded) != json.dumps(replayed):
+        return path
+    else:
+        return None
+    for part in parts:
+        found = first_difference(*part)
+        if found is not None:
+            return found
+    return None
 
 
 _SAMPLE_QA = (
@@ -282,7 +316,7 @@ def cmd_prompts(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in blocks:
-            (out_dir / f"{name}.txt").write_text(text, "utf-8")
+            write_output(out_dir / f"{name}.txt", text)
         print(f"prompts written to {out_dir}")
     else:
         for _, text in blocks:

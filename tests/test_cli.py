@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from askplan import asset_path, engine
+from askplan import asset_path, cli, engine
 from askplan.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -18,6 +18,7 @@ from askplan.cli import (
     build_parser,
     dump_record,
     episode_seed,
+    first_difference,
     load_tasks,
     main,
     read_traces,
@@ -496,6 +497,10 @@ def test_replay_detects_divergence(trace_dir, tmp_path, capsys):
     records = [json.loads(line) for line in
                (trace_dir / "traces.jsonl").read_text().splitlines()]
     records[0]["sr"] = 0
+    # a nested field names its first differing path, and no later one
+    records[0]["steps"][3]["reason"] = "tampered"
+    records[0]["steps"][5]["reason"] = "tampered too"
+    records[0]["llm_log"][1]["text"] += "!"
     tampered = tmp_path / "tampered.jsonl"
     tampered.write_text("\n".join(json.dumps(r) for r in records))
     code = run_cli("replay", "--traces", str(tampered), "--tasks", MINI7,
@@ -503,7 +508,24 @@ def test_replay_detects_divergence(trace_dir, tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "DIVERGED" in out
-    assert "'sr'" in out
+    assert out.splitlines()[1:] == [
+        "  field 'llm_log' differs, first at llm_log[1].text",
+        "  field 'sr' differs, first at sr",
+        "  field 'steps' differs, first at steps[3].reason",
+    ]
+
+
+@pytest.mark.parametrize("recorded, replayed, found", [
+    ({"a": [1, {"b": 2}]}, {"a": [1, {"b": 2}]}, None),
+    ({"a": [1, {"b": 2}]}, {"a": [1, {"b": 3}]}, "x.a[1].b"),
+    ({"a": 1, "c": 1}, {"a": 1, "b": None, "c": 2}, "x.b"),  # a key only one side has
+    ([1, 2], [1, 2, 3], "x[2]"),
+    ({"a": 1}, {"a": 1.0}, "x.a"),  # the dumped bytes differ
+    ({"a": 1}, {"a": True}, "x.a"),
+    ({"a": [1]}, {"a": {"0": 1}}, "x.a"),
+])
+def test_first_difference(recorded, replayed, found):
+    assert first_difference("x", recorded, replayed) == found
 
 
 def test_replay_with_a_copy_of_the_script_at_another_path(pinned_traces, tmp_path, capsys):
@@ -665,6 +687,98 @@ def test_prompts_stdout_when_no_out(capsys):
     code = run_cli("prompts", "--tasks", MINI7)
     assert code == EXIT_OK
     assert "things to discover" in capsys.readouterr().out
+
+
+# -- output files ---------------------------------------------------------------
+
+
+def _write_traces(tmp_path: Path, variant: int) -> Path:
+    out = tmp_path / "out"
+    assert run_cli("run", "--tasks", MINI7, "--script", SCRIPT, "--seed", str(42 + variant),
+                   "--out", str(out)) == EXIT_OK
+    return out / "traces.jsonl"
+
+
+def _write_report(tmp_path: Path, variant: int) -> Path:
+    traces = tmp_path / "run" / "out" / "traces.jsonl"
+    if not traces.exists():
+        _write_traces(tmp_path / "run", 0)
+    lines = traces.read_text().splitlines(keepends=True)
+    part = tmp_path / f"part{variant}.jsonl"
+    part.write_text("".join(lines[:3] if variant else lines))  # variant 1: three episodes
+    out = tmp_path / "out"
+    assert run_cli("score", "--traces", str(part), "--tasks", MINI7, "--out", str(out)) == EXIT_OK
+    return out / "report.json"
+
+
+def _write_prompts(tmp_path: Path, variant: int) -> Path:
+    out = tmp_path / "out"
+    assert run_cli("prompts", "--tasks", MINI7, "--id", ["heat_bread", "cool_tomato"][variant],
+                   "--out", str(out)) == EXIT_OK
+    return out / "planner.txt"
+
+
+# each writes its output file into tmp_path/out; variants 0 and 1 differ in bytes
+OUTPUT_WRITERS = {"run": _write_traces, "score": _write_report, "prompts": _write_prompts}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_WRITERS))
+def test_a_rerun_replaces_the_output_and_an_open_reader_keeps_the_old_bytes(command, tmp_path,
+                                                                             capsys):
+    write = OUTPUT_WRITERS[command]
+    path = write(tmp_path, 0)
+    old = path.read_bytes()
+    with path.open("rb") as reader:
+        write(tmp_path, 1)
+        assert reader.read() == old
+    assert path.read_bytes() != old
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_WRITERS))
+def test_a_rerun_with_the_same_flags_writes_the_same_bytes(command, tmp_path, capsys):
+    write = OUTPUT_WRITERS[command]
+    first = write(tmp_path, 0).read_bytes()
+    assert write(tmp_path, 0).read_bytes() == first
+
+
+def test_a_rerun_replaces_a_symlink_instead_of_writing_through_it(tmp_path, capsys):
+    target = tmp_path / "elsewhere.jsonl"
+    target.write_text("kept\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "traces.jsonl").symlink_to(target)
+    path = _write_traces(tmp_path, 0)
+    assert not path.is_symlink()
+    assert len(path.read_text().splitlines()) == 7
+    assert target.read_text() == "kept\n"
+
+
+def _raise_malformed(*args):
+    raise MalformedInput("injected while the episodes run")
+
+
+@pytest.mark.parametrize("fail", ["missing script", "during the episodes"])
+def test_a_run_that_exits_2_leaves_the_previous_traces_in_place(fail, tmp_path, monkeypatch,
+                                                                capsys):
+    path = _write_traces(tmp_path, 0)
+    old = path.read_bytes()
+    script = SCRIPT
+    if fail == "missing script":
+        script = str(tmp_path / "nope.json")
+    else:
+        monkeypatch.setattr(cli, "run_episode", _raise_malformed)
+    assert run_cli("run", "--tasks", MINI7, "--script", script,
+                   "--out", str(path.parent)) == EXIT_CONFIG
+    assert path.read_bytes() == old
+
+
+def test_a_directory_at_the_traces_path_is_one_io_error_line(tmp_path, capsys):
+    (tmp_path / "traces.jsonl").mkdir()
+    code = run_cli("run", "--tasks", MINI7, "--script", SCRIPT, "--out", str(tmp_path))
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("i/o error: ")
+    assert "Traceback" not in err
 
 
 # -- exit codes ---------------------------------------------------------------
