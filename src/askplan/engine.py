@@ -97,7 +97,7 @@ class EpisodeConfig:
             "decode": {
                 "temperature": self.decode.temperature,
                 "max_tokens": self.decode.max_tokens,
-                "token_bias": dict(sorted(self.decode.token_bias.items())),
+                "token_bias": dict(self.decode.token_bias),
             },
             "gateway": gw.describe(),
         }
@@ -137,49 +137,17 @@ class RecoveryDecision:
 
 
 @dataclass
-class StepRecord:
-    subgoal: Subgoal
-    reason: FailReason
-    detail: str
-    scene: str
-    observed: tuple[str, ...]
-    decision: Optional[str] = None
-    validity: Optional[Validity] = None
-    feedback: Optional[str] = None
-    replan: Optional[Plan] = None
-
-    @property
-    def success(self) -> bool:
-        return self.reason is FailReason.OK
-
-    def to_dict(self) -> dict:
-        return {
-            "subgoal": render_subgoal(self.subgoal),
-            "success": self.success,
-            "reason": self.reason.value,
-            "detail": self.detail,
-            "scene": self.scene,
-            "observed": list(self.observed),
-            "decision": self.decision,
-            "validity": None if self.validity is None else {
-                "verdict": self.validity.verdict.value,
-                "raw": self.validity.raw,
-            },
-            "feedback": self.feedback,
-            "replan": None if self.replan is None else
-            [render_subgoal(sg) for sg in self.replan],
-        }
-
-
-@dataclass
 class EpisodeTrace:
+    """One episode as it ran. ``steps`` holds each step in record form, the
+    dicts ``to_record()["steps"]`` returns, so nothing converts them."""
+
     task_id: str
     task_type: str
     instruction: str
     config: dict
     qa: Optional[QATranscript] = None
     initial_plan: Optional[Plan] = None
-    steps: list[StepRecord] = field(default_factory=list)
+    steps: list[dict] = field(default_factory=list)
     failure_count: int = 0
     outcome: EpisodeOutcome = EpisodeOutcome.PLAN_EXHAUSTED
     abort_reason: Optional[str] = None
@@ -199,7 +167,7 @@ class EpisodeTrace:
             "qa": None if self.qa is None else [list(turn) for turn in self.qa],
             "initial_plan": None if self.initial_plan is None else
             [render_subgoal(sg) for sg in self.initial_plan],
-            "steps": [step.to_dict() for step in self.steps],
+            "steps": self.steps,
             "failure_count": self.failure_count,
             "outcome": self.outcome.value,
             "abort_reason": self.abort_reason,
@@ -423,13 +391,16 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
             observed |= visible
             observed_ids = tuple(sorted(observed))
         scene = render_scene(world, visible)
-        record = StepRecord(
-            subgoal=sg,
-            reason=result.reason,
-            detail=result.detail,
-            scene=scene,
-            observed=observed_ids,
-        )
+        record = {
+            "subgoal": render_subgoal(sg),
+            "success": result.success,
+            "reason": result.reason.value,
+            "detail": result.detail,
+            "scene": scene,
+            "observed": list(observed_ids),
+            # what recovery did, written after a failure
+            "decision": None, "validity": None, "feedback": None, "replan": None,
+        }
         trace.steps.append(record)
 
         if result.success:
@@ -448,14 +419,16 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
 
         decision = handle_failure(sg, scene, observed, current, scenario.instruction,
                                   gw, cfg, log)
-        record.decision = decision.kind
-        record.validity = decision.validity
-        record.feedback = decision.feedback
+        record["decision"] = decision.kind
+        if decision.validity is not None:
+            record["validity"] = {"verdict": decision.validity.verdict.value,
+                                  "raw": decision.validity.raw}
+        record["feedback"] = decision.feedback
         if decision.kind == "redo":
             continue
         if decision.kind == "replan":
-            record.replan = decision.new_plan
             current = decision.new_plan
+            record["replan"] = [render_subgoal(step) for step in current]
             index = _resume_index(world, current, executed)
             continue
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=decision.reason)

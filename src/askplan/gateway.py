@@ -67,7 +67,7 @@ class DecodeParams:
     max_tokens: int = 512
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN included
             raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")

@@ -50,7 +50,7 @@ def test_c1_bread_end_to_end(bread_scenario, mini7_gateway):
     assert trace.outcome is EpisodeOutcome.SUCCESS
     assert trace.sr == 1
     assert trace.gc == 1.0
-    assert sum(1 for s in trace.steps if s.decision == "replan") == 0
+    assert sum(1 for s in trace.steps if s["decision"] == "replan") == 0
     assert elapsed < 1.0
 
 
@@ -58,9 +58,9 @@ def test_c1_bread_end_to_end(bread_scenario, mini7_gateway):
            "static run sr=0, gc<1")
 def test_c2_fridge_recovery(bread_scenario, recovery_gateway):
     trace = run_episode(bread_scenario, recovery_gateway, EpisodeConfig(seed=1))
-    replans = [i for i, s in enumerate(trace.steps) if s.decision == "replan"]
+    replans = [i for i, s in enumerate(trace.steps) if s["decision"] == "replan"]
     assert len(replans) == 1
-    assert render_subgoal(trace.steps[replans[0] + 1].subgoal) == "(Open, fridge)"
+    assert trace.steps[replans[0] + 1]["subgoal"] == "(Open, fridge)"
     assert trace.sr == 1
 
     static = run_episode(bread_scenario, recovery_gateway,
@@ -80,8 +80,8 @@ def test_c3_redo_branch(bread_scenario, noisy_gateway):
     trace = run_episode(bread_scenario, noisy_gateway,
                         EpisodeConfig(seed=seed, noise_override=p))
     assert trace.sr == 1
-    assert sum(1 for s in trace.steps if s.decision == "redo") == 1
-    assert sum(1 for s in trace.steps if s.decision == "replan") == 0
+    assert sum(1 for s in trace.steps if s["decision"] == "redo") == 1
+    assert sum(1 for s in trace.steps if s["decision"] == "replan") == 0
 
 
 @criterion("C4 failure budget: noise 1 -> budget_exhausted with "

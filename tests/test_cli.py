@@ -610,6 +610,52 @@ def test_crash_in_one_episode_is_recorded_in_its_own_line(inject, steps, log_ent
     assert "identical" in capsys.readouterr().out
 
 
+# -- the types in a trace record ------------------------------------------------
+
+
+def first_non_plain(value, path: str = "record") -> typing.Optional[str]:
+    """The path of the first key or value in ``value`` whose type is not
+    exactly dict, list, str, int, float, bool or None; None when there is
+    none. A str enum, a tuple or a subgoal dumps to JSON, so only its type
+    gives it away."""
+    if type(value) is dict:
+        for key, item in value.items():
+            found = (f"{path} key {key!r}" if type(key) is not str
+                     else first_non_plain(item, f"{path}.{key}"))
+            if found is not None:
+                return found
+        return None
+    if type(value) is list:
+        for index, item in enumerate(value):
+            found = first_non_plain(item, f"{path}[{index}]")
+            if found is not None:
+                return found
+        return None
+    return None if type(value) in (str, int, float, bool, type(None)) else path
+
+
+@pytest.mark.parametrize("name", [*PINNED_RUNS, "internal-error"])
+def test_trace_records_hold_only_plain_json_types(name, tmp_path, monkeypatch):
+    # the records run_bench hands to dump_record, as to_record returned them
+    records = []
+
+    def dump(record: dict) -> str:
+        records.append(record)
+        return dump_record(record)
+
+    monkeypatch.setattr(cli, "dump_record", dump)
+    if name == "internal-error":
+        _crash_in_step(monkeypatch, {})
+        pinned_run("mini7", tmp_path)
+        assert any((r["abort_reason"] or "").startswith("internal_error") for r in records)
+    else:
+        pinned_run(name, tmp_path)
+    if name == "bread-recovery":
+        assert any(step["replan"] for step in records[0]["steps"])
+    assert records
+    assert [first_non_plain(record) for record in records] == [None] * len(records)
+
+
 # -- prompts ------------------------------------------------------------------
 
 
@@ -898,6 +944,8 @@ MALFORMED_INPUTS = {
         _set(("config", "failure_budget"), 0))),
     "echo-noise-out-of-range": ("replay", None, _first_trace_with(
         _set(("config", "noise"), 1.5))),
+    "echo-temperature-nan": ("replay", None, _first_trace_with(
+        _set(("config", "decode", "temperature"), float("nan")))),
     "echo-not-object": ("replay", None, _first_trace_with(_set(("config",), []))),
     "echo-script-number": ("replay", None, _first_trace_with(
         _set(("config", "gateway", "script"), 5))),

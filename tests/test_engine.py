@@ -78,8 +78,9 @@ def test_decompose_cot_single_pseudo_turn():
 
 
 def test_decompose_joins_continuation_lines_of_a_question_and_an_answer():
-    reply = ("Q: Which sub-tasks\n  make up the instruction?\n"
-             "A: Slice, heat,\nthen store.\n"
+    # blank lines inside a question or an answer add nothing to it
+    reply = ("Q: Which sub-tasks\n\n  make up the instruction?\n"
+             "A: Slice, heat,\n\nthen store.\n\n"
              "Q: In which order?\nA: In that order.")
     gw = scripted(ScriptEntry(reply=reply, contains_all=("things to discover",)))
     assert decompose("instruction text", gw, CFG, []) == (
@@ -242,9 +243,9 @@ def test_empty_feedback_ends_the_episode_as_a_recorded_outcome(bread_scenario):
     assert trace.outcome is EpisodeOutcome.PLAN_EXHAUSTED
     assert trace.abort_reason == "feedback_empty"
     assert trace.config == EpisodeConfig.from_echo(trace.config).to_echo(gw)
-    assert trace.steps[-1].decision == "abort"
-    assert trace.steps[-1].reason is FailReason.RECEPTACLE_CLOSED
-    assert trace.steps[-1].validity.verdict is Verdict.INVALID
+    assert trace.steps[-1]["decision"] == "abort"
+    assert trace.steps[-1]["reason"] == FailReason.RECEPTACLE_CLOSED
+    assert trace.steps[-1]["validity"]["verdict"] == Verdict.INVALID
     assert [(entry["direction"], entry["stage"]) for entry in trace.llm_log[-4:]] == [
         ("req", "validity"), ("res", "validity"), ("req", "feedback"), ("res", "feedback")]
     assert trace.llm_log[-1]["text"] == "   "
@@ -288,7 +289,7 @@ def test_bread_episode_success(bread_scenario, mini7_gateway):
     assert trace.sr == 1
     assert trace.gc == 1.0
     assert trace.failure_count == 0
-    assert not any(step.decision == "replan" for step in trace.steps)
+    assert not any(step["decision"] == "replan" for step in trace.steps)
     assert len(trace.qa) == 4
 
 
@@ -296,11 +297,11 @@ def test_fridge_recovery_episode(bread_scenario, recovery_gateway):
     trace = run_episode(bread_scenario, recovery_gateway, EpisodeConfig(seed=1))
     assert trace.outcome is EpisodeOutcome.SUCCESS
     assert trace.sr == 1
-    replans = [i for i, step in enumerate(trace.steps) if step.decision == "replan"]
+    replans = [i for i, step in enumerate(trace.steps) if step["decision"] == "replan"]
     assert len(replans) == 1
     next_step = trace.steps[replans[0] + 1]
-    assert render_subgoal(next_step.subgoal) == "(Open, fridge)"
-    assert next_step.success
+    assert next_step["subgoal"] == "(Open, fridge)"
+    assert next_step["success"]
 
 
 def test_static_ablation_fails_without_recovery(bread_scenario, recovery_gateway):
@@ -308,9 +309,9 @@ def test_static_ablation_fails_without_recovery(bread_scenario, recovery_gateway
                         EpisodeConfig(seed=1, replanning_enabled=False))
     assert trace.sr == 0
     assert trace.gc < 1.0
-    assert all(step.validity is None for step in trace.steps)
-    assert all(step.feedback is None for step in trace.steps)
-    assert all(step.replan is None for step in trace.steps)
+    assert all(step["validity"] is None for step in trace.steps)
+    assert all(step["feedback"] is None for step in trace.steps)
+    assert all(step["replan"] is None for step in trace.steps)
 
 
 def test_redo_path_single_noise_failure(bread_scenario, noisy_gateway):
@@ -319,8 +320,8 @@ def test_redo_path_single_noise_failure(bread_scenario, noisy_gateway):
                         EpisodeConfig(seed=seed, noise_override=0.05))
     assert trace.outcome is EpisodeOutcome.SUCCESS
     assert trace.sr == 1
-    assert sum(1 for s in trace.steps if s.decision == "redo") == 1
-    assert sum(1 for s in trace.steps if s.decision == "replan") == 0
+    assert sum(1 for s in trace.steps if s["decision"] == "redo") == 1
+    assert sum(1 for s in trace.steps if s["decision"] == "replan") == 0
     assert trace.failure_count == 1
 
 
@@ -329,7 +330,7 @@ def test_budget_exhaustion_at_noise_one(bread_scenario, noisy_gateway):
                         EpisodeConfig(seed=7, noise_override=1.0))
     assert trace.outcome is EpisodeOutcome.BUDGET_EXHAUSTED
     assert trace.failure_count == 10
-    assert all(step.reason is FailReason.CONTROLLER_NOISE for step in trace.steps)
+    assert all(step["reason"] == FailReason.CONTROLLER_NOISE for step in trace.steps)
 
 
 def test_failure_count_never_exceeds_budget(bread_scenario, noisy_gateway):
@@ -343,7 +344,7 @@ def test_observed_objects_grow_monotonically(bread_scenario, recovery_gateway):
     trace = run_episode(bread_scenario, recovery_gateway, EpisodeConfig(seed=1))
     previous: set[str] = set()
     for step in trace.steps:
-        current = set(step.observed)
+        current = set(step["observed"])
         assert previous <= current
         previous = current
 
@@ -384,8 +385,8 @@ def test_subgoal_with_unknown_object_feeds_recovery(bread_scenario):
     )
     trace = run_episode(bread_scenario, gw, EpisodeConfig(seed=1))
     first = trace.steps[0]
-    assert first.reason is FailReason.TARGET_NOT_VISIBLE
-    assert first.decision == "replan"
+    assert first["reason"] == FailReason.TARGET_NOT_VISIBLE
+    assert first["decision"] == "replan"
 
 
 def test_trace_record_round_trips_through_json(bread_scenario, recovery_gateway):
@@ -421,7 +422,7 @@ def test_static_episode_without_std(bread_scenario):
     trace = run_episode(bread_scenario, gw, cfg)
     assert trace.qa is None
     assert trace.outcome is EpisodeOutcome.PLAN_EXHAUSTED
-    assert trace.steps[0].success
+    assert trace.steps[0]["success"]
 
 
 def test_cot_episode_end_to_end(mini7):
@@ -459,10 +460,10 @@ def test_heavy_lamp_failure_replans_to_toggle_in_place(mini7):
     )
     trace = run_episode(examine, gw, EpisodeConfig(seed=1))
     assert trace.outcome is EpisodeOutcome.SUCCESS
-    failed = next(s for s in trace.steps if not s.success)
-    assert failed.reason is FailReason.OBJECT_TOO_HEAVY
-    assert failed.decision == "replan"
-    revised = [render_subgoal(sg) for sg in failed.replan]
+    failed = next(s for s in trace.steps if not s["success"])
+    assert failed["reason"] == FailReason.OBJECT_TOO_HEAVY
+    assert failed["decision"] == "replan"
+    revised = failed["replan"]
     assert "(ToggleOn, desklamp)" in revised
     assert "(Pickup, desklamp)" not in revised
 

@@ -168,6 +168,8 @@ def test_decode_params_validated():
     with pytest.raises(ValueError):
         DecodeParams(temperature=-1.0)
     with pytest.raises(ValueError):
+        DecodeParams(temperature=float("nan"))
+    with pytest.raises(ValueError):
         DecodeParams(max_tokens=0)
     assert DecodeParams(max_tokens=1).max_tokens == 1
 

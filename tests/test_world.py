@@ -447,17 +447,17 @@ def test_noise_zero_never_fires(bread_scenario, noisy_gateway):
             trace = run_episode(bread_scenario, noisy_gateway, cfg)
             assert trace.config["noise"] == 0.0
             assert trace.failure_count == 0
-            assert all(step.reason is not FailReason.CONTROLLER_NOISE for step in trace.steps)
+            assert all(step["reason"] != FailReason.CONTROLLER_NOISE for step in trace.steps)
 
 
 def test_noise_one_always_fires(bread_scenario, noisy_gateway):
     trace = _noisy_episode(bread_scenario, noisy_gateway, seed=5, noise=1.0, budget=30)
     assert trace.failure_count == 30
-    assert all(step.reason is FailReason.CONTROLLER_NOISE and step.decision == "redo"
+    assert all(step["reason"] == FailReason.CONTROLLER_NOISE and step["decision"] == "redo"
                for step in trace.steps[:-1])
     # a noisy step changes nothing: every scene is the initial one
     initial = new_world(bread_scenario)
-    assert {step.scene for step in trace.steps} == \
+    assert {step["scene"] for step in trace.steps} == \
         {render_scene(initial, detect_objects(initial))}
     assert trace.goal_conditions == check_goal_conditions(initial, bread_scenario.goal)
 
@@ -471,7 +471,7 @@ def test_a_task_with_noise_one_loads_and_fails_every_step(noisy_gateway):
         assert trace.config["noise"] == 1.0
         assert trace.outcome is EpisodeOutcome.BUDGET_EXHAUSTED
         assert trace.failure_count == len(trace.steps) == budget
-        assert all(step.reason is FailReason.CONTROLLER_NOISE for step in trace.steps)
+        assert all(step["reason"] == FailReason.CONTROLLER_NOISE for step in trace.steps)
 
 
 def test_noise_draw_deterministic(bread_scenario, noisy_gateway):
@@ -480,7 +480,7 @@ def test_noise_draw_deterministic(bread_scenario, noisy_gateway):
     # step k of an episode fails exactly when the draw for (seed, k) is below the noise
     trace = _noisy_episode(bread_scenario, noisy_gateway, seed=99, noise=0.3)
     assert trace.failure_count
-    assert [step.reason is FailReason.CONTROLLER_NOISE for step in trace.steps] == \
+    assert [step["reason"] == FailReason.CONTROLLER_NOISE for step in trace.steps] == \
         [noise_draw(99, k) < 0.3 for k in range(len(trace.steps))]
 
 
