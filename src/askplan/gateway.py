@@ -20,6 +20,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import math
 import os
 import ssl
 import threading
@@ -62,12 +63,24 @@ class ScriptMiss(GatewayError):
 
 @dataclass(frozen=True)
 class DecodeParams:
+    """Decoding settings sent with every call. The temperature and every
+    token bias must be finite: NaN, an infinity and an integer beyond the
+    range of a double are rejected, since none of them has a JSON number a
+    provider reads as that value."""
+
     temperature: float = 0.0
     token_bias: Mapping[str, float] = field(default_factory=dict)
     max_tokens: int = 512
 
     def __post_init__(self) -> None:
-        if not self.temperature >= 0:  # NaN included
+        try:
+            finite = math.isfinite(self.temperature) \
+                and all(map(math.isfinite, self.token_bias.values()))
+        except OverflowError:  # an integer beyond the range of a double
+            finite = False
+        if not finite:
+            raise ValueError("temperature and token biases must be finite")
+        if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")

@@ -30,14 +30,17 @@ distinct blocks.
 
 The tables the matcher reads that depend only on the annotation (per
 (action, object), each slot's receptacle, bit and predecessor bits; and the
-twin block masks of the state key) are compiled once per spec, by
-``compile_relaxed_spec``; a match builds each step's choices with one lookup
-and a receptacle test. Scoring a trace set parses each distinct plan line
-once.
+twin block masks of the state key) are compiled by ``compile_relaxed_spec``;
+a match builds each step's choices with one lookup and a receptacle test.
+An annotation compiles its spec once, on first use of ``GtAnnotation.spec``,
+and keeps it, so scoring the same annotations again compiles nothing.
+Scoring a trace set parses each distinct plan line once per call, through
+``parse_subgoal``'s per-process memo.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
@@ -53,6 +56,9 @@ class GtAnnotation:
     ``floating`` holds (slot, anchor) pairs; ``wildcards`` holds indices of
     Put slots whose receptacle is free; ``swap_groups`` holds groups of
     [start, end] slot ranges (inclusive) that may be reordered.
+
+    ``spec`` is the annotation's compiled ``RelaxedSpec``, built on first use
+    and kept on the annotation, outside comparison and hashing.
     """
 
     core: tuple[Subgoal, ...]
@@ -74,6 +80,10 @@ class GtAnnotation:
             swap_groups=tuple(_pairs(group, "swap_groups") for group
                               in checked_field(data, "swap_groups", [[[int]]], "gt", [])),
         )
+
+    @functools.cached_property
+    def spec(self) -> RelaxedSpec:
+        return compile_relaxed_spec(self)
 
     def __post_init__(self) -> None:
         n = len(self.core)
@@ -401,20 +411,18 @@ def score_dataset(traces: Iterable[Mapping],
     references a task id with no annotation or a line of an initial plan is
     not a subgoal.
 
-    Each spec is compiled once per task id and each distinct plan line parsed
-    once per call; a trace set repeats a few distinct lines many times.
+    Each annotation's spec is compiled once, on its first use by any call,
+    and each distinct plan line is parsed once per call; a trace set repeats
+    a few distinct lines many times.
     """
     rows: list[dict] = []
     by_type: dict[str, list[dict]] = {}
-    specs: dict[str, RelaxedSpec] = {}
     parsed: dict[str, Subgoal] = {}  # only lines that parse
     for record in traces:
         task_id = record["task_id"]
         gt = gts.get(task_id)
         if gt is None:
             raise MalformedInput(f"no ground-truth annotation for task {task_id!r}")
-        if task_id not in specs:
-            specs[task_id] = compile_relaxed_spec(gt)
         initial = []
         for line in record.get("initial_plan") or ():
             step = parsed.get(line)
@@ -430,7 +438,7 @@ def score_dataset(traces: Iterable[Mapping],
             "sr": record["sr"],
             "gc": record["gc"],
             "strict": strict_match(initial, gt),
-            "relaxed": relaxed_match(initial, specs[task_id]),
+            "relaxed": relaxed_match(initial, gt.spec),
         }
         rows.append(row)
         by_type.setdefault(row["task_type"], []).append(row)

@@ -6,10 +6,18 @@ names are matched case-insensitively (internal spaces/underscores tolerated,
 so ``pick up`` parses as ``Pickup``); object names are normalized to single
 lowercase tokens with no internal whitespace (``desk lamp`` becomes
 ``desklamp``).
+
+``parse_subgoal`` keeps the subgoals of the last ``PARSE_MEMO_SIZE`` distinct
+lines it parsed, so a line that comes back within one process (a plan line
+the planner repeats, a ground-truth core line read again, a trace line
+scored again) is parsed once. A ``Subgoal`` is an immutable value, so every
+caller may share it. A line that fails is not kept: it raises again, with
+the same message, on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -71,6 +79,11 @@ class Subgoal:
 Plan = tuple[Subgoal, ...]
 
 
+# lines whose subgoals parse_subgoal keeps, least recently used first out
+PARSE_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_subgoal(line: str) -> Subgoal:
     """Parse one template line into a Subgoal; raises PlanParseError on a
     line with no template shape, an unknown action, the wrong number of

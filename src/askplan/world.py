@@ -22,7 +22,9 @@ copy-on-write, replacing only the buckets of an entity that changed zone or
 container, and drops the lines of the entities that changed. So a step reads
 the agent's zone and what it moves, not the whole scene: ``detect_objects``
 walks down from the zone's roots into every container that is not closed,
-and a scene re-renders only the lines of entities that changed.
+and a scene re-renders only the lines of entities that changed. The lines of
+a scenario's initial state are drawn once, by the first ``new_world``, and
+every episode of the scenario starts from them.
 
 Appliance semantics are keyed by entity category: a ``microwave`` heats its
 heatable contents when toggled on, a ``fridge`` chills its coolable contents
@@ -368,8 +370,13 @@ def validate_scenario(scenario: Scenario) -> None:
 
 def new_world(scenario: Scenario) -> WorldState:
     """The world an episode starts in: the scenario's initial state, which no
-    step changes."""
-    return scenario.initial
+    step changes. The first call draws the scene lines of what that state
+    shows, so each episode's first step hands them on and draws only the
+    lines of the entities it changes."""
+    initial = scenario.initial
+    if not initial._lines:
+        render_scene(initial, detect_objects(initial))
+    return initial
 
 
 def _visible(world: WorldState, entity_id: str) -> bool:

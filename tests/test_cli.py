@@ -946,6 +946,14 @@ MALFORMED_INPUTS = {
         _set(("config", "noise"), 1.5))),
     "echo-temperature-nan": ("replay", None, _first_trace_with(
         _set(("config", "decode", "temperature"), float("nan")))),
+    "echo-bias-nan": ("replay", None, _first_trace_with(
+        _set(("config", "decode", "token_bias"), {"bread": float("nan")}))),
+    "echo-bias-infinity": ("replay", None, _first_trace_with(
+        _set(("config", "decode", "token_bias"), {"bread": float("inf")}))),
+    "echo-temperature-infinity": ("replay", None, _first_trace_with(
+        _set(("config", "decode", "temperature"), float("inf")))),
+    "echo-bias-huge-integer": ("replay", None, _first_trace_with(
+        _set(("config", "decode", "token_bias"), {"bread": 10**400}))),
     "echo-not-object": ("replay", None, _first_trace_with(_set(("config",), []))),
     "echo-script-number": ("replay", None, _first_trace_with(
         _set(("config", "gateway", "script"), 5))),

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from askplan import asset_path
+from askplan.cli import load_tasks
 from askplan.engine import (
     EpisodeConfig,
     EpisodeOutcome,
@@ -21,6 +25,7 @@ from askplan.gateway import (
     ScriptEntry,
     ScriptedGateway,
 )
+from askplan.planeval import compile_relaxed_spec
 from askplan.plans import ActionKind, parse_subgoal, render_subgoal
 from askplan.prompting import Verdict
 from askplan.world import FailReason, apply_subgoal, new_world, render_scene
@@ -475,3 +480,31 @@ def test_mini7_scripted_transcripts_cover_discovery_dimensions(mini7, mini7_gate
         qa = decompose(scenario.instruction, mini7_gateway, CFG, [])
         assert discovery_coverage(qa) == {"sub_tasks", "order", "objects", "execution"}, \
             scenario.id
+
+
+def test_episodes_on_threads_fill_the_shared_memos_as_a_serial_run_does(mini7_gateway):
+    # Every mini7 scenario four times at once, on eight threads that switch
+    # every 10 us, from cold memos: a fresh load (no scene line drawn, no
+    # spec kept) and parse_subgoal's lines dropped. Threads fill one initial
+    # state's scene lines, the parse memo and an annotation's spec together.
+    serial = [run_episode(scenario, mini7_gateway, CFG).to_record()
+              for scenario in load_tasks(asset_path("tasks/mini7.json")).scenarios]
+    scenarios = load_tasks(asset_path("tasks/mini7.json")).scenarios
+    parse_subgoal.cache_clear()
+
+    def play(index: int):
+        scenario = scenarios[index]
+        return index, run_episode(scenario, mini7_gateway, CFG).to_record(), scenario.gt.spec
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(play, index) for _ in range(4)
+                       for index in range(len(scenarios))]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for index, record, spec in results:
+        assert record == serial[index], scenarios[index].id
+        assert spec == compile_relaxed_spec(scenarios[index].gt), scenarios[index].id

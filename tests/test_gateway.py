@@ -174,6 +174,21 @@ def test_decode_params_validated():
     assert DecodeParams(max_tokens=1).max_tokens == 1
 
 
+@pytest.mark.parametrize("temperature, bias", [
+    (float("inf"), 0.1), (10**400, 0.1),
+    (0.0, float("nan")), (0.0, float("inf")), (0.0, float("-inf")), (0.0, 10**400),
+], ids=["temperature-inf", "temperature-huge-int", "bias-nan", "bias-inf", "bias-minus-inf",
+        "bias-huge-int"])
+def test_decode_params_reject_a_number_that_is_not_finite(temperature, bias):
+    with pytest.raises(ValueError, match="must be finite"):
+        DecodeParams(temperature=temperature, token_bias={"bread": 0.1, "knife": bias})
+
+
+def test_decode_params_take_a_large_finite_number():
+    params = DecodeParams(temperature=10**300, token_bias={"bread": -1e308})
+    assert params.temperature == 10**300
+
+
 # -- http gateway against a local stub ----------------------------------------
 
 

@@ -566,6 +566,32 @@ def test_score_dataset_parses_each_distinct_line_once_per_call(monkeypatch):
     assert str(info.value) == "initial plan of task 'a': unknown action 'Pickp'"
 
 
+def test_score_dataset_compiles_each_annotation_once_across_calls(monkeypatch):
+    gts = {"a": gt(["(Pickup, mug)", "(Put, mug, shelf)"], wildcards=[1]),
+           "b": gt(["(Pickup, book)", "(Open, safe)"], floating=[(0, 1)])}
+    records = [
+        _record("a", 1, 1.0, ["(Pickup, mug)", "(Put, mug, sofa)"]),
+        _record("b", 0, 0.5, ["(Open, safe)", "(Pickup, book)"]),
+        _record("a", 0, 0.0, ["(Put, mug, shelf)", "(Pickup, mug)"]),
+    ]
+    compiled = []
+    compile_spec = planeval.compile_relaxed_spec
+
+    def counting(annotation):
+        compiled.append(annotation)
+        return compile_spec(annotation)
+
+    monkeypatch.setattr(planeval, "compile_relaxed_spec", counting)
+    first = score_dataset(records, gts)
+    assert score_dataset(records, gts) == first
+    assert sorted(compiled, key=id) == sorted(gts.values(), key=id)
+    assert first.relaxed_hlp_pct == pytest.approx(200 / 3)
+    # the kept spec is the compiled one, and stays out of equality and hashing
+    assert gts["a"].spec == compile_spec(gts["a"])
+    twin = gt(["(Pickup, mug)", "(Put, mug, shelf)"], wildcards=[1])
+    assert twin == gts["a"] and hash(twin) == hash(gts["a"])
+
+
 def test_score_dataset_missing_gt():
     with pytest.raises(MalformedInput, match="no ground-truth annotation for task 'ghost'"):
         score_dataset([_record("ghost", 1, 1.0, [])], {})

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from askplan import asset_path
 from askplan.plans import (
+    PARSE_MEMO_SIZE,
     ActionKind,
     NoSubgoalsFound,
     PlanParseError,
@@ -120,3 +123,50 @@ def test_gt_plan_validates_against_scenario_vocab(bread_scenario):
     for sg in bread_scenario.gt.core:
         assert sg.object in vocab
         assert sg.receptacle is None or sg.receptacle in vocab
+
+
+def _bundled_lines() -> list[str]:
+    # every ground-truth core line of the task set and every reply line of
+    # the scripts, prose lines included
+    lines = []
+    tasks = json.loads(asset_path("tasks/mini7.json").read_text("utf-8"))
+    for scenario in tasks["scenarios"]:
+        lines += scenario["gt"]["core"]
+    for name in ("mini7", "bread_recovery", "bread_noisy"):
+        script = json.loads(asset_path(f"scripts/{name}.json").read_text("utf-8"))
+        for entry in script["entries"]:
+            lines += entry["reply"].splitlines()
+    return lines
+
+
+def _outcome(parse, line: str):
+    try:
+        return parse(line)
+    except PlanParseError as exc:
+        return type(exc), str(exc)
+
+
+def test_memoised_parse_agrees_with_the_parser_on_every_bundled_line():
+    lines = _bundled_lines()
+    assert sum(isinstance(_outcome(parse_subgoal.__wrapped__, line), Subgoal)
+               for line in lines) > 50
+    for _ in range(2):  # cold or warm, the memo gives what the parser gives
+        for line in lines:
+            assert _outcome(parse_subgoal, line) == _outcome(parse_subgoal.__wrapped__, line), line
+
+
+def test_a_bad_line_raises_the_same_message_on_every_call():
+    messages = []
+    for _ in range(2):
+        with pytest.raises(PlanParseError) as info:
+            parse_subgoal("(Jump, chair)")
+        messages.append(str(info.value))
+    assert messages == ["unknown action 'Jump'"] * 2
+
+
+def test_the_parse_memo_stays_within_its_bound():
+    for index in range(PARSE_MEMO_SIZE + 10):
+        assert parse_subgoal(f"(Pickup, obj{index})").object == f"obj{index}"
+    info = parse_subgoal.cache_info()
+    assert info.maxsize == PARSE_MEMO_SIZE
+    assert info.currsize <= PARSE_MEMO_SIZE

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from askplan import asset_path, world as world_module
+from askplan.cli import load_tasks
 from askplan.engine import EpisodeConfig, EpisodeOutcome, noise_draw, run_episode
 from askplan.inputs import MalformedInput
 from askplan.plans import ActionKind, Subgoal, parse_subgoal, render_subgoal
@@ -836,6 +838,52 @@ def test_scene_lines_follow_the_held_object_through_after(bread_scenario):
     for held in ("knife", "bread", None):
         world = world.after({}, world.agent_zone, held)
         _assert_index_holds(world, f"holding {held}")
+
+
+def _lines_to_draw(scenario: Scenario, trace) -> list[str]:
+    # Replays the trace's steps. The lines of the entities the initial state
+    # does not show start stale; a step makes stale the lines of the entities
+    # it replaced and of the held object before and after it. A stale line is
+    # drawn once its entity is visible.
+    before = scenario.initial
+    stale, drawn = before.entities.keys() - detect_objects(before), []
+    for step in trace.steps:
+        world = apply_subgoal(before, parse_subgoal(step["subgoal"])).state_after
+        stale |= {oid for oid, entity in world.entities.items()
+                  if entity is not before.entities[oid]}
+        if world.held != before.held:
+            stale |= {world.held, before.held} - {None}
+        redrawn = stale & detect_objects(world)
+        drawn += redrawn
+        stale -= redrawn
+        before = world
+    return sorted(drawn)
+
+
+def test_a_later_episode_draws_only_the_lines_of_what_its_steps_changed(
+        monkeypatch, mini7_gateway):
+    # The first episode draws the lines of what the initial state shows, and
+    # keeps them on it; a later one draws only the lines its steps made stale,
+    # and those of entities the initial state does not show (pick_watch and
+    # examine_book go to another zone). A fresh load, so no earlier test has
+    # drawn the initial states' lines.
+    scenarios = load_tasks(asset_path("tasks/mini7.json")).scenarios
+    draw = world_module._scene_line
+    drawn = []
+
+    def counting(world, entity):
+        drawn.append(entity.id)
+        return draw(world, entity)
+
+    monkeypatch.setattr(world_module, "_scene_line", counting)
+    for scenario in scenarios:
+        first = run_episode(scenario, mini7_gateway, EpisodeConfig(seed=1))
+        assert set(drawn) >= detect_objects(scenario.initial), scenario.id
+        drawn.clear()
+        second = run_episode(scenario, mini7_gateway, EpisodeConfig(seed=1))
+        assert second.steps == first.steps and drawn, scenario.id
+        assert sorted(drawn) == _lines_to_draw(scenario, second), scenario.id
+        drawn.clear()
 
 
 class _CountingEntities(dict):
