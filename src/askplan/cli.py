@@ -111,7 +111,7 @@ def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
 
 
 def dump_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def write_output(path: Path, text: str) -> None:
@@ -202,7 +202,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path(args.traces).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
     write_output(report_path, text + "\n")
     if args.format == "json":
         print(text)

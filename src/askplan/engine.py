@@ -19,14 +19,8 @@ from enum import Enum
 from typing import Optional
 
 from .gateway import Completion, DecodeParams, Gateway, GatewayError, request_text
-from .inputs import NUMBER, MalformedInput, checked_field
-from .plans import (
-    NoSubgoalsFound,
-    Plan,
-    Subgoal,
-    parse_plan,
-    render_subgoal,
-)
+from .inputs import MAX_JSON_INT, NUMBER, MalformedInput, checked_field
+from .plans import NoSubgoalsFound, Plan, Subgoal, parse_plan
 from .prompting import (
     QATranscript,
     RenderedPrompt,
@@ -79,8 +73,8 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.failure_budget < 1:
-            raise ValueError("failure_budget must be positive")
+        if not 1 <= self.failure_budget <= MAX_JSON_INT:
+            raise ValueError(f"failure_budget must be in [1, {MAX_JSON_INT}]")
         if self.noise_override is not None and not 0.0 <= self.noise_override <= 1.0:
             raise ValueError("noise override must be in [0, 1]")
 
@@ -166,7 +160,7 @@ class EpisodeTrace:
             "config": self.config,
             "qa": None if self.qa is None else [list(turn) for turn in self.qa],
             "initial_plan": None if self.initial_plan is None else
-            [render_subgoal(sg) for sg in self.initial_plan],
+            [sg.text for sg in self.initial_plan],
             "steps": self.steps,
             "failure_count": self.failure_count,
             "outcome": self.outcome.value,
@@ -332,9 +326,10 @@ def run_episode(scenario: Scenario, gw: Gateway,
     ``DecodeParams.for_vocab``) are resolved first, and the trace echoes them
     with the seed. Step ``k`` (0-based, retries included) fails with
     ``controller_noise`` on an unchanged world when ``noise_draw(seed, k)``
-    is below the noise. Failures of any kind become recorded outcomes; only
-    an invalid configuration raises. Any other exception ends the trace as
-    an ``internal_error`` that keeps what was recorded before it.
+    is below the noise; at noise 0 no draw is made. Failures of any kind
+    become recorded outcomes; only an invalid configuration raises. Any other
+    exception ends the trace as an ``internal_error`` that keeps what was
+    recorded before it.
     """
     cfg = cfg or EpisodeConfig()
     cfg = replace(cfg,
@@ -378,10 +373,12 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
     observed: set[str] = set()
     observed_ids: tuple[str, ...] = ()  # sorted(observed), redone only when it grows
     executed: list[Subgoal] = []
+    noise = cfg.noise_override
     index = 0
     while index < len(current):
         sg = current[index]
-        if noise_draw(cfg.seed, len(trace.steps)) < cfg.noise_override:
+        # a draw is never below a noise of 0, so none is made there
+        if noise > 0 and noise_draw(cfg.seed, len(trace.steps)) < noise:
             result = ExecutionResult(world, FailReason.CONTROLLER_NOISE, "controller malfunction")
         else:
             result = apply_subgoal(world, sg)
@@ -392,7 +389,7 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
             observed_ids = tuple(sorted(observed))
         scene = render_scene(world, visible)
         record = {
-            "subgoal": render_subgoal(sg),
+            "subgoal": sg.text,
             "success": result.success,
             "reason": result.reason.value,
             "detail": result.detail,
@@ -428,7 +425,7 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
             continue
         if decision.kind == "replan":
             current = decision.new_plan
-            record["replan"] = [render_subgoal(step) for step in current]
+            record["replan"] = [step.text for step in current]
             index = _resume_index(world, current, executed)
             continue
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=decision.reason)

@@ -32,7 +32,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from . import __version__
-from .inputs import MalformedInput, checked_field, read_json, reject_unknown_keys
+from .inputs import (MAX_JSON_INT, MalformedInput, checked_field, parse_json, read_json,
+                     reject_unknown_keys)
 from .prompting import RenderedPrompt
 
 
@@ -66,7 +67,8 @@ class DecodeParams:
     """Decoding settings sent with every call. The temperature and every
     token bias must be finite: NaN, an infinity and an integer beyond the
     range of a double are rejected, since none of them has a JSON number a
-    provider reads as that value."""
+    provider reads as that value. For the same reason ``max_tokens`` is at
+    most ``MAX_JSON_INT``, 2**53 - 1."""
 
     temperature: float = 0.0
     token_bias: Mapping[str, float] = field(default_factory=dict)
@@ -82,8 +84,8 @@ class DecodeParams:
             raise ValueError("temperature and token biases must be finite")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
+        if not 1 <= self.max_tokens <= MAX_JSON_INT:
+            raise ValueError(f"max_tokens must be in [1, {MAX_JSON_INT}]")
 
     @staticmethod
     def for_vocab(vocab: Iterable[str]) -> "DecodeParams":
@@ -94,10 +96,14 @@ class DecodeParams:
 
 @dataclass(frozen=True)
 class Completion:
+    """A model reply: its text, the model that sent it, and the time its
+    attempts took, without backoff sleeps. It counts no words or tokens;
+    telemetry that needs counts takes them from the provider's ``usage``
+    field or from a trace's ``llm_log``."""
+
     text: str
     provider_id: str
     latency_ms: int
-    token_counts: tuple[int, int]  # (request words, reply words)
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,10 @@ class ScriptEntry:
     def matches(self, request_text: str) -> bool:
         if self.exact is not None:
             return request_text == self.exact
-        return all(needle in request_text for needle in self.contains_all)
+        for needle in self.contains_all:
+            if needle not in request_text:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -203,8 +212,7 @@ class ScriptedGateway(Gateway):
         self.script_path = script_path
 
     def _send(self, system_text: str, user_text: str, params: DecodeParams) -> Completion:
-        reply = self.script.reply_for(user_text)
-        return Completion(reply, "scripted", 0, (len(user_text.split()), len(reply.split())))
+        return Completion(self.script.reply_for(user_text), "scripted", 0)
 
     def describe(self) -> dict:
         return {"kind": "scripted", "script": self.script_path}
@@ -285,9 +293,10 @@ class HttpGateway(Gateway):
     provider to map onto its tokenizer. Transient failures (connection
     errors, timeouts, garbled replies, 5xx) are retried with exponential
     backoff; any other status but 200, a redirect included, is rejected
-    immediately, and a 200 reply that is not a chat completion raises
-    MalformedReply. The API key is read from the configured environment
-    variable at call time and never stored.
+    immediately, and a 200 reply that is not a chat completion, or whose
+    JSON holds ``NaN`` or ``Infinity``, raises MalformedReply. The API key
+    is read from the configured environment variable at call time and never
+    stored.
 
     Connections are kept alive in a pool the gateway owns: a call takes an
     idle connection or opens one, and puts it back only after reading the
@@ -318,7 +327,7 @@ class HttpGateway(Gateway):
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        data = json.dumps(body).encode()
+        data = json.dumps(body, allow_nan=False).encode()
 
         attempts = 1 + max(0, self.config.retries)
         last_error: Optional[Exception] = None
@@ -341,14 +350,13 @@ class HttpGateway(Gateway):
             if status != 200:
                 raise ProviderRejected(status, excerpt)
             try:
-                payload = json.loads(raw)
+                payload = parse_json(raw.decode("utf-8"))  # RFC 8259 JSON is UTF-8
                 text = payload["choices"][0]["message"]["content"]
             except (ValueError, LookupError, TypeError) as exc:
                 raise MalformedReply(f"reply is not a chat completion: {excerpt!r}") from exc
             if not isinstance(text, str):
                 raise MalformedReply(f"reply content is not text: {text!r}")
-            return Completion(text, payload.get("model", self.config.model),
-                              int(1000 * spent_s), (len(user_text.split()), len(text.split())))
+            return Completion(text, payload.get("model", self.config.model), int(1000 * spent_s))
         if isinstance(last_error, TimeoutError):
             raise GatewayTimeout(
                 f"no response within {self.config.timeout_s}s after {attempts} attempts")

@@ -2,9 +2,11 @@
 
 ``read_json`` and ``read_json_lines`` turn a file into JSON values, and
 ``checked_field`` reads one field of a JSON object. Every failure, an
-unreadable file included, is a ``MalformedInput``. A field's type is checked
-exactly and never coerced: ``true`` is not a number, ``"0.5"`` is not a
-number and ``9.7`` is not an integer. The task-set and script loaders call
+unreadable file included, is a ``MalformedInput``. The JSON is RFC 8259's:
+``NaN``, ``Infinity`` and ``-Infinity``, which Python's ``json`` reads by
+default, are rejected in every file. A field's type is checked exactly and
+never coerced: ``true`` is not a number, ``"0.5"`` is not a number and
+``9.7`` is not an integer. The task-set and script loaders call
 ``reject_unknown_keys`` on every object they read, so a misspelt optional
 field is an error and not silently dropped.
 
@@ -21,6 +23,8 @@ from typing import AbstractSet
 
 NUMBER = (int, float)
 REQUIRED = object()  # the default of a field that must be present
+# the largest integer that every JSON reader reads exactly (RFC 8259, section 6)
+MAX_JSON_INT = 2 ** 53 - 1
 
 
 class MalformedInput(ValueError):
@@ -36,10 +40,25 @@ def _read_text(path: str | Path) -> str:
         raise MalformedInput(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+# one decoder for every read: given any option, json.loads builds a new one
+# per call
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def parse_json(text: str) -> object:
+    """``json.loads`` without the ``NaN`` and ``Infinity`` tokens; raises
+    ValueError on any text that is not JSON."""
+    return _DECODER.decode(text)
+
+
 def _parse(text: str, where: str) -> object:
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return parse_json(text)
+    except ValueError as exc:  # bad syntax, a NaN token, an integer too long to convert
         raise MalformedInput(f"{where}: not valid JSON ({exc})") from exc
 
 

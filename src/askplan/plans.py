@@ -12,14 +12,17 @@ lines it parsed, so a line that comes back within one process (a plan line
 the planner repeats, a ground-truth core line read again, a trace line
 scored again) is parsed once. A ``Subgoal`` is an immutable value, so every
 caller may share it. A line that fails is not kept: it raises again, with
-the same message, on every call.
+the same message, on every call. A subgoal keeps its canonical template
+line, ``Subgoal.text``, drawn when it is built, so a subgoal that the memo
+shares is rendered once per process however many records and prompts show
+it.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -58,12 +61,15 @@ def _normalize_token(token: str) -> str:
 class Subgoal:
     """One controller-executable step: action, target object, optional receptacle.
 
-    A receptacle is present exactly when the action is Put.
+    A receptacle is present exactly when the action is Put. ``text`` is the
+    canonical template line, drawn when the subgoal is built and kept on it,
+    outside comparison, hashing and repr.
     """
 
     action: ActionKind
     object: str
     receptacle: Optional[str] = None
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.object:
@@ -74,6 +80,13 @@ class Subgoal:
             raise PlanParseError("Put requires a receptacle")
         if self.action is not ActionKind.PUT and self.receptacle is not None:
             raise PlanParseError(f"{self.action.value} does not take a receptacle")
+        # Drawn here, not on first read: a functools.cached_property writes
+        # through __dict__, and on CPython 3.11 and 3.12 that makes every
+        # later field read of the subgoal 2-3x slower, which the matcher and
+        # the world pay for on each step.
+        text = f"({self.action.value}, {self.object}, {self.receptacle})" \
+            if self.receptacle is not None else f"({self.action.value}, {self.object})"
+        object.__setattr__(self, "text", text)
 
 
 Plan = tuple[Subgoal, ...]
@@ -126,8 +139,6 @@ def parse_plan(raw: str) -> Plan:
 
 
 def render_subgoal(sg: Subgoal) -> str:
-    """Canonical template form; parse_subgoal(render_subgoal(sg)) == sg."""
-    if sg.receptacle is not None:
-        return f"({sg.action.value}, {sg.object}, {sg.receptacle})"
-    return f"({sg.action.value}, {sg.object})"
+    """Canonical template form, ``sg.text``; parse_subgoal(render_subgoal(sg)) == sg."""
+    return sg.text
 

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-from .plans import Plan, Subgoal, render_subgoal
+from .plans import Plan, Subgoal
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_ -]*)\}")
@@ -114,12 +114,12 @@ def gen_tp_prompt(instruction: str, qa: QATranscript | None,
 
 
 def gen_validity_prompt(sg: Subgoal) -> RenderedPrompt:
-    return _render("validity", {"subgoal": render_subgoal(sg)})
+    return _render("validity", {"subgoal": sg.text})
 
 
 def gen_feedback_prompt(sg: Subgoal, validity: Validity) -> RenderedPrompt:
     return _render("feedback", {
-        "subgoal": render_subgoal(sg),
+        "subgoal": sg.text,
         "object": sg.object,
         "validity": validity.verdict.value.upper(),
     })
@@ -134,7 +134,7 @@ def gen_replan_prompt(feedback: str, plan: Plan, observed: set[str] | frozenset[
         raise ValueError("feedback text must be non-empty")
     return _render("replan", {
         "instruction": instruction,
-        "initial high-level plan": "\n".join(render_subgoal(sg) for sg in plan),
+        "initial high-level plan": "\n".join(sg.text for sg in plan),
         "observed_objects": ", ".join(sorted(set(observed))),
         "validity": validity.verdict.value.upper(),
         "feedback": feedback,

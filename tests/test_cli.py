@@ -85,7 +85,9 @@ def _json_paths(node, prefix: tuple = ()):
 
 _MINI7_DATA = json.loads(Path(MINI7).read_text())
 _DELETE = object()
-_JUNK = (_DELETE, None, True, 0, -1, 2.5, "", "abc", [], [[1]], [5], {}, {"x": 1})
+# the last three are written as the bare tokens NaN, Infinity and -Infinity
+_JUNK = (_DELETE, None, True, 0, -1, 2.5, "", "abc", [], [[1]], [5], {}, {"x": 1},
+         float("nan"), float("inf"), float("-inf"))
 
 
 _type_hints = functools.cache(typing.get_type_hints)
@@ -954,6 +956,20 @@ MALFORMED_INPUTS = {
         _set(("config", "decode", "temperature"), float("inf")))),
     "echo-bias-huge-integer": ("replay", None, _first_trace_with(
         _set(("config", "decode", "token_bias"), {"bread": 10**400}))),
+    # 2**53 - 1 is the largest integer every JSON reader reads exactly
+    "echo-max-tokens-huge-integer": ("replay", None, _first_trace_with(
+        _set(("config", "decode", "max_tokens"), 10**400))),
+    "echo-max-tokens-above-exact-integers": ("replay", None, _first_trace_with(
+        _set(("config", "decode", "max_tokens"), 2**53))),
+    "echo-budget-huge-integer": ("replay", None, _first_trace_with(
+        _set(("config", "failure_budget"), 10**400))),
+    "echo-budget-above-exact-integers": ("replay", None, _first_trace_with(
+        _set(("config", "failure_budget"), 2**53))),
+    # NaN is no JSON number, even in a field that score never reads
+    "trace-unread-field-nan": ("score", None, _first_trace_with(_set(("qa",), float("nan")))),
+    # more digits than Python converts to an int by default
+    "trace-integer-too-long": ("score", None, _first_trace_with(_set(("sr",), 0)).replace(
+        '"sr": 0', '"sr": ' + "1" * 5000)),
     "echo-not-object": ("replay", None, _first_trace_with(_set(("config",), []))),
     "echo-script-number": ("replay", None, _first_trace_with(
         _set(("config", "gateway", "script"), 5))),

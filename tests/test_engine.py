@@ -6,8 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from askplan import asset_path
-from askplan.cli import load_tasks
+from askplan import asset_path, engine
+from askplan.cli import episode_seed, load_tasks
 from askplan.engine import (
     EpisodeConfig,
     EpisodeOutcome,
@@ -338,6 +338,39 @@ def test_budget_exhaustion_at_noise_one(bread_scenario, noisy_gateway):
     assert all(step["reason"] == FailReason.CONTROLLER_NOISE for step in trace.steps)
 
 
+def _counted_noise_draws(monkeypatch) -> list[tuple[int, int]]:
+    """Patch the engine's noise draw to record the (seed, step) of each call."""
+    draws = []
+
+    def counted(seed: int, step: int) -> float:
+        draws.append((seed, step))
+        return noise_draw(seed, step)
+
+    monkeypatch.setattr(engine, "noise_draw", counted)
+    return draws
+
+
+def test_no_noise_draw_is_made_at_noise_zero(mini7, mini7_gateway, monkeypatch):
+    draws = _counted_noise_draws(monkeypatch)
+    assert {scenario.noise for scenario in mini7.scenarios} == {0.0}
+    traces = [run_episode(scenario, mini7_gateway, CFG) for scenario in mini7.scenarios]
+    assert all(trace.outcome is EpisodeOutcome.SUCCESS for trace in traces)
+    assert sum(len(trace.steps) for trace in traces) > 40
+    assert draws == []
+
+
+def test_the_noisy_run_draws_once_per_step(bread_scenario, noisy_gateway, monkeypatch):
+    # the heat_bread episode of `run --script bread_noisy.json --seed 42 --noise 0.15`
+    seed = episode_seed(42, 0)
+    draws = _counted_noise_draws(monkeypatch)
+    trace = run_episode(bread_scenario, noisy_gateway,
+                        EpisodeConfig(seed=seed, noise_override=0.15))
+    assert trace.outcome is EpisodeOutcome.SUCCESS
+    reasons = [step["reason"] for step in trace.steps]
+    assert FailReason.CONTROLLER_NOISE in reasons and FailReason.OK in reasons
+    assert draws == [(seed, step) for step in range(len(trace.steps))]
+
+
 def test_failure_count_never_exceeds_budget(bread_scenario, noisy_gateway):
     trace = run_episode(bread_scenario, noisy_gateway,
                         EpisodeConfig(seed=7, noise_override=1.0, failure_budget=3))
@@ -485,12 +518,15 @@ def test_mini7_scripted_transcripts_cover_discovery_dimensions(mini7, mini7_gate
 def test_episodes_on_threads_fill_the_shared_memos_as_a_serial_run_does(mini7_gateway):
     # Every mini7 scenario four times at once, on eight threads that switch
     # every 10 us, from cold memos: a fresh load (no scene line drawn, no
-    # spec kept) and parse_subgoal's lines dropped. Threads fill one initial
-    # state's scene lines, the parse memo and an annotation's spec together.
+    # spec kept), then parse_subgoal's lines dropped, so no subgoal of a plan
+    # and none of its renderings exist yet. Threads fill one initial state's
+    # scene lines, the parse memo and an annotation's spec together, and
+    # build the subgoals whose text the records and prompts show.
     serial = [run_episode(scenario, mini7_gateway, CFG).to_record()
               for scenario in load_tasks(asset_path("tasks/mini7.json")).scenarios]
     scenarios = load_tasks(asset_path("tasks/mini7.json")).scenarios
     parse_subgoal.cache_clear()
+    assert parse_subgoal.cache_info().currsize == 0
 
     def play(index: int):
         scenario = scenarios[index]

@@ -34,7 +34,7 @@ from askplan.gateway import (
     request_text,
 )
 from askplan.engine import EpisodeConfig, run_episode
-from askplan.inputs import MalformedInput
+from askplan.inputs import MAX_JSON_INT, MalformedInput
 from askplan.prompting import RenderedPrompt
 
 PROMPT = RenderedPrompt("system text", "please plan: heated slice of bread")
@@ -184,6 +184,16 @@ def test_decode_params_reject_a_number_that_is_not_finite(temperature, bias):
         DecodeParams(temperature=temperature, token_bias={"bread": 0.1, "knife": bias})
 
 
+def test_max_tokens_and_failure_budget_are_at_most_the_largest_exact_json_integer():
+    assert DecodeParams(max_tokens=MAX_JSON_INT).max_tokens == 2**53 - 1
+    assert EpisodeConfig(failure_budget=MAX_JSON_INT).failure_budget == 2**53 - 1
+    for value in (MAX_JSON_INT + 1, 10**400):
+        with pytest.raises(ValueError, match="max_tokens must be in"):
+            DecodeParams(max_tokens=value)
+        with pytest.raises(ValueError, match="failure_budget must be in"):
+            EpisodeConfig(failure_budget=value)
+
+
 def test_decode_params_take_a_large_finite_number():
     params = DecodeParams(temperature=10**300, token_bias={"bread": -1e308})
     assert params.temperature == 10**300
@@ -320,6 +330,9 @@ def test_http_4xx_rejected_without_retry():
     b'{"choices": []}',
     b'[1]',
     b'{"choices": [{"message": {"content": null}}]}',
+    # a chat completion, but NaN and Infinity are no JSON numbers
+    b'{"choices": [{"message": {"content": "ok"}}], "usage": {"total_tokens": NaN}}',
+    b'{"choices": [{"message": {"content": "ok"}}], "usage": {"total_tokens": -Infinity}}',
 ])
 def test_http_malformed_reply_is_not_retried(body):
     handler = _replying(body)

@@ -155,6 +155,40 @@ def test_memoised_parse_agrees_with_the_parser_on_every_bundled_line():
             assert _outcome(parse_subgoal, line) == _outcome(parse_subgoal.__wrapped__, line), line
 
 
+def _template_form(sg: Subgoal) -> str:
+    fields = (sg.action.value, sg.object) + ((sg.receptacle,) if sg.receptacle else ())
+    return f"({', '.join(fields)})"
+
+
+def test_every_bundled_subgoal_keeps_its_template_form_cold_and_warm():
+    lines = [line for line in dict.fromkeys(_bundled_lines())
+             if isinstance(_outcome(parse_subgoal.__wrapped__, line), Subgoal)]
+    kept = {}
+    for line in lines:  # cold: each line's subgoal built afresh
+        parse_subgoal.cache_clear()
+        sg = kept[line] = parse_subgoal(line)
+        assert sg.text == render_subgoal(sg) == _template_form(sg), line
+        assert parse_subgoal(sg.text) == sg, line
+    parse_subgoal.cache_clear()
+    for line in lines:
+        parse_subgoal(line)
+    for line in lines:  # warm: the memo's subgoal, with its text kept on it
+        sg = parse_subgoal(line)
+        assert sg is parse_subgoal(line) and sg is not kept[line], line
+        assert sg.text == _template_form(sg), line
+        assert parse_subgoal(sg.text) == sg, line
+
+
+def test_the_kept_text_is_outside_equality_hashing_and_repr():
+    sg = Subgoal(ActionKind.PUT, "pan", "fridge")
+    other = Subgoal(ActionKind.PUT, "pan", "fridge")
+    object.__setattr__(other, "text", "(Put, pan, sink)")
+    assert other == sg and hash(other) == hash(sg) and repr(other) == repr(sg)
+    assert "text" not in repr(sg)
+    with pytest.raises(TypeError):
+        Subgoal(ActionKind.SLICE, "bread", text="(Slice, bread)")
+
+
 def test_a_bad_line_raises_the_same_message_on_every_call():
     messages = []
     for _ in range(2):
