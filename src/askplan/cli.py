@@ -32,8 +32,8 @@ from .gateway import (
     ScriptedGateway,
     load_script,
 )
-from .inputs import (NUMBER, MalformedInput, checked_field, read_json, read_json_lines,
-                     reject_unknown_keys)
+from .inputs import (MAX_JSON_INT, NUMBER, MalformedInput, checked_field, read_json,
+                     read_json_lines, reject_unknown_keys)
 from .planeval import score_dataset
 from .plans import PlanParseError
 from .prompting import RenderedPrompt, gen_tp_prompt
@@ -84,8 +84,9 @@ def load_tasks(path: str | Path) -> TaskSet:
 
 
 def episode_seed(global_seed: int, index: int) -> int:
-    """Per-episode seed, stable in the task order regardless of scheduling."""
-    return (global_seed * 1_000_003 + index) % 2 ** 63
+    """Per-episode seed, stable in the task order regardless of scheduling,
+    and in [0, MAX_JSON_INT] whatever the global seed."""
+    return (global_seed * 1_000_003 + index) % (MAX_JSON_INT + 1)
 
 
 def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
@@ -127,7 +128,8 @@ def write_output(path: Path, text: str) -> None:
 def read_traces(path: str | Path) -> list[dict]:
     """Read a trace file; raises MalformedInput, with the line number, on a
     line that is not a JSON object of schema 1 with well-typed, in-range
-    scored fields."""
+    scored fields, or whose ``sr`` and ``gc`` contradict its
+    ``goal_conditions``."""
     records = []
     for number, record in read_json_lines(path):
         where = f"trace line {number}"
@@ -141,6 +143,14 @@ def read_traces(path: str | Path) -> list[dict]:
         if sr not in (0, 1) or not 0.0 <= gc <= 1.0:  # a NaN gc fails too
             raise MalformedInput(f"{where}: sr must be 0 or 1 and gc in [0, 1], "
                                  f"got sr={sr!r}, gc={gc!r}")
+        conditions = checked_field(record, "goal_conditions", [bool], where, None)
+        if conditions is not None:
+            # scored as run_episode scores them; an internal_error line holds none
+            expected = ((int(all(conditions)), sum(conditions) / len(conditions))
+                        if conditions else (0, 0))
+            if (sr, gc) != expected:
+                raise MalformedInput(f"{where}: sr={sr!r} and gc={gc!r} contradict "
+                                     f"goal_conditions {conditions!r:.80}")
         checked_field(record, "task_type", str, where, None)
         checked_field(record, "initial_plan", ([str], type(None)), where)
         records.append(record)
@@ -271,13 +281,13 @@ def first_difference(path: str, recorded, replayed) -> Optional[str]:
     return None
 
 
-_SAMPLE_QA = (
-    ("Which sub-tasks make up the instruction?",
-     "(answer produced by the decomposition stage at run time)"),
-)
-_SAMPLE_COT = (
-    ("", "(step-by-step decomposition produced at run time)"),
-)
+_SAMPLE_QA = [
+    ["Which sub-tasks make up the instruction?",
+     "(answer produced by the decomposition stage at run time)"],
+]
+_SAMPLE_COT = [
+    ["", "(step-by-step decomposition produced at run time)"],
+]
 
 
 def _prompt_block(title: str, prompt: RenderedPrompt) -> str:

@@ -8,7 +8,8 @@ redone. Otherwise feedback is requested and the plan is revised, with
 execution resuming at the first revised subgoal that is neither already
 executed nor already satisfied in the current world. A global failure budget
 bounds every episode. Controller noise is drawn here, by the episode: the
-world has no randomness.
+world has no randomness. The episode's trace holds every value in the form
+its record writes, from the moment the value is produced.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .plans import NoSubgoalsFound, Plan, Subgoal, parse_plan
 from .prompting import (
     QATranscript,
     RenderedPrompt,
-    Validity,
     Verdict,
     classify_validity,
     gen_feedback_prompt,
@@ -75,6 +75,8 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.failure_budget <= MAX_JSON_INT:
             raise ValueError(f"failure_budget must be in [1, {MAX_JSON_INT}]")
+        if not 0 <= self.seed <= MAX_JSON_INT:
+            raise ValueError(f"seed must be in [0, {MAX_JSON_INT}]")
         if self.noise_override is not None and not 0.0 <= self.noise_override <= 1.0:
             raise ValueError("noise override must be in [0, 1]")
 
@@ -123,8 +125,9 @@ class EpisodeConfig:
 
 @dataclass
 class RecoveryDecision:
+    # validity and feedback are the failed step's record values
     kind: str  # "redo" | "replan" | "abort"
-    validity: Optional[Validity] = None
+    validity: Optional[dict] = None
     feedback: Optional[str] = None
     new_plan: Optional[Plan] = None
     reason: Optional[str] = None
@@ -132,18 +135,19 @@ class RecoveryDecision:
 
 @dataclass
 class EpisodeTrace:
-    """One episode as it ran. ``steps`` holds each step in record form, the
-    dicts ``to_record()["steps"]`` returns, so nothing converts them."""
+    """One episode as it ran, each field in record form (``qa`` as
+    ``[question, answer]`` lists, plans as subgoal strings, ``outcome`` as its
+    value, each step as its record dict), so ``to_record`` converts nothing."""
 
     task_id: str
     task_type: str
     instruction: str
     config: dict
     qa: Optional[QATranscript] = None
-    initial_plan: Optional[Plan] = None
+    initial_plan: Optional[list[str]] = None
     steps: list[dict] = field(default_factory=list)
     failure_count: int = 0
-    outcome: EpisodeOutcome = EpisodeOutcome.PLAN_EXHAUSTED
+    outcome: str = EpisodeOutcome.PLAN_EXHAUSTED.value
     abort_reason: Optional[str] = None
     sr: int = 0
     gc: float = 0.0
@@ -151,25 +155,9 @@ class EpisodeTrace:
     llm_log: list[dict] = field(default_factory=list)
 
     def to_record(self) -> dict:
-        return {
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "task_id": self.task_id,
-            "task_type": self.task_type,
-            "instruction": self.instruction,
-            "seed": self.config["seed"],
-            "config": self.config,
-            "qa": None if self.qa is None else [list(turn) for turn in self.qa],
-            "initial_plan": None if self.initial_plan is None else
-            [sg.text for sg in self.initial_plan],
-            "steps": self.steps,
-            "failure_count": self.failure_count,
-            "outcome": self.outcome.value,
-            "abort_reason": self.abort_reason,
-            "sr": self.sr,
-            "gc": self.gc,
-            "goal_conditions": list(self.goal_conditions),
-            "llm_log": self.llm_log,
-        }
+        """The trace line's object; it shares the fields' values."""
+        return {"schema_version": TRACE_SCHEMA_VERSION, "seed": self.config["seed"],
+                **vars(self)}
 
 
 def _call(gw: Gateway, stage: str, prompt: RenderedPrompt, params: DecodeParams,
@@ -186,14 +174,14 @@ def _call(gw: Gateway, stage: str, prompt: RenderedPrompt, params: DecodeParams,
 
 
 def _parse_qa(text: str) -> QATranscript:
-    turns: list[tuple[str, str]] = []
+    turns: QATranscript = []
     question: Optional[str] = None
     answer: Optional[str] = None
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.lower().startswith("q:"):
             if answer is not None:
-                turns.append((question, answer))
+                turns.append([question, answer])
             question, answer = stripped[2:].strip(), None
         elif stripped.lower().startswith("a:"):
             if question is not None:
@@ -203,10 +191,10 @@ def _parse_qa(text: str) -> QATranscript:
         elif stripped and question is not None:
             question = f"{question} {stripped}"
     if answer is not None:
-        turns.append((question, answer))
+        turns.append([question, answer])
     if not turns:
         raise PlanningFailed("no Q/A pairs found in the decomposition reply")
-    return tuple(turns)
+    return turns
 
 
 def decomposition_prompt(instruction: str, cfg: EpisodeConfig) -> Optional[RenderedPrompt]:
@@ -234,7 +222,7 @@ def decompose(instruction: str, gw: Gateway, cfg: EpisodeConfig,
         text = completion.text.strip()
         if not text:
             raise PlanningFailed("empty decomposition reply")
-        return (("", text),)
+        return [["", text]]
     return _parse_qa(completion.text)
 
 
@@ -245,10 +233,9 @@ def make_plan(instruction: str, qa: Optional[QATranscript], gw: Gateway,
     completion = _call(gw, "plan", gen_tp_prompt(instruction, qa, cot=cfg.use_cot),
                        cfg.decode, log)
     try:
-        plan = parse_plan(completion.text)
+        return parse_plan(completion.text)
     except NoSubgoalsFound as exc:
         raise PlanningFailed(f"planner reply contained no subgoals: {exc}") from exc
-    return plan
 
 
 def handle_failure(sg: Subgoal, scene: str, observed: set[str],
@@ -264,17 +251,18 @@ def handle_failure(sg: Subgoal, scene: str, observed: set[str],
         v_completion = _call(gw, "validity", gen_validity_prompt(sg), cfg.decode, log, scene)
     except GatewayError as exc:
         return RecoveryDecision("abort", reason=f"gateway_error: {exc}")
-    validity = classify_validity(v_completion.text)
-    if sg.object in observed and validity.verdict is Verdict.VALID:
+    verdict = classify_validity(v_completion.text)
+    validity = {"verdict": verdict.value, "raw": v_completion.text}
+    if sg.object in observed and verdict is Verdict.VALID:
         return RecoveryDecision("redo", validity=validity)
     try:
-        f_completion = _call(gw, "feedback", gen_feedback_prompt(sg, validity),
+        f_completion = _call(gw, "feedback", gen_feedback_prompt(sg, verdict),
                              cfg.decode, log, scene)
         if not f_completion.text.strip():
             return RecoveryDecision("abort", validity=validity, reason="feedback_empty")
         feedback = f_completion.text
         replan_prompt = gen_replan_prompt(feedback, current_plan, observed,
-                                          validity, instruction)
+                                          verdict, instruction)
         r_completion = _call(gw, "replan", replan_prompt, cfg.decode, log)
     except GatewayError as exc:
         return RecoveryDecision("abort", validity=validity,
@@ -359,16 +347,15 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
         # computes before it writes, so a crash in it leaves the defaults in place
         conditions = check_goal_conditions(world, scenario.goal)
         gc = sum(conditions) / len(conditions)
-        trace.outcome, trace.abort_reason = outcome, abort_reason
+        trace.outcome, trace.abort_reason = outcome.value, abort_reason
         trace.goal_conditions, trace.sr, trace.gc = conditions, int(all(conditions)), gc
 
     try:
-        qa = decompose(scenario.instruction, gw, cfg, log)
-        trace.qa = qa
-        current = make_plan(scenario.instruction, qa, gw, cfg, log)
+        trace.qa = decompose(scenario.instruction, gw, cfg, log)
+        current = make_plan(scenario.instruction, trace.qa, gw, cfg, log)
     except (GatewayError, PlanningFailed) as exc:
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=str(exc))
-    trace.initial_plan = current
+    trace.initial_plan = [sg.text for sg in current]
 
     observed: set[str] = set()
     observed_ids: tuple[str, ...] = ()  # sorted(observed), redone only when it grows
@@ -416,11 +403,8 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
 
         decision = handle_failure(sg, scene, observed, current, scenario.instruction,
                                   gw, cfg, log)
-        record["decision"] = decision.kind
-        if decision.validity is not None:
-            record["validity"] = {"verdict": decision.validity.verdict.value,
-                                  "raw": decision.validity.raw}
-        record["feedback"] = decision.feedback
+        record.update(decision=decision.kind, validity=decision.validity,
+                      feedback=decision.feedback)
         if decision.kind == "redo":
             continue
         if decision.kind == "replan":

@@ -39,20 +39,15 @@ class RenderedPrompt:
     user_text: str
 
 
-# Ordered (question, answer) turns; a lone answer with an empty question
-# holds free-form decomposition text from the chain-of-thought variant.
-QATranscript = tuple[tuple[str, str], ...]
+# Ordered [question, answer] turns, as a trace records them; a lone answer
+# with an empty question holds free-form decomposition text from the
+# chain-of-thought variant.
+QATranscript = list[list[str]]
 
 
 class Verdict(str, Enum):
     VALID = "valid"
     INVALID = "invalid"
-
-
-@dataclass(frozen=True)
-class Validity:
-    verdict: Verdict
-    raw: str
 
 
 @lru_cache(maxsize=None)
@@ -117,16 +112,16 @@ def gen_validity_prompt(sg: Subgoal) -> RenderedPrompt:
     return _render("validity", {"subgoal": sg.text})
 
 
-def gen_feedback_prompt(sg: Subgoal, validity: Validity) -> RenderedPrompt:
+def gen_feedback_prompt(sg: Subgoal, verdict: Verdict) -> RenderedPrompt:
     return _render("feedback", {
         "subgoal": sg.text,
         "object": sg.object,
-        "validity": validity.verdict.value.upper(),
+        "validity": verdict.value.upper(),
     })
 
 
 def gen_replan_prompt(feedback: str, plan: Plan, observed: set[str] | frozenset[str],
-                      validity: Validity, instruction: str) -> RenderedPrompt:
+                      verdict: Verdict, instruction: str) -> RenderedPrompt:
     """Re-planning prompt: instruction, current plan, observations, verdict, feedback."""
     if not plan:
         raise ValueError("cannot request a revision of an empty plan")
@@ -136,7 +131,7 @@ def gen_replan_prompt(feedback: str, plan: Plan, observed: set[str] | frozenset[
         "instruction": instruction,
         "initial high-level plan": "\n".join(sg.text for sg in plan),
         "observed_objects": ", ".join(sorted(set(observed))),
-        "validity": validity.verdict.value.upper(),
+        "validity": verdict.value.upper(),
         "feedback": feedback,
     })
 
@@ -146,8 +141,9 @@ def gen_replan_prompt(feedback: str, plan: Plan, observed: set[str] | frozenset[
 _VERDICT_RE = re.compile(r"((?:\bNOT|N['’]T)\s+(?:AN?\s+)?)?\b(IN)?VALID\b(\s*\?)?")
 
 
-def classify_validity(raw: str) -> Validity:
-    """Keyword rule over whole words, in any case: the word INVALID anywhere
+def classify_validity(raw: str) -> Verdict:
+    """The verdict of a validity reply; the caller keeps the reply itself.
+    Keyword rule over whole words, in any case: the word INVALID anywhere
     wins, and the word VALID passes unless ``not`` or an ``n't`` word denies
     it (``not valid``, ``isn't a valid``) or a ``?`` makes it a question.
     Anything else, ``validity`` included, is treated as invalid so that
@@ -155,8 +151,7 @@ def classify_validity(raw: str) -> Validity:
     found = _VERDICT_RE.findall(raw.upper())
     affirmed = any(not denied and not asked for denied, _, asked in found)
     invalid = any(word for _, word, _ in found)
-    verdict = Verdict.VALID if affirmed and not invalid else Verdict.INVALID
-    return Validity(verdict, raw)
+    return Verdict.VALID if affirmed and not invalid else Verdict.INVALID
 
 
 DISCOVERY_DIMENSIONS: dict[str, tuple[str, ...]] = {

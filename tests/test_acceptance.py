@@ -47,7 +47,7 @@ def test_c1_bread_end_to_end(bread_scenario, mini7_gateway):
     started = time.monotonic()
     trace = run_episode(bread_scenario, mini7_gateway, EpisodeConfig(seed=1))
     elapsed = time.monotonic() - started
-    assert trace.outcome is EpisodeOutcome.SUCCESS
+    assert trace.outcome == EpisodeOutcome.SUCCESS
     assert trace.sr == 1
     assert trace.gc == 1.0
     assert sum(1 for s in trace.steps if s["decision"] == "replan") == 0
@@ -89,7 +89,7 @@ def test_c3_redo_branch(bread_scenario, noisy_gateway):
 def test_c4_failure_budget(bread_scenario, noisy_gateway):
     trace = run_episode(bread_scenario, noisy_gateway,
                         EpisodeConfig(seed=3, noise_override=1.0))
-    assert trace.outcome is EpisodeOutcome.BUDGET_EXHAUSTED
+    assert trace.outcome == EpisodeOutcome.BUDGET_EXHAUSTED
     assert trace.failure_count == 10
 
 

@@ -26,7 +26,7 @@ from askplan.cli import (
 )
 from askplan.engine import EpisodeConfig
 from askplan.gateway import HttpGatewayConfig, OracleScript, ScriptedGateway, load_script
-from askplan.inputs import MalformedInput
+from askplan.inputs import MAX_JSON_INT, MalformedInput
 from askplan.plans import render_subgoal
 
 MINI7 = str(asset_path("tasks/mini7.json"))
@@ -85,9 +85,10 @@ def _json_paths(node, prefix: tuple = ()):
 
 _MINI7_DATA = json.loads(Path(MINI7).read_text())
 _DELETE = object()
-# the last three are written as the bare tokens NaN, Infinity and -Infinity
+# NaN and the infinities are written as the bare tokens NaN, Infinity and
+# -Infinity; 10**400 is beyond the range of a double
 _JUNK = (_DELETE, None, True, 0, -1, 2.5, "", "abc", [], [[1]], [5], {}, {"x": 1},
-         float("nan"), float("inf"), float("-inf"))
+         float("nan"), float("inf"), float("-inf"), 1e308, 10**400)
 
 
 _type_hints = functools.cache(typing.get_type_hints)
@@ -194,6 +195,25 @@ def test_load_script_every_single_mutation_returns_or_raises_malformed(tmp_path)
 def test_episode_seed_stable():
     assert episode_seed(42, 3) == episode_seed(42, 3)
     assert episode_seed(42, 3) != episode_seed(42, 4)
+
+
+@pytest.mark.parametrize("global_seed", [0, 42, -1, -10**6, 9 * 10**9, 10**10, 10**40],
+                         ids=["0", "42", "-1", "-10**6", "9*10**9", "10**10", "10**40"])
+def test_episode_seed_is_a_seed_every_json_reader_reads_exactly(global_seed):
+    for index in (0, 6):
+        seed = episode_seed(global_seed, index)
+        assert 0 <= seed <= MAX_JSON_INT
+        assert EpisodeConfig(seed=seed).seed == seed
+    # a seed that reduces to itself keeps its episode seeds
+    if 0 <= global_seed * 1_000_003 + 6 <= MAX_JSON_INT:
+        assert episode_seed(global_seed, 6) == global_seed * 1_000_003 + 6
+
+
+@pytest.mark.parametrize("seed", [-1, MAX_JSON_INT + 1, 10**400],
+                         ids=["-1", "2**53", "10**400"])
+def test_an_episode_seed_out_of_range_is_a_value_error(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        EpisodeConfig(seed=seed)
 
 
 # -- run ----------------------------------------------------------------------
@@ -393,6 +413,18 @@ def test_score_schema_mismatch(trace_dir, tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scores", [
+    {},  # a line without goal_conditions, as score-only traces are written
+    {"sr": 0, "gc": 0.0, "goal_conditions": []},  # an internal_error line
+    {"sr": 0, "gc": 1 / 3, "goal_conditions": [False, True, False]},
+    {"sr": 1, "gc": 1.0, "goal_conditions": [True, True]},
+])
+def test_read_traces_takes_scores_that_agree_with_their_goal_conditions(scores, tmp_path):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(_first_trace_with(lambda record: record.update(scores)) + "\n")
+    assert read_traces(traces)[0] == json.loads(traces.read_text())
+
+
 # -- pinned traces ------------------------------------------------------------
 
 # The digests pin the trace bytes of these runs; a change that alters them
@@ -489,6 +521,38 @@ def test_replay_every_line(pinned_traces, capsys):
             assert "identical" in capsys.readouterr().out, (name, line)
 
 
+def _numeric_paths(node, prefix=()):
+    """Every JSON path under ``node`` that holds a number (not a boolean)."""
+    if type(node) is dict:
+        for key, child in node.items():
+            yield from _numeric_paths(child, (*prefix, key))
+    elif type(node) in (int, float):
+        yield prefix
+
+
+def test_replay_rejects_every_non_finite_or_inexact_number_in_the_config_echo(
+        pinned_traces, tmp_path, capsys):
+    record = json.loads(pinned_traces["mini7"].read_text("utf-8").splitlines()[0])
+    paths = list(_numeric_paths(record["config"], ("config",)))
+    assert {path[:3] for path in paths} == {
+        ("config", "failure_budget"), ("config", "noise"), ("config", "seed"),
+        ("config", "decode", "temperature"), ("config", "decode", "max_tokens"),
+        ("config", "decode", "token_bias")}
+    cases = [(path, value) for path in paths
+             for value in (float("nan"), float("inf"), float("-inf"), 10**400)]
+    cases += [(("config", "seed"), -1), (("config", "seed"), 2**53)]
+    traces = tmp_path / "traces.jsonl"
+    for path, value in cases:
+        _write_mutated(traces, record, path, value)
+        assert run_cli("replay", "--traces", str(traces), "--tasks", MINI7,
+                       "--line", "1") == EXIT_CONFIG, (path, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (path, value)
+    # the unmutated line replays
+    _write_mutated(traces, record, ("config", "seed"), record["config"]["seed"])
+    assert run_cli("replay", "--traces", str(traces), "--tasks", MINI7, "--line", "1") == EXIT_OK
+
+
 def test_replay_line_out_of_range(trace_dir):
     code = run_cli("replay", "--traces", str(trace_dir / "traces.jsonl"),
                    "--tasks", MINI7, "--line", "99", "--script", SCRIPT)
@@ -498,7 +562,8 @@ def test_replay_line_out_of_range(trace_dir):
 def test_replay_detects_divergence(trace_dir, tmp_path, capsys):
     records = [json.loads(line) for line in
                (trace_dir / "traces.jsonl").read_text().splitlines()]
-    records[0]["sr"] = 0
+    # sr would have to agree with goal_conditions, so an unchecked count differs
+    records[0]["failure_count"] = 5
     # a nested field names its first differing path, and no later one
     records[0]["steps"][3]["reason"] = "tampered"
     records[0]["steps"][5]["reason"] = "tampered too"
@@ -511,8 +576,8 @@ def test_replay_detects_divergence(trace_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "DIVERGED" in out
     assert out.splitlines()[1:] == [
+        "  field 'failure_count' differs, first at failure_count",
         "  field 'llm_log' differs, first at llm_log[1].text",
-        "  field 'sr' differs, first at sr",
         "  field 'steps' differs, first at steps[3].reason",
     ]
 
@@ -937,6 +1002,15 @@ MALFORMED_INPUTS = {
     "trace-gc-negative": ("score", None, _first_trace_with(_set(("gc",), -3.0))),
     "trace-gc-above-one": ("score", None, _first_trace_with(_set(("gc",), 1.5))),
     "trace-gc-nan": ("score", None, _first_trace_with(_set(("gc",), float("nan")))),
+    # sr and gc are what run_episode makes of goal_conditions, when present
+    "trace-sr-contradicts-conditions": ("score", None, _first_trace_with(lambda record: (
+        record.update(sr=1, gc=0.5, goal_conditions=[True, False])))),
+    "trace-gc-contradicts-conditions": ("score", None, _first_trace_with(lambda record: (
+        record.update(sr=0, gc=0.25, goal_conditions=[True, False])))),
+    "trace-condition-not-boolean": ("score", None, _first_trace_with(lambda record: (
+        record.update(sr=1, gc=1.0, goal_conditions=[True, 1])))),
+    "trace-no-conditions-sr-one": ("score", None, _first_trace_with(lambda record: (
+        record.update(sr=1, gc=1.0, goal_conditions=[])))),
     "echo-missing-seed": ("replay", None, _first_trace_with(_drop(("config", "seed")))),
     "echo-noise-not-number": ("replay", None, _first_trace_with(
         _set(("config", "noise"), "abc"))),

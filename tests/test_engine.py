@@ -79,7 +79,7 @@ def test_decompose_cot_single_pseudo_turn():
     gw = scripted(ScriptEntry(reply="1. slice 2. heat 3. store",
                               contains_all=("Let's think step by step",)))
     qa = decompose("instruction text", gw, EpisodeConfig(use_cot=True, decode=DECODE), [])
-    assert qa == (("", "1. slice 2. heat 3. store"),)
+    assert qa == [["", "1. slice 2. heat 3. store"]]
 
 
 def test_decompose_joins_continuation_lines_of_a_question_and_an_answer():
@@ -88,10 +88,10 @@ def test_decompose_joins_continuation_lines_of_a_question_and_an_answer():
              "A: Slice, heat,\n\nthen store.\n\n"
              "Q: In which order?\nA: In that order.")
     gw = scripted(ScriptEntry(reply=reply, contains_all=("things to discover",)))
-    assert decompose("instruction text", gw, CFG, []) == (
-        ("Which sub-tasks make up the instruction?", "Slice, heat, then store."),
-        ("In which order?", "In that order."),
-    )
+    assert decompose("instruction text", gw, CFG, []) == [
+        ["Which sub-tasks make up the instruction?", "Slice, heat, then store."],
+        ["In which order?", "In that order."],
+    ]
 
 
 def test_decompose_cot_rejects_an_empty_reply():
@@ -165,7 +165,7 @@ def test_handle_failure_replans_on_invalid(bread_scenario, recovery_gateway):
     decision = handle_failure(sg, scene, set(observed), plan,
                               bread_scenario.instruction, recovery_gateway, CFG, [])
     assert decision.kind == "replan"
-    assert decision.validity.verdict is Verdict.INVALID
+    assert decision.validity["verdict"] == Verdict.INVALID
     inserted = [render_subgoal(s) for s in decision.new_plan]
     assert "(Open, fridge)" in inserted
 
@@ -178,6 +178,18 @@ def test_handle_failure_redo_needs_observed_and_valid(bread_scenario):
     decision = handle_failure(sg, scene, set(observed), plan,
                               bread_scenario.instruction, gw, CFG, [])
     assert decision.kind == "redo"
+
+
+def test_handle_failure_keeps_the_validity_reply(bread_scenario, recovery_gateway):
+    # the decision carries the failed step's record values, the reply kept whole
+    sg, scene, observed, plan = _failed_put_context(bread_scenario)
+    log = []
+    decision = handle_failure(sg, scene, set(observed), plan,
+                              bread_scenario.instruction, recovery_gateway, CFG, log)
+    replies = [entry["text"] for entry in log if entry["direction"] == "res"]
+    assert decision.validity == {"verdict": "invalid", "raw": replies[0]}
+    assert decision.feedback == replies[1]
+    assert replies[0].startswith("INVALID")
 
 
 def test_handle_failure_replans_when_object_unobserved(bread_scenario):
@@ -218,7 +230,7 @@ def test_handle_failure_aborts_on_gateway_error_after_the_validity_check(
                               bread_scenario.instruction, gw, CFG, log)
     assert decision.kind == "abort"
     assert decision.reason.startswith("gateway_error: ")
-    assert decision.validity.verdict is Verdict.INVALID
+    assert decision.validity["verdict"] == Verdict.INVALID
     assert log[-1]["direction"] == "req" and log[-1]["stage"] == failed_stage
 
 
@@ -245,7 +257,7 @@ def test_empty_feedback_ends_the_episode_as_a_recorded_outcome(bread_scenario):
     entries[3] = ScriptEntry(reply="   ", contains_all=entries[3].contains_all)
     gw = ScriptedGateway(OracleScript(tuple(entries)), script_path="bread_recovery.json")
     trace = run_episode(bread_scenario, gw, EpisodeConfig(seed=1))
-    assert trace.outcome is EpisodeOutcome.PLAN_EXHAUSTED
+    assert trace.outcome == EpisodeOutcome.PLAN_EXHAUSTED
     assert trace.abort_reason == "feedback_empty"
     assert trace.config == EpisodeConfig.from_echo(trace.config).to_echo(gw)
     assert trace.steps[-1]["decision"] == "abort"
@@ -290,7 +302,7 @@ def test_resume_after_a_revised_plan_that_repeats_the_whole_history(bread_scenar
 
 def test_bread_episode_success(bread_scenario, mini7_gateway):
     trace = run_episode(bread_scenario, mini7_gateway, EpisodeConfig(seed=1))
-    assert trace.outcome is EpisodeOutcome.SUCCESS
+    assert trace.outcome == EpisodeOutcome.SUCCESS
     assert trace.sr == 1
     assert trace.gc == 1.0
     assert trace.failure_count == 0
@@ -300,7 +312,7 @@ def test_bread_episode_success(bread_scenario, mini7_gateway):
 
 def test_fridge_recovery_episode(bread_scenario, recovery_gateway):
     trace = run_episode(bread_scenario, recovery_gateway, EpisodeConfig(seed=1))
-    assert trace.outcome is EpisodeOutcome.SUCCESS
+    assert trace.outcome == EpisodeOutcome.SUCCESS
     assert trace.sr == 1
     replans = [i for i, step in enumerate(trace.steps) if step["decision"] == "replan"]
     assert len(replans) == 1
@@ -323,7 +335,7 @@ def test_redo_path_single_noise_failure(bread_scenario, noisy_gateway):
     seed = single_noise_failure_seed()
     trace = run_episode(bread_scenario, noisy_gateway,
                         EpisodeConfig(seed=seed, noise_override=0.05))
-    assert trace.outcome is EpisodeOutcome.SUCCESS
+    assert trace.outcome == EpisodeOutcome.SUCCESS
     assert trace.sr == 1
     assert sum(1 for s in trace.steps if s["decision"] == "redo") == 1
     assert sum(1 for s in trace.steps if s["decision"] == "replan") == 0
@@ -333,7 +345,7 @@ def test_redo_path_single_noise_failure(bread_scenario, noisy_gateway):
 def test_budget_exhaustion_at_noise_one(bread_scenario, noisy_gateway):
     trace = run_episode(bread_scenario, noisy_gateway,
                         EpisodeConfig(seed=7, noise_override=1.0))
-    assert trace.outcome is EpisodeOutcome.BUDGET_EXHAUSTED
+    assert trace.outcome == EpisodeOutcome.BUDGET_EXHAUSTED
     assert trace.failure_count == 10
     assert all(step["reason"] == FailReason.CONTROLLER_NOISE for step in trace.steps)
 
@@ -354,7 +366,7 @@ def test_no_noise_draw_is_made_at_noise_zero(mini7, mini7_gateway, monkeypatch):
     draws = _counted_noise_draws(monkeypatch)
     assert {scenario.noise for scenario in mini7.scenarios} == {0.0}
     traces = [run_episode(scenario, mini7_gateway, CFG) for scenario in mini7.scenarios]
-    assert all(trace.outcome is EpisodeOutcome.SUCCESS for trace in traces)
+    assert all(trace.outcome == EpisodeOutcome.SUCCESS for trace in traces)
     assert sum(len(trace.steps) for trace in traces) > 40
     assert draws == []
 
@@ -365,7 +377,7 @@ def test_the_noisy_run_draws_once_per_step(bread_scenario, noisy_gateway, monkey
     draws = _counted_noise_draws(monkeypatch)
     trace = run_episode(bread_scenario, noisy_gateway,
                         EpisodeConfig(seed=seed, noise_override=0.15))
-    assert trace.outcome is EpisodeOutcome.SUCCESS
+    assert trace.outcome == EpisodeOutcome.SUCCESS
     reasons = [step["reason"] for step in trace.steps]
     assert FailReason.CONTROLLER_NOISE in reasons and FailReason.OK in reasons
     assert draws == [(seed, step) for step in range(len(trace.steps))]
@@ -375,7 +387,7 @@ def test_failure_count_never_exceeds_budget(bread_scenario, noisy_gateway):
     trace = run_episode(bread_scenario, noisy_gateway,
                         EpisodeConfig(seed=7, noise_override=1.0, failure_budget=3))
     assert trace.failure_count == 3
-    assert trace.outcome is EpisodeOutcome.BUDGET_EXHAUSTED
+    assert trace.outcome == EpisodeOutcome.BUDGET_EXHAUSTED
 
 
 def test_observed_objects_grow_monotonically(bread_scenario, recovery_gateway):
@@ -400,14 +412,14 @@ def test_planning_failure_is_recorded_not_raised(bread_scenario):
         ScriptEntry(reply="no plan, sorry", contains_all=("Based on this conversation",)),
     )
     trace = run_episode(bread_scenario, gw, EpisodeConfig(seed=1))
-    assert trace.outcome is EpisodeOutcome.PLAN_EXHAUSTED
+    assert trace.outcome == EpisodeOutcome.PLAN_EXHAUSTED
     assert trace.initial_plan is None
     assert "no subgoals" in trace.abort_reason
 
 
 def test_gateway_miss_is_recorded_not_raised(bread_scenario):
     trace = run_episode(bread_scenario, scripted(), EpisodeConfig(seed=1))
-    assert trace.outcome is EpisodeOutcome.PLAN_EXHAUSTED
+    assert trace.outcome == EpisodeOutcome.PLAN_EXHAUSTED
     assert "no script entry" in trace.abort_reason
 
 
@@ -459,7 +471,7 @@ def test_static_episode_without_std(bread_scenario):
     cfg = EpisodeConfig(seed=1, use_std=False, replanning_enabled=False)
     trace = run_episode(bread_scenario, gw, cfg)
     assert trace.qa is None
-    assert trace.outcome is EpisodeOutcome.PLAN_EXHAUSTED
+    assert trace.outcome == EpisodeOutcome.PLAN_EXHAUSTED
     assert trace.steps[0]["success"]
 
 
@@ -474,7 +486,7 @@ def test_cot_episode_end_to_end(mini7):
             contains_all=("Based on this step-by-step decomposition",)),
     )
     trace = run_episode(examine, gw, EpisodeConfig(seed=1, use_cot=True))
-    assert trace.outcome is EpisodeOutcome.SUCCESS
+    assert trace.outcome == EpisodeOutcome.SUCCESS
     assert trace.qa[0][0] == ""  # single pseudo-turn, no question
     assert "Toggle the lamp" in trace.qa[0][1]
 
@@ -497,7 +509,7 @@ def test_heavy_lamp_failure_replans_to_toggle_in_place(mini7):
                     contains_all=("Revise the plan",)),
     )
     trace = run_episode(examine, gw, EpisodeConfig(seed=1))
-    assert trace.outcome is EpisodeOutcome.SUCCESS
+    assert trace.outcome == EpisodeOutcome.SUCCESS
     failed = next(s for s in trace.steps if not s["success"])
     assert failed["reason"] == FailReason.OBJECT_TOO_HEAVY
     assert failed["decision"] == "replan"

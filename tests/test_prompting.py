@@ -14,7 +14,6 @@ import pytest
 from askplan import asset_path
 from askplan.plans import parse_subgoal
 from askplan.prompting import (
-    Validity,
     Verdict,
     classify_validity,
     discovery_coverage,
@@ -163,16 +162,16 @@ def test_validity_prompt_golden():
 
 
 def test_feedback_prompt_mentions_object_and_verdict():
-    validity = classify_validity("INVALID - too heavy")
-    prompt = gen_feedback_prompt(parse_subgoal("(Pickup, desklamp)"), validity)
+    verdict = classify_validity("INVALID - too heavy")
+    prompt = gen_feedback_prompt(parse_subgoal("(Pickup, desklamp)"), verdict)
     assert "desklamp" in prompt.user_text
     assert "INVALID" in prompt.user_text
     assert_placeholder_free(prompt)
 
 
 def test_feedback_prompt_golden():
-    validity = classify_validity("INVALID - too heavy")
-    prompt = gen_feedback_prompt(parse_subgoal("(Pickup, desklamp)"), validity)
+    verdict = classify_validity("INVALID - too heavy")
+    prompt = gen_feedback_prompt(parse_subgoal("(Pickup, desklamp)"), verdict)
     text = f"[system]\n{prompt.system_text}\n[user]\n{prompt.user_text}\n"
     assert text == (DATA / "golden_feedback_pickup_desklamp.txt").read_text()
 
@@ -180,8 +179,8 @@ def test_feedback_prompt_golden():
 def test_replan_prompt_assembles_all_parts():
     plan = (parse_subgoal("(Navigate, desklamp)"), parse_subgoal("(Pickup, desklamp)"))
     feedback = "The desk lamp is too heavy to lift; toggle it in place instead."
-    validity = classify_validity("INVALID - the lamp cannot be picked up")
-    prompt = gen_replan_prompt(feedback, plan, {"desklamp", "book"}, validity,
+    verdict = classify_validity("INVALID - the lamp cannot be picked up")
+    prompt = gen_replan_prompt(feedback, plan, {"desklamp", "book"}, verdict,
                                "turn on the desk lamp")
     assert "(Pickup, desklamp)" in prompt.user_text
     assert feedback in prompt.user_text
@@ -204,29 +203,24 @@ def test_replan_prompt_needs_nonempty_plan():
 
 
 def test_classify_validity_rules():
-    assert classify_validity("INVALID - the fridge door is closed").verdict is Verdict.INVALID
-    assert classify_validity("VALID").verdict is Verdict.VALID
-    assert classify_validity("I'm not sure.").verdict is Verdict.INVALID
-    assert classify_validity("valid, go ahead").verdict is Verdict.VALID
-    assert classify_validity("this is inVALID here").verdict is Verdict.INVALID
+    assert classify_validity("INVALID - the fridge door is closed") is Verdict.INVALID
+    assert classify_validity("VALID") is Verdict.VALID
+    assert classify_validity("I'm not sure.") is Verdict.INVALID
+    assert classify_validity("valid, go ahead") is Verdict.VALID
+    assert classify_validity("this is inVALID here") is Verdict.INVALID
     # whole words only: "validity" is neither verdict
-    assert classify_validity("I cannot judge its validity").verdict is Verdict.INVALID
-    assert classify_validity("Validity: the fridge is closed.").verdict is Verdict.INVALID
+    assert classify_validity("I cannot judge its validity") is Verdict.INVALID
+    assert classify_validity("Validity: the fridge is closed.") is Verdict.INVALID
     # a denied VALID and a questioned one are no verdict to redo on
     for text in ("This step is not valid.", "NOT VALID - the door is closed",
                  "isn't valid", "Valid? No.", "This is not a valid step.", "It isn’t valid"):
-        assert classify_validity(text).verdict is Verdict.INVALID, text
-    assert classify_validity("Is it valid? Yes, VALID.").verdict is Verdict.VALID
+        assert classify_validity(text) is Verdict.INVALID, text
+    assert classify_validity("Is it valid? Yes, VALID.") is Verdict.VALID
 
 
 def test_classify_validity_never_reads_invalid_as_valid():
     for text in ("INVALID", "invalid", "Invalid because VALID is not possible"):
-        assert classify_validity(text).verdict is Verdict.INVALID
-
-
-def test_validity_keeps_raw_text():
-    raw = "INVALID - door closed"
-    assert classify_validity(raw) == Validity(Verdict.INVALID, raw)
+        assert classify_validity(text) is Verdict.INVALID
 
 
 def test_feedback_requires_text():

@@ -471,7 +471,7 @@ def test_a_task_with_noise_one_loads_and_fails_every_step(noisy_gateway):
     for budget in (10, 1):
         trace = run_episode(scenario, noisy_gateway, EpisodeConfig(seed=3, failure_budget=budget))
         assert trace.config["noise"] == 1.0
-        assert trace.outcome is EpisodeOutcome.BUDGET_EXHAUSTED
+        assert trace.outcome == EpisodeOutcome.BUDGET_EXHAUSTED
         assert trace.failure_count == len(trace.steps) == budget
         assert all(step["reason"] == FailReason.CONTROLLER_NOISE for step in trace.steps)
 
