@@ -30,6 +30,7 @@ from .gateway import (
     HttpGateway,
     HttpGatewayConfig,
     ScriptedGateway,
+    endpoint_parts,
     load_script,
 )
 from .inputs import (MAX_JSON_INT, NUMBER, MalformedInput, checked_field, read_json,
@@ -129,7 +130,7 @@ def read_traces(path: str | Path) -> list[dict]:
     """Read a trace file; raises MalformedInput, with the line number, on a
     line that is not a JSON object of schema 1 with well-typed, in-range
     scored fields, or whose ``sr`` and ``gc`` contradict its
-    ``goal_conditions``."""
+    ``goal_conditions``, or whose ``seed`` contradicts its ``config.seed``."""
     records = []
     for number, record in read_json_lines(path):
         where = f"trace line {number}"
@@ -151,6 +152,12 @@ def read_traces(path: str | Path) -> list[dict]:
             if (sr, gc) != expected:
                 raise MalformedInput(f"{where}: sr={sr!r} and gc={gc!r} contradict "
                                      f"goal_conditions {conditions!r:.80}")
+        # run writes both seeds; a tool that scores plans alone writes neither
+        seed = checked_field(record, "seed", int, where, None)
+        echo = record.get("config")
+        if seed is not None and isinstance(echo, dict) and echo.get("seed", seed) != seed:
+            raise MalformedInput(f"{where}: seed {seed!r} contradicts "
+                                 f"config.seed {echo['seed']!r:.40}")
         checked_field(record, "task_type", str, where, None)
         checked_field(record, "initial_plan", ([str], type(None)), where)
         records.append(record)
@@ -362,6 +369,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def endpoint_url(text: str) -> str:
+    try:
+        endpoint_parts(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="askplan",
@@ -383,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override per-action controller failure probability")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--parallel", type=positive_int, default=1)
-    run_p.add_argument("--endpoint", help="chat-completion URL (http gateway)")
+    run_p.add_argument("--endpoint", type=endpoint_url,
+                       help="chat-completion http(s) URL (http gateway)")
     run_p.add_argument("--model", help="model name (http gateway)")
     run_p.add_argument("--api-key-env", default="ASKPLAN_API_KEY",
                        help="environment variable holding the API key")

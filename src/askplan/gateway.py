@@ -228,6 +228,19 @@ class HttpGatewayConfig:
     backoff_s: float = 0.25
 
 
+def endpoint_parts(endpoint: str) -> urllib.parse.SplitResult:
+    """The parts of an endpoint URL: an http or https scheme, a host, and a
+    port, if one is given, in [0, 65535]. Raises ValueError otherwise."""
+    try:
+        parts = urllib.parse.urlsplit(endpoint)
+        parts.port  # raises on a port that is not a number in range
+    except ValueError as exc:
+        raise ValueError(f"endpoint is not a URL: {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint is not a URL: {endpoint!r}")
+    return parts
+
+
 @dataclass(frozen=True)
 class _Route:
     """How requests reach an endpoint, worked out once per gateway.
@@ -248,13 +261,10 @@ class _Route:
 
     @staticmethod
     def resolve(endpoint: str) -> "_Route":
-        parts = urllib.parse.urlsplit(endpoint)
         try:
-            parts.port  # raises on a port that is not a number in range
+            parts = endpoint_parts(endpoint)
         except ValueError as exc:
-            raise ProviderUnreachable(f"endpoint is not a URL: {exc}") from exc
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ProviderUnreachable(f"endpoint is not a URL: {endpoint!r}")
+            raise ProviderUnreachable(str(exc)) from exc
         netloc = parts.netloc.rpartition("@")[2]
         target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         # one context per gateway: building one loads the trust store

@@ -15,11 +15,13 @@ three relaxations:
   plan ``(Pickup, remote) (Pickup, remote2) (Put, remote, sofa) (Put,
   remote2, sofa)`` matches.
 
-The relaxations compile into a partial order over slots. A candidate plan
-matches when some one-to-one assignment of its steps to slots respects every
-slot pattern and orders the slots consistently with the partial order, i.e.
-the candidate is a linear extension. Navigate steps are controller-level and
-are excluded from matching on both sides.
+The relaxations compile into a partial order over the core's slots. A step
+takes a slot when it has the slot's action and object, and its receptacle
+unless the slot is a wildcard. A candidate plan matches when some one-to-one
+assignment of its steps to slots that they can take orders the slots
+consistently with the partial order, i.e. the candidate is a linear
+extension. Navigate steps are controller-level and are excluded from
+matching on both sides.
 
 The matcher is a depth-first search over sets of used slots that remembers
 the sets from which no assignment exists, and counts sets that differ only
@@ -135,14 +137,6 @@ def _pairs(items: list[list[int]], name: str) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a, b in items)
 
 
-@dataclass(frozen=True)
-class SlotPattern:
-    action: ActionKind
-    object: str
-    receptacle: Optional[str]
-    any_receptacle: bool = False
-
-
 # one slot of an (action, object) in the matcher's table: its receptacle (None
 # for any), its bit and the bits of the slots before it
 SlotEntry = tuple[Optional[str], int, int]
@@ -150,14 +144,16 @@ SlotEntry = tuple[Optional[str], int, int]
 
 @dataclass(frozen=True)
 class RelaxedSpec:
-    """Slot patterns plus a precedence DAG: (i, j) means slot i before slot j.
+    """Slots plus a precedence DAG: (i, j) means slot i before slot j.
 
-    ``twins`` holds classes of interchangeable blocks, as [start, end] slot
-    ranges (inclusive): exchanging two blocks of a class slot by slot maps
-    the patterns and the DAG onto themselves.
+    ``slots`` is the annotation's core, and ``wildcards`` holds the Put slots
+    whose receptacle is free. ``twins`` holds classes of interchangeable
+    blocks, as [start, end] slot ranges (inclusive): exchanging two blocks of
+    a class slot by slot maps the slots, the wildcards and the DAG onto
+    themselves.
 
     The other fields are the matcher's tables, compiled once per spec from
-    those three and left out of comparison and hashing: ``by_name``, per
+    those four and left out of comparison and hashing: ``by_name``, per
     (action, object) its slots in order, each as (receptacle, or None for
     any, slot bit, bits of the slots before it); per twin class, the start
     slots of its blocks and one block's bit mask (``twin_masks``), and the
@@ -165,7 +161,8 @@ class RelaxedSpec:
     reads.
     """
 
-    slots: tuple[SlotPattern, ...]
+    slots: tuple[Subgoal, ...]
+    wildcards: frozenset[int]
     precedence: frozenset[tuple[int, int]]
     twins: tuple[tuple[tuple[int, int], ...], ...]
     by_name: Mapping[tuple[ActionKind, str], tuple[SlotEntry, ...]] = \
@@ -184,7 +181,7 @@ class RelaxedSpec:
 
 
 def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
-    """Turn annotation markup into slot patterns and a precedence DAG.
+    """Turn annotation markup into a precedence DAG over the core's slots.
 
     Starting from the total order of the core, swap groups drop every edge
     that crosses two blocks of the same group, and each floating slot keeps
@@ -204,17 +201,13 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     edges = {(i, j) for i, j in edges if i not in float_map and j not in float_map}
     for slot, anchor in float_map.items():
         edges.add((anchor, slot))
-    wildcard_set = set(gt.wildcards)
-    slots = tuple(
-        SlotPattern(sg.action, sg.object, sg.receptacle, any_receptacle=idx in wildcard_set)
-        for idx, sg in enumerate(gt.core)
-    )
+    slots, wildcards = gt.core, frozenset(gt.wildcards)
     twins = []
     for group in gt.swap_groups:
         classes: list[list[tuple[int, int]]] = []
         for block in group:
             for members in classes:
-                if _interchangeable(members[0], block, slots, edges):
+                if _interchangeable(members[0], block, slots, wildcards, edges):
                     members.append(block)
                     break
             else:
@@ -225,26 +218,29 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
         preds[j] |= 1 << i
     # a non-Put step has no receptacle, so None also stands for any on its slots
     by_name: dict[tuple[ActionKind, str], tuple[SlotEntry, ...]] = {}
-    for s, pattern in enumerate(slots):
-        name = (pattern.action, pattern.object)
-        receptacle = None if pattern.any_receptacle else pattern.receptacle
+    for s, sg in enumerate(slots):
+        name = (sg.action, sg.object)
+        receptacle = None if s in wildcards else sg.receptacle
         by_name[name] = by_name.get(name, ()) + ((receptacle, 1 << s, preds[s]),)
     twin_masks = tuple((tuple(lo for lo, _ in members),
                         (1 << (members[0][1] - members[0][0] + 1)) - 1) for members in twins)
     outside = ~sum(mask << lo for los, mask in twin_masks for lo in los)
-    return RelaxedSpec(slots, frozenset(edges), tuple(twins), by_name, twin_masks, outside)
+    return RelaxedSpec(slots, wildcards, frozenset(edges), tuple(twins), by_name, twin_masks,
+                       outside)
 
 
-def _interchangeable(a: tuple[int, int], b: tuple[int, int],
-                     slots: Sequence[SlotPattern], edges: set[tuple[int, int]]) -> bool:
-    """Whether exchanging blocks ``a`` and ``b`` slot by slot maps the slot
-    patterns and the precedence set onto themselves.
+def _interchangeable(a: tuple[int, int], b: tuple[int, int], slots: Sequence[Subgoal],
+                     wildcards: frozenset[int], edges: set[tuple[int, int]]) -> bool:
+    """Whether exchanging blocks ``a`` and ``b`` slot by slot maps the slots,
+    the wildcards and the precedence set onto themselves.
 
     The exchanges that pass against one block of a class generate every
     permutation of the class, so each is checked only against the first.
     """
     a_slots, b_slots = range(a[0], a[1] + 1), range(b[0], b[1] + 1)
-    if len(a_slots) != len(b_slots) or any(slots[i] != slots[j] for i, j in zip(a_slots, b_slots)):
+    if len(a_slots) != len(b_slots) or any(
+            slots[i] != slots[j] or (i in wildcards) != (j in wildcards)
+            for i, j in zip(a_slots, b_slots)):
         return False
     swap = dict(zip(a_slots, b_slots)) | dict(zip(b_slots, a_slots))
     return {(swap.get(i, i), swap.get(j, j)) for i, j in edges} == edges
@@ -261,10 +257,10 @@ def strict_match(candidate: Sequence[Subgoal], gt: GtAnnotation) -> bool:
 
 def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
     """Whether the candidate realizes the spec: a bijection of steps onto slots
-    that satisfies every pattern and linearizes the precedence DAG.
+    in which each step can take its slot and which linearizes the precedence DAG.
 
     Depth-first over candidate positions; a slot is eligible at a position
-    when its pattern matches and all its predecessors are already assigned
+    when the step can take it and all its predecessors are already assigned
     to earlier positions. A plan that matches on the first descent costs no
     more than that descent; see ``_expand`` for how failed branches are
     remembered.
@@ -318,14 +314,11 @@ def enumerate_valid_plans(spec: RelaxedSpec,
     if n > 8:
         raise ValueError(f"{n} slots exceeds the enumeration guard of 8")
     pool = sorted(set(receptacles))
-    choices: list[list[Optional[str]]] = []
-    for pattern in spec.slots:
-        if pattern.any_receptacle:
-            if not pool:
-                raise ValueError("receptacle vocabulary required for wildcard slots")
-            choices.append(list(pool))
-        else:
-            choices.append([pattern.receptacle])
+    if spec.wildcards and not pool:
+        raise ValueError("receptacle vocabulary required for wildcard slots")
+    # per slot, every subgoal it can take
+    choices = [[Subgoal(sg.action, sg.object, receptacle) for receptacle in pool]
+               if s in spec.wildcards else [sg] for s, sg in enumerate(spec.slots)]
     preds: dict[int, set[int]] = {s: set() for s in range(n)}
     for i, j in spec.precedence:
         preds[j].add(i)
@@ -345,11 +338,7 @@ def enumerate_valid_plans(spec: RelaxedSpec,
 
     plans: set[tuple[Subgoal, ...]] = set()
     for order in orders:
-        for combo in itertools.product(*(choices[s] for s in order)):
-            plans.add(tuple(
-                Subgoal(spec.slots[s].action, spec.slots[s].object, receptacle)
-                for s, receptacle in zip(order, combo)
-            ))
+        plans.update(itertools.product(*(choices[s] for s in order)))
     return plans
 
 

@@ -14,17 +14,18 @@ step returns that state itself, and a successful one builds its successor
 with ``WorldState.after``, whose entity dict shares every entity the step
 does not change.
 
-A state also keeps what it derives from its entities: a ``SceneIndex`` (the
-ids with no container in each zone, and the ids directly inside each
-container) and the scene line of each entity ``render_scene`` has drawn.
-``after`` is the only code that updates them: it hands the index on
-copy-on-write, replacing only the buckets of an entity that changed zone or
-container, and drops the lines of the entities that changed. So a step reads
-the agent's zone and what it moves, not the whole scene: ``detect_objects``
-walks down from the zone's roots into every container that is not closed,
-and a scene re-renders only the lines of entities that changed. The lines of
-a scenario's initial state are drawn once, by the first ``new_world``, and
-every episode of the scenario starts from them.
+A state also keeps what it derives from its entities: a scene index, one map
+from each parent to the ids directly under it (a container id, or the 1-tuple
+``(zone,)`` for the entities with no container, so a zone never meets an
+entity of the same name), and the scene line of each entity ``render_scene``
+has drawn. ``after`` is the only code that updates them: it hands the index
+on copy-on-write, replacing only the buckets of an entity that changed zone
+or container, and drops the lines of the entities that changed. So a step
+reads the agent's zone and what it moves, not the whole scene:
+``detect_objects`` walks down from ``(zone,)`` into every container that is
+not closed, and a scene re-renders only the lines of entities that changed.
+The lines of a scenario's initial state are drawn once, by the first
+``new_world``, and every episode of the scenario starts from them.
 
 Appliance semantics are keyed by entity category: a ``microwave`` heats its
 heatable contents when toggled on, a ``fridge`` chills its coolable contents
@@ -128,47 +129,34 @@ _ENTITY_REQUIRED = frozenset(ObjectEntity._fields) - ObjectEntity._field_default
 _BOOL_FLAGS = frozenset(name for name, kind in _ENTITY_KINDS.items() if kind is bool)
 
 
-class SceneIndex(NamedTuple):
-    """Where each entity of a scene hangs. ``roots`` maps a zone to the ids of
-    the entities in it that have no container, ``children`` maps a container
-    id to the ids directly inside it. Two maps, since a zone may share its
-    name with an entity. Buckets are frozensets, so a successor's index can
-    share every bucket it does not change."""
-
-    roots: dict[str, frozenset[str]]
-    children: dict[str, frozenset[str]]
-
-    @staticmethod
-    def build(entities: dict[str, ObjectEntity]) -> "SceneIndex":
-        roots: dict[str, set[str]] = {}
-        children: dict[str, set[str]] = {}
-        for entity in entities.values():
-            if entity.container is None:
-                roots.setdefault(entity.zone, set()).add(entity.id)
-            else:
-                children.setdefault(entity.container, set()).add(entity.id)
-        return SceneIndex({zone: frozenset(ids) for zone, ids in roots.items()},
-                          {parent: frozenset(ids) for parent, ids in children.items()})
+# A scene index maps each parent to the ids directly under it. A parent is a
+# container id or, for an entity with no container, the 1-tuple (zone,), which
+# keeps a zone apart from an entity of the same name. Buckets are frozensets,
+# so a successor's index can share every bucket it does not change.
+Index = dict[str | tuple[str], frozenset[str]]
 
 
-def _rebucket(buckets: dict[str, frozenset[str]], entity_id: str,
-              old: Optional[str], new: Optional[str]) -> None:
-    # Moves entity_id from bucket ``old`` to bucket ``new`` (None: no bucket)
-    # in a map the caller owns, replacing each bucket it changes.
-    if old == new:
-        return
-    if old is not None:
-        rest = buckets[old] - {entity_id}
-        if rest:
-            buckets[old] = rest
-        else:
-            del buckets[old]
-    if new is not None:
-        buckets[new] = buckets.get(new, frozenset()) | {entity_id}
+def _parent(entity: ObjectEntity) -> str | tuple[str]:
+    return (entity.zone,) if entity.container is None else entity.container
 
 
-def _root_zone(entity: ObjectEntity) -> Optional[str]:
-    return entity.zone if entity.container is None else None
+def build_index(entities: dict[str, ObjectEntity]) -> Index:
+    """The scene index of ``entities``, built by a scan of all of them."""
+    index: dict[str | tuple[str], set[str]] = {}
+    for entity in entities.values():
+        index.setdefault(_parent(entity), set()).add(entity.id)
+    return {parent: frozenset(ids) for parent, ids in index.items()}
+
+
+def _rebucket(index: Index, entity_id: str, old: str | tuple[str], new: str | tuple[str]) -> None:
+    # Moves entity_id from bucket ``old`` to bucket ``new`` in an index the
+    # caller owns, replacing each bucket it changes.
+    rest = index[old] - {entity_id}
+    if rest:
+        index[old] = rest
+    else:
+        del index[old]
+    index[new] = index.get(new, frozenset()) | {entity_id}
 
 
 @dataclass(frozen=True)
@@ -176,7 +164,7 @@ class WorldState:
     """One scene. No code writes to ``entities`` once the state is built.
 
     The last two fields are derived from the others, so equality ignores
-    them: the state's ``SceneIndex``, which a state not built by ``after``
+    them: the state's scene ``Index``, which a state not built by ``after``
     builds on first use, and the scene lines ``render_scene`` has drawn for
     it, keyed by entity id. A line depends on its entity and on whether that
     entity is held. Episodes on parallel threads share a scenario's initial
@@ -185,13 +173,13 @@ class WorldState:
     entities: dict[str, ObjectEntity]
     agent_zone: str
     held: Optional[str] = None
-    _index: Optional[SceneIndex] = field(default=None, compare=False, repr=False)
+    _index: Optional[Index] = field(default=None, compare=False, repr=False)
     _lines: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
-    def index(self) -> SceneIndex:
-        """This state's ``SceneIndex``, built from ``entities`` on first use."""
+    def index(self) -> Index:
+        """This state's scene index, built from ``entities`` on first use."""
         if self._index is None:
-            object.__setattr__(self, "_index", SceneIndex.build(self.entities))
+            object.__setattr__(self, "_index", build_index(self.entities))
         return self._index
 
     def after(self, changes: dict[str, dict[str, object]], agent_zone: str,
@@ -200,7 +188,7 @@ class WorldState:
         that change on it, and every other entity is shared with this state,
         as is every index bucket and scene line the changes leave valid."""
         entities = self.entities.copy()
-        roots, children = index = self.index()
+        shared = index = self.index()
         lines = self._lines.copy()
         if held != self.held:
             lines.pop(self.held, None)
@@ -210,12 +198,9 @@ class WorldState:
             new = entities[entity_id] = old._replace(**fields)
             lines.pop(entity_id, None)
             if new.zone != old.zone or new.container != old.container:
-                if roots is index.roots:
-                    roots, children = dict(roots), dict(children)
-                _rebucket(roots, entity_id, _root_zone(old), _root_zone(new))
-                _rebucket(children, entity_id, old.container, new.container)
-        if roots is not index.roots:
-            index = SceneIndex(roots, children)
+                if index is shared:
+                    index = dict(shared)
+                _rebucket(index, entity_id, _parent(old), _parent(new))
         return WorldState(entities, agent_zone, held, index, lines)
 
 
@@ -396,18 +381,18 @@ def _visible(world: WorldState, entity_id: str) -> bool:
 
 def detect_objects(world: WorldState) -> set[str]:
     """Ids the agent's detector reports: same-zone entities not hidden inside a
-    closed container, plus whatever is held. Walks down from the roots of the
-    agent's zone, into every container that is not closed."""
-    roots, children = world.index()
-    visible = set(roots.get(world.agent_zone, ()))
-    pending = list(visible & children.keys())
+    closed container, plus whatever is held. Walks down the scene index from
+    the agent's zone, into every container that is not closed."""
+    index = world.index()
+    visible = set(index.get((world.agent_zone,), ()))
+    pending = list(visible & index.keys())
     while pending:
         container = world.entities[pending.pop()]
         if container.openable and not container.is_open:
             continue
-        inside = children[container.id]
+        inside = index[container.id]
         visible |= inside
-        pending += inside & children.keys()
+        pending += inside & index.keys()
     if world.held is not None:
         visible.add(world.held)
     return visible
@@ -430,12 +415,12 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
         changes = {}
         if world.held is not None and target.zone != world.agent_zone:
             # the carry: the held object and everything inside it, at any depth
-            children = world.index().children
+            index = world.index()
             pending = [world.held]
             while pending:
                 carried = pending.pop()
                 changes[carried] = {"zone": target.zone}
-                pending += children.get(carried, ())
+                pending += index.get(carried, ())
         return ExecutionResult(world.after(changes, target.zone, world.held))
 
     if not _visible(world, target.id):
@@ -504,7 +489,7 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
     site = target.container if target.category == "faucet" else target.id
     if effect is not None and site is not None:
         capability = FLAG_IMPLICATIONS[effect]
-        for other_id in world.index().children.get(site, ()):
+        for other_id in world.index().get(site, ()):
             if getattr(world.entities[other_id], capability):
                 # merged: a cleanable faucet sits in the sink it cleans
                 changes.setdefault(other_id, {})[effect] = True

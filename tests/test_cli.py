@@ -1011,6 +1011,8 @@ MALFORMED_INPUTS = {
         record.update(sr=1, gc=1.0, goal_conditions=[True, 1])))),
     "trace-no-conditions-sr-one": ("score", None, _first_trace_with(lambda record: (
         record.update(sr=1, gc=1.0, goal_conditions=[])))),
+    # the seed run writes at the top of a line is its config echo's
+    "trace-seed-contradicts-echo": ("score", None, _first_trace_with(_set(("seed",), 2))),
     "echo-missing-seed": ("replay", None, _first_trace_with(_drop(("config", "seed")))),
     "echo-noise-not-number": ("replay", None, _first_trace_with(
         _set(("config", "noise"), "abc"))),
@@ -1122,6 +1124,8 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
     ("--noise", "2"), ("--noise", "nan"), ("--timeout", "0"), ("--timeout", "nan"),
     ("--timeout", "inf"),
     ("--parallel", "0"), ("--parallel", "-1"), ("--parallel", "1.5"), ("--retries", "-1"),
+    ("--endpoint", "notaurl"), ("--endpoint", "http://h:99999/x"), ("--endpoint", "ftp://h/x"),
+    ("--endpoint", "http://[::1/x"),
 ])
 def test_run_out_of_range_flag_exits_2(flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -432,9 +432,76 @@ def test_http_connect_timeout_is_a_gateway_timeout(monkeypatch):
         _gateway("http://127.0.0.1:9/v1/chat", retries=1).complete(PROMPT, DecodeParams())
 
 
+def _scripted_handler(script: OracleScript):
+    """A kept-alive stub that answers each chat request with the script's
+    reply to its user message, and a script miss with a 404. It records each
+    user message."""
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        texts: list[str] = []
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            text = body["messages"][-1]["content"]
+            self.texts.append(text)
+            try:
+                status, payload = 200, {"choices": [{"message": {"content": script.reply_for(text)}}]}
+            except ScriptMiss as exc:
+                status, payload = 404, {"error": str(exc)}
+            data = json.dumps(payload).encode()
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+    return Handler
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+@pytest.mark.parametrize("script_name, only", [("mini7", None), ("bread_recovery", "heat_bread")])
+def test_http_gateway_writes_the_scripted_records(mini7, script_name, only, parallel, tmp_path):
+    # Both gateway kinds see the same request text, so an HTTP run against a
+    # stub that serves the script writes the scripted run's records, apart
+    # from the gateway echo.
+    from askplan import asset_path
+    from askplan.cli import RunConfig, TaskSet, read_traces, run_bench
+
+    script = load_script(asset_path(f"scripts/{script_name}.json"))
+    tasks = TaskSet(mini7.name, mini7.version,
+                    [s for s in mini7.scenarios if only in (None, s.id)])
+
+    def records(gateway, out: str, parallelism: int) -> list[dict]:
+        try:
+            path = run_bench(tasks, RunConfig(EpisodeConfig(), gateway, 42, tmp_path / out,
+                                              parallelism))
+        finally:
+            gateway.close()
+        return [{**record, "config": {key: value for key, value in record["config"].items()
+                                      if key != "gateway"}} for record in read_traces(path)]
+
+    scripted = records(ScriptedGateway(script), "scripted", 1)
+    handler = _scripted_handler(script)
+    with _serving(handler) as endpoint:
+        http = records(_gateway(endpoint), "http", parallel)
+    assert http == scripted
+    # what went over the wire is the request text the log records
+    assert sorted(handler.texts) == sorted(entry["text"] for record in scripted
+                                           for entry in record["llm_log"][::2])
+    if script_name == "bread_recovery":
+        assert any(step["decision"] for step in scripted[0]["steps"])
+
+
 def test_http_endpoint_without_scheme_is_unreachable():
     with pytest.raises(ProviderUnreachable):
         _gateway("127.0.0.1/v1/chat").complete(PROMPT, DecodeParams())
+
+
+def test_http_endpoint_that_does_not_split_is_unreachable():
+    # urlsplit itself raises on an unclosed IPv6 bracket
+    with pytest.raises(ProviderUnreachable, match="Invalid IPv6 URL"):
+        _gateway("http://[::1/v1/chat").complete(PROMPT, DecodeParams())
 
 
 def test_http_4xx_rejection_carries_a_body_excerpt():

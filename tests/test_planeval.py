@@ -179,7 +179,7 @@ def test_swap_group_drops_cross_block_edges():
 
 def test_wildcard_slot_becomes_match_any():
     spec = compile_relaxed_spec(gt(["(Put, knife, counter)"], wildcards=[0]))
-    assert spec.slots[0].any_receptacle
+    assert spec.wildcards == {0}
     assert relaxed_match([parse_subgoal("(Put, knife, sink)")], spec)
     assert not relaxed_match([parse_subgoal("(Put, fork, sink)")], spec)
     fixed = compile_relaxed_spec(gt(["(Put, knife, counter)"]))
@@ -337,15 +337,13 @@ def test_relaxed_match_agrees_with_oracle_on_150_random_specs():
 def test_compiled_tables_agree_with_the_spec_on_150_random_specs():
     for annotation, _ in _oracle_cases():
         spec = compile_relaxed_spec(annotation)
-        names = {(pattern.action, pattern.object) for pattern in spec.slots}
+        names = {(sg.action, sg.object) for sg in spec.slots}
         assert spec.by_name.keys() == names
         for name, entries in spec.by_name.items():
-            slots = [s for s, pattern in enumerate(spec.slots)
-                     if (pattern.action, pattern.object) == name]
+            slots = [s for s, sg in enumerate(spec.slots) if (sg.action, sg.object) == name]
             assert [bit for _, bit, _ in entries] == [1 << s for s in slots]
             for (receptacle, _, need), s in zip(entries, slots):
-                pattern = spec.slots[s]
-                assert receptacle == (None if pattern.any_receptacle else pattern.receptacle)
+                assert receptacle == (None if s in spec.wildcards else spec.slots[s].receptacle)
                 assert {i for i in range(len(spec.slots)) if need >> i & 1} == \
                     {i for i, j in spec.precedence if j == s}
         again = compile_relaxed_spec(annotation)
@@ -353,11 +351,12 @@ def test_compiled_tables_agree_with_the_spec_on_150_random_specs():
         assert hash(again) == hash(spec)
 
 
-def slot_matches(pattern, sg):
+def slot_matches(spec, slot, sg):
     """The slot rule: same action and object, and the slot's receptacle unless
     the slot is a wildcard."""
+    pattern = spec.slots[slot]
     return (sg.action, sg.object) == (pattern.action, pattern.object) and \
-        (pattern.any_receptacle or sg.receptacle == pattern.receptacle)
+        (slot in spec.wildcards or sg.receptacle == pattern.receptacle)
 
 
 def reference_match(candidate, spec):
@@ -372,8 +371,7 @@ def reference_match(candidate, spec):
         if pos == n:
             return True
         for slot in range(n):
-            if slot not in used and preds[slot] <= used and slot_matches(spec.slots[slot],
-                                                                          steps[pos]):
+            if slot not in used and preds[slot] <= used and slot_matches(spec, slot, steps[pos]):
                 used.add(slot)
                 if assign(pos + 1):
                     return True
@@ -393,8 +391,8 @@ def _linear_extension(rng, spec):
         order.append(rng.choice(ready))
         remaining.remove(order[-1])
     return tuple(Subgoal(spec.slots[s].action, spec.slots[s].object,
-                         rng.choice(RECEPTACLE_POOL) if spec.slots[s].any_receptacle
-                         else spec.slots[s].receptacle) for s in order)
+                         rng.choice(RECEPTACLE_POOL)) if s in spec.wildcards
+                 else spec.slots[s] for s in order)
 
 
 def test_relaxed_match_agrees_with_reference_on_9_to_14_slots():
@@ -419,26 +417,28 @@ def test_relaxed_match_agrees_with_reference_on_9_to_14_slots():
 
 
 def _all_orders_agree_with_oracle(spec):
-    core = tuple(Subgoal(p.action, p.object, p.receptacle) for p in spec.slots)
     oracle = enumerate_valid_plans(spec, RECEPTACLE_POOL)
     return all(relaxed_match(order, spec) == (order in oracle)
-               for order in set(itertools.permutations(core)))
+               for order in set(itertools.permutations(spec.slots)))
 
 
 MUG_BLOCK = ["(Pickup, mug)", "(Put, mug, shelf)"]
 
 
-@pytest.mark.parametrize("core, floating, swap_groups", [
+@pytest.mark.parametrize("core, floating, wildcards, swap_groups", [
     # a floating slot inside one of two identical blocks
-    (MUG_BLOCK * 2 + ["(Open, box)"], [(1, 0)], [[(0, 1), (2, 3)]]),
+    (MUG_BLOCK * 2 + ["(Open, box)"], [(1, 0)], [], [[(0, 1), (2, 3)]]),
     # an anchor inside one of two identical blocks
-    (MUG_BLOCK * 2 + ["(Open, box)"], [(4, 1)], [[(0, 1), (2, 3)]]),
+    (MUG_BLOCK * 2 + ["(Open, box)"], [(4, 1)], [], [[(0, 1), (2, 3)]]),
     # a core slot between two identical blocks
-    (MUG_BLOCK + ["(Open, box)"] + MUG_BLOCK, [], [[(0, 1), (3, 4)]]),
-], ids=["floating-inside", "anchor-inside", "slot-between"])
+    (MUG_BLOCK + ["(Open, box)"] + MUG_BLOCK, [], [], [[(0, 1), (3, 4)]]),
+    # two identical blocks whose Put slots differ only in being a wildcard
+    (MUG_BLOCK * 2, [], [1], [[(0, 1), (2, 3)]]),
+], ids=["floating-inside", "anchor-inside", "slot-between", "wildcard-in-one"])
 def test_identical_blocks_that_are_not_interchangeable_are_no_twins(
-        core, floating, swap_groups):
-    spec = compile_relaxed_spec(gt(core, floating=floating, swap_groups=swap_groups))
+        core, floating, wildcards, swap_groups):
+    spec = compile_relaxed_spec(gt(core, floating=floating, wildcards=wildcards,
+                                   swap_groups=swap_groups))
     assert spec.twins == ()
     assert _all_orders_agree_with_oracle(spec)
 

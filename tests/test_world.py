@@ -17,10 +17,10 @@ from askplan.world import (
     FLAG_IMPLICATIONS,
     FailReason,
     GoalCondition,
-    SceneIndex,
     Scenario,
     WorldState,
     apply_subgoal,
+    build_index,
     check_goal_conditions,
     detect_objects,
     new_world,
@@ -731,7 +731,7 @@ def _scan_visible(world: WorldState) -> set[str]:
 def _assert_index_holds(world: WorldState, where: str) -> None:
     visible = detect_objects(world)
     assert visible == _scan_visible(world), where
-    assert world.index() == SceneIndex.build(world.entities), where
+    assert world.index() == build_index(world.entities), where
     # a state with an empty line cache draws every line afresh
     fresh = WorldState(dict(world.entities), world.agent_zone, world.held)
     assert render_scene(world, visible) == render_scene(fresh, visible), where
@@ -818,8 +818,8 @@ def test_index_matches_a_scan_of_the_scene_after_every_step(name):
 
 def test_index_keeps_a_zone_and_an_entity_of_one_name_apart():
     world = run_plan(new_world(_garden_scene()), ["(Pickup, spoon)", "(Put, spoon, garden)"])
-    roots, children = world.index()
-    assert roots["garden"] == {"shed"} and children["garden"] == {"spoon"}
+    index = world.index()
+    assert index[("garden",)] == {"shed"} and index["garden"] == {"spoon"}
     assert "rake" not in detect_objects(world) and "spoon" in detect_objects(world)
 
 
