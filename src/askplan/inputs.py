@@ -55,31 +55,36 @@ def parse_json(text: str) -> object:
     return _DECODER.decode(text)
 
 
-def _parse(text: str, where: str) -> object:
+def read_json(path: str | Path) -> object:
+    """The JSON value a UTF-8 file holds."""
+    text = _read_text(path)
     try:
         return parse_json(text)
     except ValueError as exc:  # bad syntax, a NaN token, an integer too long to convert
-        raise MalformedInput(f"{where}: not valid JSON ({exc})") from exc
-
-
-def read_json(path: str | Path) -> object:
-    """The JSON value a UTF-8 file holds."""
-    return _parse(_read_text(path), str(path))
+        raise MalformedInput(f"{path}: not valid JSON ({exc})") from exc
 
 
 def read_json_lines(path: str | Path) -> list[tuple[int, object]]:
     """(line number, JSON value) for every non-blank line of a UTF-8 file."""
-    return [(number, _parse(line, f"{path} line {number}"))
-            for number, line in enumerate(_read_text(path).splitlines(), 1)
-            if line.strip()]
+    values = []
+    for number, line in enumerate(_read_text(path).splitlines(), 1):
+        if line.strip():
+            try:
+                values.append((number, parse_json(line)))
+            except ValueError as exc:  # the line's place is formatted only on failure
+                raise MalformedInput(f"{path} line {number}: not valid JSON ({exc})") from exc
+    return values
 
 
 def _has_kind(value: object, kind) -> bool:
     # exact types, so that a JSON true is never taken for a number
     if type(kind) is list:
         item_kind = kind[0]
-        return type(value) is list and all(
-            type(item) is item_kind or _has_kind(item, item_kind) for item in value)
+        if type(value) is not list:
+            return False
+        if type(item_kind) is type:  # one C-level pass over a list of a plain type
+            return set(map(type, value)) <= {item_kind}
+        return all(_has_kind(item, item_kind) for item in value)
     if type(kind) is tuple:
         return type(value) in kind or any(_has_kind(value, option) for option in kind)
     return type(value) is kind

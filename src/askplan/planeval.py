@@ -30,10 +30,13 @@ swap group, the sets it expands are therefore polynomial in the number of
 identical blocks, and bounded by the product of (block length + 1) over
 distinct blocks.
 
-The tables the matcher reads that depend only on the annotation (per
-(action, object), each slot's receptacle, bit and predecessor bits; and the
-twin block masks of the state key) are compiled by ``compile_relaxed_spec``;
-a match builds each step's choices with one lookup and a receptacle test.
+The tables the matcher reads that depend only on the annotation are compiled
+by ``compile_relaxed_spec``: per core line, the (bit, predecessor bits) of
+every slot that a step of that line can take; per Put object, its wildcard
+slots alone, for a Put to a receptacle no core line names; and the twin
+block masks of the state key. A match looks each step up once, in one pass
+over the candidate that skips Navigate steps and stops at the first step no
+slot takes.
 An annotation compiles its spec once, on first use of ``GtAnnotation.spec``,
 and keeps it, so scoring the same annotations again compiles nothing.
 Scoring a trace set parses each distinct plan line once per call, through
@@ -42,7 +45,6 @@ Scoring a trace set parses each distinct plan line once per call, through
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
@@ -67,6 +69,10 @@ class GtAnnotation:
     floating: tuple[tuple[int, int], ...] = ()
     wildcards: tuple[int, ...] = ()
     swap_groups: tuple[tuple[tuple[int, int], ...], ...] = ()
+    # not a functools.cached_property: its first read adds a key to the
+    # instance __dict__, which makes every later field read 2-3x slower on
+    # CPython 3.11 and 3.12
+    _spec: Optional[RelaxedSpec] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def from_dict(data: object) -> "GtAnnotation":
@@ -83,11 +89,14 @@ class GtAnnotation:
                               in checked_field(data, "swap_groups", [[[int]]], "gt", [])),
         )
 
-    @functools.cached_property
+    @property
     def spec(self) -> RelaxedSpec:
-        return compile_relaxed_spec(self)
+        if self._spec is None:
+            object.__setattr__(self, "_spec", compile_relaxed_spec(self))
+        return self._spec
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_spec", None)  # a key from the start; see _spec
         n = len(self.core)
         for sg in self.core:
             if sg.action is ActionKind.NAVIGATE:
@@ -137,9 +146,9 @@ def _pairs(items: list[list[int]], name: str) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a, b in items)
 
 
-# one slot of an (action, object) in the matcher's table: its receptacle (None
-# for any), its bit and the bits of the slots before it
-SlotEntry = tuple[Optional[str], int, int]
+# the slots a step can take, as (slot bit, bits of the slots before it), in
+# slot order
+Choices = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -153,20 +162,22 @@ class RelaxedSpec:
     themselves.
 
     The other fields are the matcher's tables, compiled once per spec from
-    those four and left out of comparison and hashing: ``by_name``, per
-    (action, object) its slots in order, each as (receptacle, or None for
-    any, slot bit, bits of the slots before it); per twin class, the start
-    slots of its blocks and one block's bit mask (``twin_masks``), and the
-    bits of the slots in no twin block (``outside``), which ``state_key``
-    reads.
+    those four and left out of comparison and hashing. ``by_line`` maps each
+    core line (``Subgoal.text``) to the slots a step of that line can take:
+    the slots of that line, and the wildcard slots of its Put object. ``wildcard_puts`` maps a Put object to its wildcard slots
+    alone, which is all a Put to a receptacle no core line names can take.
+    Both list each slot as (slot bit, bits of the slots before it), in slot
+    order. Per twin class, ``twin_masks`` holds the start slots of its
+    blocks and one block's bit mask, and ``outside`` the bits of the slots in
+    no twin block; ``state_key`` reads them.
     """
 
     slots: tuple[Subgoal, ...]
     wildcards: frozenset[int]
     precedence: frozenset[tuple[int, int]]
     twins: tuple[tuple[tuple[int, int], ...], ...]
-    by_name: Mapping[tuple[ActionKind, str], tuple[SlotEntry, ...]] = \
-        field(compare=False, repr=False)
+    by_line: Mapping[str, Choices] = field(compare=False, repr=False)
+    wildcard_puts: Mapping[str, Choices] = field(compare=False, repr=False)
     twin_masks: tuple[tuple[tuple[int, ...], int], ...] = field(compare=False, repr=False)
     outside: int = field(compare=False, repr=False)
 
@@ -216,17 +227,20 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     preds = [0] * n
     for i, j in edges:
         preds[j] |= 1 << i
-    # a non-Put step has no receptacle, so None also stands for any on its slots
-    by_name: dict[tuple[ActionKind, str], tuple[SlotEntry, ...]] = {}
-    for s, sg in enumerate(slots):
-        name = (sg.action, sg.object)
-        receptacle = None if s in wildcards else sg.receptacle
-        by_name[name] = by_name.get(name, ()) + ((receptacle, 1 << s, preds[s]),)
+    entries = [(1 << s, preds[s]) for s in range(n)]
+    wildcard_puts: dict[str, Choices] = {}
+    for s in sorted(wildcards):
+        wildcard_puts[slots[s].object] = wildcard_puts.get(slots[s].object, ()) + (entries[s],)
+    by_line = {sg.text: tuple(
+        entries[s] for s, slot in enumerate(slots)
+        if slot.text == sg.text
+        or (s in wildcards and sg.action is ActionKind.PUT and slot.object == sg.object))
+        for sg in slots}
     twin_masks = tuple((tuple(lo for lo, _ in members),
                         (1 << (members[0][1] - members[0][0] + 1)) - 1) for members in twins)
     outside = ~sum(mask << lo for los, mask in twin_masks for lo in los)
-    return RelaxedSpec(slots, wildcards, frozenset(edges), tuple(twins), by_name, twin_masks,
-                       outside)
+    return RelaxedSpec(slots, wildcards, frozenset(edges), tuple(twins), by_line,
+                       wildcard_puts, twin_masks, outside)
 
 
 def _interchangeable(a: tuple[int, int], b: tuple[int, int], slots: Sequence[Subgoal],
@@ -246,40 +260,40 @@ def _interchangeable(a: tuple[int, int], b: tuple[int, int], slots: Sequence[Sub
     return {(swap.get(i, i), swap.get(j, j)) for i, j in edges} == edges
 
 
-def _matchable_steps(candidate: Sequence[Subgoal]) -> tuple[Subgoal, ...]:
-    return tuple(sg for sg in candidate if sg.action is not ActionKind.NAVIGATE)
-
-
 def strict_match(candidate: Sequence[Subgoal], gt: GtAnnotation) -> bool:
     """Exact-sequence comparison against the core; wildcards are not honored."""
-    return _matchable_steps(candidate) == gt.core
+    return tuple(sg for sg in candidate if sg.action is not ActionKind.NAVIGATE) == gt.core
 
 
 def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
     """Whether the candidate realizes the spec: a bijection of steps onto slots
     in which each step can take its slot and which linearizes the precedence DAG.
 
-    Depth-first over candidate positions; a slot is eligible at a position
-    when the step can take it and all its predecessors are already assigned
-    to earlier positions. A plan that matches on the first descent costs no
-    more than that descent; see ``_expand`` for how failed branches are
-    remembered.
+    One pass over the candidate looks up each step's slots, skips Navigate
+    steps and fails at the first step that no slot takes. Then depth-first
+    over candidate positions; a slot is eligible at a position when the step
+    can take it and all its predecessors are already assigned to earlier
+    positions. A plan that matches on the first descent costs no more than
+    that descent; see ``_expand`` for how failed branches are remembered.
     """
-    steps = _matchable_steps(candidate)
-    if len(steps) != len(spec.slots):
-        return False
     options = []
-    for step in steps:
-        choices = [(bit, need)
-                   for receptacle, bit, need in spec.by_name.get((step.action, step.object), ())
-                   if receptacle is None or receptacle == step.receptacle]
-        if not choices:
-            return False
+    for step in candidate:
+        choices = spec.by_line.get(step.text)
+        if choices is None:
+            if step.action is ActionKind.NAVIGATE:
+                continue
+            if step.action is not ActionKind.PUT:
+                return False
+            choices = spec.wildcard_puts.get(step.object)
+            if choices is None:
+                return False
         options.append(choices)
+    if len(options) != len(spec.slots):
+        return False
     return _expand(options, spec.state_key, set(), 0, 0)
 
 
-def _expand(options: list[list[tuple[int, int]]], key: Callable[[int], Hashable],
+def _expand(options: list[Choices], key: Callable[[int], Hashable],
             dead: set[Hashable], pos: int, used: int) -> bool:
     """Whether the steps from ``pos`` on can take slots outside ``used``, the
     bit set of the slots held by the steps before ``pos``.

@@ -15,7 +15,7 @@ caller may share it. A line that fails is not kept: it raises again, with
 the same message, on every call. A subgoal keeps its canonical template
 line, ``Subgoal.text``, drawn when it is built, so a subgoal that the memo
 shares is rendered once per process however many records and prompts show
-it.
+it. An object or receptacle holds no comma, so each text names one subgoal.
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ class Subgoal:
             raise PlanParseError("Put requires a receptacle")
         if self.action is not ActionKind.PUT and self.receptacle is not None:
             raise PlanParseError(f"{self.action.value} does not take a receptacle")
+        # a comma would let two subgoals share one ``text``, which the relaxed
+        # matcher looks steps up by
+        if "," in self.object or "," in (self.receptacle or ""):
+            raise PlanParseError(f"subgoal object and receptacle may not hold a comma: "
+                                 f"{self.object!r}, {self.receptacle!r}")
         # Drawn here, not on first read: a functools.cached_property writes
         # through __dict__, and on CPython 3.11 and 3.12 that makes every
         # later field read of the subgoal 2-3x slower, which the matcher and

@@ -26,7 +26,7 @@ from askplan.cli import (
 )
 from askplan.engine import EpisodeConfig
 from askplan.gateway import HttpGatewayConfig, OracleScript, ScriptedGateway, load_script
-from askplan.inputs import MAX_JSON_INT, MalformedInput
+from askplan.inputs import MAX_JSON_INT, NUMBER, MalformedInput, _has_kind
 from askplan.plans import render_subgoal
 
 MINI7 = str(asset_path("tasks/mini7.json"))
@@ -1118,6 +1118,19 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    ([True], [int], False), ([1], [bool], False), ([1.0], [int], False),
+    ([1, 2], [int], True), ([True, False], [bool], True), ([1, True], [int], False),
+    ([[1]], [[int]], True), ([[True]], [[int]], False), ([[1], [2, True]], [[int]], False),
+    ([], [str], True), ([[]], [[str]], True), ("ab", [str], False), ((1,), [int], False),
+    (["a", None], [str], False), ([None], [type(None)], True),
+    (["a"], ([str], type(None)), True), (None, ([str], type(None)), True),
+    ([1.5, 2], [NUMBER], True), ([1.5, True], [NUMBER], False),
+])
+def test_list_kinds_are_exact(value, kind, expected):
+    assert _has_kind(value, kind) is expected
 
 
 @pytest.mark.parametrize("flag, value", [

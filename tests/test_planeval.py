@@ -337,15 +337,23 @@ def test_relaxed_match_agrees_with_oracle_on_150_random_specs():
 def test_compiled_tables_agree_with_the_spec_on_150_random_specs():
     for annotation, _ in _oracle_cases():
         spec = compile_relaxed_spec(annotation)
-        names = {(sg.action, sg.object) for sg in spec.slots}
-        assert spec.by_name.keys() == names
-        for name, entries in spec.by_name.items():
-            slots = [s for s, sg in enumerate(spec.slots) if (sg.action, sg.object) == name]
-            assert [bit for _, bit, _ in entries] == [1 << s for s in slots]
-            for (receptacle, _, need), s in zip(entries, slots):
-                assert receptacle == (None if s in spec.wildcards else spec.slots[s].receptacle)
-                assert {i for i in range(len(spec.slots)) if need >> i & 1} == \
-                    {i for i, j in spec.precedence if j == s}
+        n = len(spec.slots)
+
+        def entries(slots):
+            return tuple((1 << s, sum(1 << i for i, j in spec.precedence if j == s))
+                         for s in slots)
+
+        assert spec.by_line.keys() == {sg.text for sg in spec.slots}
+        for line, choices in spec.by_line.items():
+            step = parse_subgoal(line)
+            assert choices == entries(s for s in range(n) if slot_matches(spec, s, step)), line
+        puts = {sg.object for sg in spec.slots if sg.action is ActionKind.PUT}
+        assert spec.wildcard_puts.keys() == {spec.slots[s].object for s in spec.wildcards}
+        for obj in puts:
+            # a receptacle that no core line names
+            step = Subgoal(ActionKind.PUT, obj, "nowhere")
+            assert spec.wildcard_puts.get(obj, ()) == \
+                entries(s for s in range(n) if slot_matches(spec, s, step)), obj
         again = compile_relaxed_spec(annotation)
         assert again == spec
         assert hash(again) == hash(spec)
@@ -382,38 +390,90 @@ def reference_match(candidate, spec):
 
 
 def _linear_extension(rng, spec):
-    """A random order of the slots that respects the precedence DAG, as a plan;
-    wildcard slots take a random receptacle."""
+    """A random order of the slots that respects the precedence DAG, and the
+    plan that takes them in that order; wildcard slots take a random
+    receptacle."""
     order, remaining = [], set(range(len(spec.slots)))
     while remaining:
         ready = sorted(s for s in remaining
                        if all(i in order for i, j in spec.precedence if j == s))
         order.append(rng.choice(ready))
         remaining.remove(order[-1])
-    return tuple(Subgoal(spec.slots[s].action, spec.slots[s].object,
-                         rng.choice(RECEPTACLE_POOL)) if s in spec.wildcards
-                 else spec.slots[s] for s in order)
+    return order, tuple(Subgoal(spec.slots[s].action, spec.slots[s].object,
+                                rng.choice(RECEPTACLE_POOL)) if s in spec.wildcards
+                        else spec.slots[s] for s in order)
+
+
+def _variants(rng, spec, order, plan):
+    """(name, candidate) pairs made from an accepted plan: two neighbouring
+    steps exchanged, which mostly fails late; that with Navigate steps put in
+    at random positions; a step dropped, repeated, or both; a step no slot
+    takes; and a Put to a receptacle no core line names, at a wildcard slot's
+    position and at a fixed Put slot's position."""
+    plan = list(plan)
+    pos = rng.randrange(len(plan) - 1)
+    swapped = plan[:pos] + [plan[pos + 1], plan[pos]] + plan[pos + 2:]
+    yield "exchange", swapped
+    navigated = list(swapped)
+    for _ in range(rng.randint(1, 3)):
+        navigated.insert(rng.randint(0, len(navigated)),
+                         Subgoal(ActionKind.NAVIGATE, rng.choice(OBJECT_POOL)))
+    yield "navigate", navigated
+    dropped = list(plan)
+    del dropped[rng.randrange(len(plan))]
+    yield "drop", dropped
+    repeated = list(plan)
+    repeated.insert(rng.randint(0, len(plan)), rng.choice(plan))
+    yield "repeat", repeated
+    kept_length = list(dropped)
+    kept_length.insert(rng.randint(0, len(dropped)), rng.choice(dropped))
+    yield "drop-and-repeat", kept_length
+    # an object of the core, preferably one with a wildcard Put slot, under
+    # an action that no slot of that object has
+    obj = rng.choice([spec.slots[s].object for s in sorted(spec.wildcards)]
+                     or [sg.object for sg in plan])
+    actions = [a for a in ACTION_POOL if all((sg.action, sg.object) != (a, obj)
+                                              for sg in spec.slots)]
+    stranger = list(plan)
+    stranger[rng.randrange(len(plan))] = Subgoal(rng.choice(actions), obj) if actions \
+        else Subgoal(rng.choice(ACTION_POOL), "ghost")
+    yield "unknown-step", stranger
+    for name, slots in (("attic-on-wildcard", sorted(spec.wildcards)),
+                        ("attic-on-fixed", [s for s, sg in enumerate(spec.slots)
+                                            if sg.action is ActionKind.PUT
+                                            and s not in spec.wildcards])):
+        if slots:
+            at = order.index(rng.choice(slots))
+            moved = list(plan)
+            moved[at] = Subgoal(ActionKind.PUT, plan[at].object, "attic")
+            yield name, moved
 
 
 def test_relaxed_match_agrees_with_reference_on_9_to_14_slots():
-    # beyond the oracle's reach: accepted plans, and near misses made from
-    # them by exchanging two neighbouring steps, which mostly fail late
-    rng = random.Random(9014)
+    # beyond the oracle's reach: accepted plans, and variants of them
+    # annotations on their own stream, so the variants' draws do not change them
+    annotations, rng = random.Random(9014), random.Random(9015)
     verdicts = {True: 0, False: 0}
+    kinds = {}
     twinned = 0
-    for _ in range(300):
-        spec = compile_relaxed_spec(random_annotation(rng, max_slots=14, min_slots=9))
+    for _ in range(400):  # about 3 % of them have twins
+        spec = compile_relaxed_spec(random_annotation(annotations, max_slots=14, min_slots=9))
         twinned += bool(spec.twins)
         for _ in range(10):
-            plan = list(_linear_extension(rng, spec))
+            order, plan = _linear_extension(rng, spec)
             assert relaxed_match(plan, spec)
-            pos = rng.randrange(len(plan) - 1)
-            plan[pos], plan[pos + 1] = plan[pos + 1], plan[pos]
-            expected = reference_match(plan, spec)
-            assert relaxed_match(plan, spec) == expected, (spec, plan)
-            verdicts[expected] += 1
+            for name, variant in _variants(rng, spec, order, plan):
+                expected = reference_match(variant, spec)
+                assert relaxed_match(variant, spec) == expected, (name, spec, variant)
+                verdicts[expected] += 1
+                kinds.setdefault(name, set()).add(expected)
     assert min(verdicts.values()) >= 100
-    assert twinned >= 10
+    assert twinned >= 10, twinned
+    # each kind of variant ran, and each that can go either way did
+    assert kinds == {"exchange": {True, False}, "navigate": {True, False}, "drop": {False},
+                     "repeat": {False}, "drop-and-repeat": {True, False},
+                     "unknown-step": {False}, "attic-on-wildcard": {True},
+                     "attic-on-fixed": {True, False}}
 
 
 def _all_orders_agree_with_oracle(spec):
@@ -590,6 +650,16 @@ def test_score_dataset_compiles_each_annotation_once_across_calls(monkeypatch):
     assert gts["a"].spec == compile_spec(gts["a"])
     twin = gt(["(Pickup, mug)", "(Put, mug, shelf)"], wildcards=[1])
     assert twin == gts["a"] and hash(twin) == hash(gts["a"])
+
+
+def test_reading_the_spec_adds_no_key_to_the_annotation():
+    # a key added after construction slows every later field read on
+    # CPython 3.11 and 3.12
+    annotation = gt(["(Pickup, mug)", "(Put, mug, shelf)"], wildcards=[1])
+    keys = set(vars(annotation))
+    spec = annotation.spec
+    assert set(vars(annotation)) == keys
+    assert annotation.spec is spec and spec == compile_relaxed_spec(annotation)
 
 
 def test_score_dataset_missing_gt():

@@ -118,6 +118,15 @@ def test_subgoal_constructor_enforces_put_arity():
         Subgoal(ActionKind.OPEN, "fridge", "counter")
 
 
+def test_no_two_subgoals_share_a_text():
+    # unequal, and both would read (Put, a, b, c)
+    for obj, receptacle in (("a, b", "c"), ("a", "b, c")):
+        with pytest.raises(PlanParseError, match="may not hold a comma"):
+            Subgoal(ActionKind.PUT, obj, receptacle)
+    with pytest.raises(PlanParseError, match="may not hold a comma"):
+        Subgoal(ActionKind.PICKUP, "a,b")
+
+
 def test_gt_plan_validates_against_scenario_vocab(bread_scenario):
     vocab = bread_scenario.vocabulary
     for sg in bread_scenario.gt.core:
