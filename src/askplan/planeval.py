@@ -40,13 +40,18 @@ slot takes.
 An annotation compiles its spec once, on first use of ``GtAnnotation.spec``,
 and keeps it, so scoring the same annotations again compiles nothing.
 Scoring a trace set parses each distinct plan line once per call, through
-``parse_subgoal``'s per-process memo.
+``parse_subgoal``'s per-process memo, and matches each distinct (task,
+initial plan) pair once per call, strictly and relaxed. The strict match is
+gated on length: only a candidate longer than the core has Navigate steps to
+filter out.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .inputs import MalformedInput, checked_field, reject_unknown_keys
@@ -261,8 +266,17 @@ def _interchangeable(a: tuple[int, int], b: tuple[int, int], slots: Sequence[Sub
 
 
 def strict_match(candidate: Sequence[Subgoal], gt: GtAnnotation) -> bool:
-    """Exact-sequence comparison against the core; wildcards are not honored."""
-    return tuple(sg for sg in candidate if sg.action is not ActionKind.NAVIGATE) == gt.core
+    """Exact-sequence comparison against the core, Navigate steps skipped;
+    wildcards are not honored.
+
+    Gated on length: a core holds no Navigate, so a candidate shorter than
+    the core never matches, and one of the core's length matches only when
+    it equals the core as it stands. Only a longer candidate has its
+    Navigate steps filtered out."""
+    core = gt.core
+    if len(candidate) <= len(core):
+        return tuple(candidate) == core
+    return tuple(sg for sg in candidate if sg.action is not ActionKind.NAVIGATE) == core
 
 
 def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
@@ -378,7 +392,9 @@ class MetricsReport(ScoreSummary):
     per_type: tuple[TaskTypeRow, ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as plain dicts, copied field by field: every value is a
+        number, a string or None, so nothing needs a deep copy."""
+        return dict(vars(self), per_type=[dict(vars(row)) for row in self.per_type])
 
     def format_table(self) -> str:
         def pct(value: Optional[float]) -> str:
@@ -414,41 +430,50 @@ def score_dataset(traces: Iterable[Mapping],
     references a task id with no annotation or a line of an initial plan is
     not a subgoal.
 
-    Each annotation's spec is compiled once, on its first use by any call,
-    and each distinct plan line is parsed once per call; a trace set repeats
-    a few distinct lines many times.
+    Each annotation's spec is compiled once, on its first use by any call.
+    Within one call, each distinct plan line is parsed once, and each
+    distinct (task id, initial plan lines) pair is matched once, strictly
+    and relaxed; later records of the pair reuse its verdicts. A task's
+    initial plan does not depend on the seed, so traces made over many seeds
+    repeat a few plans many times. The percentages are correctly rounded
+    sums (``math.fsum``), so the report does not depend on record order.
     """
     rows: list[dict] = []
     by_type: dict[str, list[dict]] = {}
     parsed: dict[str, Subgoal] = {}  # only lines that parse
+    verdicts: dict[tuple[str, tuple[str, ...]], tuple[bool, bool]] = {}
     for record in traces:
         task_id = record["task_id"]
         gt = gts.get(task_id)
         if gt is None:
             raise MalformedInput(f"no ground-truth annotation for task {task_id!r}")
-        initial = []
-        for line in record.get("initial_plan") or ():
-            step = parsed.get(line)
-            if step is None:
-                try:
-                    step = parsed[line] = parse_subgoal(line)
-                except PlanParseError as exc:
-                    raise MalformedInput(f"initial plan of task {task_id!r}: {exc}") from exc
-            initial.append(step)
+        key = (task_id, tuple(record.get("initial_plan") or ()))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            initial = []
+            for line in key[1]:
+                step = parsed.get(line)
+                if step is None:
+                    try:
+                        step = parsed[line] = parse_subgoal(line)
+                    except PlanParseError as exc:
+                        raise MalformedInput(f"initial plan of task {task_id!r}: {exc}") from exc
+                initial.append(step)
+            verdict = verdicts[key] = (strict_match(initial, gt), relaxed_match(initial, gt.spec))
         row = {
             "task_type": record.get("task_type", "unknown"),
             "core_len": len(gt.core),
             "sr": record["sr"],
             "gc": record["gc"],
-            "strict": strict_match(initial, gt),
-            "relaxed": relaxed_match(initial, gt.spec),
+            "strict": verdict[0],
+            "relaxed": verdict[1],
         }
         rows.append(row)
         by_type.setdefault(row["task_type"], []).append(row)
 
     def summary(group: list[dict]) -> dict:
         def pct(key: str) -> Optional[float]:
-            return 100.0 * sum(row[key] for row in group) / len(group) if group else None
+            return 100.0 * math.fsum(map(itemgetter(key), group)) / len(group) if group else None
 
         return dict(n_episodes=len(group), sr_pct=pct("sr"), gc_pct=pct("gc"),
                     strict_hlp_pct=pct("strict"), relaxed_hlp_pct=pct("relaxed"))

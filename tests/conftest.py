@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from askplan import asset_path
-from askplan.cli import TaskSet, load_tasks
+from askplan.cli import EXIT_OK, TaskSet, load_tasks, main
 from askplan.gateway import ScriptedGateway, load_script
 from askplan.plans import ActionKind, Subgoal
 
@@ -19,6 +21,42 @@ def mini7() -> TaskSet:
 @pytest.fixture(scope="session")
 def bread_scenario(mini7):
     return next(s for s in mini7.scenarios if s.id == "heat_bread")
+
+
+@pytest.fixture(scope="session")
+def scripted_run(tmp_path_factory):
+    """The trace file of a scripted ``run`` over mini7, by script name, seed
+    and ``--noise`` value, made once per session. The bread scripts run
+    heat_bread alone, the scenario they script."""
+    runs: dict[tuple[str, int, str], Path] = {}
+
+    def traces(script: str, seed: int, noise: str) -> Path:
+        key = (script, seed, noise)
+        if key not in runs:
+            out = tmp_path_factory.mktemp(f"{script}-{seed}-{noise}")
+            tasks = asset_path("tasks/mini7.json")
+            if script != "mini7":
+                data = json.loads(tasks.read_text("utf-8"))
+                data["scenarios"] = [s for s in data["scenarios"] if s["id"] == "heat_bread"]
+                tasks = out / "heat_bread.json"
+                tasks.write_text(json.dumps(data), "utf-8")
+            assert main(["run", "--tasks", str(tasks),
+                         "--script", str(asset_path(f"scripts/{script}.json")),
+                         "--seed", str(seed), "--noise", noise, "--out", str(out)]) == EXIT_OK
+            runs[key] = out / "traces.jsonl"
+        return runs[key]
+
+    return traces
+
+
+def perfbench_module(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by its path so
+    that perfbench stays off ``sys.path``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def raw_scenario(scenario_id: str) -> dict:

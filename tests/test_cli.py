@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
+import random
 import typing
 from pathlib import Path
 
@@ -27,7 +29,9 @@ from askplan.cli import (
 from askplan.engine import EpisodeConfig
 from askplan.gateway import HttpGatewayConfig, OracleScript, ScriptedGateway, load_script
 from askplan.inputs import MAX_JSON_INT, NUMBER, MalformedInput, _has_kind
+from askplan.planeval import score_dataset
 from askplan.plans import render_subgoal
+from conftest import perfbench_module
 
 MINI7 = str(asset_path("tasks/mini7.json"))
 SCRIPT = str(asset_path("scripts/mini7.json"))
@@ -423,6 +427,74 @@ def test_read_traces_takes_scores_that_agree_with_their_goal_conditions(scores, 
     traces = tmp_path / "traces.jsonl"
     traces.write_text(_first_trace_with(lambda record: record.update(scores)) + "\n")
     assert read_traces(traces)[0] == json.loads(traces.read_text())
+
+
+# Trace-line order: the report of a trace set does not depend on the order of
+# its lines, nor on where the file is cut in two before it is scored as one
+# stream. Over mini7 and each bundled script, at seeds 0 and 1, at noise 0
+# and 0.3, each script's runs concatenated and then all of them.
+ORDER_SCRIPTS = ("mini7", "bread_recovery", "bread_noisy")
+
+
+@pytest.mark.parametrize("scripts", [(script,) for script in ORDER_SCRIPTS] + [ORDER_SCRIPTS])
+def test_score_does_not_depend_on_line_order_or_cuts(scripts, scripted_run, mini7, tmp_path):
+    lines = [line for script in scripts for seed in (0, 1) for noise in ("0", "0.3")
+             for line in scripted_run(script, seed, noise).read_text("utf-8").splitlines()]
+    gts = {scenario.id: scenario.gt for scenario in mini7.scenarios}
+
+    def written(name: str, part: list[str]) -> Path:
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in part), "utf-8")
+        return path
+
+    expected = score_dataset(read_traces(written("file.jsonl", lines)), gts)
+    assert expected.n_episodes == len(lines)
+    rng = random.Random(len(lines))
+    for _ in range(20):
+        shuffled = written("shuffled.jsonl", rng.sample(lines, len(lines)))
+        assert score_dataset(read_traces(shuffled), gts) == expected
+    for cut in range(1, len(lines)):
+        head, tail = written("head.jsonl", lines[:cut]), written("tail.jsonl", lines[cut:])
+        assert score_dataset(itertools.chain(read_traces(head), read_traces(tail)),
+                             gts) == expected
+        assert score_dataset(itertools.chain(read_traces(tail), read_traces(head)),
+                             gts) == expected
+
+
+def test_reversed_noisy_mini7_run_scores_the_same(scripted_run, mini7):
+    # Adding its gc values with a plain sum reads gc_pct 38.09523809523809
+    # in file order and 38.095238095238095 reversed.
+    records = read_traces(scripted_run("mini7", 0, "0.3"))
+    gts = {scenario.id: scenario.gt for scenario in mini7.scenarios}
+    forward, backward = score_dataset(records, gts), score_dataset(records[::-1], gts)
+    assert forward == backward
+    assert forward.gc_pct == pytest.approx(38.095238095238095)
+
+
+def test_score_of_generated_swap_groups_matches_their_kinds(tmp_path, capsys):
+    """Swap groups of up to 20 slots, beyond the 8-slot enumeration oracle.
+    Each generated trace line's kind fixes its verdicts: strict for
+    ``canonical`` lines alone, relaxed for ``canonical`` and ``reorder``
+    lines."""
+    tasks, traces, records = perfbench_module("gen_swaps").write(7, tmp_path)
+    scenarios = json.loads(tasks.read_text("utf-8"))["scenarios"]
+    assert max(len(scenario["gt"]["core"]) for scenario in scenarios) == 20
+    assert run_cli("score", "--traces", str(traces), "--tasks", str(tasks),
+                   "--format", "json") == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+
+    def shares(group: list[dict]) -> tuple[float, float]:
+        kinds = [record["kind"] for record in group]
+        return (100.0 * sum(kind == "canonical" for kind in kinds) / len(kinds),
+                100.0 * sum(kind in ("canonical", "reorder") for kind in kinds) / len(kinds))
+
+    assert (report["strict_hlp_pct"], report["relaxed_hlp_pct"]) == shares(records)
+    by_type: dict[str, list[dict]] = {}
+    for record in records:
+        by_type.setdefault(record["task_type"], []).append(record)
+    assert [row["task_type"] for row in report["per_type"]] == sorted(by_type)
+    for row in report["per_type"]:
+        assert (row["strict_hlp_pct"], row["relaxed_hlp_pct"]) == shares(by_type[row["task_type"]])
 
 
 # -- pinned traces ------------------------------------------------------------
@@ -1117,6 +1189,7 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
     assert run_cli(*argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.endswith("\n") and err.count("\n") == 1, err
     assert "Traceback" not in err
 
 

@@ -1,22 +1,29 @@
 from __future__ import annotations
 
+import dataclasses
 import graphlib
 import itertools
+import json
+import math
 import random
 
 import pytest
 
 from askplan import planeval
+from askplan.cli import load_tasks, read_traces
 from askplan.plans import ActionKind, Subgoal, parse_subgoal
 from askplan.planeval import (
     GtAnnotation,
     MalformedInput,
+    MetricsReport,
+    TaskTypeRow,
     compile_relaxed_spec,
     enumerate_valid_plans,
     relaxed_match,
     score_dataset,
     strict_match,
 )
+from conftest import perfbench_module
 
 
 def gt(core_lines, floating=(), wildcards=(), swap_groups=()):
@@ -208,6 +215,44 @@ def test_strict_match_ignores_wildcards():
 def test_strict_match_skips_navigate_steps(bread_scenario):
     steps = (parse_subgoal("(Navigate, knife)"),) + bread_scenario.gt.core
     assert strict_match(steps, bread_scenario.gt)
+
+
+def strict_by_filter(candidate, annotation) -> bool:
+    """The definition of a strict match: the candidate's steps other than
+    Navigate are the core."""
+    return tuple(sg for sg in candidate if sg.action is not ActionKind.NAVIGATE) == annotation.core
+
+
+NAVIGATE = parse_subgoal("(Navigate, counter)")
+
+
+@pytest.mark.parametrize("case, candidate, expected", [
+    ("shorter", lambda core: core[:-1], False),
+    ("shorter, with a Navigate", lambda core: (NAVIGATE, *core[:-2]), False),
+    ("equal", lambda core: core, True),
+    ("equal, with a Navigate", lambda core: (NAVIGATE, *core[1:]), False),
+    ("longer, with Navigates", lambda core: (NAVIGATE, *core[:2], NAVIGATE, *core[2:]), True),
+    ("longer, with a Navigate and a stray step",
+     lambda core: (NAVIGATE, *core, core[0]), False),
+])
+def test_strict_match_length_gate_agrees_with_the_filter(case, candidate, expected,
+                                                         bread_scenario):
+    annotation = bread_scenario.gt
+    plan = candidate(annotation.core)
+    assert strict_match(plan, annotation) is strict_by_filter(plan, annotation) is expected
+
+
+def test_strict_match_agrees_with_the_filter_on_random_plans():
+    rng = random.Random(2026)
+    for _ in range(300):
+        annotation = random_annotation(rng)
+        core = list(annotation.core)
+        plan = rng.choice([core, rng.sample(core, len(core)), core[:rng.randrange(len(core))]])
+        for _ in range(rng.randint(0, 3)):
+            plan.insert(rng.randint(0, len(plan)), NAVIGATE)
+        if rng.random() < 0.3:
+            plan.insert(rng.randint(0, len(plan)), rng.choice(core))
+        assert strict_match(plan, annotation) is strict_by_filter(plan, annotation), plan
 
 
 # -- relaxed matching ---------------------------------------------------------
@@ -688,3 +733,130 @@ def test_score_dataset_per_type_rows():
     assert rows["Examine"].mean_core_len == 1.0
     assert rows["Heat"].sr_pct == 100.0
     assert rows["Examine"].sr_pct == 0.0
+
+
+def reference_report(records, gts) -> MetricsReport:
+    """score_dataset's report with no memo: every record is parsed and both
+    matchers judge it, strict by its filter definition."""
+    rows = []
+    for record in records:
+        annotation = gts[record["task_id"]]
+        plan = [parse_subgoal(line) for line in record.get("initial_plan") or ()]
+        rows.append({"task_type": record.get("task_type", "unknown"),
+                     "core_len": len(annotation.core), "sr": record["sr"], "gc": record["gc"],
+                     "strict": strict_by_filter(plan, annotation),
+                     "relaxed": relaxed_match(plan, annotation.spec)})
+
+    def summary(group):
+        return {"n_episodes": len(group), **{
+            f"{name}_pct": 100.0 * math.fsum(row[key] for row in group) / len(group)
+            for name, key in (("sr", "sr"), ("gc", "gc"), ("strict_hlp", "strict"),
+                              ("relaxed_hlp", "relaxed"))}}
+
+    types = sorted({row["task_type"] for row in rows})
+    per_type = []
+    for task_type in types:
+        group = [row for row in rows if row["task_type"] == task_type]
+        per_type.append(TaskTypeRow(
+            task_type=task_type,
+            mean_core_len=sum(row["core_len"] for row in group) / len(group), **summary(group)))
+    return MetricsReport(per_type=tuple(per_type), **summary(rows))
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Count the calls score_dataset makes of ``planeval.<name>``."""
+    calls = []
+    function = getattr(planeval, name)
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(planeval, name, counting)
+    return calls
+
+
+def _distinct_pairs(records) -> int:
+    return len({(record["task_id"], tuple(record.get("initial_plan") or ()))
+                for record in records})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_score_dataset_matches_each_distinct_plan_once_on_swap_groups(seed, tmp_path,
+                                                                       monkeypatch):
+    tasks, traces, _ = perfbench_module("gen_swaps").write(seed, tmp_path)
+    gts = {scenario.id: scenario.gt for scenario in load_tasks(tasks).scenarios}
+    records = read_traces(traces)
+    expected = reference_report(records, gts)
+    strict_calls = _counting(monkeypatch, "strict_match")
+    relaxed_calls = _counting(monkeypatch, "relaxed_match")
+    assert score_dataset(records, gts) == expected
+    assert len(strict_calls) == len(relaxed_calls) == _distinct_pairs(records) < len(records)
+    # nothing is kept across calls: a second call does the same work
+    assert score_dataset(records, gts) == expected
+    assert len(relaxed_calls) == 2 * _distinct_pairs(records)
+
+
+def test_score_dataset_matches_each_distinct_plan_once_over_ten_noisy_runs(
+        scripted_run, mini7, monkeypatch):
+    # a task's initial plan does not depend on the seed; noise acts only on
+    # execution, so 70 lines hold 7 distinct plans
+    records = [record for seed in range(10)
+               for record in read_traces(scripted_run("mini7", seed, "0.3"))]
+    gts = {scenario.id: scenario.gt for scenario in mini7.scenarios}
+    expected = reference_report(records, gts)
+    relaxed_calls = _counting(monkeypatch, "relaxed_match")
+    assert score_dataset(records, gts) == expected
+    assert (len(records), len(relaxed_calls)) == (70, 7)
+
+
+def test_score_dataset_judges_the_same_plan_under_each_task_by_its_own_annotation():
+    gts = {"a": gt(["(Pickup, mug)", "(Put, mug, shelf)"]),
+           "b": gt(["(Put, mug, shelf)", "(Pickup, mug)"], swap_groups=[[(0, 0), (1, 1)]]),
+           "c": gt(["(Pickup, mug)"])}
+    plan = ["(Pickup, mug)", "(Put, mug, shelf)"]
+    records = [_record(task_id, 1, 1.0, plan, task_type=task_id)
+               for task_id in ("a", "b", "c", "c", "b", "a")]
+    report = score_dataset(records, gts)
+    assert report == reference_report(records, gts)
+    verdicts = {row.task_type: (row.strict_hlp_pct, row.relaxed_hlp_pct)
+                for row in report.per_type}
+    assert verdicts == {"a": (100.0, 100.0), "b": (0.0, 100.0), "c": (0.0, 0.0)}
+
+
+def test_a_repeated_bad_line_raises_at_its_first_record():
+    gts = {"a": gt(["(Pickup, mug)"]), "b": gt(["(Pickup, book)"])}
+    bad = ["(Pickup, book)", "(Pickp, book)"]
+    records = [_record("a", 1, 1.0, ["(Pickup, mug)"]), _record("b", 0, 0.0, bad),
+               _record("a", 0, 0.0, bad), _record("b", 0, 0.0, bad)]
+    read = []
+
+    def stream():
+        for record in records:
+            read.append(record)
+            yield record
+
+    with pytest.raises(MalformedInput) as info:
+        score_dataset(stream(), gts)
+    assert str(info.value) == "initial plan of task 'b': unknown action 'Pickp'"
+    assert len(read) == 2
+
+
+def test_an_unknown_task_raises_though_its_plan_was_seen_under_another_task():
+    gts = {"a": gt(["(Pickup, mug)"])}
+    records = [_record("a", 1, 1.0, ["(Pickup, mug)"]),
+               _record("ghost", 1, 1.0, ["(Pickup, mug)"])]
+    with pytest.raises(MalformedInput) as info:
+        score_dataset(records, gts)
+    assert str(info.value) == "no ground-truth annotation for task 'ghost'"
+
+
+def test_report_to_dict_serialises_as_the_dataclass_does():
+    gts = {"a": gt(["(Pickup, mug)"]), "b": gt(["(Pickup, book)", "(Open, safe)"])}
+    report = score_dataset([_record("a", 1, 1.0, ["(Pickup, mug)"], task_type="Pick"),
+                            _record("b", 0, 0.5, ["(Open, safe)"], task_type="Open")], gts)
+    out = report.to_dict()
+    assert json.dumps(out, sort_keys=True) == json.dumps(dataclasses.asdict(report),
+                                                         sort_keys=True)
+    # a copy: changing it leaves the frozen report as it was
+    assert out["per_type"][0] is not vars(report.per_type[0])
