@@ -24,24 +24,27 @@ extension. Navigate steps are controller-level and are excluded from
 matching on both sides.
 
 The matcher is a depth-first search over sets of used slots that remembers
-the sets from which no assignment exists, and counts sets that differ only
-by an exchange of identical blocks of one group (twins) as one. Within a
-swap group, the sets it expands are therefore polynomial in the number of
-identical blocks, and bounded by the product of (block length + 1) over
-distinct blocks.
+the sets from which no assignment exists. Identical blocks of one group that
+may trade places (twins) are taken in block order: each slot of a twin block
+also needs the slot at the same offset in the block before it in its class
+(lex-leader symmetry breaking, Crawford et al., KR 1996). Any accepted
+assignment can be relabelled into that order, offset by offset, so no
+verdict changes, and the sets the search meets within a class are
+polynomial in its number of blocks. Within a swap group they are bounded by
+the product of (block length + 1) over distinct blocks.
 
 The tables the matcher reads that depend only on the annotation are compiled
-by ``compile_relaxed_spec``: per core line, the (bit, predecessor bits) of
-every slot that a step of that line can take; per Put object, its wildcard
-slots alone, for a Put to a receptacle no core line names; and the twin
-block masks of the state key. A match looks each step up once, in one pass
-over the candidate that skips Navigate steps and stops at the first step no
-slot takes.
+by ``compile_relaxed_spec``: per core line, the (bit, needed bits) of every
+slot that a step of that line can take; and per Put object, its wildcard
+slots alone, for a Put to a receptacle no core line names. A slot's needed
+bits are its predecessors in the partial order plus its twin ordering edge.
+A match looks each step up once, in one pass over the candidate that skips
+Navigate steps and stops at the first step no slot takes.
 An annotation compiles its spec once, on first use of ``GtAnnotation.spec``,
 and keeps it, so scoring the same annotations again compiles nothing.
-Scoring a trace set parses each distinct plan line once per call, through
-``parse_subgoal``'s per-process memo, and matches each distinct (task,
-initial plan) pair once per call, strictly and relaxed. The strict match is
+Scoring a trace set matches each distinct (task, initial plan) pair once per
+call, strictly and relaxed, and parses its lines through ``parse_subgoal``,
+whose per-process memo parses each distinct line once. The strict match is
 gated on length: only a candidate longer than the core has Navigate steps to
 filter out.
 """
@@ -52,7 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .inputs import MalformedInput, checked_field, reject_unknown_keys
 from .plans import ActionKind, PlanParseError, Subgoal, parse_subgoal
@@ -151,8 +154,8 @@ def _pairs(items: list[list[int]], name: str) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a, b in items)
 
 
-# the slots a step can take, as (slot bit, bits of the slots before it), in
-# slot order
+# the slots a step can take, as (slot bit, bits of the slots it needs taken
+# first), in slot order
 Choices = tuple[tuple[int, int], ...]
 
 
@@ -164,17 +167,19 @@ class RelaxedSpec:
     whose receptacle is free. ``twins`` holds classes of interchangeable
     blocks, as [start, end] slot ranges (inclusive): exchanging two blocks of
     a class slot by slot maps the slots, the wildcards and the DAG onto
-    themselves.
+    themselves, and no edge joins two blocks of a class.
 
     The other fields are the matcher's tables, compiled once per spec from
     those four and left out of comparison and hashing. ``by_line`` maps each
     core line (``Subgoal.text``) to the slots a step of that line can take:
-    the slots of that line, and the wildcard slots of its Put object. ``wildcard_puts`` maps a Put object to its wildcard slots
-    alone, which is all a Put to a receptacle no core line names can take.
-    Both list each slot as (slot bit, bits of the slots before it), in slot
-    order. Per twin class, ``twin_masks`` holds the start slots of its
-    blocks and one block's bit mask, and ``outside`` the bits of the slots in
-    no twin block; ``state_key`` reads them.
+    the slots of that line, and the wildcard slots of its Put object.
+    ``wildcard_puts`` maps a Put object to its wildcard slots alone, which is
+    all a Put to a receptacle no core line names can take. Both list each
+    slot as (slot bit, needed bits), in slot order. A slot's needed bits are
+    its predecessors in the DAG and, in every twin block but the first of its
+    class, the slot at the same offset in the block before it: an ordering
+    edge that only the matcher reads, so that twin blocks take each offset
+    in class order.
     """
 
     slots: tuple[Subgoal, ...]
@@ -183,17 +188,6 @@ class RelaxedSpec:
     twins: tuple[tuple[tuple[int, int], ...], ...]
     by_line: Mapping[str, Choices] = field(compare=False, repr=False)
     wildcard_puts: Mapping[str, Choices] = field(compare=False, repr=False)
-    twin_masks: tuple[tuple[tuple[int, ...], int], ...] = field(compare=False, repr=False)
-    outside: int = field(compare=False, repr=False)
-
-    def state_key(self, used: int) -> Hashable:
-        """The key of a set of used slots: the used slots outside twin blocks,
-        and per twin class the sorted used-offset patterns of its blocks. Sets
-        that differ by an exchange of twin blocks get one key."""
-        if not self.twin_masks:
-            return used
-        return (used & self.outside, *(tuple(sorted((used >> lo) & mask for lo in los))
-                                       for los, mask in self.twin_masks))
 
 
 def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
@@ -203,7 +197,8 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     that crosses two blocks of the same group, and each floating slot keeps
     exactly one incoming edge, anchor -> slot. An unmarked annotation
     therefore compiles to the full total order. Twin blocks are sought within
-    each swap group.
+    each swap group, and their ordering edges go into the matcher's tables
+    only, not into ``precedence``.
     """
     n = len(gt.core)
     edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
@@ -232,6 +227,10 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     preds = [0] * n
     for i, j in edges:
         preds[j] |= 1 << i
+    for members in twins:
+        for (lo, hi), (next_lo, _) in zip(members, members[1:]):
+            for offset in range(hi - lo + 1):
+                preds[next_lo + offset] |= 1 << (lo + offset)
     entries = [(1 << s, preds[s]) for s in range(n)]
     wildcard_puts: dict[str, Choices] = {}
     for s in sorted(wildcards):
@@ -241,20 +240,20 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
         if slot.text == sg.text
         or (s in wildcards and sg.action is ActionKind.PUT and slot.object == sg.object))
         for sg in slots}
-    twin_masks = tuple((tuple(lo for lo, _ in members),
-                        (1 << (members[0][1] - members[0][0] + 1)) - 1) for members in twins)
-    outside = ~sum(mask << lo for los, mask in twin_masks for lo in los)
-    return RelaxedSpec(slots, wildcards, frozenset(edges), tuple(twins), by_line,
-                       wildcard_puts, twin_masks, outside)
+    return RelaxedSpec(slots, wildcards, frozenset(edges), tuple(twins), by_line, wildcard_puts)
 
 
 def _interchangeable(a: tuple[int, int], b: tuple[int, int], slots: Sequence[Subgoal],
                      wildcards: frozenset[int], edges: set[tuple[int, int]]) -> bool:
     """Whether exchanging blocks ``a`` and ``b`` slot by slot maps the slots,
-    the wildcards and the precedence set onto themselves.
+    the wildcards and the precedence set onto themselves, and no edge joins
+    the two blocks.
 
     The exchanges that pass against one block of a class generate every
     permutation of the class, so each is checked only against the first.
+    An edge between two blocks can only come from a slot that floats after a
+    slot of the other block; it would let a plan put the blocks' offsets in
+    opposite orders, which the ordering edges of a twin class forbid.
     """
     a_slots, b_slots = range(a[0], a[1] + 1), range(b[0], b[1] + 1)
     if len(a_slots) != len(b_slots) or any(
@@ -262,7 +261,8 @@ def _interchangeable(a: tuple[int, int], b: tuple[int, int], slots: Sequence[Sub
             for i, j in zip(a_slots, b_slots)):
         return False
     swap = dict(zip(a_slots, b_slots)) | dict(zip(b_slots, a_slots))
-    return {(swap.get(i, i), swap.get(j, j)) for i, j in edges} == edges
+    return {(swap.get(i, i), swap.get(j, j)) for i, j in edges} == edges \
+        and not any(i in b_slots and j in a_slots for i, j in edges)
 
 
 def strict_match(candidate: Sequence[Subgoal], gt: GtAnnotation) -> bool:
@@ -304,29 +304,28 @@ def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
         options.append(choices)
     if len(options) != len(spec.slots):
         return False
-    return _expand(options, spec.state_key, set(), 0, 0)
+    return _expand(options, set(), 0, 0)
 
 
-def _expand(options: list[Choices], key: Callable[[int], Hashable],
-            dead: set[Hashable], pos: int, used: int) -> bool:
+def _expand(options: list[Choices], dead: set[int], pos: int, used: int) -> bool:
     """Whether the steps from ``pos`` on can take slots outside ``used``, the
     bit set of the slots held by the steps before ``pos``.
 
-    ``options[p]`` lists (slot bit, predecessor bits) for every slot that
-    step ``p`` matches. ``pos`` is the size of ``used``, so ``key(used)``
-    names the whole state. Each failed state adds its key to ``dead``, and a
-    state whose key is there is not expanded again. Keys are computed only
-    once a branch has failed, so a first descent that matches computes none.
+    ``options[p]`` lists (slot bit, needed bits) for every slot that step
+    ``p`` matches. ``pos`` is the size of ``used``, so ``used`` names the
+    whole state. Each failed state is added to ``dead`` and not expanded
+    again. Of the sets that differ only by an exchange of twin blocks, the
+    ordering edges leave one reachable.
     """
     if pos == len(options):
         return True
-    if dead and key(used) in dead:
+    if used in dead:
         return False
     for bit, need in options[pos]:
         if not used & bit and need & used == need \
-                and _expand(options, key, dead, pos + 1, used | bit):
+                and _expand(options, dead, pos + 1, used | bit):
             return True
-    dead.add(key(used))
+    dead.add(used)
     return False
 
 
@@ -431,16 +430,15 @@ def score_dataset(traces: Iterable[Mapping],
     not a subgoal.
 
     Each annotation's spec is compiled once, on its first use by any call.
-    Within one call, each distinct plan line is parsed once, and each
-    distinct (task id, initial plan lines) pair is matched once, strictly
-    and relaxed; later records of the pair reuse its verdicts. A task's
-    initial plan does not depend on the seed, so traces made over many seeds
-    repeat a few plans many times. The percentages are correctly rounded
+    Within one call, each distinct (task id, initial plan lines) pair is
+    parsed and matched once, strictly and relaxed; later records of the pair
+    reuse its verdicts. ``parse_subgoal``'s memo is the only line memo. A
+    task's initial plan does not depend on the seed, so traces made over many
+    seeds repeat a few plans many times. The percentages are correctly rounded
     sums (``math.fsum``), so the report does not depend on record order.
     """
     rows: list[dict] = []
     by_type: dict[str, list[dict]] = {}
-    parsed: dict[str, Subgoal] = {}  # only lines that parse
     verdicts: dict[tuple[str, tuple[str, ...]], tuple[bool, bool]] = {}
     for record in traces:
         task_id = record["task_id"]
@@ -450,15 +448,10 @@ def score_dataset(traces: Iterable[Mapping],
         key = (task_id, tuple(record.get("initial_plan") or ()))
         verdict = verdicts.get(key)
         if verdict is None:
-            initial = []
-            for line in key[1]:
-                step = parsed.get(line)
-                if step is None:
-                    try:
-                        step = parsed[line] = parse_subgoal(line)
-                    except PlanParseError as exc:
-                        raise MalformedInput(f"initial plan of task {task_id!r}: {exc}") from exc
-                initial.append(step)
+            try:
+                initial = [parse_subgoal(line) for line in key[1]]
+            except PlanParseError as exc:
+                raise MalformedInput(f"initial plan of task {task_id!r}: {exc}") from exc
             verdict = verdicts[key] = (strict_match(initial, gt), relaxed_match(initial, gt.spec))
         row = {
             "task_type": record.get("task_type", "unknown"),

@@ -471,6 +471,75 @@ def test_reversed_noisy_mini7_run_scores_the_same(scripted_run, mini7):
     assert forward.gc_pct == pytest.approx(38.095238095238095)
 
 
+# Scenario-order relations: the order of a scenario's goal conditions reaches
+# only the order of its trace's goal_conditions, and the order of its entities
+# reaches nothing. Over the same runs as the line-order relation above.
+
+
+def _edited_run(script: str, seed: int, noise: str, edit, out: Path) -> Path:
+    """The trace file of the ``scripted_run`` configuration, run on a copy of
+    its task file in which ``edit`` has changed each scenario."""
+    data = json.loads(Path(MINI7).read_text("utf-8"))
+    if script != "mini7":
+        data["scenarios"] = [s for s in data["scenarios"] if s["id"] == "heat_bread"]
+    for scenario in data["scenarios"]:
+        edit(scenario)
+    out.mkdir()
+    tasks = out / "tasks.json"
+    tasks.write_text(json.dumps(data), "utf-8")
+    assert run_cli("run", "--tasks", str(tasks),
+                   "--script", str(asset_path(f"scripts/{script}.json")),
+                   "--seed", str(seed), "--noise", noise, "--out", str(out)) == EXIT_OK
+    return out / "traces.jsonl"
+
+
+def _shuffled(rng: random.Random, n: int) -> list[int]:
+    """A random order of range(n) that moves something when n > 1."""
+    order = list(range(n))
+    while n > 1 and order == sorted(order):
+        rng.shuffle(order)
+    return order
+
+
+@pytest.mark.parametrize("script", ORDER_SCRIPTS)
+def test_goal_order_permutes_goal_conditions_alone(script, scripted_run, tmp_path):
+    rng = random.Random(script)
+    moved = 0
+    for seed, noise, draw in itertools.product((0, 1), ("0", "0.3"), range(3)):
+        orders = {}
+
+        def reorder(scenario):
+            order = orders[scenario["id"]] = _shuffled(rng, len(scenario["goal"]))
+            scenario["goal"] = [scenario["goal"][k] for k in order]
+
+        edited = read_traces(_edited_run(script, seed, noise, reorder,
+                                         tmp_path / f"{seed}-{noise}-{draw}"))
+        records = read_traces(scripted_run(script, seed, noise))
+        assert [r["task_id"] for r in edited] == [r["task_id"] for r in records]
+        for record, got in zip(records, edited):
+            order = orders[record["task_id"]]
+            assert (got["sr"], got["gc"]) == (record["sr"], record["gc"])
+            assert got["goal_conditions"] == [record["goal_conditions"][k] for k in order]
+            moved += order != sorted(order)
+    assert moved
+
+
+@pytest.mark.parametrize("script", ORDER_SCRIPTS)
+def test_entity_order_leaves_the_trace_bytes_unchanged(script, scripted_run, tmp_path):
+    rng = random.Random(script)
+    for seed, noise, draw in itertools.product((0, 1), ("0", "0.3"), range(3)):
+
+        def reorder(scenario):
+            order = _shuffled(rng, len(scenario["entities"]))
+            scenario["entities"] = [scenario["entities"][k] for k in order]
+
+        # the config echo names the script, never the task file, so the
+        # bytes match without normalising a path
+        edited = _edited_run(script, seed, noise, reorder, tmp_path / f"{seed}-{noise}-{draw}")
+        assert edited.read_bytes() == scripted_run(script, seed, noise).read_bytes(), \
+            (seed, noise, draw)
+
+
 def test_score_of_generated_swap_groups_matches_their_kinds(tmp_path, capsys):
     """Swap groups of up to 20 slots, beyond the 8-slot enumeration oracle.
     Each generated trace line's kind fixes its verdicts: strict for
@@ -591,6 +660,18 @@ def test_replay_every_line(pinned_traces, capsys):
             assert run_cli("replay", "--traces", str(traces), "--tasks", MINI7,
                            "--line", str(line)) == EXIT_OK, (name, line)
             assert "identical" in capsys.readouterr().out, (name, line)
+
+
+def test_replay_every_line_of_a_noisy_mini7_run(scripted_run, capsys):
+    # CI's installed-command step replays this run too. Of the pinned runs,
+    # only bread-noisy draws noise, and over one scenario.
+    traces = scripted_run("mini7", 7, "0.3")
+    count = len(traces.read_text("utf-8").splitlines())
+    assert count == 7
+    for line in range(1, count + 1):
+        assert run_cli("replay", "--traces", str(traces), "--tasks", MINI7,
+                       "--line", str(line)) == EXIT_OK, line
+        assert "identical" in capsys.readouterr().out, line
 
 
 def _numeric_paths(node, prefix=()):

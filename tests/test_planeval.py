@@ -383,9 +383,15 @@ def test_compiled_tables_agree_with_the_spec_on_150_random_specs():
     for annotation, _ in _oracle_cases():
         spec = compile_relaxed_spec(annotation)
         n = len(spec.slots)
+        # each twin block but the first of its class also needs the slot at
+        # the same offset in the block before it
+        ordering = {later + offset: earlier + offset for blocks in spec.twins
+                    for (earlier, end), (later, _) in zip(blocks, blocks[1:])
+                    for offset in range(end - earlier + 1)}
 
         def entries(slots):
-            return tuple((1 << s, sum(1 << i for i, j in spec.precedence if j == s))
+            return tuple((1 << s, sum(1 << i for i, j in spec.precedence if j == s)
+                          | (1 << ordering[s] if s in ordering else 0))
                          for s in slots)
 
         assert spec.by_line.keys() == {sg.text for sg in spec.slots}
@@ -555,20 +561,20 @@ def test_identical_blocks_of_a_group_are_twins():
     assert _all_orders_agree_with_oracle(spec)
 
 
-def test_relaxed_match_state_count_is_polynomial_in_identical_blocks(monkeypatch):
-    # k identical two-slot blocks and one distinct block in one swap group; the
-    # plan moves the distinct block first and fails at its last two steps.
-    # Merged, the states along this plan are one per position, since the
-    # numbers of mug pickups and puts so far fix the blocks' patterns up to
-    # exchange: 2k + 3 states, each trying at most k slots, so about 2k^2
-    # calls. 4k^2 leaves room for another slot order; a search that tried
-    # every order of the identical blocks would make k! calls.
-    k = 20
-    core = ["(Pickup, box)", "(Put, box, shelf)"] + MUG_BLOCK * k
-    spec = compile_relaxed_spec(gt(core, swap_groups=[[(2 * b, 2 * b + 1)
-                                                       for b in range(k + 1)]]))
-    plan = [parse_subgoal(line) for line in core]
-    plan[-2], plan[-1] = plan[-1], plan[-2]
+def test_identical_blocks_anchored_in_each_other_are_no_twins():
+    # each block's Put floats after the other block's Pickup: the exchange
+    # maps the DAG onto itself, but the plan Pickup, Put, Pickup, Put matches
+    # only with its Pickups taken in one block order and its Puts in the
+    # other, so twin ordering edges would reject it
+    spec = compile_relaxed_spec(gt(MUG_BLOCK * 2, floating=[(1, 2), (3, 0)],
+                                   swap_groups=[[(0, 1), (2, 3)]]))
+    assert spec.twins == ()
+    assert relaxed_match([parse_subgoal(line) for line in MUG_BLOCK * 2], spec)
+    assert _all_orders_agree_with_oracle(spec)
+
+
+def _expand_calls(monkeypatch, plan, spec) -> int:
+    """The number of ``_expand`` calls of a relaxed match that must fail."""
     calls = 0
     expand = planeval._expand
 
@@ -579,7 +585,55 @@ def test_relaxed_match_state_count_is_polynomial_in_identical_blocks(monkeypatch
 
     monkeypatch.setattr(planeval, "_expand", counting)
     assert not relaxed_match(plan, spec)
-    assert 0 < calls <= 4 * k * k
+    return calls
+
+
+def test_relaxed_match_state_count_is_polynomial_in_identical_blocks(monkeypatch):
+    # k identical two-slot blocks and one distinct block in one swap group; the
+    # plan moves the distinct block first and fails at its last two steps.
+    # The twin ordering edges leave each mug step one open slot, the next
+    # block's, so the search is a single descent of 2k + 1 calls. 3k leaves
+    # room for another slot order; merging exchanged blocks by their used
+    # patterns instead makes about k^2 calls (231 at k = 20), and a search
+    # that tried every order of the identical blocks would make k! calls.
+    k = 20
+    core = ["(Pickup, box)", "(Put, box, shelf)"] + MUG_BLOCK * k
+    spec = compile_relaxed_spec(gt(core, swap_groups=[[(2 * b, 2 * b + 1)
+                                                       for b in range(k + 1)]]))
+    plan = [parse_subgoal(line) for line in core]
+    plan[-2], plan[-1] = plan[-1], plan[-2]
+    assert 0 < _expand_calls(monkeypatch, plan, spec) <= 3 * k
+
+
+def test_relaxed_match_orders_every_offset_of_identical_blocks(monkeypatch):
+    # k identical two-slot blocks: the plan takes every Pickup before any Put
+    # and fails at its last two steps. Ordering the Puts as well as the
+    # Pickups leaves each step one open slot, so the search is a single
+    # descent; ordering the Pickups alone lets the Puts go in any block
+    # order, 2^k sets of used slots.
+    k = 12
+    core = MUG_BLOCK * k + ["(Open, box)", "(Close, box)"]
+    spec = compile_relaxed_spec(gt(core, swap_groups=[[(2 * b, 2 * b + 1) for b in range(k)]]))
+    plan = [parse_subgoal(MUG_BLOCK[0])] * k + [parse_subgoal(MUG_BLOCK[1])] * k \
+        + [parse_subgoal("(Close, box)"), parse_subgoal("(Open, box)")]
+    assert 0 < _expand_calls(monkeypatch, plan, spec) <= 3 * k
+
+
+def test_relaxed_match_expands_each_failed_set_of_used_slots_once(monkeypatch):
+    # k blocks that share their Pickup line but not their Put line, so they
+    # are no twins: the plan takes every Pickup first, in one of k! slot
+    # orders, and fails at its last two steps. Remembering the failed sets
+    # of used slots leaves 2^k of them, each trying at most k slots; a search
+    # that forgot them would try all k! orders.
+    k = 7
+    blocks = [["(Pickup, mug)", f"(Put, mug, shelf{b})"] for b in range(k)]
+    core = [line for block in blocks for line in block] + ["(Open, box)", "(Close, box)"]
+    spec = compile_relaxed_spec(gt(core, swap_groups=[[(2 * b, 2 * b + 1) for b in range(k)]]))
+    assert spec.twins == ()
+    plan = [parse_subgoal(block[0]) for block in blocks] \
+        + [parse_subgoal(block[1]) for block in blocks] \
+        + [parse_subgoal("(Close, box)"), parse_subgoal("(Open, box)")]
+    assert 0 < _expand_calls(monkeypatch, plan, spec) <= k * 2 ** k
 
 
 def test_order_soundness_violating_an_edge_fails_when_unambiguous():
@@ -639,7 +693,7 @@ def test_score_dataset_strict_le_relaxed():
     assert report.relaxed_hlp_pct == 100.0
 
 
-def test_score_dataset_parses_each_distinct_line_once_per_call(monkeypatch):
+def test_score_dataset_parses_each_distinct_plan_once_per_call(monkeypatch):
     gts = {"a": gt(["(Pickup, mug)", "(Put, mug, shelf)"]),
            "b": gt(["(Pickup, book)", "(Put, book, shelf)"])}
     records = [
@@ -648,7 +702,11 @@ def test_score_dataset_parses_each_distinct_line_once_per_call(monkeypatch):
         _record("a", 0, 0.5, ["(Put, mug, shelf)", "(Pickup, mug)"]),
         _record("b", 0, 0.0, ["(Pickup, book)", "(Put, book, shelf)"]),
     ]
-    distinct = sorted({line for record in records for line in record["initial_plan"]})
+    # one parse per line of each distinct (task, plan) pair; repeats of a
+    # line across pairs are left to parse_subgoal's own memo
+    pairs = {(record["task_id"], tuple(record["initial_plan"])) for record in records}
+    expected = sorted(line for _, plan in pairs for line in plan)
+    assert len(expected) == 6
     calls = []
     parse = planeval.parse_subgoal
 
@@ -658,12 +716,12 @@ def test_score_dataset_parses_each_distinct_line_once_per_call(monkeypatch):
 
     monkeypatch.setattr(planeval, "parse_subgoal", counting)
     report = score_dataset(records, gts)
-    assert sorted(calls) == distinct
+    assert sorted(calls) == expected
     assert report.strict_hlp_pct == report.relaxed_hlp_pct == 75.0
-    # the parsed lines do not outlive a call
+    # the verdicts do not outlive a call
     calls.clear()
     assert score_dataset(records, gts) == report
-    assert sorted(calls) == distinct
+    assert sorted(calls) == expected
     # a bad line still names its task, after valid lines of that task
     records.append(_record("a", 1, 1.0, ["(Pickup, mug)", "(Pickp, mug)"]))
     with pytest.raises(MalformedInput) as info:
