@@ -5,9 +5,12 @@ patches never leak into the other tests."""
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,3 +44,12 @@ def test_tracer_installs_and_traces_an_episode():
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_a_committed_benchmark_line_is_a_correct_run_with_no_failed_operation(path):
+    """Each ``BENCH_*.json`` at the repository root is the last line that
+    ``perfbench/run.py`` printed: one JSON object, of a correct run in which
+    no operation failed."""
+    line = json.loads(path.read_text("utf-8"))
+    assert isinstance(line, dict) and line.get("correct") is True and line.get("failed") == 0

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import typing
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from askplan.engine import EpisodeConfig
 from askplan.gateway import HttpGatewayConfig, OracleScript, ScriptedGateway, load_script
 from askplan.inputs import MAX_JSON_INT, NUMBER, MalformedInput, _has_kind
 from askplan.planeval import score_dataset
-from askplan.plans import render_subgoal
+from askplan.plans import parse_subgoal, render_subgoal
 from conftest import perfbench_module
 
 MINI7 = str(asset_path("tasks/mini7.json"))
@@ -246,12 +247,34 @@ def test_run_deterministic_across_invocations(tmp_path):
 
 
 def test_run_parallelism_does_not_change_output(tmp_path):
-    out_a, out_b = tmp_path / "p1", tmp_path / "p4"
-    run_cli("run", "--tasks", MINI7, "--gateway", "scripted", "--script", SCRIPT,
-            "--seed", "7", "--out", str(out_a), "--parallel", "1")
-    run_cli("run", "--tasks", MINI7, "--gateway", "scripted", "--script", SCRIPT,
-            "--seed", "7", "--out", str(out_b), "--parallel", "4")
-    assert (out_a / "traces.jsonl").read_bytes() == (out_b / "traces.jsonl").read_bytes()
+    # Scheduling: four threads that switch every microsecond write the serial
+    # run's bytes from memos as cold as a fresh process has them: each run
+    # loads its tasks afresh, so no scene line is drawn, and parse_subgoal's
+    # lines are dropped before each parallel run. Seven short episodes barely
+    # overlap on four threads, so the task file holds mini7's scenarios eight
+    # times over, and each parallel run is made five times.
+    data = json.loads(Path(MINI7).read_text("utf-8"))
+    data["scenarios"] = [dict(scenario, id=f"{scenario['id']}-{copy}")
+                         for copy in range(8) for scenario in data["scenarios"]]
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps(data), "utf-8")
+
+    def traces(noise: str, parallel: str) -> bytes:
+        out = tmp_path / noise / parallel
+        assert run_cli("run", "--tasks", str(tasks), "--script", SCRIPT, "--seed", "7",
+                       "--noise", noise, "--parallel", parallel, "--out", str(out)) == EXIT_OK
+        return (out / "traces.jsonl").read_bytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for noise in ("0", "0.3"):
+            serial = traces(noise, "1")
+            for _ in range(5):
+                parse_subgoal.cache_clear()
+                assert traces(noise, "4") == serial, noise
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_run_missing_script_is_config_error(tmp_path):
@@ -471,6 +494,27 @@ def test_reversed_noisy_mini7_run_scores_the_same(scripted_run, mini7):
     assert forward.gc_pct == pytest.approx(38.095238095238095)
 
 
+# Navigate insertion: Navigate steps are the controller's, so a Navigate
+# toward each step's object, put before every line of each initial plan,
+# leaves both verdicts and so the report unchanged. Over the same runs.
+def test_navigate_steps_in_initial_plans_leave_the_report_unchanged(scripted_run, mini7, tmp_path):
+    records = [record for script in ORDER_SCRIPTS for seed in (0, 1) for noise in ("0", "0.3")
+               for record in read_traces(scripted_run(script, seed, noise))]
+    gts = {scenario.id: scenario.gt for scenario in mini7.scenarios}
+    expected = score_dataset(records, gts)
+    assert expected.strict_hlp_pct and expected.relaxed_hlp_pct
+
+    def navigated(plan: list[str]) -> list[str]:
+        return [step for line in plan
+                for step in (f"(Navigate, {parse_subgoal(line).object})", line)]
+
+    traces = tmp_path / "navigated.jsonl"
+    traces.write_text("".join(
+        dump_record({**record, "initial_plan": record["initial_plan"] and navigated(
+            record["initial_plan"])}) + "\n" for record in records), "utf-8")
+    assert score_dataset(read_traces(traces), gts) == expected
+
+
 # Scenario-order relations: the order of a scenario's goal conditions reaches
 # only the order of its trace's goal_conditions, and the order of its entities
 # reaches nothing. Over the same runs as the line-order relation above.
@@ -663,8 +707,7 @@ def test_replay_every_line(pinned_traces, capsys):
 
 
 def test_replay_every_line_of_a_noisy_mini7_run(scripted_run, capsys):
-    # CI's installed-command step replays this run too. Of the pinned runs,
-    # only bread-noisy draws noise, and over one scenario.
+    # Of the pinned runs, only bread-noisy draws noise, and over one scenario.
     traces = scripted_run("mini7", 7, "0.3")
     count = len(traces.read_text("utf-8").splitlines())
     assert count == 7
@@ -1222,6 +1265,9 @@ MALFORMED_INPUTS = {
         _set(("scenarios", 0, "gt", "floating"), [[9.7, 8]])), None),
     "entity-flag-string": ("run", _mini7_with(
         _set(("scenarios", 0, "entities", 0, "pickupable"), "no")), None),
+    "entity-unknown-field": ("run", _mini7_with(
+        _set(("scenarios", 0, "entities", 0, "colour"), "red")), None),
+    "script-entries-empty": ("run", None, None, '{"entries": []}'),
     "script-reply-null": ("run", None, None, _script_with(
         _set(("entries", 0, "reply"), None))),
     "task-root-scenario": ("run", _mini7_with(_set(("scenario",), [])), None),
