@@ -23,6 +23,7 @@ from .engine import (
     TRACE_SCHEMA_VERSION,
     EpisodeConfig,
     decomposition_prompt,
+    episode_score,
     run_episode,
 )
 from .gateway import (
@@ -145,13 +146,9 @@ def read_traces(path: str | Path) -> list[dict]:
             raise MalformedInput(f"{where}: sr must be 0 or 1 and gc in [0, 1], "
                                  f"got sr={sr!r}, gc={gc!r}")
         conditions = checked_field(record, "goal_conditions", [bool], where, None)
-        if conditions is not None:
-            # scored as run_episode scores them; an internal_error line holds none
-            expected = ((int(all(conditions)), sum(conditions) / len(conditions))
-                        if conditions else (0, 0))
-            if (sr, gc) != expected:
-                raise MalformedInput(f"{where}: sr={sr!r} and gc={gc!r} contradict "
-                                     f"goal_conditions {conditions!r:.80}")
+        if conditions is not None and (sr, gc) != episode_score(conditions):
+            raise MalformedInput(f"{where}: sr={sr!r} and gc={gc!r} contradict "
+                                 f"goal_conditions {conditions!r:.80}")
         # run writes both seeds; a tool that scores plans alone writes neither
         seed = checked_field(record, "seed", int, where, None)
         echo = record.get("config")

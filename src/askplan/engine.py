@@ -247,15 +247,13 @@ def handle_failure(sg: Subgoal, scene: str, observed: set[str],
     the scene-conditioned validity check comes back valid; anything else asks
     for feedback and a full revised plan.
     """
+    validity = None
     try:
         v_completion = _call(gw, "validity", gen_validity_prompt(sg), cfg.decode, log, scene)
-    except GatewayError as exc:
-        return RecoveryDecision("abort", reason=f"gateway_error: {exc}")
-    verdict = classify_validity(v_completion.text)
-    validity = {"verdict": verdict.value, "raw": v_completion.text}
-    if sg.object in observed and verdict is Verdict.VALID:
-        return RecoveryDecision("redo", validity=validity)
-    try:
+        verdict = classify_validity(v_completion.text)
+        validity = {"verdict": verdict.value, "raw": v_completion.text}
+        if sg.object in observed and verdict is Verdict.VALID:
+            return RecoveryDecision("redo", validity=validity)
         f_completion = _call(gw, "feedback", gen_feedback_prompt(sg, verdict),
                              cfg.decode, log, scene)
         if not f_completion.text.strip():
@@ -298,6 +296,12 @@ def _resume_index(world: WorldState, revised: Plan, executed: list[Subgoal]) -> 
             continue
         break
     return index
+
+
+def episode_score(conditions: list[bool]) -> tuple[int, float]:
+    """``(sr, gc)``: whether all goal conditions hold, and their mean; ``(0, 0.0)``
+    for the empty list of an ``internal_error`` record."""
+    return (int(all(conditions)), sum(conditions) / len(conditions)) if conditions else (0, 0.0)
 
 
 def noise_draw(seed: int, step: int) -> float:
@@ -346,9 +350,9 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
     def finish(outcome: EpisodeOutcome, abort_reason: Optional[str] = None) -> None:
         # computes before it writes, so a crash in it leaves the defaults in place
         conditions = check_goal_conditions(world, scenario.goal)
-        gc = sum(conditions) / len(conditions)
+        sr, gc = episode_score(conditions)
         trace.outcome, trace.abort_reason = outcome.value, abort_reason
-        trace.goal_conditions, trace.sr, trace.gc = conditions, int(all(conditions)), gc
+        trace.goal_conditions, trace.sr, trace.gc = conditions, sr, gc
 
     try:
         trace.qa = decompose(scenario.instruction, gw, cfg, log)

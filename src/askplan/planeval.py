@@ -54,11 +54,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .inputs import MalformedInput, checked_field, reject_unknown_keys
 from .plans import ActionKind, PlanParseError, Subgoal, parse_subgoal
+
+
+# The most slots a core may hold. The matcher recurses once per slot, and
+# 800 leaves room for callers under CPython's default recursion limit of 1000.
+MAX_CORE_SLOTS = 800
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,8 @@ class GtAnnotation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_spec", None)  # a key from the start; see _spec
         n = len(self.core)
+        if n > MAX_CORE_SLOTS:
+            raise MalformedInput(f"a core of {n} slots exceeds the bound of {MAX_CORE_SLOTS}")
         for sg in self.core:
             if sg.action is ActionKind.NAVIGATE:
                 raise MalformedInput("Navigate steps do not belong in a core annotation")
@@ -437,8 +443,8 @@ def score_dataset(traces: Iterable[Mapping],
     seeds repeat a few plans many times. The percentages are correctly rounded
     sums (``math.fsum``), so the report does not depend on record order.
     """
-    rows: list[dict] = []
-    by_type: dict[str, list[dict]] = {}
+    # one row per record, under its task type: (sr, gc, strict, relaxed, core_len)
+    by_type: dict[str, list[tuple]] = {}
     verdicts: dict[tuple[str, tuple[str, ...]], tuple[bool, bool]] = {}
     for record in traces:
         task_id = record["task_id"]
@@ -453,29 +459,17 @@ def score_dataset(traces: Iterable[Mapping],
             except PlanParseError as exc:
                 raise MalformedInput(f"initial plan of task {task_id!r}: {exc}") from exc
             verdict = verdicts[key] = (strict_match(initial, gt), relaxed_match(initial, gt.spec))
-        row = {
-            "task_type": record.get("task_type", "unknown"),
-            "core_len": len(gt.core),
-            "sr": record["sr"],
-            "gc": record["gc"],
-            "strict": verdict[0],
-            "relaxed": verdict[1],
-        }
-        rows.append(row)
-        by_type.setdefault(row["task_type"], []).append(row)
+        by_type.setdefault(record.get("task_type", "unknown"), []).append(
+            (record["sr"], record["gc"], *verdict, len(gt.core)))
 
-    def summary(group: list[dict]) -> dict:
-        def pct(key: str) -> Optional[float]:
-            return 100.0 * math.fsum(map(itemgetter(key), group)) / len(group) if group else None
+    def summary(rows: list[tuple]) -> dict:
+        sr, gc, strict, relaxed, _ = [100.0 * math.fsum(column) / len(rows)
+                                      for column in zip(*rows)] or [None] * 5
+        return dict(n_episodes=len(rows), sr_pct=sr, gc_pct=gc,
+                    strict_hlp_pct=strict, relaxed_hlp_pct=relaxed)
 
-        return dict(n_episodes=len(group), sr_pct=pct("sr"), gc_pct=pct("gc"),
-                    strict_hlp_pct=pct("strict"), relaxed_hlp_pct=pct("relaxed"))
-
-    per_type = []
-    for task_type, group in sorted(by_type.items()):
-        per_type.append(TaskTypeRow(
-            task_type=task_type,
-            mean_core_len=sum(row["core_len"] for row in group) / len(group),
-            **summary(group),
-        ))
-    return MetricsReport(per_type=tuple(per_type), **summary(rows))
+    per_type = tuple(TaskTypeRow(task_type=task_type, **summary(rows),
+                                 mean_core_len=sum(row[4] for row in rows) / len(rows))
+                     for task_type, rows in sorted(by_type.items()))
+    return MetricsReport(per_type=per_type,
+                         **summary([row for rows in by_type.values() for row in rows]))

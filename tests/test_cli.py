@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 import typing
 from pathlib import Path
@@ -520,9 +521,11 @@ def test_navigate_steps_in_initial_plans_leave_the_report_unchanged(scripted_run
 # reaches nothing. Over the same runs as the line-order relation above.
 
 
-def _edited_run(script: str, seed: int, noise: str, edit, out: Path) -> Path:
+def _edited_run(script: str, seed: int, noise: str, edit, out: Path,
+                edit_script=None) -> Path:
     """The trace file of the ``scripted_run`` configuration, run on a copy of
-    its task file in which ``edit`` has changed each scenario."""
+    its task file in which ``edit`` has changed each scenario, and on a copy
+    of its script that ``edit_script`` returns changed, when given."""
     data = json.loads(Path(MINI7).read_text("utf-8"))
     if script != "mini7":
         data["scenarios"] = [s for s in data["scenarios"] if s["id"] == "heat_bread"]
@@ -531,8 +534,12 @@ def _edited_run(script: str, seed: int, noise: str, edit, out: Path) -> Path:
     out.mkdir()
     tasks = out / "tasks.json"
     tasks.write_text(json.dumps(data), "utf-8")
-    assert run_cli("run", "--tasks", str(tasks),
-                   "--script", str(asset_path(f"scripts/{script}.json")),
+    script_path = asset_path(f"scripts/{script}.json")
+    if edit_script is not None:
+        edited = edit_script(json.loads(script_path.read_text("utf-8")))
+        script_path = out / "script.json"
+        script_path.write_text(json.dumps(edited), "utf-8")
+    assert run_cli("run", "--tasks", str(tasks), "--script", str(script_path),
                    "--seed", str(seed), "--noise", noise, "--out", str(out)) == EXIT_OK
     return out / "traces.jsonl"
 
@@ -582,6 +589,117 @@ def test_entity_order_leaves_the_trace_bytes_unchanged(script, scripted_run, tmp
         edited = _edited_run(script, seed, noise, reorder, tmp_path / f"{seed}-{noise}-{draw}")
         assert edited.read_bytes() == scripted_run(script, seed, noise).read_bytes(), \
             (seed, noise, draw)
+
+
+# Renaming: a consistent renaming of entity ids across the task file, the
+# script and the annotations gives the same traces under that renaming. Ids
+# alone are renamed, never categories, which the world keys appliances on.
+# Each new name is found in no input, prompt or trace text, so mapping it
+# back is exact. It has its id's length, so the message of a script miss,
+# which cuts the request at 120 characters, cuts at the same place; the cut
+# may fall inside a name, so the cut is checked against the logged request
+# and the request put in its place before mapping back. The program sorts
+# scene lines, observed ids and decode biases by id, so what it sorts is
+# re-sorted before the comparison; some line must need it, or the renaming
+# moved nothing. Over the same runs as the line-order relation.
+SCRIPT_MISS = "gateway_error: no script entry matches request: "
+PROMPTS = "".join(path.read_text("utf-8")
+                  for path in sorted(asset_path("prompts").iterdir()))
+
+
+def _renaming(rng: random.Random, ids: set[str], corpus: str) -> dict[str, str]:
+    names: dict[str, str] = {}
+    for old in sorted(ids):
+        new = old
+        while new in corpus or any(new in name or name in new for name in names.values()):
+            new = "".join(rng.choice("jqvxz") for _ in old)
+        names[old] = new
+    return names
+
+
+def _substituted(value, pattern: "re.Pattern[str]", names: dict[str, str], skip=()):
+    """``value`` with each match of ``pattern`` in its strings and keys
+    replaced by what ``names`` maps it to, the values of keys in ``skip``
+    left as they are."""
+    if isinstance(value, str):
+        return pattern.sub(lambda match: names[match[0]], value)
+    if isinstance(value, list):
+        return [_substituted(item, pattern, names, skip) for item in value]
+    if isinstance(value, dict):
+        return {_substituted(key, pattern, names): item if key in skip
+                else _substituted(item, pattern, names, skip) for key, item in value.items()}
+    return value
+
+
+def _uncut(record: dict) -> dict:
+    """``record`` with the request a script miss cut replaced by the whole
+    request, the last one logged."""
+    reason = record["abort_reason"] or ""
+    if reason.startswith(SCRIPT_MISS):
+        request = record["llm_log"][-1]["text"]
+        assert reason == f"{SCRIPT_MISS}{request[:120]!r}..."
+        record = {**record, "abort_reason": SCRIPT_MISS + request}
+    return record
+
+
+def _resorted(record: dict) -> dict:
+    """``record`` with what the program sorts by id put in string order: the
+    object lines of every scene, the observed ids of every step and every
+    replan prompt, in the steps, the model-call log and an uncut abort
+    reason. ``token_bias`` is a dict, whose equality ignores order."""
+
+    def text(value: str) -> str:
+        lines = value.split("\n")
+        for k, line in enumerate(lines):
+            if line == "Visible objects:":
+                end = k + 1
+                while end < len(lines) and lines[end].startswith("- "):
+                    end += 1
+                lines[k + 1:end] = sorted(lines[k + 1:end])
+            elif line.startswith("Objects observed so far: "):
+                head, _, ids = line.partition(": ")
+                lines[k] = f"{head}: {', '.join(sorted(ids.split(', ')))}"
+        return "\n".join(lines)
+
+    record = json.loads(json.dumps(record))
+    for step in record["steps"]:
+        step["scene"], step["observed"] = text(step["scene"]), sorted(step["observed"])
+    for call in record["llm_log"]:
+        call["text"] = text(call["text"])
+    record["abort_reason"] = record["abort_reason"] and text(record["abort_reason"])
+    return record
+
+
+@pytest.mark.parametrize("script", ORDER_SCRIPTS)
+def test_renaming_entity_ids_renames_the_traces(script, scripted_run, tmp_path):
+    rng = random.Random(script)
+    tasks = json.loads(Path(MINI7).read_text("utf-8"))
+    ids = {entity["id"] for scenario in tasks["scenarios"] for entity in scenario["entities"]}
+    bundled = str(asset_path(f"scripts/{script}.json"))
+    reordered = 0
+    for seed, noise, draw in itertools.product((0, 1), ("0", "0.3"), range(2)):
+        original = scripted_run(script, seed, noise)
+        corpus = "\n".join((json.dumps(tasks), Path(bundled).read_text("utf-8"), PROMPTS,
+                            original.read_text("utf-8")))
+        names = _renaming(rng, ids, corpus)
+        forward = re.compile(r"\b(?:" + "|".join(sorted(names, key=len, reverse=True)) + r")\b")
+        back = {new: old for old, new in names.items()}
+        backward = re.compile("|".join(back))
+
+        def rename(scenario):
+            scenario.update(_substituted(scenario, forward, names, skip={"category"}))
+
+        renamed = _edited_run(script, seed, noise, rename, tmp_path / f"{seed}-{noise}-{draw}",
+                              lambda data: _substituted(data, forward, names))
+        records, got = read_traces(original), read_traces(renamed)
+        assert len(got) == len(records)
+        for record, line in zip(records, got):
+            record, mapped = _uncut(record), _substituted(_uncut(line), backward, back)
+            assert mapped["config"]["gateway"]["script"] == str(renamed.parent / "script.json")
+            mapped["config"]["gateway"]["script"] = bundled
+            reordered += mapped != record
+            assert _resorted(mapped) == _resorted(record), (seed, noise, draw, record["task_id"])
+    assert reordered
 
 
 def test_score_of_generated_swap_groups_matches_their_kinds(tmp_path, capsys):
@@ -1159,6 +1277,8 @@ class Inputs(typing.NamedTuple):
 
 
 NOT_UTF8 = b'{"name": "caf\xe9"}'
+# one slot over the bound, which keeps the matcher's recursion in its limit
+OVERLONG_CORE = ["(Open, fridge)", "(Close, fridge)"] * 400 + ["(Open, fridge)"]
 
 MALFORMED_INPUTS = {
     "task-root-array": ("run", "[]", None),
@@ -1289,6 +1409,9 @@ MALFORMED_INPUTS = {
         _set(("scenarios", 0, "gt", "floating"), [[9, 13]])), None),
     "swap-end-at-core-length": ("run", _mini7_with(
         _set(("scenarios", 0, "gt", "swap_groups"), [[[0, 0], [12, 13]]])), None),
+    "core-over-the-slot-bound": ("score", _mini7_with(
+        _set(("scenarios", 0, "gt"), {"core": OVERLONG_CORE})),
+        _first_trace_with(_set(("initial_plan",), OVERLONG_CORE))),
 }
 
 

@@ -13,6 +13,7 @@ from askplan.engine import (
     EpisodeOutcome,
     PlanningFailed,
     decompose,
+    episode_score,
     handle_failure,
     make_plan,
     noise_draw,
@@ -212,6 +213,7 @@ def test_handle_failure_aborts_on_gateway_error(bread_scenario):
                               bread_scenario.instruction, gw, CFG, [])
     assert decision.kind == "abort"
     assert "gateway_error" in decision.reason
+    assert decision.validity is None
 
 
 @pytest.mark.parametrize("answered, failed_stage", [
@@ -404,6 +406,17 @@ def test_sr_one_implies_gc_one(mini7, mini7_gateway):
         trace = run_episode(scenario, mini7_gateway, EpisodeConfig(seed=1))
         if trace.sr == 1:
             assert trace.gc == 1.0
+
+
+@pytest.mark.parametrize("conditions, expected", [
+    ([], (0, 0.0)),  # an internal_error record holds none
+    ([False], (0, 0.0)),
+    ([True, False, False], (0, 1 / 3)),
+    ([True, True], (1, 1.0)),
+])
+def test_episode_score(conditions, expected):
+    score = episode_score(conditions)
+    assert score == expected and type(score[1]) is float
 
 
 def test_planning_failure_is_recorded_not_raised(bread_scenario):

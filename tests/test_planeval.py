@@ -13,6 +13,7 @@ from askplan import planeval
 from askplan.cli import load_tasks, read_traces
 from askplan.plans import ActionKind, Subgoal, parse_subgoal
 from askplan.planeval import (
+    MAX_CORE_SLOTS,
     GtAnnotation,
     MalformedInput,
     MetricsReport,
@@ -111,6 +112,20 @@ def test_swap_ranges_must_not_overlap():
 def test_navigate_not_allowed_in_core():
     with pytest.raises(MalformedInput, match="Navigate steps do not belong in a core annotation"):
         gt(["(Navigate, safe)", "(Open, safe)"])
+
+
+def test_a_core_over_the_slot_bound_is_malformed():
+    core = tuple(Subgoal(ActionKind.OPEN, f"box{k}") for k in range(MAX_CORE_SLOTS + 1))
+    with pytest.raises(MalformedInput, match="^a core of 801 slots exceeds the bound of 800$"):
+        GtAnnotation(core)
+
+
+def test_the_canonical_plan_of_a_core_at_the_slot_bound_relaxed_matches():
+    # the matcher recurses once per slot, under pytest's own frames too
+    core = tuple(Subgoal(ActionKind.OPEN, f"box{k}") for k in range(MAX_CORE_SLOTS))
+    spec = GtAnnotation(core).spec
+    assert relaxed_match(core, spec)
+    assert not relaxed_match(core[:-2] + core[-1:] + core[-2:-1], spec)
 
 
 def test_cyclic_anchor_chain_raises_defensively():
