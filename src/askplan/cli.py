@@ -229,8 +229,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     records = read_traces(args.traces)
     if not 1 <= args.line <= len(records):
-        print(f"error: --line must be in 1..{len(records)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise MalformedInput(f"--line must be in 1..{len(records)}")
     record = records[args.line - 1]
     tasks = load_tasks(args.tasks)
     by_id = {scenario.id: scenario for scenario in tasks.scenarios}
@@ -302,16 +301,12 @@ def _prompt_block(title: str, prompt: RenderedPrompt) -> str:
 def cmd_prompts(args: argparse.Namespace) -> int:
     tasks = load_tasks(args.tasks)
     if not tasks.scenarios:
-        print("error: task set is empty", file=sys.stderr)
-        return EXIT_CONFIG
+        raise MalformedInput("task set is empty")
+    scenario = tasks.scenarios[0]
     if args.id is not None:
-        matches = [s for s in tasks.scenarios if s.id == args.id]
-        if not matches:
-            print(f"error: no scenario with id {args.id!r}", file=sys.stderr)
-            return EXIT_CONFIG
-        scenario = matches[0]
-    else:
-        scenario = tasks.scenarios[0]
+        scenario = next((s for s in tasks.scenarios if s.id == args.id), None)
+        if scenario is None:
+            raise MalformedInput(f"no scenario with id {args.id!r}")
 
     cfg = EpisodeConfig(use_std=not args.no_std, use_cot=args.cot)
     instruction = scenario.instruction

@@ -83,20 +83,14 @@ class EpisodeConfig:
     def to_echo(self, gw: Gateway) -> dict:
         """The ``config`` field of a trace record. ``run_episode`` echoes its
         resolved config, so ``noise``, ``seed`` and ``decode`` are always set."""
-        return {
-            "failure_budget": self.failure_budget,
-            "replanning_enabled": self.replanning_enabled,
-            "use_std": self.use_std,
-            "use_cot": self.use_cot,
-            "noise": self.noise_override,
-            "seed": self.seed,
-            "decode": {
-                "temperature": self.decode.temperature,
-                "max_tokens": self.decode.max_tokens,
-                "token_bias": dict(self.decode.token_bias),
-            },
-            "gateway": gw.describe(),
+        echo = {key: getattr(self, name) for key, (name, _) in _ECHO_FIELDS.items()}
+        echo["decode"] = {
+            "temperature": self.decode.temperature,
+            "max_tokens": self.decode.max_tokens,
+            "token_bias": dict(self.decode.token_bias),
         }
+        echo["gateway"] = gw.describe()
+        return echo
 
     @staticmethod
     def from_echo(echo: dict) -> "EpisodeConfig":
@@ -107,20 +101,26 @@ class EpisodeConfig:
         bias = checked_field(decode, "token_bias", dict, f"{where} decode")
         for token in bias:
             checked_field(bias, token, NUMBER, f"{where} token_bias")
-        fields = dict(
-            failure_budget=checked_field(echo, "failure_budget", int, where),
-            replanning_enabled=checked_field(echo, "replanning_enabled", bool, where),
-            use_std=checked_field(echo, "use_std", bool, where),
-            use_cot=checked_field(echo, "use_cot", bool, where),
-            noise_override=checked_field(echo, "noise", NUMBER, where),
-            seed=checked_field(echo, "seed", int, where),
-        )
+        fields = {name: checked_field(echo, key, kind, where)
+                  for key, (name, kind) in _ECHO_FIELDS.items()}
         temperature = checked_field(decode, "temperature", NUMBER, f"{where} decode")
         max_tokens = checked_field(decode, "max_tokens", int, f"{where} decode")
         try:
             return EpisodeConfig(decode=DecodeParams(temperature, bias, max_tokens), **fields)
         except ValueError as exc:
             raise MalformedInput(f"{where}: {exc}") from exc
+
+
+# the config echo's scalars, in the order from_echo checks them:
+# echo key -> (EpisodeConfig field, JSON kind)
+_ECHO_FIELDS = {
+    "failure_budget": ("failure_budget", int),
+    "replanning_enabled": ("replanning_enabled", bool),
+    "use_std": ("use_std", bool),
+    "use_cot": ("use_cot", bool),
+    "noise": ("noise_override", NUMBER),
+    "seed": ("seed", int),
+}
 
 
 @dataclass

@@ -5,7 +5,7 @@ A plan is a plain tuple of subgoals. Subgoals are written one per line as
 names are matched case-insensitively (internal spaces/underscores tolerated,
 so ``pick up`` parses as ``Pickup``); object names are normalized to single
 lowercase tokens with no internal whitespace (``desk lamp`` becomes
-``desklamp``).
+``desklamp``), so ``unnamable`` finds the scene ids that no line can name.
 
 ``parse_subgoal`` keeps the subgoals of the last ``PARSE_MEMO_SIZE`` distinct
 lines it parsed, so a line that comes back within one process (a plan line
@@ -24,7 +24,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Collection, Optional
 
 
 class PlanParseError(ValueError):
@@ -55,6 +55,26 @@ _SEPARATOR_RE = re.compile(r"[\s_-]+")
 
 def _normalize_token(token: str) -> str:
     return _SEPARATOR_RE.sub("", token.strip().lower())
+
+
+# what no object name holds: _normalize_token drops whitespace, "_" and "-",
+# and a comma or a parenthesis ends the field of a subgoal line
+_NOT_IN_NAME_RE = re.compile(r"[\s_\-,()]")
+
+
+def _nameable(text: str) -> bool:
+    return text == text.lower() and not _NOT_IN_NAME_RE.search(text)
+
+
+def unnamable(names: Collection[str]) -> Optional[str]:
+    """The first of ``names`` that no subgoal line can name, or None. The
+    object of ``(Pickup, name)`` is ``name`` exactly when ``name`` is
+    non-empty, its own ``lower()``, and free of whitespace, ``_``, ``-``,
+    ``,``, ``(`` and ``)``. When every name is, one pass over the joined
+    names shows it."""
+    if all(names) and _nameable("".join(names)):
+        return None
+    return next((name for name in names if not (name and _nameable(name))), None)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_ -]*)\}")
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    name: str
     system_text: str
     user_text: str
     placeholders: frozenset[str]
@@ -62,7 +61,7 @@ def load_template(name: str) -> PromptTemplate:
     system_text = match.group("system").strip()
     user_text = match.group("user").strip()
     placeholders = frozenset(_PLACEHOLDER_RE.findall(f"{system_text}\n{user_text}"))
-    return PromptTemplate(name, system_text, user_text, placeholders)
+    return PromptTemplate(system_text, user_text, placeholders)
 
 
 def _render(name: str, values: dict[str, str]) -> RenderedPrompt:

@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional, get_args, get_type_hints
 
 from .inputs import NUMBER, REQUIRED, MalformedInput, checked_field, reject_unknown_keys
 from .planeval import GtAnnotation
-from .plans import ActionKind, Subgoal
+from .plans import ActionKind, Subgoal, unnamable
 
 
 class FailReason(str, Enum):
@@ -312,6 +312,11 @@ def validate_scenario(scenario: Scenario) -> None:
     if not 0.0 <= scenario.noise <= 1.0:
         raise MalformedInput(f"noise must be in [0, 1], got {scenario.noise}")
     world = scenario.initial
+    unnamed = unnamable(world.entities)
+    if unnamed is not None:
+        raise MalformedInput(f"entity id {unnamed!r} cannot be named in a subgoal: an id is "
+                             "non-empty, lowercase and holds no whitespace, '_', '-', ',', "
+                             "'(' or ')'")
     for entity in world.entities.values():
         for state_flag, capability in FLAG_IMPLICATIONS.items():
             if getattr(entity, state_flag) and not getattr(entity, capability):

@@ -80,6 +80,35 @@ def test_load_tasks_invalid_scenario_reports_id(tmp_path):
         load_tasks(path)
 
 
+def test_run_rejects_an_entity_id_that_its_own_core_cannot_name(tmp_path, capsys):
+    # "(Pickup, Mug)" parses to the object "mug", which the scene lacks
+    data = json.loads(Path(MINI7).read_text())
+    scenario = data["scenarios"][0]
+    scenario["entities"].append({"id": "Mug", "category": "mug", "zone": "kitchen",
+                                 "pickupable": True})
+    scenario["gt"] = {"core": ["(Pickup, Mug)"]}
+    path = tmp_path / "mug.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("run", "--tasks", str(path), "--script", SCRIPT,
+                   "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: task set invalid at scenario 'heat_bread': entity id 'Mug' cannot be named "
+        "in a subgoal: an id is non-empty, lowercase and holds no whitespace, '_', '-', "
+        "',', '(' or ')'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scaled_task_sets_load(seed, tmp_path):
+    # the benchmark's distractor ids meet the entity-id rule
+    mini7 = json.loads(Path(MINI7).read_text())
+    scaled = perfbench_module("gen_scaled").add_distractors(mini7, seed)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(scaled))
+    assert sum(len(s.initial.entities) for s in load_tasks(path).scenarios) == sum(
+        len(s["entities"]) for s in scaled["scenarios"])
+
+
 def _json_paths(node, prefix: tuple = ()):
     """Every path into a JSON value, the root included."""
     yield prefix
@@ -805,6 +834,14 @@ def test_config_echo_round_trip(pinned_traces):
             assert EpisodeConfig.from_echo(echo).to_echo(gw) == echo, name
 
 
+def test_every_episode_config_field_but_decode_is_in_the_echo_table_once():
+    # a field left out of the table takes its default on both sides of the
+    # round trip, so only this catches it
+    echoed = [name for name, _ in engine._ECHO_FIELDS.values()]
+    assert sorted(echoed) == sorted(field.name for field in dataclasses.fields(EpisodeConfig)
+                                    if field.name != "decode")
+
+
 # -- replay -------------------------------------------------------------------
 
 
@@ -867,10 +904,11 @@ def test_replay_rejects_every_non_finite_or_inexact_number_in_the_config_echo(
     assert run_cli("replay", "--traces", str(traces), "--tasks", MINI7, "--line", "1") == EXIT_OK
 
 
-def test_replay_line_out_of_range(trace_dir):
+def test_replay_line_out_of_range(trace_dir, capsys):
     code = run_cli("replay", "--traces", str(trace_dir / "traces.jsonl"),
                    "--tasks", MINI7, "--line", "99", "--script", SCRIPT)
     assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --line must be in 1..7\n"
 
 
 def test_replay_detects_divergence(trace_dir, tmp_path, capsys):
@@ -1093,9 +1131,10 @@ def test_pinned_prompt_digests(capsys):
     assert digests == json.loads(PROMPT_DIGESTS.read_text("utf-8"))
 
 
-def test_prompts_unknown_id(tmp_path):
+def test_prompts_unknown_id(capsys):
     code = run_cli("prompts", "--tasks", MINI7, "--id", "ghost")
     assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: no scenario with id 'ghost'\n"
 
 
 def test_prompts_empty_id_is_an_unknown_id(capsys):
@@ -1259,6 +1298,13 @@ def _set(path: tuple, value):
     return change
 
 
+def _with_entity(entity_id: str):
+    def change(data):
+        data["scenarios"][0]["entities"].append(
+            {"id": entity_id, "category": "vase", "zone": "kitchen"})
+    return change
+
+
 def _drop(path: tuple):
     def change(data):
         for key in path[:-1]:
@@ -1293,6 +1339,11 @@ MALFORMED_INPUTS = {
         _set(("scenarios", 0, "gt", "floating"), [[1, 1]])), None),
     "floating-twice": ("run", _mini7_with(
         _set(("scenarios", 0, "gt", "floating"), [[9, 8], [9, 7]])), None),
+    # an id that no subgoal line can name, on an entity that no goal or core
+    # line refers to
+    "entity-id-uppercase": ("run", _mini7_with(_with_entity("Mug")), None),
+    "entity-id-underscore": ("run", _mini7_with(_with_entity("desk_lamp")), None),
+    "entity-id-comma": ("run", _mini7_with(_with_entity("a,b")), None),
     "entity-id-duplicate": ("run", _mini7_with(
         lambda data: data["scenarios"][0]["entities"].append(
             dict(data["scenarios"][0]["entities"][1]))), None),

@@ -12,7 +12,8 @@ from askplan import asset_path, world as world_module
 from askplan.cli import load_tasks
 from askplan.engine import EpisodeConfig, EpisodeOutcome, noise_draw, run_episode
 from askplan.inputs import MalformedInput
-from askplan.plans import ActionKind, Subgoal, parse_subgoal, render_subgoal
+from askplan.plans import (ActionKind, PlanParseError, Subgoal, parse_subgoal,
+                           render_subgoal)
 from askplan.world import (
     FLAG_IMPLICATIONS,
     FailReason,
@@ -114,6 +115,41 @@ def test_scenario_goal_flag_must_be_a_boolean_entity_field(flag, valid):
     else:
         with pytest.raises(MalformedInput, match=f"goal references unknown flag '{flag}'"):
             Scenario.from_dict(data)
+
+
+# ids at the edges of the entity-id rule: case, each character that
+# parse_subgoal drops or splits a line at, whitespace and case beyond ASCII
+# (U+0085 and U+3000 are whitespace, U+200B is not), and the empty id
+_EDGE_IDS = ["mug", "Mug", "MUG", "desk_lamp", "desk-lamp", "desk lamp", " mug", "mug ",
+             "mug\t", "mug\n", "a,b", "(mug", "mug)", "", "1", "mug2", "mug.", "mug/2",
+             "{mug}", "'mug'", "\u00e9", "\u00c9", "\u00df", "\u0130", "\u01c5", "\u03c2",
+             "\u03a3", "a\u00a0b", "a\u0085b", "\u3000", "a\x1cb", "a\u200bb", "\uff4d",
+             "\uff2d"]
+_EDGE_ALPHABET = "ab_- ,()M\u00c9\u0130\u03a3\u00a0\u0085\u200b\u01c5"
+
+
+def _names_itself(entity_id: str) -> bool:
+    try:
+        return parse_subgoal(f"(Pickup, {entity_id})").object == entity_id
+    except PlanParseError:
+        return False
+
+
+def test_scenario_accepts_exactly_the_entity_ids_a_subgoal_names():
+    rng = random.Random(2404)
+    ids = _EDGE_IDS + ["".join(rng.choice(_EDGE_ALPHABET) for _ in range(rng.randrange(4)))
+                       for _ in range(400)]
+    accepted = set()
+    for entity_id in ids:
+        data = raw_scenario("heat_bread")
+        data["entities"].append({"id": entity_id, "category": "vase", "zone": "kitchen"})
+        try:
+            Scenario.from_dict(data)
+            accepted.add(entity_id)
+        except MalformedInput as exc:
+            assert f"entity id {entity_id!r} cannot be named in a subgoal" in str(exc)
+        assert (entity_id in accepted) == _names_itself(entity_id), entity_id
+    assert {"mug", "1", "a\u200bb"} <= accepted and len(accepted) < len(set(ids)) / 2
 
 
 def test_scenario_empty_goal_rejected():
