@@ -127,6 +127,11 @@ def write_output(path: Path, text: str) -> None:
     path.write_text(text, "utf-8")
 
 
+# the value of a key that a JSON object lacks, or of a list item that one
+# side of a comparison lacks
+_ABSENT = object()
+
+
 def read_traces(path: str | Path) -> list[dict]:
     """Read a trace file; raises MalformedInput, with the line number, on a
     line that is not a JSON object of schema 1 with well-typed, in-range
@@ -134,31 +139,60 @@ def read_traces(path: str | Path) -> list[dict]:
     ``goal_conditions``, or whose ``seed`` contradicts its ``config.seed``."""
     records = []
     for number, record in read_json_lines(path):
-        where = f"trace line {number}"
-        version = checked_field(record, "schema_version", int, where)
-        if version != TRACE_SCHEMA_VERSION:
-            raise MalformedInput(f"{where}: schema {version} is not {TRACE_SCHEMA_VERSION} "
-                                 f"(task {record.get('task_id')!r})")
-        checked_field(record, "task_id", str, where)
-        sr = checked_field(record, "sr", int, where)
-        gc = checked_field(record, "gc", NUMBER, where)
-        if sr not in (0, 1) or not 0.0 <= gc <= 1.0:  # a NaN gc fails too
-            raise MalformedInput(f"{where}: sr must be 0 or 1 and gc in [0, 1], "
-                                 f"got sr={sr!r}, gc={gc!r}")
-        conditions = checked_field(record, "goal_conditions", [bool], where, None)
-        if conditions is not None and (sr, gc) != episode_score(conditions):
-            raise MalformedInput(f"{where}: sr={sr!r} and gc={gc!r} contradict "
-                                 f"goal_conditions {conditions!r:.80}")
-        # run writes both seeds; a tool that scores plans alone writes neither
-        seed = checked_field(record, "seed", int, where, None)
-        echo = record.get("config")
-        if seed is not None and isinstance(echo, dict) and echo.get("seed", seed) != seed:
-            raise MalformedInput(f"{where}: seed {seed!r} contradicts "
-                                 f"config.seed {echo['seed']!r:.40}")
-        checked_field(record, "task_type", str, where, None)
-        checked_field(record, "initial_plan", ([str], type(None)), where)
+        if not _passes_trace_checks(record):
+            _check_trace_line(record, f"trace line {number}")
         records.append(record)
     return records
+
+
+def _passes_trace_checks(record: object) -> bool:
+    """Whether a trace line passes every check of ``_check_trace_line``, read
+    with one ``get`` per field and tested in one expression. It may be False
+    for a line that those checks accept, never True for one they reject."""
+    if type(record) is not dict:
+        return False
+    get = record.get
+    version, sr, gc = get("schema_version"), get("sr"), get("gc")
+    plan, conditions = get("initial_plan", _ABSENT), get("goal_conditions", _ABSENT)
+    seed, echo = get("seed", _ABSENT), get("config")
+    return (type(version) is int and version == TRACE_SCHEMA_VERSION
+            and type(get("task_id")) is str
+            and type(sr) is int and sr in (0, 1)
+            and type(gc) in NUMBER and 0.0 <= gc <= 1.0
+            and (plan is None or type(plan) is list and set(map(type, plan)) <= {str})
+            and (conditions is _ABSENT or type(conditions) is list
+                 and set(map(type, conditions)) <= {bool}
+                 and (sr, gc) == episode_score(conditions))
+            and (seed is _ABSENT or type(seed) is int
+                 and (type(echo) is not dict or echo.get("seed", seed) == seed))
+            and type(get("task_type", "")) is str)
+
+
+def _check_trace_line(record: object, where: str) -> None:
+    """Raise MalformedInput naming ``where`` at the first check of a trace
+    line that ``record`` fails; return when it fails none."""
+    version = checked_field(record, "schema_version", int, where)
+    if version != TRACE_SCHEMA_VERSION:
+        raise MalformedInput(f"{where}: schema {version} is not {TRACE_SCHEMA_VERSION} "
+                             f"(task {record.get('task_id')!r})")
+    checked_field(record, "task_id", str, where)
+    sr = checked_field(record, "sr", int, where)
+    gc = checked_field(record, "gc", NUMBER, where)
+    if sr not in (0, 1) or not 0.0 <= gc <= 1.0:  # a NaN gc fails too
+        raise MalformedInput(f"{where}: sr must be 0 or 1 and gc in [0, 1], "
+                             f"got sr={sr!r}, gc={gc!r}")
+    conditions = checked_field(record, "goal_conditions", [bool], where, None)
+    if conditions is not None and (sr, gc) != episode_score(conditions):
+        raise MalformedInput(f"{where}: sr={sr!r} and gc={gc!r} contradict "
+                             f"goal_conditions {conditions!r:.80}")
+    # run writes both seeds; a tool that scores plans alone writes neither
+    seed = checked_field(record, "seed", int, where, None)
+    echo = record.get("config")
+    if seed is not None and isinstance(echo, dict) and echo.get("seed", seed) != seed:
+        raise MalformedInput(f"{where}: seed {seed!r} contradicts "
+                             f"config.seed {echo['seed']!r:.40}")
+    checked_field(record, "task_type", str, where, None)
+    checked_field(record, "initial_plan", ([str], type(None)), where)
 
 
 def _build_gateway(args: argparse.Namespace) -> Gateway:
@@ -258,9 +292,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         if path is not None:
             print(f"  field {key!r} differs, first at {path}")
     return 1
-
-
-_ABSENT = object()  # the value of a key or list item that one side lacks
 
 
 def first_difference(path: str, recorded, replayed) -> Optional[str]:

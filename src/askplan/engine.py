@@ -314,8 +314,8 @@ def run_episode(scenario: Scenario, gw: Gateway,
                 cfg: Optional[EpisodeConfig] = None) -> EpisodeTrace:
     """Run one full episode and return its trace.
 
-    The noise (default the scenario's) and the decode profile (default
-    ``DecodeParams.for_vocab``) are resolved first, and the trace echoes them
+    The noise and the decode profile (by default the scenario's ``noise``
+    and ``decode_profile``) are resolved first, and the trace echoes them
     with the seed. Step ``k`` (0-based, retries included) fails with
     ``controller_noise`` on an unchanged world when ``noise_draw(seed, k)``
     is below the noise; at noise 0 no draw is made. Failures of any kind
@@ -327,7 +327,7 @@ def run_episode(scenario: Scenario, gw: Gateway,
     cfg = replace(cfg,
                   noise_override=scenario.noise if cfg.noise_override is None
                   else cfg.noise_override,
-                  decode=cfg.decode or DecodeParams.for_vocab(scenario.vocabulary))
+                  decode=cfg.decode or scenario.decode_profile)
     trace = EpisodeTrace(
         task_id=scenario.id,
         task_type=scenario.task_type,

@@ -31,9 +31,11 @@ class MalformedInput(ValueError):
     """An input file that cannot be read, or does not have the documented shape."""
 
 
-def _read_text(path: str | Path) -> str:
+def _read_text(path: str | Path, newline: str | None = None) -> str:
+    # newline as for open: None reads every line ending as "\n", "" keeps them
     try:
-        return Path(path).read_text("utf-8")
+        with open(path, encoding="utf-8", newline=newline) as file:
+            return file.read()
     except OSError as exc:
         raise MalformedInput(f"{path}: not readable ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
@@ -65,14 +67,27 @@ def read_json(path: str | Path) -> object:
 
 
 def read_json_lines(path: str | Path) -> list[tuple[int, object]]:
-    """(line number, JSON value) for every non-blank line of a UTF-8 file."""
+    """(line number, JSON value) for every non-blank line of a UTF-8 file.
+    As in JSON Lines, a line ends at ``\\n`` alone: a ``\\r``, before it or
+    anywhere else, is JSON whitespace, and a U+2028 inside a string is part
+    of the string."""
     values = []
-    for number, line in enumerate(_read_text(path).splitlines(), 1):
+    for number, line in enumerate(_read_text(path, newline="").split("\n"), 1):
         if line.strip():
+            # a line that is one JSON value and nothing else skips decode's
+            # two whitespace scans; any other goes through parse_json, whose
+            # error text is the line's
             try:
-                values.append((number, parse_json(line)))
-            except ValueError as exc:  # the line's place is formatted only on failure
-                raise MalformedInput(f"{path} line {number}: not valid JSON ({exc})") from exc
+                value, end = _DECODER.raw_decode(line)
+            except ValueError:
+                end = None
+            if end != len(line):
+                try:
+                    value = parse_json(line)
+                except ValueError as exc:  # the line's place is formatted only on failure
+                    raise MalformedInput(f"{path} line {number}: not valid JSON ({exc})") \
+                        from exc
+            values.append((number, value))
     return values
 
 

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, get_args, get_type_hints
 
+from .gateway import DecodeParams
 from .inputs import NUMBER, REQUIRED, MalformedInput, checked_field, reject_unknown_keys
 from .planeval import GtAnnotation
 from .plans import ActionKind, Subgoal, unnamable
@@ -246,10 +247,24 @@ class Scenario:
     goal: tuple[GoalCondition, ...]
     gt: GtAnnotation
     noise: float = 0.0
+    # the decode profile, built by the first episode and shared by the rest
+    # (two episodes on parallel threads that build it at once write equal
+    # values); see GtAnnotation._spec for why this is no cached_property
+    _decode: Optional[DecodeParams] = field(default=None, init=False, compare=False,
+                                            repr=False)
 
     @property
     def vocabulary(self) -> set[str]:
         return set(self.initial.entities)
+
+    @property
+    def decode_profile(self) -> DecodeParams:
+        """``DecodeParams.for_vocab`` of the vocabulary: the decode settings
+        of an episode that sets none. Nothing writes its ``token_bias``, so
+        every episode of the scenario shares it."""
+        if self._decode is None:
+            object.__setattr__(self, "_decode", DecodeParams.for_vocab(self.vocabulary))
+        return self._decode
 
     @staticmethod
     def from_dict(data: object) -> "Scenario":
@@ -356,6 +371,12 @@ def validate_scenario(scenario: Scenario) -> None:
             raise MalformedInput(f"goal references missing receptacle {cond.receptacle!r}")
         if cond.kind == "state" and cond.flag not in _BOOL_FLAGS:
             raise MalformedInput(f"goal references unknown flag {cond.flag!r}")
+    # a wildcard slot's receptacle too, so that the core is a plan of this scene
+    for slot, sg in enumerate(scenario.gt.core):
+        for name in (sg.object, sg.receptacle):
+            if name is not None and name not in world.entities:
+                raise MalformedInput(f"gt core slot {slot} {sg.text} names {name!r}, "
+                                     "which is no entity of the scene")
 
 
 def new_world(scenario: Scenario) -> WorldState:

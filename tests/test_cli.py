@@ -482,6 +482,95 @@ def test_read_traces_takes_scores_that_agree_with_their_goal_conditions(scores, 
     assert read_traces(traces)[0] == json.loads(traces.read_text())
 
 
+# JSON Lines ends a line at "\n" alone. str.splitlines also breaks at U+2028,
+# U+2029 and U+0085, which a JSON string may hold raw.
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"],
+                         ids=["U+2028", "U+2029", "U+0085"])
+def test_a_unicode_line_separator_inside_a_string_reads_back(separator, tmp_path):
+    record = json.loads(_first_trace_with(_set(("task_id",), f"heat{separator}bread")))
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps(record, ensure_ascii=False) + "\n", "utf-8")
+    assert separator in traces.read_text("utf-8")
+    assert read_traces(traces) == [record]
+
+
+def test_a_crlf_trace_file_reads_as_its_lf_copy(scripted_run, tmp_path):
+    traces = scripted_run("mini7", 0, "0.3")
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(traces.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_traces(crlf) == read_traces(traces)
+
+
+def test_a_bad_line_is_numbered_by_newlines_alone(tmp_path):
+    # a raw U+2028 in a string, a blank line of JSON whitespace, and a "\r"
+    # between two tokens, which is JSON whitespace too
+    record = json.loads(_first_trace_with(_set(("task_id",), "heat\u2028bread")))
+    good = json.dumps(record, ensure_ascii=False)
+    spaced = good.replace(": ", ":\r", 1)
+    traces = tmp_path / "traces.jsonl"
+    traces.write_bytes("\r\n".join([good, " \r", spaced, "not json", good]).encode())
+    with pytest.raises(MalformedInput) as exc:
+        read_traces(traces)
+    assert str(exc.value) == (f"{traces} line 4: not valid JSON "
+                              "(Expecting value: line 1 column 1 (char 0))")
+
+
+# Trace-line sweep: every single mutation of a mini7 trace line either reads
+# back as written or is refused with the line's number. The outcome and the
+# message of each are pinned, so that a faster reader keeps every check and
+# every message; and the acceptance test of read_traces agrees with its
+# field-by-field checks on every line of the sweep.
+TRACE_LINE_SWEEP = Path(__file__).parent / "data" / "trace_line_sweep.json"
+# each scored number at its bounds and just past them
+_SCORE_BOUNDS = [(("gc",), 0.0), (("gc",), 1.0), (("gc",), 1.0000000000000002),
+                 (("sr",), 2), (("sr",), True), (("sr",), 1.0)]
+
+
+def _trace_line_mutations(record: dict) -> list[tuple[str, dict, tuple, object]]:
+    """(label, line, path, value) for every junk value at the root of the
+    trace line ``record``, at each of its fields, at its config.seed and at
+    its first goal condition and plan step; and for each score bound, on the
+    line and on the line without goal_conditions."""
+    bare = {key: value for key, value in record.items() if key != "goal_conditions"}
+    paths = [(), *((key,) for key in record),
+             ("config", "seed"), ("goal_conditions", 0), ("initial_plan", 0)]
+    cases = [(record, path, value) for path in paths for value in _JUNK]
+    cases += [(line, path, value) for line in (record, bare) for path, value in _SCORE_BOUNDS]
+    return [(f"{'' if line is record else 'without goal_conditions: '}"
+             f"{'.'.join(map(str, path)) or '<root>'} = "
+             f"{'<deleted>' if value is _DELETE else repr(value)}", line, path, value)
+            for line, path, value in cases]
+
+
+def test_trace_line_sweep(scripted_run, tmp_path):
+    record = json.loads(scripted_run("mini7", 0, "0").read_text("utf-8").splitlines()[0])
+    assert cli._passes_trace_checks(record)  # a line as run writes it takes no detour
+    file = tmp_path / "traces.jsonl"
+    outcomes = []
+    for label, line, path, value in _trace_line_mutations(record):
+        data = _write_mutated(file, line, path, value)
+        try:
+            assert read_traces(file) == [data], label
+            outcome = "accepted"
+        except MalformedInput as exc:
+            outcome = str(exc).replace(str(file), "<file>")
+            # a NaN or an infinity is refused by the JSON reader, before any field is read
+            assert outcome.startswith(("trace line 1", "<file> line 1: not valid JSON")), outcome
+        try:
+            cli._check_trace_line(data, "trace line 1")
+            checked = True
+        except MalformedInput:
+            checked = False
+        # the acceptance test never takes a line that the checks refuse, and
+        # here it takes every line they accept, so that none takes the detour
+        assert cli._passes_trace_checks(data) is checked, label
+        outcomes.append([label, outcome])
+    digest = hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
+    assert {"mutations": len(outcomes),
+            "accepted": sum(outcome == "accepted" for _, outcome in outcomes),
+            "sha256": digest} == json.loads(TRACE_LINE_SWEEP.read_text("utf-8"))
+
+
 # Trace-line order: the report of a trace set does not depend on the order of
 # its lines, nor on where the file is cut in two before it is scored as one
 # stream. Over mini7 and each bundled script, at seeds 0 and 1, at noise 0
@@ -1460,6 +1549,11 @@ MALFORMED_INPUTS = {
         _set(("scenarios", 0, "gt", "floating"), [[9, 13]])), None),
     "swap-end-at-core-length": ("run", _mini7_with(
         _set(("scenarios", 0, "gt", "swap_groups"), [[[0, 0], [12, 13]]])), None),
+    # every core slot names entities of its own scene
+    "core-unknown-object": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "core", 0), "(Pickup, ghost)")), None),
+    "core-unknown-receptacle": ("run", _mini7_with(
+        _set(("scenarios", 0, "gt", "core", 0), "(Put, bread, nowhere)")), None),
     "core-over-the-slot-bound": ("score", _mini7_with(
         _set(("scenarios", 0, "gt"), {"core": OVERLONG_CORE})),
         _first_trace_with(_set(("initial_plan",), OVERLONG_CORE))),

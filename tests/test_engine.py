@@ -50,6 +50,19 @@ def scripted(*entries, fallback=None):
     return ScriptedGateway(OracleScript(tuple(entries), fallback_reply=fallback))
 
 
+def test_the_default_decode_profile_is_built_by_the_first_episode_and_shared(
+        mini7_gateway):
+    scenario = load_tasks(asset_path("tasks/mini7.json")).scenarios[0]
+    assert scenario._decode is None  # loading builds no profile
+    first, second = (run_episode(scenario, mini7_gateway, EpisodeConfig(seed=seed))
+                     for seed in (0, 1))
+    profile = scenario.decode_profile
+    assert profile == DecodeParams.for_vocab(scenario.vocabulary)
+    assert scenario.decode_profile is profile
+    assert first.config["decode"] == second.config["decode"] == {
+        "temperature": 0.0, "max_tokens": 512, "token_bias": dict(profile.token_bias)}
+
+
 def single_noise_failure_seed(p: float = 0.05, within: int = 10) -> int:
     """A seed whose only failing draw among the first 40 steps comes early."""
     for seed in range(100000):

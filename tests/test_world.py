@@ -103,6 +103,18 @@ def test_scenario_goal_over_missing_object_rejected():
         Scenario.from_dict(data)
 
 
+@pytest.mark.parametrize("line, name", [
+    ("(Pickup, ghost)", "ghost"), ("(Put, bread, nowhere)", "nowhere")])
+def test_scenario_core_must_name_entities_of_its_scene(line, name):
+    data = raw_scenario("heat_bread")
+    data["gt"]["core"].append(line)
+    slot = len(data["gt"]["core"]) - 1
+    with pytest.raises(MalformedInput) as exc:
+        Scenario.from_dict(data)
+    assert str(exc.value) == (f"gt core slot {slot} {line} names {name!r}, "
+                              "which is no entity of the scene")
+
+
 @pytest.mark.parametrize("flag, valid", [
     ("is_heated", True), ("heavy", True), ("is_receptacle", True),
     ("container", False), ("zone", False), ("is_hot", False),
