@@ -53,8 +53,12 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 def parse_json(text: str) -> object:
     """``json.loads`` without the ``NaN`` and ``Infinity`` tokens; raises
-    ValueError on any text that is not JSON."""
-    return _DECODER.decode(text)
+    ValueError on any text that is not JSON, and on a value nested deeper
+    than the decoder can follow."""
+    try:
+        return _DECODER.decode(text)
+    except RecursionError as exc:  # the decoder's message names the array or object
+        raise ValueError(str(exc)) from None
 
 
 def read_json(path: str | Path) -> object:
@@ -79,7 +83,7 @@ def read_json_lines(path: str | Path) -> list[tuple[int, object]]:
             # error text is the line's
             try:
                 value, end = _DECODER.raw_decode(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 end = None
             if end != len(line):
                 try:

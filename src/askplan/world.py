@@ -42,6 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import attrgetter, gt, is_not, itemgetter
 from typing import NamedTuple, Optional, get_args, get_type_hints
 
 from .gateway import DecodeParams
@@ -118,15 +121,19 @@ class ObjectEntity(NamedTuple):
 
     @staticmethod
     def from_dict(data: object, where: str) -> "ObjectEntity":
+        """The entity of a JSON object, its fields read in field order, so
+        that of two faults the earlier field's is the one reported."""
         reject_unknown_keys(data, _ENTITY_KINDS.keys(), where)
-        return ObjectEntity(**{key: checked_field(data, key, _ENTITY_KINDS[key], where)
-                               for key in data.keys() | _ENTITY_REQUIRED})
+        return ObjectEntity._make([checked_field(data, name, kind, where, default)
+                                   for name, kind, default in _ENTITY_FIELDS])
 
 
 # field name -> JSON kind, so Optional[str] becomes (str, NoneType)
 _ENTITY_KINDS = {name: get_args(hint) or hint
                  for name, hint in get_type_hints(ObjectEntity).items()}
-_ENTITY_REQUIRED = frozenset(ObjectEntity._fields) - ObjectEntity._field_defaults.keys()
+# (name, kind, default) of each field, in field order
+_ENTITY_FIELDS = [(name, kind, ObjectEntity._field_defaults.get(name, REQUIRED))
+                  for name, kind in _ENTITY_KINDS.items()]
 _BOOL_FLAGS = frozenset(name for name, kind in _ENTITY_KINDS.items() if kind is bool)
 
 
@@ -275,12 +282,12 @@ class Scenario:
         reject_unknown_keys(data, _SCENARIO_FIELDS.keys(), where)
         given = {key: checked_field(data, key, kind, where, default)
                  for key, (kind, default) in _SCENARIO_FIELDS.items()}
-        entities = {}
-        for index, raw in enumerate(given["entities"]):
-            entity = ObjectEntity.from_dict(raw, f"entity #{index}")
-            if entity.id in entities:
-                raise MalformedInput(f"duplicate entity id {entity.id!r}")
-            entities[entity.id] = entity
+        # the whole-list checks take a well-formed list; the field-by-field
+        # chain words the error of any other
+        entities = _accepted_entities(given["entities"])
+        entities_checked = entities is not None
+        if not entities_checked:
+            entities = _read_entities(given["entities"])
         scenario = Scenario(
             id=given["id"],
             task_type=given["task_type"],
@@ -291,7 +298,7 @@ class Scenario:
             gt=GtAnnotation.from_dict(given["gt"]),
             noise=given["noise"],
         )
-        validate_scenario(scenario)
+        validate_scenario(scenario, entities_checked=entities_checked)
         return scenario
 
 
@@ -320,8 +327,10 @@ class ExecutionResult:
         return self.reason is FailReason.OK
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    """Raise MalformedInput with a detail message on any invariant violation."""
+def validate_scenario(scenario: Scenario, entities_checked: bool = False) -> None:
+    """Raise MalformedInput with a detail message on any invariant violation.
+    ``entities_checked`` skips the flag and container checks of each entity,
+    for entities that ``_accepted_entities`` has taken."""
     if not scenario.instruction.strip():
         raise MalformedInput("instruction must be a non-empty string")
     if not 0.0 <= scenario.noise <= 1.0:
@@ -332,28 +341,8 @@ def validate_scenario(scenario: Scenario) -> None:
         raise MalformedInput(f"entity id {unnamed!r} cannot be named in a subgoal: an id is "
                              "non-empty, lowercase and holds no whitespace, '_', '-', ',', "
                              "'(' or ')'")
-    for entity in world.entities.values():
-        for state_flag, capability in FLAG_IMPLICATIONS.items():
-            if getattr(entity, state_flag) and not getattr(entity, capability):
-                raise MalformedInput(
-                    f"{entity.id}: {state_flag} set without {capability}")
-        if entity.container is not None:
-            parent = world.entities.get(entity.container)
-            if parent is None:
-                raise MalformedInput(
-                    f"{entity.id}: container {entity.container!r} does not exist")
-            if not parent.is_receptacle:
-                raise MalformedInput(
-                    f"{entity.id}: container {entity.container!r} is not a receptacle")
-            if parent.zone != entity.zone:
-                raise MalformedInput(
-                    f"{entity.id}: zone differs from container {parent.id!r}")
-            chain = {entity.id}
-            while parent is not None:
-                if parent.id in chain:
-                    raise MalformedInput(f"{entity.id}: containment cycle through {parent.id!r}")
-                chain.add(parent.id)
-                parent = world.entities.get(parent.container)
+    if not entities_checked:
+        _check_entities(world.entities)
     if world.held is not None:
         holder = world.entities.get(world.held)
         if holder is None:
@@ -377,6 +366,110 @@ def validate_scenario(scenario: Scenario) -> None:
             if name is not None and name not in world.entities:
                 raise MalformedInput(f"gt core slot {slot} {sg.text} names {name!r}, "
                                      "which is no entity of the scene")
+
+
+def _read_entities(raws: list) -> dict[str, ObjectEntity]:
+    """The entities of a scenario's JSON list by id, read one field at a
+    time; MalformedInput, naming the entity by its place, at the first
+    fault."""
+    entities = {}
+    for index, raw in enumerate(raws):
+        entity = ObjectEntity.from_dict(raw, f"entity #{index}")
+        if entity.id in entities:
+            raise MalformedInput(f"duplicate entity id {entity.id!r}")
+        entities[entity.id] = entity
+    return entities
+
+
+def _check_entities(entities: dict[str, ObjectEntity]) -> None:
+    """MalformedInput at the first entity, in scene order, that has a state
+    flag without its capability, or whose container is missing, is no
+    receptacle, sits in another zone or closes a containment cycle."""
+    for entity in entities.values():
+        for state_flag, capability in FLAG_IMPLICATIONS.items():
+            if getattr(entity, state_flag) and not getattr(entity, capability):
+                raise MalformedInput(
+                    f"{entity.id}: {state_flag} set without {capability}")
+        if entity.container is not None:
+            parent = entities.get(entity.container)
+            if parent is None:
+                raise MalformedInput(
+                    f"{entity.id}: container {entity.container!r} does not exist")
+            if not parent.is_receptacle:
+                raise MalformedInput(
+                    f"{entity.id}: container {entity.container!r} is not a receptacle")
+            if parent.zone != entity.zone:
+                raise MalformedInput(
+                    f"{entity.id}: zone differs from container {parent.id!r}")
+            looped = _cycle_through(entity, entities)
+            if looped is not None:
+                raise MalformedInput(f"{entity.id}: containment cycle through {looped!r}")
+
+
+def _cycle_through(entity: ObjectEntity, entities: dict[str, ObjectEntity]) -> Optional[str]:
+    """The id at which the chain of containers up from ``entity`` meets an
+    entity already on it, or None when the chain ends."""
+    on_chain = {entity.id}
+    parent = entities.get(entity.container)
+    while parent is not None:
+        if parent.id in on_chain:
+            return parent.id
+        on_chain.add(parent.id)
+        parent = entities.get(parent.container)
+    return None
+
+
+# (field name, type) for each type a field's value may have: every entity
+# field's kind is a type or a tuple of types
+_FIELD_TYPES = frozenset((name, option) for name, kind in _ENTITY_KINDS.items()
+                         for option in (kind if type(kind) is tuple else (kind,)))
+_STATE_FLAG_TYPES = frozenset((flag, bool) for flag in FLAG_IMPLICATIONS)
+# an entity from its JSON object merged over the defaults, once the object's
+# fields are known to be entity fields of the right types: a required field
+# it lacks is a KeyError. tuple.__new__ skips the keyword binding of
+# ObjectEntity(**raw), which takes about 1.7 times as long per entity
+_FIELD_VALUES = itemgetter(*ObjectEntity._fields)
+_new_entity = partial(tuple.__new__, ObjectEntity)
+# the state flags of an entity, and the capability each one needs
+_STATES = attrgetter(*FLAG_IMPLICATIONS)
+_CAPABILITIES = attrgetter(*FLAG_IMPLICATIONS.values())
+
+
+def _accepted_entities(raws: list) -> Optional[dict[str, ObjectEntity]]:
+    """The entities of a scenario's JSON list by id, when ``_read_entities``
+    and ``_check_entities`` accept them; None when a check may fail, never
+    a dict for a list that those two refuse. The checks are a few passes in
+    C over the whole list: one over the (field, type) pairs of the fields
+    the items hold, and one each over the entities, their ids, their state
+    flags when any item sets one, and their containers when any item has
+    one; a Python loop walks only the entities that have a container."""
+    try:
+        present = set(zip(chain.from_iterable(map(dict.keys, raws)),
+                          map(type, chain.from_iterable(map(dict.values, raws)))))
+        if not present <= _FIELD_TYPES:  # an unknown field or an ill-typed value
+            return None
+    except TypeError:  # an item that is no JSON object
+        return None
+    try:
+        entities = [_new_entity(_FIELD_VALUES(ObjectEntity._field_defaults | raw))
+                    for raw in raws]
+    except KeyError:  # a required field missing
+        return None
+    by_id = dict(zip(map(attrgetter("id"), entities), entities))
+    if len(by_id) < len(entities):
+        return None  # a duplicate id
+    if not present.isdisjoint(_STATE_FLAG_TYPES) and any(map(
+            gt, chain.from_iterable(map(_STATES, entities)),
+            chain.from_iterable(map(_CAPABILITIES, entities)))):
+        return None  # a state flag (True) above its capability (False)
+    if ("container", str) in present:
+        containers = map(attrgetter("container"), entities)
+        for entity in compress(entities, map(is_not, containers, repeat(None))):
+            parent = by_id.get(entity.container)
+            if (parent is None or not parent.is_receptacle or parent.zone != entity.zone
+                    or _cycle_through(entity, by_id) is not None):
+                return None
+    return by_id
 
 
 def new_world(scenario: Scenario) -> WorldState:

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from askplan import asset_path
+from askplan import world
 from askplan.cli import EXIT_OK, TaskSet, load_tasks, main
 from askplan.gateway import ScriptedGateway, load_script
+from askplan.inputs import MalformedInput
 from askplan.plans import ActionKind, Subgoal
 
 
@@ -97,3 +99,34 @@ def random_subgoal(rng: random.Random, allow_navigate: bool = True) -> Subgoal:
     if rng.random() < 0.3:
         return Subgoal(ActionKind.PUT, rng.choice(_OBJECTS), rng.choice(_RECEPTACLES))
     return Subgoal(rng.choice(actions), rng.choice(_OBJECTS))
+
+
+def entity_chain(raws: list):
+    """The entities the field-by-field chain makes of a scenario's entity
+    list, by id, or None when it refuses the list: the reference for the
+    whole-list checks of ``world._accepted_entities``."""
+    try:
+        entities = world._read_entities(raws)
+        world._check_entities(entities)
+    except MalformedInput:
+        return None
+    return entities
+
+
+def shallowest_refused_depth(refused) -> int:
+    """The least nesting depth at which ``refused(depth)`` holds, found by
+    bisection up to 100 000, where it must hold. The depth at which the JSON
+    decoder gives up depends on the Python version and on the stack below
+    the call, one frame more or less included, so a test finds it rather
+    than pinning it. A result strictly between 1 and 100 000 has been
+    called with, and held, and the depth below it has been called with,
+    and did not hold."""
+    low, high = 1, 100_000
+    assert refused(high)
+    while low < high:
+        middle = (low + high) // 2
+        if refused(middle):
+            high = middle
+        else:
+            low = middle + 1
+    return low

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from askplan import asset_path, cli, engine
+from askplan import asset_path, cli, engine, world
 from askplan.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -33,7 +33,7 @@ from askplan.gateway import HttpGatewayConfig, OracleScript, ScriptedGateway, lo
 from askplan.inputs import MAX_JSON_INT, NUMBER, MalformedInput, _has_kind
 from askplan.planeval import score_dataset
 from askplan.plans import parse_subgoal, render_subgoal
-from conftest import perfbench_module
+from conftest import entity_chain, perfbench_module, shallowest_refused_depth
 
 MINI7 = str(asset_path("tasks/mini7.json"))
 SCRIPT = str(asset_path("scripts/mini7.json"))
@@ -46,12 +46,27 @@ def run_cli(*argv) -> int:
 # -- load_tasks ---------------------------------------------------------------
 
 
-def test_load_tasks_bundled_mini7():
+@pytest.fixture()
+def entity_chain_calls(monkeypatch) -> list[str]:
+    """The name of each call into the field-by-field entity chain, which
+    words the error of an entity list that the whole-list checks do not
+    take."""
+    calls = []
+    for name in ("_read_entities", "_check_entities"):
+        def counted(entities, name=name, chained=getattr(world, name)):
+            calls.append(name)
+            return chained(entities)
+        monkeypatch.setattr(world, name, counted)
+    return calls
+
+
+def test_load_tasks_bundled_mini7(entity_chain_calls):
     tasks = load_tasks(MINI7)
     assert tasks.name == "mini7"
     assert len(tasks.scenarios) == 7
     assert {s.task_type for s in tasks.scenarios} == {
         "Heat", "Cool", "Clean", "Pick Two", "Stack", "Pick", "Examine"}
+    assert entity_chain_calls == []
 
 
 def test_load_tasks_duplicate_id(tmp_path):
@@ -99,14 +114,16 @@ def test_run_rejects_an_entity_id_that_its_own_core_cannot_name(tmp_path, capsys
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_scaled_task_sets_load(seed, tmp_path):
-    # the benchmark's distractor ids meet the entity-id rule
+def test_scaled_task_sets_load(seed, tmp_path, entity_chain_calls):
+    # the benchmark's distractor ids meet the entity-id rule, and its scenes
+    # take no detour through the field-by-field entity chain
     mini7 = json.loads(Path(MINI7).read_text())
     scaled = perfbench_module("gen_scaled").add_distractors(mini7, seed)
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps(scaled))
     assert sum(len(s.initial.entities) for s in load_tasks(path).scenarios) == sum(
         len(s["entities"]) for s in scaled["scenarios"])
+    assert entity_chain_calls == []
 
 
 def _json_paths(node, prefix: tuple = ()):
@@ -182,27 +199,60 @@ def _write_mutated(file: Path, data, path: tuple, value):
 
 
 def _task_set_paths():
-    """(task set, path) for every JSON path of mini7. A path inside scenario
-    k comes with a task set that holds only scenario k, so each load reads one
-    scenario instead of seven."""
-    outer = [(_MINI7_DATA, path) for path in _json_paths(_MINI7_DATA) if len(path) < 2]
-    return outer + [({**_MINI7_DATA, "scenarios": [scenario]}, ("scenarios", 0, *path))
-                    for scenario in _MINI7_DATA["scenarios"] for path in _json_paths(scenario)]
+    """(path in mini7, task set, path in that set) for every JSON path of
+    mini7. A path inside scenario k comes with a task set that holds only
+    scenario k, so each load reads one scenario instead of seven."""
+    outer = [(path, _MINI7_DATA, path) for path in _json_paths(_MINI7_DATA) if len(path) < 2]
+    return outer + [(("scenarios", index, *path), {**_MINI7_DATA, "scenarios": [scenario]},
+                     ("scenarios", 0, *path))
+                    for index, scenario in enumerate(_MINI7_DATA["scenarios"])
+                    for path in _json_paths(scenario)]
+
+
+def _first_entity_list(data) -> list | None:
+    """The entity list of a task set's first scenario, if it has one."""
+    try:
+        entities = data["scenarios"][0]["entities"]
+    except (TypeError, LookupError):
+        return None
+    return entities if type(entities) is list else None
+
+
+# Load sweep: every single mutation of mini7 either loads into well-typed
+# values or is refused naming the scenario. The outcome and the message of
+# each are pinned, so that a faster loader keeps every check and every
+# message, and no message depends on the hash seed; and the whole-list
+# entity checks agree with the field-by-field chain on every entity list of
+# the sweep.
+LOAD_SWEEP = Path(__file__).parent / "data" / "load_sweep.json"
 
 
 def test_load_tasks_every_single_mutation_returns_or_raises_malformed(tmp_path):
     file = tmp_path / "tasks.json"
     paths = _task_set_paths()
     assert len(paths) == len(list(_json_paths(_MINI7_DATA)))
-    for data, path in paths:
+    outcomes = []
+    for where, data, path in paths:
         for value in _JUNK:
-            _write_mutated(file, data, path, value)
+            label = (f"{'.'.join(map(str, where)) or '<root>'} = "
+                     f"{'<deleted>' if value is _DELETE else repr(value)}")
+            written = _write_mutated(file, data, path, value)
             try:
                 tasks = load_tasks(file)
+                outcome = "accepted"
             except MalformedInput as exc:
-                assert str(exc).startswith("task set invalid at scenario "), (path, value)
-                continue
-            assert _has_declared_type(tasks, TaskSet), (path, value)
+                outcome = str(exc).replace(str(file), "<file>")
+                assert outcome.startswith("task set invalid at scenario "), label
+            else:
+                assert _has_declared_type(tasks, TaskSet), label
+            raws = _first_entity_list(written)
+            if raws is not None:
+                assert world._accepted_entities(raws) == entity_chain(raws), label
+            outcomes.append([label, outcome])
+    digest = hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
+    assert {"mutations": len(outcomes),
+            "accepted": sum(outcome == "accepted" for _, outcome in outcomes),
+            "sha256": digest} == json.loads(LOAD_SWEEP.read_text("utf-8"))
 
 
 _SCRIPT_DATA = json.loads(Path(SCRIPT).read_text())
@@ -321,6 +371,27 @@ def test_an_unreadable_input_is_named_with_the_os_reason_alone(tmp_path, capsys)
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == (f"error: task set invalid at scenario '<file>': "
                                        f"{missing}: not readable (No such file or directory)\n")
+
+
+@pytest.mark.parametrize("kind", ["tasks", "script", "traces"])
+def test_an_input_nested_past_the_decoders_limit_is_one_input_error(kind, tmp_path, capsys):
+    # at 100 000 levels, and at the shallowest depth the decoder refuses
+    file = tmp_path / f"nested.{'jsonl' if kind == 'traces' else 'json'}"
+    argv = {"tasks": ("run", "--tasks", str(file), "--script", SCRIPT,
+                      "--out", str(tmp_path / "out")),
+            "script": ("run", "--tasks", MINI7, "--script", str(file),
+                       "--out", str(tmp_path / "out")),
+            "traces": ("score", "--traces", str(file), "--tasks", MINI7)}[kind]
+
+    def refused(depth: int) -> bool:
+        file.write_text("[" * depth + "]" * depth + "\n")
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and err.count("\n") == 1 and err.startswith("error: "), err
+        return ": not valid JSON (" in err
+
+    assert 1 < shallowest_refused_depth(refused) < 100_000
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_scripted_without_script_flag_is_config_error(tmp_path):

@@ -36,6 +36,7 @@ from askplan.gateway import (
 from askplan.engine import EpisodeConfig, run_episode
 from askplan.inputs import MAX_JSON_INT, MalformedInput
 from askplan.prompting import RenderedPrompt
+from conftest import shallowest_refused_depth
 
 PROMPT = RenderedPrompt("system text", "please plan: heated slice of bread")
 SCENE = "Zone: kitchen\nVisible objects:\n- fridge (closed)"
@@ -340,6 +341,39 @@ def test_http_malformed_reply_is_not_retried(body):
         with pytest.raises(MalformedReply):
             _gateway(endpoint, retries=2).complete(PROMPT, DecodeParams())
     assert len(handler.requests) == 1
+
+
+def test_http_reply_nested_past_the_decoders_limit_is_malformed():
+    # a chat completion with a field nested 100 000 levels deep, and one at
+    # the shallowest depth the decoder refuses
+    class Nested(_StubHandler):
+        depth = 0
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            nested = "[" * self.depth + "]" * self.depth
+            body = ('{"choices": [{"message": {"content": "ok"}}], "extra": %s}'
+                    % nested).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    def refused(depth: int) -> bool:
+        Nested.depth = depth
+        try:
+            gateway.complete(PROMPT, DecodeParams())
+        except MalformedReply as exc:
+            assert str(exc).startswith("reply is not a chat completion: "), exc
+            return True
+        return False
+
+    with _serving(Nested) as endpoint:
+        gateway = _gateway(endpoint, retries=0)
+        try:
+            assert 1 < shallowest_refused_depth(refused) < 100_000
+        finally:
+            gateway.close()
 
 
 def test_http_malformed_reply_is_a_recorded_outcome(bread_scenario):

@@ -29,7 +29,7 @@ from askplan.world import (
     subgoal_effects_satisfied,
 )
 
-from conftest import random_subgoal, raw_scenario
+from conftest import entity_chain, random_subgoal, raw_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -201,6 +201,59 @@ def test_scenario_noise_range_checked():
     data["noise"] = 1.5
     with pytest.raises(MalformedInput, match=r"noise must be in \[0, 1\], got 1.5"):
         Scenario.from_dict(data)
+
+
+# one edit of heat_bread's entity list per check of an entity list, and a
+# few that break none
+_ENTITY_EDITS = {
+    "as-bundled": lambda es: None,
+    "empty": lambda es: es.clear(),
+    "not-an-object": lambda es: es.append("mug"),
+    "empty-list-last": lambda es: es.append([]),
+    "lacks-id": lambda es: es[1].pop("id"),
+    "lacks-everything": lambda es: es[1].clear(),
+    "unknown-field": lambda es: es[1].update(colour="red"),
+    "id-not-text": lambda es: es[1].update(id=5),
+    "zone-null": lambda es: es[1].update(zone=None),
+    "container-not-text": lambda es: es[1].update(container=["counter"]),
+    "container-null": lambda es: es[1].update(container=None),
+    "flag-not-boolean": lambda es: es[1].update(pickupable=1),
+    "flag-null": lambda es: es[1].update(heavy=None),
+    "duplicate-id": lambda es: es.append(dict(es[1])),
+    "state-without-capability": lambda es: es[1].update(is_open=True),
+    "state-with-capability": lambda es: es[2].update(is_open=True),
+    "state-false-without-capability": lambda es: es[1].update(is_on=False),
+    "in-a-receptacle": lambda es: es[1].update(container="counter"),
+    "in-a-missing-container": lambda es: es[1].update(container="shelf"),
+    "in-a-non-receptacle": lambda es: es[1].update(container="bread"),
+    "in-another-zone": lambda es: es[1].update(container="counter", zone="hall"),
+    "in-itself": lambda es: es[4].update(container="counter"),
+    "in-a-cycle": lambda es: (es[2].update(container="fridge"),
+                              es[3].update(container="microwave")),
+    "in-a-chain": lambda es: (es[1].update(container="microwave"),
+                              es[2].update(container="fridge")),
+}
+
+
+@pytest.mark.parametrize("edit", _ENTITY_EDITS.values(), ids=_ENTITY_EDITS.keys())
+def test_whole_list_entity_checks_take_exactly_what_the_chain_takes(edit):
+    raws = raw_scenario("heat_bread")["entities"]  # bread, knife, microwave, fridge, counter
+    edit(raws)
+    assert world_module._accepted_entities(raws) == entity_chain(raws)
+
+
+def test_an_entity_error_names_the_first_field_in_field_order():
+    # whatever the hash seed: the fields were once read in set order
+    for entity, message in [({}, "lacks the field 'id'"),
+                            ({"id": 5}, "field 'id' is ill-typed: 5"),
+                            ({"id": "mug", "zone": 5}, "lacks the field 'category'"),
+                            ({"heavy": 1, "id": "mug", "category": "mug", "zone": None},
+                             "field 'zone' is ill-typed: None")]:
+        data = raw_scenario("heat_bread")
+        data["entities"].append(entity)
+        with pytest.raises(MalformedInput) as exc:
+            Scenario.from_dict(data)
+        assert str(exc.value) == f"entity #5 {message}"
 
 
 # -- transitions --------------------------------------------------------------
