@@ -15,7 +15,8 @@ three relaxations:
   plan ``(Pickup, remote) (Pickup, remote2) (Put, remote, sofa) (Put,
   remote2, sofa)`` matches.
 
-The relaxations compile into a partial order over the core's slots. A step
+The relaxations compile into a partial order over the core's slots, held
+once, as one predecessor mask per slot (``RelaxedSpec.preds``). A step
 takes a slot when it has the slot's action and object, and its receptacle
 unless the slot is a wildcard. A candidate plan matches when some one-to-one
 assignment of its steps to slots that they can take orders the slots
@@ -37,11 +38,11 @@ The tables the matcher reads that depend only on the annotation are compiled
 by ``compile_relaxed_spec``: per core line, the (bit, needed bits) of every
 slot that a step of that line can take; and per Put object, its wildcard
 slots alone, for a Put to a receptacle no core line names. A slot's needed
-bits are its predecessors in the partial order plus its twin ordering edge.
-A match looks each step up once, in one pass over the candidate that skips
-Navigate steps and stops at the first step no slot takes.
-An annotation compiles its spec once, on first use of ``GtAnnotation.spec``,
-and keeps it, so scoring the same annotations again compiles nothing.
+bits are its ``preds`` mask plus its twin ordering edge. A match looks each
+step up once, in one pass over the candidate that skips Navigate steps and
+stops at the first step no slot takes. An annotation compiles its spec once,
+in one pass over the slots, on first use of ``GtAnnotation.spec``, and keeps
+it, so scoring the same annotations again compiles nothing.
 Scoring a trace set matches each distinct (task, initial plan) pair once per
 call, strictly and relaxed, and parses its lines through ``parse_subgoal``,
 whose per-process memo parses each distinct line once. The strict match is
@@ -126,7 +127,7 @@ class GtAnnotation:
             anchors[slot] = anchor
         # Compiling keeps, of a floating slot's edges, only anchor -> slot and
         # those to the slots anchored at it; every other edge follows the
-        # core order. So the precedence DAG has a cycle exactly when an
+        # core order. So the partial order has a cycle exactly when an
         # anchor chain returns to a slot it passed.
         for slot in anchors:
             chain = {slot}
@@ -167,13 +168,14 @@ Choices = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class RelaxedSpec:
-    """Slots plus a precedence DAG: (i, j) means slot i before slot j.
+    """Slots plus a partial order, held as one predecessor mask per slot: bit
+    i of ``preds[j]`` means slot i comes before slot j.
 
     ``slots`` is the annotation's core, and ``wildcards`` holds the Put slots
     whose receptacle is free. ``twins`` holds classes of interchangeable
     blocks, as [start, end] slot ranges (inclusive): exchanging two blocks of
-    a class slot by slot maps the slots, the wildcards and the DAG onto
-    themselves, and no edge joins two blocks of a class.
+    a class slot by slot maps the slots, the wildcards and the order onto
+    themselves, and no slot of one block precedes a slot of another.
 
     The other fields are the matcher's tables, compiled once per spec from
     those four and left out of comparison and hashing. ``by_line`` maps each
@@ -182,78 +184,77 @@ class RelaxedSpec:
     ``wildcard_puts`` maps a Put object to its wildcard slots alone, which is
     all a Put to a receptacle no core line names can take. Both list each
     slot as (slot bit, needed bits), in slot order. A slot's needed bits are
-    its predecessors in the DAG and, in every twin block but the first of its
-    class, the slot at the same offset in the block before it: an ordering
-    edge that only the matcher reads, so that twin blocks take each offset
-    in class order.
+    its ``preds`` and, in a twin block but the first of its class, the slot
+    at the same offset in the block before it, so that twin blocks take each
+    offset in class order: an ordering edge that only the matcher reads.
     """
 
     slots: tuple[Subgoal, ...]
     wildcards: frozenset[int]
-    precedence: frozenset[tuple[int, int]]
+    preds: tuple[int, ...]
     twins: tuple[tuple[tuple[int, int], ...], ...]
     by_line: Mapping[str, Choices] = field(compare=False, repr=False)
     wildcard_puts: Mapping[str, Choices] = field(compare=False, repr=False)
 
 
 def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
-    """Turn annotation markup into a precedence DAG over the core's slots.
+    """Turn annotation markup into one predecessor mask per slot, in one pass.
 
-    Starting from the total order of the core, swap groups drop every edge
-    that crosses two blocks of the same group, and each floating slot keeps
-    exactly one incoming edge, anchor -> slot. An unmarked annotation
-    therefore compiles to the full total order. Twin blocks are sought within
-    each swap group, and their ordering edges go into the matcher's tables
-    only, not into ``precedence``.
+    A slot that does not float comes after every earlier slot that does not
+    float, except those in the other blocks of its own swap group; a floating
+    slot comes after its anchor alone. An unmarked annotation therefore
+    compiles to the full total order. Twin blocks are sought within each swap
+    group; their ordering edges go into the matcher's tables, not ``preds``.
     """
-    n = len(gt.core)
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    slots, wildcards, anchors = gt.core, frozenset(gt.wildcards), dict(gt.floating)
+    apart: dict[int, int] = {}  # per slot of a swap group, its group's other blocks
     for group in gt.swap_groups:
-        blocks = [set(range(lo, hi + 1)) for lo, hi in group]
-        for a, b in itertools.permutations(range(len(blocks)), 2):
-            for i in blocks[a]:
-                for j in blocks[b]:
-                    edges.discard((i, j))
-    float_map = dict(gt.floating)
-    edges = {(i, j) for i, j in edges if i not in float_map and j not in float_map}
-    for slot, anchor in float_map.items():
-        edges.add((anchor, slot))
-    slots, wildcards = gt.core, frozenset(gt.wildcards)
+        whole = sum((2 << hi) - (1 << lo) for lo, hi in group)
+        for lo, hi in group:
+            apart.update(dict.fromkeys(range(lo, hi + 1), whole - (2 << hi) + (1 << lo)))
+    preds, earlier = [], 0
+    for s in range(len(slots)):
+        if s in anchors:
+            preds.append(1 << anchors[s])
+        else:
+            preds.append(earlier & ~apart.get(s, 0))
+            earlier |= 1 << s
     twins = []
     for group in gt.swap_groups:
         classes: list[list[tuple[int, int]]] = []
         for block in group:
             for members in classes:
-                if _interchangeable(members[0], block, slots, wildcards, edges):
+                if _interchangeable(members[0], block, slots, wildcards, preds):
                     members.append(block)
                     break
             else:
                 classes.append([block])
         twins += [tuple(members) for members in classes if len(members) > 1]
-    preds = [0] * n
-    for i, j in edges:
-        preds[j] |= 1 << i
+    needs = list(preds)
     for members in twins:
         for (lo, hi), (next_lo, _) in zip(members, members[1:]):
             for offset in range(hi - lo + 1):
-                preds[next_lo + offset] |= 1 << (lo + offset)
-    entries = [(1 << s, preds[s]) for s in range(n)]
-    wildcard_puts: dict[str, Choices] = {}
-    for s in sorted(wildcards):
-        wildcard_puts[slots[s].object] = wildcard_puts.get(slots[s].object, ()) + (entries[s],)
-    by_line = {sg.text: tuple(
-        entries[s] for s, slot in enumerate(slots)
-        if slot.text == sg.text
-        or (s in wildcards and sg.action is ActionKind.PUT and slot.object == sg.object))
-        for sg in slots}
-    return RelaxedSpec(slots, wildcards, frozenset(edges), tuple(twins), by_line, wildcard_puts)
+                needs[next_lo + offset] |= 1 << (lo + offset)
+    lines: dict[str, set[int]] = {}  # the slots of each core line
+    puts: dict[str, list[int]] = {}  # the wildcard slots of each Put object
+    for s, sg in enumerate(slots):
+        lines.setdefault(sg.text, set()).add(s)
+        if s in wildcards:
+            puts.setdefault(sg.object, []).append(s)
+    for own in lines.values():
+        sg = slots[min(own)]
+        own.update(puts.get(sg.object, ()) if sg.action is ActionKind.PUT else ())
+    entries = [(1 << s, need) for s, need in enumerate(needs)]
+    by_line = {text: tuple(entries[s] for s in sorted(own)) for text, own in lines.items()}
+    wildcard_puts = {obj: tuple(entries[s] for s in own) for obj, own in puts.items()}
+    return RelaxedSpec(slots, wildcards, tuple(preds), tuple(twins), by_line, wildcard_puts)
 
 
 def _interchangeable(a: tuple[int, int], b: tuple[int, int], slots: Sequence[Subgoal],
-                     wildcards: frozenset[int], edges: set[tuple[int, int]]) -> bool:
+                     wildcards: frozenset[int], preds: list[int]) -> bool:
     """Whether exchanging blocks ``a`` and ``b`` slot by slot maps the slots,
-    the wildcards and the precedence set onto themselves, and no edge joins
-    the two blocks.
+    the wildcards and the predecessor masks onto themselves, and no slot of
+    ``b`` precedes one of ``a`` (the exchange then rules out the converse).
 
     The exchanges that pass against one block of a class generate every
     permutation of the class, so each is checked only against the first.
@@ -261,14 +262,18 @@ def _interchangeable(a: tuple[int, int], b: tuple[int, int], slots: Sequence[Sub
     slot of the other block; it would let a plan put the blocks' offsets in
     opposite orders, which the ordering edges of a twin class forbid.
     """
-    a_slots, b_slots = range(a[0], a[1] + 1), range(b[0], b[1] + 1)
-    if len(a_slots) != len(b_slots) or any(
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    if a_hi - a_lo != b_hi - b_lo or any(
             slots[i] != slots[j] or (i in wildcards) != (j in wildcards)
-            for i, j in zip(a_slots, b_slots)):
+            for i, j in zip(range(a_lo, a_hi + 1), range(b_lo, b_hi + 1))):
         return False
-    swap = dict(zip(a_slots, b_slots)) | dict(zip(b_slots, a_slots))
-    return {(swap.get(i, i), swap.get(j, j)) for i, j in edges} == edges \
-        and not any(i in b_slots and j in a_slots for i, j in edges)
+    a_bits, b_bits = (2 << a_hi) - (1 << a_lo), (2 << b_hi) - (1 << b_lo)
+    if any(m & b_bits for m in preds[a_lo:a_hi + 1]):
+        return False
+    exchanged, rest = list(preds), ~(a_bits | b_bits)
+    exchanged[a_lo:a_hi + 1], exchanged[b_lo:b_hi + 1] = preds[b_lo:b_hi + 1], preds[a_lo:a_hi + 1]
+    return all(m & rest | (m & a_bits) >> a_lo << b_lo | (m & b_bits) >> b_lo << a_lo == p
+               for m, p in zip(exchanged, preds))
 
 
 def strict_match(candidate: Sequence[Subgoal], gt: GtAnnotation) -> bool:
@@ -287,7 +292,7 @@ def strict_match(candidate: Sequence[Subgoal], gt: GtAnnotation) -> bool:
 
 def relaxed_match(candidate: Sequence[Subgoal], spec: RelaxedSpec) -> bool:
     """Whether the candidate realizes the spec: a bijection of steps onto slots
-    in which each step can take its slot and which linearizes the precedence DAG.
+    in which each step can take its slot and which linearizes the partial order.
 
     One pass over the candidate looks up each step's slots, skips Navigate
     steps and fails at the first step that no slot takes. Then depth-first
@@ -337,7 +342,7 @@ def _expand(options: list[Choices], dead: set[int], pos: int, used: int) -> bool
 
 def enumerate_valid_plans(spec: RelaxedSpec,
                           receptacles: Iterable[str] = ()) -> set[tuple[Subgoal, ...]]:
-    """Brute-force oracle: every linear extension of the precedence DAG crossed
+    """Brute-force oracle: every linear extension of the partial order crossed
     with every wildcard-receptacle instantiation over the given vocabulary.
 
     Guarded to at most 8 slots. A non-empty receptacle vocabulary is required
@@ -352,22 +357,17 @@ def enumerate_valid_plans(spec: RelaxedSpec,
     # per slot, every subgoal it can take
     choices = [[Subgoal(sg.action, sg.object, receptacle) for receptacle in pool]
                if s in spec.wildcards else [sg] for s, sg in enumerate(spec.slots)]
-    preds: dict[int, set[int]] = {s: set() for s in range(n)}
-    for i, j in spec.precedence:
-        preds[j].add(i)
-
     orders: list[tuple[int, ...]] = []
 
-    def extend(placed: tuple[int, ...], remaining: set[int]) -> None:
-        if not remaining:
+    def extend(placed: tuple[int, ...], done: int) -> None:
+        if len(placed) == n:
             orders.append(placed)
             return
-        done = set(placed)
-        for slot in sorted(remaining):
-            if preds[slot] <= done:
-                extend(placed + (slot,), remaining - {slot})
+        for slot in range(n):
+            if not done >> slot & 1 and not spec.preds[slot] & ~done:
+                extend(placed + (slot,), done | 1 << slot)
 
-    extend((), set(range(n)))
+    extend((), 0)
 
     plans: set[tuple[Subgoal, ...]] = set()
     for order in orders:

@@ -151,22 +151,3 @@ def classify_validity(raw: str) -> Verdict:
     affirmed = any(not denied and not asked for denied, _, asked in found)
     invalid = any(word for _, word, _ in found)
     return Verdict.VALID if affirmed and not invalid else Verdict.INVALID
-
-
-DISCOVERY_DIMENSIONS: dict[str, tuple[str, ...]] = {
-    "sub_tasks": ("sub-task", "subtask", "sub task"),
-    "order": ("order", "sequence", "before", "first"),
-    "objects": ("object", "receptacle"),
-    "execution": ("execute", "step", "how"),
-}
-
-
-def discovery_coverage(qa: QATranscript) -> set[str]:
-    """Lexical proxy for transcript quality: which discovery dimensions the
-    questions touch, judged by keyword presence."""
-    text = " ".join(question.lower() for question, _ in qa)
-    return {
-        dimension
-        for dimension, keywords in DISCOVERY_DIMENSIONS.items()
-        if any(keyword in text for keyword in keywords)
-    }

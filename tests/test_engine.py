@@ -544,15 +544,6 @@ def test_heavy_lamp_failure_replans_to_toggle_in_place(mini7):
     assert "(Pickup, desklamp)" not in revised
 
 
-def test_mini7_scripted_transcripts_cover_discovery_dimensions(mini7, mini7_gateway):
-    from askplan.prompting import discovery_coverage
-
-    for scenario in mini7.scenarios:
-        qa = decompose(scenario.instruction, mini7_gateway, CFG, [])
-        assert discovery_coverage(qa) == {"sub_tasks", "order", "objects", "execution"}, \
-            scenario.id
-
-
 def test_episodes_on_threads_fill_the_shared_memos_as_a_serial_run_does(mini7_gateway):
     # Every mini7 scenario four times at once, on eight threads that switch
     # every 10 us, from cold memos: a fresh load (no scene line drawn, no

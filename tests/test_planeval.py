@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -148,8 +150,8 @@ def test_anchor_walk_rejects_exactly_the_cyclic_precedences(monkeypatch):
         swap = ((rng.randint(0, cut - 1), cut - 1), (cut, rng.randint(cut, n - 1)))
         annotation = gt(["(Pickup, mug)"] * n, floating=floating,
                         swap_groups=[swap] * rng.randint(0, 1))
-        preds = {j: {i for i, k in compile_relaxed_spec(annotation).precedence if k == j}
-                 for j in range(n)}
+        masks = compile_relaxed_spec(annotation).preds
+        preds = {j: {i for i in range(n) if masks[j] >> i & 1} for j in range(n)}
         try:
             list(graphlib.TopologicalSorter(preds).static_order())
             cyclic = False
@@ -169,11 +171,17 @@ def test_anchor_walk_rejects_exactly_the_cyclic_precedences(monkeypatch):
 # -- compilation --------------------------------------------------------------
 
 
+def edges(spec) -> set[tuple[int, int]]:
+    """The spec's order as (i, j) pairs, slot i before slot j, read off its
+    predecessor masks."""
+    n = len(spec.preds)
+    return {(i, j) for j, mask in enumerate(spec.preds) for i in range(n) if mask >> i & 1}
+
+
 def test_unmarked_annotation_compiles_to_total_order():
     spec = compile_relaxed_spec(gt(["(Pickup, mug)", "(Open, safe)", "(Put, mug, safe)"]))
     n = 3
-    assert spec.precedence == frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n))
+    assert edges(spec) == {(i, j) for i in range(n) for j in range(i + 1, n)}
 
 
 def test_floating_slot_keeps_only_anchor_edge():
@@ -181,7 +189,7 @@ def test_floating_slot_keeps_only_anchor_edge():
         ["(Open, fridge)", "(Put, pan, fridge)", "(Close, fridge)", "(Pickup, mug)"],
         floating=[(2, 0)])
     spec = compile_relaxed_spec(annotation)
-    incident = {(i, j) for (i, j) in spec.precedence if 2 in (i, j)}
+    incident = {(i, j) for (i, j) in edges(spec) if 2 in (i, j)}
     assert incident == {(0, 2)}
 
 
@@ -190,13 +198,68 @@ def test_swap_group_drops_cross_block_edges():
         ["(Pickup, knife)", "(Slice, bread)", "(Open, fridge)", "(Close, fridge)",
          "(Pickup, mug)"],
         swap_groups=[[(0, 1), (2, 3)]])
-    spec = compile_relaxed_spec(annotation)
-    assert (0, 2) not in spec.precedence
-    assert (2, 0) not in spec.precedence
-    assert (0, 1) in spec.precedence  # intra-block order kept
-    assert (2, 3) in spec.precedence
-    assert (1, 4) in spec.precedence  # edges to slots outside the group kept
-    assert (3, 4) in spec.precedence
+    order = edges(compile_relaxed_spec(annotation))
+    assert (0, 2) not in order
+    assert (2, 0) not in order
+    assert (0, 1) in order  # intra-block order kept
+    assert (2, 3) in order
+    assert (1, 4) in order  # edges to slots outside the group kept
+    assert (3, 4) in order
+
+
+def _boxes(n: int, twin_pairs: bool = False) -> GtAnnotation:
+    """``n`` Open slots, distinct or, with ``twin_pairs``, in swap groups of
+    two identical one-slot blocks."""
+    if not twin_pairs:
+        return GtAnnotation(tuple(Subgoal(ActionKind.OPEN, f"box{k}") for k in range(n)))
+    return GtAnnotation(tuple(Subgoal(ActionKind.OPEN, f"box{k // 2}") for k in range(n)),
+                        swap_groups=tuple(((k, k), (k + 1, k + 1)) for k in range(0, n, 2)))
+
+
+def _compile_line_events(annotation) -> int:
+    """The Python lines that compiling the annotation runs: a count of its
+    work that, unlike a timing, is the same on every machine."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        compile_relaxed_spec(annotation)
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+def test_compiling_an_unmarked_core_grows_linearly_with_its_slots():
+    # a pair set of the total order made this ratio about 4
+    assert _compile_line_events(_boxes(800)) / _compile_line_events(_boxes(400)) < 2.5
+
+
+def test_compiling_a_core_of_twin_pairs_grows_below_the_cube_of_its_slots():
+    # each pair's twin check reads one mask per slot; comparing a whole edge
+    # set per pair made this ratio about 7
+    pairs = _boxes(100, twin_pairs=True)
+    assert len(compile_relaxed_spec(pairs).twins) == 50
+    assert _compile_line_events(pairs) / _compile_line_events(_boxes(50, twin_pairs=True)) < 4.5
+
+
+def test_a_spec_at_the_slot_bound_keeps_under_a_megabyte():
+    # a pair set of its total order kept about 44 MB
+    annotation = _boxes(MAX_CORE_SLOTS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spec = compile_relaxed_spec(annotation)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(spec.preds) == MAX_CORE_SLOTS
+    assert kept < 1_000_000, kept
 
 
 def test_wildcard_slot_becomes_match_any():
@@ -405,8 +468,7 @@ def test_compiled_tables_agree_with_the_spec_on_150_random_specs():
                     for offset in range(end - earlier + 1)}
 
         def entries(slots):
-            return tuple((1 << s, sum(1 << i for i, j in spec.precedence if j == s)
-                          | (1 << ordering[s] if s in ordering else 0))
+            return tuple((1 << s, spec.preds[s] | (1 << ordering[s] if s in ordering else 0))
                          for s in slots)
 
         assert spec.by_line.keys() == {sg.text for sg in spec.slots}
@@ -435,36 +497,30 @@ def slot_matches(spec, slot, sg):
 
 def reference_match(candidate, spec):
     """The matcher before memoization: plain backtracking over positions,
-    reading only the patterns and the precedence set."""
+    reading only the patterns and the predecessor masks."""
     steps = [sg for sg in candidate if sg.action is not ActionKind.NAVIGATE]
     n = len(spec.slots)
-    preds = [{i for i, j in spec.precedence if j == s} for s in range(n)]
-    used = set()
 
-    def assign(pos):
+    def assign(pos, used):
         if pos == n:
             return True
-        for slot in range(n):
-            if slot not in used and preds[slot] <= used and slot_matches(spec, slot, steps[pos]):
-                used.add(slot)
-                if assign(pos + 1):
-                    return True
-                used.remove(slot)
-        return False
+        return any(not used >> slot & 1 and not spec.preds[slot] & ~used
+                   and slot_matches(spec, slot, steps[pos]) and assign(pos + 1, used | 1 << slot)
+                   for slot in range(n))
 
-    return len(steps) == n and assign(0)
+    return len(steps) == n and assign(0, 0)
 
 
 def _linear_extension(rng, spec):
-    """A random order of the slots that respects the precedence DAG, and the
-    plan that takes them in that order; wildcard slots take a random
+    """A random order of the slots that respects the predecessor masks, and
+    the plan that takes them in that order; wildcard slots take a random
     receptacle."""
-    order, remaining = [], set(range(len(spec.slots)))
+    order, remaining, done = [], set(range(len(spec.slots))), 0
     while remaining:
-        ready = sorted(s for s in remaining
-                       if all(i in order for i, j in spec.precedence if j == s))
+        ready = sorted(s for s in remaining if not spec.preds[s] & ~done)
         order.append(rng.choice(ready))
         remaining.remove(order[-1])
+        done |= 1 << order[-1]
     return order, tuple(Subgoal(spec.slots[s].action, spec.slots[s].object,
                                 rng.choice(RECEPTACLE_POOL)) if s in spec.wildcards
                         else spec.slots[s] for s in order)
@@ -571,9 +627,14 @@ def test_identical_blocks_that_are_not_interchangeable_are_no_twins(
 
 def test_identical_blocks_of_a_group_are_twins():
     core = MUG_BLOCK * 2 + ["(Pickup, box)", "(Put, box, shelf)"] + MUG_BLOCK
-    spec = compile_relaxed_spec(gt(core, swap_groups=[[(0, 1), (2, 3), (4, 5), (6, 7)]]))
-    assert spec.twins == (((0, 1), (2, 3), (6, 7)),)
-    assert _all_orders_agree_with_oracle(spec)
+    blocks = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    # also listed out of slot order: the class keeps the group's order, and
+    # the exchange of two blocks holds whichever of them comes first
+    for group, twins in ((blocks, ((0, 1), (2, 3), (6, 7))),
+                         (blocks[::-1], ((6, 7), (2, 3), (0, 1)))):
+        spec = compile_relaxed_spec(gt(core, swap_groups=[group]))
+        assert spec.twins == (twins,)
+        assert _all_orders_agree_with_oracle(spec)
 
 
 def test_identical_blocks_anchored_in_each_other_are_no_twins():

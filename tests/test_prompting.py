@@ -16,7 +16,6 @@ from askplan.plans import parse_subgoal
 from askplan.prompting import (
     Verdict,
     classify_validity,
-    discovery_coverage,
     format_transcript,
     gen_feedback_prompt,
     gen_replan_prompt,
@@ -227,15 +226,6 @@ def test_feedback_requires_text():
     plan = (parse_subgoal("(Pickup, mug)"),)
     with pytest.raises(ValueError, match="feedback"):
         gen_replan_prompt("   ", plan, set(), classify_validity("VALID"), "i")
-
-
-def test_discovery_coverage_on_fixture_transcript():
-    assert discovery_coverage(QA) == {"sub_tasks", "order", "objects", "execution"}
-
-
-def test_discovery_coverage_partial():
-    qa = (("What should I do?", "Something."),)
-    assert discovery_coverage(qa) == set()
 
 
 def test_format_transcript_cot_pseudo_turn():
