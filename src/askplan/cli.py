@@ -91,26 +91,35 @@ def episode_seed(global_seed: int, index: int) -> int:
     return (global_seed * 1_000_003 + index) % (MAX_JSON_INT + 1)
 
 
-def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
-    """Run every scenario and write one canonical JSON line per task, in task
-    order no matter how execution interleaves. Per-episode problems, crashes
+def run_episodes(tasks: TaskSet, cfg: RunConfig) -> list[dict]:
+    """Run every scenario and return the trace record of each, in task order
+    no matter how execution interleaves. Per-episode problems, crashes
     included, land in the episode's own trace (see ``run_episode``); only
     configuration errors abort the batch."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = cfg.out_dir / "traces.jsonl"
-
     def one(index: int, scenario: Scenario) -> dict:
         episode_cfg = replace(cfg.episode, seed=episode_seed(cfg.seed, index))
         return run_episode(scenario, cfg.gateway, episode_cfg).to_record()
 
     indices = range(len(tasks.scenarios))
     if cfg.parallelism <= 1:
-        records = list(map(one, indices, tasks.scenarios))
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            records = list(pool.map(one, indices, tasks.scenarios))
+        return list(map(one, indices, tasks.scenarios))
+    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+        return list(pool.map(one, indices, tasks.scenarios))
+
+
+def write_traces(records: list[dict], out_dir: Path) -> Path:
+    """Write one canonical JSON line per record, in order, to
+    ``out_dir/traces.jsonl``, making ``out_dir`` when it is missing."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / "traces.jsonl"
     write_output(out_path, "".join(dump_record(record) + "\n" for record in records))
     return out_path
+
+
+def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
+    """``run_episodes``, then ``write_traces`` of their records into
+    ``cfg.out_dir``; returns the trace file's path."""
+    return write_traces(run_episodes(tasks, cfg), cfg.out_dir)
 
 
 def dump_record(record: dict) -> str:
@@ -231,11 +240,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         parallelism=args.parallel,
     )
     try:
-        out_path = run_bench(tasks, cfg)
+        records = run_episodes(tasks, cfg)
     finally:
         gateway.close()
-    for line in out_path.read_text("utf-8").splitlines():
-        record = json.loads(line)
+    out_path = write_traces(records, cfg.out_dir)
+    for record in records:
         print(f"{record['task_id']}: {record['outcome']} "
               f"sr={record['sr']} gc={record['gc']:.3f}")
     print(f"traces written to {out_path}")

@@ -40,6 +40,7 @@ from .world import (
     WorldState,
     apply_subgoal,
     check_goal_conditions,
+    condition_holds,
     detect_objects,
     new_world,
     render_scene,
@@ -304,6 +305,31 @@ def episode_score(conditions: list[bool]) -> tuple[int, float]:
     return (int(all(conditions)), sum(conditions) / len(conditions)) if conditions else (0, 0.0)
 
 
+class GoalTracker:
+    """The verdict of each goal condition on an episode's latest state, and
+    how many do not hold. Built with ``check_goal_conditions`` of the first
+    state; ``update`` then re-evaluates only the conditions on the entities a
+    step changed, since a condition reads its own object's fields alone."""
+
+    __slots__ = ("verdicts", "unmet", "_on")
+
+    def __init__(self, world: WorldState, scenario: Scenario):
+        self.verdicts = check_goal_conditions(world, scenario.goal)
+        self.unmet = self.verdicts.count(False)
+        self._on = scenario.goal_by_object
+
+    def update(self, world: WorldState, changed: tuple[str, ...]) -> None:
+        """Bring the verdicts to ``world``, in which only the entities
+        ``changed`` names differ from the state before."""
+        verdicts = self.verdicts
+        for entity_id in changed:
+            for position, cond in self._on.get(entity_id, ()):
+                holds = condition_holds(world, cond)
+                if holds != verdicts[position]:
+                    verdicts[position] = holds
+                    self.unmet += -1 if holds else 1
+
+
 def noise_draw(seed: int, step: int) -> float:
     """Deterministic pseudo-random draw in [0, 1) keyed by (seed, step)."""
     digest = hashlib.sha256(f"{seed}:{step}".encode("ascii")).digest()
@@ -361,6 +387,7 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=str(exc))
     trace.initial_plan = [sg.text for sg in current]
 
+    tracker = GoalTracker(world, scenario)
     observed: set[str] = set()
     observed_ids: tuple[str, ...] = ()  # sorted(observed), redone only when it grows
     executed: list[Subgoal] = []
@@ -394,7 +421,8 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
         if result.success:
             executed.append(sg)
             index += 1
-            if all(check_goal_conditions(world, scenario.goal)):
+            tracker.update(world, result.changed)
+            if not tracker.unmet:
                 return finish(EpisodeOutcome.SUCCESS)
             continue
 
@@ -418,6 +446,4 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
             continue
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=decision.reason)
 
-    final = EpisodeOutcome.SUCCESS if all(check_goal_conditions(world, scenario.goal)) \
-        else EpisodeOutcome.PLAN_EXHAUSTED
-    finish(final)
+    finish(EpisodeOutcome.PLAN_EXHAUSTED if tracker.unmet else EpisodeOutcome.SUCCESS)

@@ -17,15 +17,19 @@ does not change.
 A state also keeps what it derives from its entities: a scene index, one map
 from each parent to the ids directly under it (a container id, or the 1-tuple
 ``(zone,)`` for the entities with no container, so a zone never meets an
-entity of the same name), and the scene line of each entity ``render_scene``
-has drawn. ``after`` is the only code that updates them: it hands the index
-on copy-on-write, replacing only the buckets of an entity that changed zone
-or container, and drops the lines of the entities that changed. So a step
-reads the agent's zone and what it moves, not the whole scene:
-``detect_objects`` walks down from ``(zone,)`` into every container that is
-not closed, and a scene re-renders only the lines of entities that changed.
-The lines of a scenario's initial state are drawn once, by the first
-``new_world``, and every episode of the scenario starts from them.
+entity of the same name), the scene line of each entity ``render_scene``
+has drawn, and the sorted ids of the last visible set it sorted.
+``after`` is the only code that updates them: it hands the index on
+copy-on-write, replacing only the buckets of an entity that changed zone or
+container, drops the lines of the entities that changed, and hands the
+sorted ids on as they are. So a step reads the agent's zone and what it
+moves, not the whole scene: ``detect_objects`` walks down from ``(zone,)``
+into every container that is not closed, a scene re-renders only the lines
+of entities that changed, and it is re-sorted only when what is visible
+changed. The lines of a scenario's initial state are drawn once, by the
+first ``new_world``, and every episode of the scenario starts from them.
+A step's result names the entities it changed, so a goal check after it
+reads only those (``engine.GoalTracker``).
 
 Appliance semantics are keyed by entity category: a ``microwave`` heats its
 heatable contents when toggled on, a ``fridge`` chills its coolable contents
@@ -171,18 +175,21 @@ def _rebucket(index: Index, entity_id: str, old: str | tuple[str], new: str | tu
 class WorldState:
     """One scene. No code writes to ``entities`` once the state is built.
 
-    The last two fields are derived from the others, so equality ignores
+    The last three fields are derived from the others, so equality ignores
     them: the state's scene ``Index``, which a state not built by ``after``
-    builds on first use, and the scene lines ``render_scene`` has drawn for
-    it, keyed by entity id. A line depends on its entity and on whether that
-    entity is held. Episodes on parallel threads share a scenario's initial
-    state; two threads that fill either field at once write equal values."""
+    builds on first use; the scene lines ``render_scene`` has drawn for it,
+    keyed by entity id; and the sorted ids of the last visible set
+    ``render_scene`` sorted for it or for a state before it. A line
+    depends on its entity and on whether that entity is held. Episodes on
+    parallel threads share a scenario's initial state; two threads that
+    fill a field at once write equal values."""
 
     entities: dict[str, ObjectEntity]
     agent_zone: str
     held: Optional[str] = None
     _index: Optional[Index] = field(default=None, compare=False, repr=False)
     _lines: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
+    _order: Optional[list[str]] = field(default=None, compare=False, repr=False)
 
     def index(self) -> Index:
         """This state's scene index, built from ``entities`` on first use."""
@@ -194,7 +201,8 @@ class WorldState:
               held: Optional[str]) -> "WorldState":
         """The successor state: ``changes`` maps an entity id to the fields
         that change on it, and every other entity is shared with this state,
-        as is every index bucket and scene line the changes leave valid."""
+        as is every index bucket and scene line the changes leave valid, and
+        the sorted ids of the last visible set."""
         entities = self.entities.copy()
         shared = index = self.index()
         lines = self._lines.copy()
@@ -209,7 +217,7 @@ class WorldState:
                 if index is shared:
                     index = dict(shared)
                 _rebucket(index, entity_id, _parent(old), _parent(new))
-        return WorldState(entities, agent_zone, held, index, lines)
+        return WorldState(entities, agent_zone, held, index, lines, self._order)
 
 
 @dataclass(frozen=True)
@@ -259,6 +267,9 @@ class Scenario:
     # values); see GtAnnotation._spec for why this is no cached_property
     _decode: Optional[DecodeParams] = field(default=None, init=False, compare=False,
                                             repr=False)
+    # goal_by_object, built and shared the same way
+    _goal_on: Optional[dict[str, tuple[tuple[int, GoalCondition], ...]]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def vocabulary(self) -> set[str]:
@@ -272,6 +283,17 @@ class Scenario:
         if self._decode is None:
             object.__setattr__(self, "_decode", DecodeParams.for_vocab(self.vocabulary))
         return self._decode
+
+    @property
+    def goal_by_object(self) -> dict[str, tuple[tuple[int, GoalCondition], ...]]:
+        """Each goal object's id -> ``(position in goal, condition)`` of every
+        condition on it: the conditions a change to that entity can flip."""
+        if self._goal_on is None:
+            on: dict[str, list[tuple[int, GoalCondition]]] = {}
+            for position, cond in enumerate(self.goal):
+                on.setdefault(cond.object, []).append((position, cond))
+            object.__setattr__(self, "_goal_on", {oid: tuple(conds) for oid, conds in on.items()})
+        return self._goal_on
 
     @staticmethod
     def from_dict(data: object) -> "Scenario":
@@ -316,11 +338,16 @@ _SCENARIO_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
+    """What a step did. ``changed`` names every entity a successful step
+    replaced, carried objects and appliance effects included: the keys of
+    the changes it hands to ``WorldState.after``. A NamedTuple, like
+    ``ObjectEntity``, because every step builds one."""
+
     state_after: WorldState
     reason: FailReason = FailReason.OK
     detail: str = ""
+    changed: tuple[str, ...] = ()
 
     @property
     def success(self) -> bool:
@@ -540,7 +567,8 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
                 carried = pending.pop()
                 changes[carried] = {"zone": target.zone}
                 pending += index.get(carried, ())
-        return ExecutionResult(world.after(changes, target.zone, world.held))
+        return ExecutionResult(world.after(changes, target.zone, world.held), FailReason.OK,
+                               "", tuple(changes))
 
     if not _visible(world, target.id):
         return ExecutionResult(world, FailReason.TARGET_NOT_VISIBLE, f"{sg.object} is not visible")
@@ -554,8 +582,8 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
                                    f"{sg.object} is not pickupable")
         if target.heavy:
             return ExecutionResult(world, FailReason.OBJECT_TOO_HEAVY, f"{sg.object} is too heavy")
-        return ExecutionResult(world.after({target.id: {"container": None}},
-                                           world.agent_zone, target.id))
+        return ExecutionResult(world.after({target.id: {"container": None}}, world.agent_zone,
+                                           target.id), FailReason.OK, "", (target.id,))
 
     if sg.action is ActionKind.PUT:
         if world.held is None:
@@ -588,7 +616,8 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
                                        f"{receptacle.id} is inside {target.id}")
             parent = world.entities[parent.container]
         return ExecutionResult(world.after({target.id: {"container": receptacle.id}},
-                                           world.agent_zone, None))
+                                           world.agent_zone, None), FailReason.OK, "",
+                               (target.id,))
 
     if sg.action is ActionKind.SLICE:
         if world.held is None:
@@ -612,7 +641,8 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
             if getattr(world.entities[other_id], capability):
                 # merged: a cleanable faucet sits in the sink it cleans
                 changes.setdefault(other_id, {})[effect] = True
-    return ExecutionResult(world.after(changes, world.agent_zone, world.held))
+    return ExecutionResult(world.after(changes, world.agent_zone, world.held), FailReason.OK, "",
+                           tuple(changes))
 
 
 def _scene_line(world: WorldState, entity: ObjectEntity) -> str:
@@ -637,7 +667,8 @@ def render_scene(world: WorldState, visible: set[str]) -> str:
     """Textual observation: the agent's zone plus every object in ``visible``
     (what ``detect_objects`` reports for ``world``) with its state markers,
     sorted by id for a deterministic rendering. An entity's line is drawn once
-    per state and kept on it."""
+    per state and kept on it, and ``visible`` is sorted only when it differs
+    from the set last sorted for this state or the states before it."""
     lines = [f"Zone: {world.agent_zone}"]
     if not visible:
         lines.append("Visible objects: none")
@@ -646,11 +677,18 @@ def render_scene(world: WorldState, visible: set[str]) -> str:
         drawn = world._lines
         for oid in visible - drawn.keys():
             drawn[oid] = _scene_line(world, world.entities[oid])
-        lines += map(drawn.__getitem__, sorted(visible))
+        order = world._order
+        # the ids of order are distinct, so this tests set equality
+        if order is None or len(order) != len(visible) or not visible.issuperset(order):
+            order = sorted(visible)
+            object.__setattr__(world, "_order", order)
+        lines += map(drawn.__getitem__, order)
     return "\n".join(lines)
 
 
-def _condition_holds(world: WorldState, cond: GoalCondition) -> bool:
+def condition_holds(world: WorldState, cond: GoalCondition) -> bool:
+    """Whether ``cond`` holds in ``world``; it reads ``cond.object``'s
+    fields alone."""
     # load rejects a goal over a missing object, and no step removes an entity
     entity = world.entities[cond.object]
     if cond.kind == "located":
@@ -662,7 +700,7 @@ def _condition_holds(world: WorldState, cond: GoalCondition) -> bool:
 
 def check_goal_conditions(world: WorldState, goal: tuple[GoalCondition, ...]) -> list[bool]:
     """Pure query: one boolean per condition, aligned with ``goal``."""
-    return [_condition_holds(world, cond) for cond in goal]
+    return [condition_holds(world, cond) for cond in goal]
 
 
 def subgoal_effects_satisfied(world: WorldState, sg: Subgoal) -> bool:

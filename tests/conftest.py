@@ -13,6 +13,7 @@ from askplan.cli import EXIT_OK, TaskSet, load_tasks, main
 from askplan.gateway import ScriptedGateway, load_script
 from askplan.inputs import MalformedInput
 from askplan.plans import ActionKind, Subgoal
+from askplan.world import Scenario, apply_subgoal, new_world
 
 
 @pytest.fixture(scope="session")
@@ -130,3 +131,54 @@ def shallowest_refused_depth(refused) -> int:
         else:
             low = middle + 1
     return low
+
+
+def core_with_navigation(scenario: Scenario) -> list[Subgoal]:
+    # Cores omit Navigate steps (they are controller-level); insert the zone
+    # move a low-level controller would perform before each interaction.
+    world, steps = new_world(scenario), []
+    for sg in scenario.gt.core:
+        anchor = sg.receptacle if sg.action is ActionKind.PUT else sg.object
+        moves = [] if world.entities[anchor].zone == world.agent_zone else \
+            [Subgoal(ActionKind.NAVIGATE, anchor)]
+        for step in moves + [sg]:
+            result = apply_subgoal(world, step)
+            assert result.success, f"{step} failed: {result.detail}"
+            world = result.state_after
+            steps.append(step)
+    return steps
+
+
+class CountingEntities(dict):
+    """An entity dict that counts the entities read through it. A copy shares
+    the count, so every successor ``WorldState.after`` builds counts too. The
+    copy itself is not counted: for a plain dict ``after`` takes it in C,
+    without reading an entity, so what is counted is what the step's own
+    code reads."""
+
+    def __init__(self, entities: dict, reads: list[int]):
+        super().__init__(entities)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads[0] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads[0] += 1
+        return super().get(key, default)
+
+    def values(self):
+        self.reads[0] += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads[0] += len(self)
+        return super().items()
+
+    def __iter__(self):
+        self.reads[0] += len(self)
+        return super().__iter__()
+
+    def copy(self):
+        return CountingEntities(dict(dict.items(self)), self.reads)

@@ -317,6 +317,50 @@ def test_run_writes_one_trace_per_scenario(tmp_path, capsys):
     assert all(r["sr"] == 1 for r in records)
 
 
+# the stdout of `run` on mini7, by its flags, before the line naming the trace file
+RUN_SUMMARIES = {
+    ("--seed", "42"): [
+        "heat_bread: success sr=1 gc=1.000",
+        "cool_tomato: success sr=1 gc=1.000",
+        "clean_ladle: success sr=1 gc=1.000",
+        "picktwo_remotes: success sr=1 gc=1.000",
+        "stack_plate: success sr=1 gc=1.000",
+        "pick_watch: success sr=1 gc=1.000",
+        "examine_book: success sr=1 gc=1.000",
+    ],
+    ("--noise", "0.3", "--seed", "7"): [
+        "heat_bread: plan_exhausted sr=0 gc=0.667",
+        "cool_tomato: plan_exhausted sr=0 gc=0.000",
+        "clean_ladle: success sr=1 gc=1.000",
+        "picktwo_remotes: success sr=1 gc=1.000",
+        "stack_plate: plan_exhausted sr=0 gc=0.000",
+        "pick_watch: plan_exhausted sr=0 gc=0.000",
+        "examine_book: plan_exhausted sr=0 gc=0.000",
+    ],
+}
+
+
+@pytest.mark.parametrize("flags", RUN_SUMMARIES, ids=" ".join)
+def test_run_prints_its_summary_from_the_records_without_reading_the_trace_file_back(
+        flags, tmp_path, capsys, monkeypatch):
+    opened = []
+
+    def recording(opener):
+        def open_recorded(file, mode="r", *args, **kwargs):
+            opened.append((str(file), mode))
+            return opener(file, mode, *args, **kwargs)
+        return open_recorded
+
+    monkeypatch.setattr("builtins.open", recording(open))
+    monkeypatch.setattr(Path, "open", recording(Path.open))
+    assert run_cli("run", "--tasks", MINI7, "--script", SCRIPT, *flags,
+                   "--out", str(tmp_path)) == EXIT_OK
+    traces = tmp_path / "traces.jsonl"
+    assert capsys.readouterr().out == "".join(
+        f"{line}\n" for line in [*RUN_SUMMARIES[flags], f"traces written to {traces}"])
+    assert [mode for file, mode in opened if file == str(traces)] == ["w"]
+
+
 def test_run_deterministic_across_invocations(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert run_cli("run", "--tasks", MINI7, "--gateway", "scripted", "--script",

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from operator import gt
 
 import pytest
 
-from askplan import asset_path, engine
+from askplan import asset_path, engine, world as world_module
 from askplan.cli import episode_seed, load_tasks
 from askplan.engine import (
     EpisodeConfig,
     EpisodeOutcome,
+    GoalTracker,
     PlanningFailed,
     decompose,
     episode_score,
@@ -25,11 +28,23 @@ from askplan.gateway import (
     OracleScript,
     ScriptEntry,
     ScriptedGateway,
+    load_script,
 )
 from askplan.planeval import compile_relaxed_spec
-from askplan.plans import ActionKind, parse_subgoal, render_subgoal
+from askplan.plans import ActionKind, Subgoal, parse_subgoal, render_subgoal
 from askplan.prompting import Verdict
-from askplan.world import FailReason, apply_subgoal, new_world, render_scene
+from askplan.world import (
+    FailReason,
+    Scenario,
+    WorldState,
+    apply_subgoal,
+    check_goal_conditions,
+    detect_objects,
+    new_world,
+    render_scene,
+)
+
+from conftest import CountingEntities, core_with_navigation, perfbench_module, random_subgoal
 
 DECODE = DecodeParams()
 CFG = EpisodeConfig(decode=DECODE)
@@ -573,3 +588,186 @@ def test_episodes_on_threads_fill_the_shared_memos_as_a_serial_run_does(mini7_ga
     for index, record, spec in results:
         assert record == serial[index], scenarios[index].id
         assert spec == compile_relaxed_spec(scenarios[index].gt), scenarios[index].id
+
+
+# -- incremental goal check and scene order -------------------------------------
+
+
+def _vocab(raw: dict) -> list[str]:
+    return sorted(entity["id"] for entity in raw["entities"])
+
+
+def _walk_scenes() -> list[tuple[str, Scenario, list[str]]]:
+    """(label, scenario, the ids a walk names) for mini7, mini7 with the
+    benchmark's 300 distractors per scenario (walks name the mini7 ids,
+    since no step can touch a distractor) and gen_swaps seeds 0-9."""
+    mini7_raw = json.loads(asset_path("tasks/mini7.json").read_text("utf-8"))
+    scaled_raw = perfbench_module("gen_scaled").add_distractors(mini7_raw, 1)
+    scenes = [(f"mini7 {raw['id']}", Scenario.from_dict(raw), _vocab(raw))
+              for raw in mini7_raw["scenarios"]]
+    scenes += [(f"scaled {raw['id']}", Scenario.from_dict(raw), _vocab(plain))
+               for raw, plain in zip(scaled_raw["scenarios"], mini7_raw["scenarios"])]
+    swaps = perfbench_module("gen_swaps")
+    for seed in range(10):
+        scenes += [(f"swaps {seed} {raw['id']}", Scenario.from_dict(raw), _vocab(raw))
+                   for raw in swaps.generate(seed)[0]["scenarios"]]
+    return scenes
+
+
+def _listed(scene: str) -> set[str]:
+    return {line[2:].split(" (")[0] for line in scene.splitlines() if line.startswith("- ")}
+
+
+def test_incremental_goal_verdicts_and_scene_order_match_a_full_check_on_random_walks():
+    # The first walk of each scene runs its core (with Navigate inserted, so
+    # every appliance effect fires), the rest are random, with failures and
+    # carries. After every step the tracker agrees with a full check, the
+    # step names exactly the entities it replaced, and the scene equals one
+    # sorted afresh, on a state with no kept lines or order.
+    rng = random.Random(34)
+    seen = {"failure": 0, "carry": 0, "appliance effect": 0, "met, then unmet": 0}
+    for label, scenario, vocab in _walk_scenes():
+        for walk in range(3):
+            world = new_world(scenario)
+            tracker = GoalTracker(world, scenario)
+            if walk == 0:
+                steps = core_with_navigation(scenario)
+            else:
+                steps = []
+                for _ in range(40):
+                    sg = random_subgoal(rng)
+                    if rng.random() < 0.85:
+                        sg = Subgoal(sg.action, rng.choice(vocab), rng.choice(vocab)
+                                     if sg.action is ActionKind.PUT else None)
+                    steps.append(sg)
+            for sg in steps:
+                where = f"{label}, walk {walk}, {sg.text}"
+                before, verdicts = world, list(tracker.verdicts)
+                result = apply_subgoal(world, sg)
+                world = result.state_after
+                assert set(result.changed) == {
+                    oid for oid, entity in world.entities.items()
+                    if entity is not before.entities[oid]}, where
+                tracker.update(world, result.changed)
+                assert tracker.verdicts == check_goal_conditions(world, scenario.goal), where
+                assert tracker.unmet == tracker.verdicts.count(False), where
+                visible = detect_objects(world)
+                fresh = WorldState(dict(world.entities), world.agent_zone, world.held)
+                assert render_scene(world, visible) == render_scene(fresh, visible), where
+                seen["failure"] += not result.success
+                seen["carry"] += sg.action is ActionKind.NAVIGATE and bool(result.changed)
+                seen["appliance effect"] += bool(set(result.changed) - {sg.object})
+                seen["met, then unmet"] += any(map(gt, verdicts, tracker.verdicts))
+    assert all(seen.values()), seen
+
+
+def _scene(goal: list[dict], core: list[str], n: int = 1) -> Scenario:
+    # one room: n cups, a mug and an open box
+    entities = [{"id": f"cup{k}", "category": "cup", "zone": "room", "pickupable": True}
+                for k in range(n)]
+    entities += [{"id": "mug", "category": "mug", "zone": "room", "pickupable": True},
+                 {"id": "shelf", "category": "shelf", "zone": "room", "is_receptacle": True},
+                 {"id": "box", "category": "box", "zone": "room", "is_receptacle": True,
+                  "openable": True, "is_open": True}]
+    return Scenario.from_dict({"id": "cups", "instruction": "put the cups in the box",
+                               "agent_zone": "room", "entities": entities, "goal": goal,
+                               "gt": {"core": core}})
+
+
+def _planned(lines: list[str]):
+    return scripted(ScriptEntry(reply="\n".join(lines), contains_all=("Create a detailed plan",)))
+
+
+def test_incremental_goal_check_does_not_end_an_episode_when_a_met_condition_is_unmet_again():
+    # the cup is in the box after step 2 and out of it from step 3; a check
+    # that missed the flip back would end the episode once the mug is in,
+    # at step 6
+    goal = [{"type": "located", "object": "cup0", "receptacle": "box"},
+            {"type": "located", "object": "mug", "receptacle": "box"}]
+    plan = ["(Pickup, cup0)", "(Put, cup0, box)", "(Pickup, cup0)", "(Put, cup0, shelf)",
+            "(Pickup, mug)", "(Put, mug, box)", "(Pickup, cup0)", "(Put, cup0, box)"]
+    scenario = _scene(goal, plan[:2])
+    trace = run_episode(scenario, _planned(plan), EpisodeConfig(use_std=False, seed=1))
+    assert [step["subgoal"] for step in trace.steps] == plan
+    assert all(step["success"] for step in trace.steps)
+    assert (trace.outcome, trace.goal_conditions) == (EpisodeOutcome.SUCCESS, [True, True])
+
+
+def _cups(n: int) -> tuple[Scenario, list[str]]:
+    # item 13's probe: n cups into one open box, a located condition each
+    plan = [line for k in range(n) for line in (f"(Pickup, cup{k})", f"(Put, cup{k}, box)")]
+    goal = [{"type": "located", "object": f"cup{k}", "receptacle": "box"} for k in range(n)]
+    return _scene(goal, plan, n), plan
+
+
+def _goal_reads_per_step(n: int) -> list[int]:
+    # the entities the tracker reads on each step of the plan
+    scenario, plan = _cups(n)
+    reads = [0]
+    initial = scenario.initial
+    world = WorldState(CountingEntities(initial.entities, reads), initial.agent_zone,
+                       initial.held)
+    tracker = GoalTracker(world, scenario)
+    per_step = []
+    for line in plan:
+        result = apply_subgoal(world, parse_subgoal(line))
+        world = result.state_after
+        reads[0] = 0
+        tracker.update(world, result.changed)
+        per_step.append(reads[0])
+    assert tracker.unmet == 0
+    return per_step
+
+
+def test_incremental_goal_check_evaluates_no_more_conditions_per_step_for_a_larger_goal(
+        monkeypatch):
+    # a step reads only the condition on the cup it moved, so 320 cups cost a
+    # step what 5 do, and a whole episode makes the full check twice: before
+    # its first step and at its end
+    small, large = _goal_reads_per_step(5), _goal_reads_per_step(320)
+    assert small == [1] * 10 and large == [1] * 640
+    full_checks = []
+    whole = engine.check_goal_conditions
+
+    def counting(world, goal):
+        full_checks.append(len(goal))
+        return whole(world, goal)
+
+    monkeypatch.setattr(engine, "check_goal_conditions", counting)
+    for n in (5, 320):
+        scenario, plan = _cups(n)
+        trace = run_episode(scenario, _planned(plan), EpisodeConfig(use_std=False, seed=1))
+        assert (trace.outcome, len(trace.steps)) == (EpisodeOutcome.SUCCESS, 2 * n)
+        assert full_checks == [n, n], n
+        full_checks.clear()
+
+
+def test_incremental_scene_order_sorts_once_per_change_of_the_visible_set(monkeypatch):
+    # every mini7 episode, with and without the benchmark's distractors, and
+    # the noisy heat_bread run, whose failed steps keep their state: a scene
+    # is sorted only when the visible set differs from the last non-empty
+    # one, and the distractors keep most scenes unchanged
+    mini7_raw = json.loads(asset_path("tasks/mini7.json").read_text("utf-8"))
+    scaled_raw = perfbench_module("gen_scaled").add_distractors(mini7_raw, 1)
+    noisy = ScriptedGateway(load_script(asset_path("scripts/bread_noisy.json")))
+    mini7_gw = ScriptedGateway(load_script(asset_path("scripts/mini7.json")))
+    runs = [(Scenario.from_dict(raw), mini7_gw, CFG)
+            for raw in mini7_raw["scenarios"] + scaled_raw["scenarios"]]
+    runs += [(run[0], noisy, EpisodeConfig(seed=seed, noise_override=0.3))
+             for run in runs if run[0].id == "heat_bread" for seed in range(3)]
+    sorts = []
+    monkeypatch.setattr(world_module, "sorted", lambda ids: sorts.append(1) or sorted(ids),
+                        raising=False)
+    steps = sorted_scenes = 0
+    for scenario, gw, cfg in runs:
+        last = detect_objects(new_world(scenario))  # new_world sorts the first scene
+        sorts.clear()
+        trace = run_episode(scenario, gw, cfg)
+        changes = 0
+        for step in trace.steps:
+            visible = _listed(step["scene"])
+            if visible and visible != last:
+                changes, last = changes + 1, visible
+        assert len(sorts) == changes, scenario.id
+        steps, sorted_scenes = steps + len(trace.steps), sorted_scenes + changes
+    assert sorted_scenes < steps / 2, (sorted_scenes, steps)

@@ -29,7 +29,8 @@ from askplan.world import (
     subgoal_effects_satisfied,
 )
 
-from conftest import entity_chain, random_subgoal, raw_scenario
+from conftest import (CountingEntities, core_with_navigation, entity_chain, random_subgoal,
+                      raw_scenario)
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,22 +41,6 @@ def run_plan(world: WorldState, lines: list[str]) -> WorldState:
         assert result.success, f"{line} failed: {result.reason} {result.detail}"
         world = result.state_after
     return world
-
-
-def core_with_navigation(scenario: Scenario) -> list[Subgoal]:
-    # Cores omit Navigate steps (they are controller-level); insert the zone
-    # move a low-level controller would perform before each interaction.
-    world, steps = new_world(scenario), []
-    for sg in scenario.gt.core:
-        anchor = sg.receptacle if sg.action is ActionKind.PUT else sg.object
-        moves = [] if world.entities[anchor].zone == world.agent_zone else \
-            [Subgoal(ActionKind.NAVIGATE, anchor)]
-        for step in moves + [sg]:
-            result = apply_subgoal(world, step)
-            assert result.success, f"{step} failed: {result.detail}"
-            world = result.state_after
-            steps.append(step)
-    return steps
 
 
 # -- scenario loading ---------------------------------------------------------
@@ -987,41 +972,6 @@ def test_a_later_episode_draws_only_the_lines_of_what_its_steps_changed(
         drawn.clear()
 
 
-class _CountingEntities(dict):
-    """An entity dict that counts the entities read through it. A copy shares
-    the count, so every successor ``WorldState.after`` builds counts too. The
-    copy itself is not counted: for a plain dict ``after`` takes it in C,
-    without reading an entity, so what is counted is what the step's own
-    code reads."""
-
-    def __init__(self, entities: dict, reads: list[int]):
-        super().__init__(entities)
-        self.reads = reads
-
-    def __getitem__(self, key):
-        self.reads[0] += 1
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.reads[0] += 1
-        return super().get(key, default)
-
-    def values(self):
-        self.reads[0] += len(self)
-        return super().values()
-
-    def items(self):
-        self.reads[0] += len(self)
-        return super().items()
-
-    def __iter__(self):
-        self.reads[0] += len(self)
-        return super().__iter__()
-
-    def copy(self):
-        return _CountingEntities(dict(dict.items(self)), self.reads)
-
-
 def _reads_per_step(raw: dict) -> list[int]:
     # entities read by each step of the core (Navigate inserted) plus the
     # detect_objects and render_scene that follow it in an episode
@@ -1029,7 +979,7 @@ def _reads_per_step(raw: dict) -> list[int]:
     steps = core_with_navigation(scenario)
     reads = [0]
     initial = scenario.initial
-    world = WorldState(_CountingEntities(initial.entities, reads), initial.agent_zone,
+    world = WorldState(CountingEntities(initial.entities, reads), initial.agent_zone,
                        initial.held)
     world.index()  # built once, on the scenario's initial state
     per_step = []
