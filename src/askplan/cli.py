@@ -146,62 +146,60 @@ def read_traces(path: str | Path) -> list[dict]:
     line that is not a JSON object of schema 1 with well-typed, in-range
     scored fields, or whose ``sr`` and ``gc`` contradict its
     ``goal_conditions``, or whose ``seed`` contradicts its ``config.seed``."""
-    records = []
-    for number, record in read_json_lines(path):
-        if not _passes_trace_checks(record):
-            _check_trace_line(record, f"trace line {number}")
-        records.append(record)
-    return records
+    return [record for _, record in _numbered_traces(path)]
 
 
-def _passes_trace_checks(record: object) -> bool:
-    """Whether a trace line passes every check of ``_check_trace_line``, read
-    with one ``get`` per field and tested in one expression. It may be False
-    for a line that those checks accept, never True for one they reject."""
-    if type(record) is not dict:
-        return False
+def _numbered_traces(path: str | Path) -> list[tuple[int, dict]]:
+    """(line number, record) of every non-blank line, checked as ``read_traces`` says."""
+    lines = read_json_lines(path)
+    for number, record in lines:
+        _check_trace_line(record, number)
+    return lines
+
+
+def _check_trace_line(record: object, number: int) -> None:
+    """Raise MalformedInput naming trace line ``number`` at the first check
+    of a trace line that ``record`` fails; return when it fails none. Each
+    field is tested inline, and ``checked_field`` is called only to word the
+    failure of a field's type."""
+    if type(record) is not dict or type(record.get("schema_version")) is not int:
+        checked_field(record, "schema_version", int, f"trace line {number}")
     get = record.get
-    version, sr, gc = get("schema_version"), get("sr"), get("gc")
-    plan, conditions = get("initial_plan", _ABSENT), get("goal_conditions", _ABSENT)
-    seed, echo = get("seed", _ABSENT), get("config")
-    return (type(version) is int and version == TRACE_SCHEMA_VERSION
-            and type(get("task_id")) is str
-            and type(sr) is int and sr in (0, 1)
-            and type(gc) in NUMBER and 0.0 <= gc <= 1.0
-            and (plan is None or type(plan) is list and set(map(type, plan)) <= {str})
-            and (conditions is _ABSENT or type(conditions) is list
-                 and set(map(type, conditions)) <= {bool}
-                 and (sr, gc) == episode_score(conditions))
-            and (seed is _ABSENT or type(seed) is int
-                 and (type(echo) is not dict or echo.get("seed", seed) == seed))
-            and type(get("task_type", "")) is str)
-
-
-def _check_trace_line(record: object, where: str) -> None:
-    """Raise MalformedInput naming ``where`` at the first check of a trace
-    line that ``record`` fails; return when it fails none."""
-    version = checked_field(record, "schema_version", int, where)
+    version = get("schema_version")
     if version != TRACE_SCHEMA_VERSION:
-        raise MalformedInput(f"{where}: schema {version} is not {TRACE_SCHEMA_VERSION} "
-                             f"(task {record.get('task_id')!r})")
-    checked_field(record, "task_id", str, where)
-    sr = checked_field(record, "sr", int, where)
-    gc = checked_field(record, "gc", NUMBER, where)
+        raise MalformedInput(f"trace line {number}: schema {version} is not "
+                             f"{TRACE_SCHEMA_VERSION} (task {get('task_id')!r})")
+    if type(get("task_id")) is not str:
+        checked_field(record, "task_id", str, f"trace line {number}")
+    sr, gc = get("sr"), get("gc")
+    if type(sr) is not int:
+        checked_field(record, "sr", int, f"trace line {number}")
+    if type(gc) not in NUMBER:
+        checked_field(record, "gc", NUMBER, f"trace line {number}")
     if sr not in (0, 1) or not 0.0 <= gc <= 1.0:  # a NaN gc fails too
-        raise MalformedInput(f"{where}: sr must be 0 or 1 and gc in [0, 1], "
+        raise MalformedInput(f"trace line {number}: sr must be 0 or 1 and gc in [0, 1], "
                              f"got sr={sr!r}, gc={gc!r}")
-    conditions = checked_field(record, "goal_conditions", [bool], where, None)
-    if conditions is not None and (sr, gc) != episode_score(conditions):
-        raise MalformedInput(f"{where}: sr={sr!r} and gc={gc!r} contradict "
-                             f"goal_conditions {conditions!r:.80}")
+    conditions = get("goal_conditions", _ABSENT)
+    if conditions is not _ABSENT:
+        if type(conditions) is not list or not set(map(type, conditions)) <= {bool}:
+            checked_field(record, "goal_conditions", [bool], f"trace line {number}")
+        if (sr, gc) != episode_score(conditions):
+            raise MalformedInput(f"trace line {number}: sr={sr!r} and gc={gc!r} contradict "
+                                 f"goal_conditions {conditions!r:.80}")
     # run writes both seeds; a tool that scores plans alone writes neither
-    seed = checked_field(record, "seed", int, where, None)
-    echo = record.get("config")
-    if seed is not None and isinstance(echo, dict) and echo.get("seed", seed) != seed:
-        raise MalformedInput(f"{where}: seed {seed!r} contradicts "
-                             f"config.seed {echo['seed']!r:.40}")
-    checked_field(record, "task_type", str, where, None)
-    checked_field(record, "initial_plan", ([str], type(None)), where)
+    seed = get("seed", _ABSENT)
+    if seed is not _ABSENT:
+        if type(seed) is not int:
+            checked_field(record, "seed", int, f"trace line {number}")
+        echo = get("config")
+        if type(echo) is dict and echo.get("seed", seed) != seed:
+            raise MalformedInput(f"trace line {number}: seed {seed!r} contradicts "
+                                 f"config.seed {echo['seed']!r:.40}")
+    if type(get("task_type", "")) is not str:
+        checked_field(record, "task_type", str, f"trace line {number}")
+    plan = get("initial_plan", _ABSENT)
+    if plan is not None and (type(plan) is not list or not set(map(type, plan)) <= {str}):
+        checked_field(record, "initial_plan", ([str], type(None)), f"trace line {number}")
 
 
 def _build_gateway(args: argparse.Namespace) -> Gateway:
@@ -270,10 +268,13 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    records = read_traces(args.traces)
-    if not 1 <= args.line <= len(records):
-        raise MalformedInput(f"--line must be in 1..{len(records)}")
-    record = records[args.line - 1]
+    # --line is a line of the file, as a trace line's error numbers it
+    records = dict(_numbered_traces(args.traces))
+    record = records.get(args.line)
+    if record is None:
+        last = max(records, default=0)
+        raise MalformedInput(f"trace line {args.line} is blank" if 1 <= args.line <= last
+                             else f"--line must be in 1..{last}")
     tasks = load_tasks(args.tasks)
     by_id = {scenario.id: scenario for scenario in tasks.scenarios}
     scenario = by_id.get(record["task_id"])
@@ -449,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p = sub.add_parser("replay", help="re-execute one trace line and compare")
     replay_p.add_argument("--traces", required=True)
     replay_p.add_argument("--tasks", required=True)
-    replay_p.add_argument("--line", type=int, required=True, help="1-based trace line")
+    replay_p.add_argument("--line", type=int, required=True, help="1-based line of the file")
     replay_p.add_argument("--script", help="override the recorded script path")
     replay_p.set_defaults(func=cmd_replay)
 

@@ -371,11 +371,12 @@ def run_episode(scenario: Scenario, gw: Gateway,
 def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTrace) -> None:
     # The episode loop of run_episode, on a resolved config; it fills ``trace``.
     world = new_world(scenario)
+    tracker = GoalTracker(world, scenario)
     log = trace.llm_log
 
     def finish(outcome: EpisodeOutcome, abort_reason: Optional[str] = None) -> None:
         # computes before it writes, so a crash in it leaves the defaults in place
-        conditions = check_goal_conditions(world, scenario.goal)
+        conditions = list(tracker.verdicts)
         sr, gc = episode_score(conditions)
         trace.outcome, trace.abort_reason = outcome.value, abort_reason
         trace.goal_conditions, trace.sr, trace.gc = conditions, sr, gc
@@ -387,7 +388,6 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
         return finish(EpisodeOutcome.PLAN_EXHAUSTED, abort_reason=str(exc))
     trace.initial_plan = [sg.text for sg in current]
 
-    tracker = GoalTracker(world, scenario)
     observed: set[str] = set()
     observed_ids: tuple[str, ...] = ()  # sorted(observed), redone only when it grows
     executed: list[Subgoal] = []

@@ -17,19 +17,20 @@ does not change.
 A state also keeps what it derives from its entities: a scene index, one map
 from each parent to the ids directly under it (a container id, or the 1-tuple
 ``(zone,)`` for the entities with no container, so a zone never meets an
-entity of the same name), the scene line of each entity ``render_scene``
-has drawn, and the sorted ids of the last visible set it sorted.
-``after`` is the only code that updates them: it hands the index on
-copy-on-write, replacing only the buckets of an entity that changed zone or
-container, drops the lines of the entities that changed, and hands the
-sorted ids on as they are. So a step reads the agent's zone and what it
-moves, not the whole scene: ``detect_objects`` walks down from ``(zone,)``
-into every container that is not closed, a scene re-renders only the lines
-of entities that changed, and it is re-sorted only when what is visible
-changed. The lines of a scenario's initial state are drawn once, by the
-first ``new_world``, and every episode of the scenario starts from them.
-A step's result names the entities it changed, so a goal check after it
-reads only those (``engine.GoalTracker``).
+entity of the same name), the ids ``detect_objects`` found, the scene line
+of each entity ``render_scene`` has drawn, and the sorted ids of the last
+visible set it sorted. ``after`` hands the index on copy-on-write, replacing
+only the buckets of an entity that changed zone or container, drops the
+lines of the entities that changed, hands the sorted ids on as they are,
+and starts with no visible ids. So a step reads the agent's zone and what it
+moves, not the whole scene: one walk per state, down from ``(zone,)`` into
+every container that is not closed, gives both the scene and a step's
+visibility preconditions; a scene re-renders only the lines of entities
+that changed, and it is re-sorted only when what is visible changed. The
+lines of a scenario's initial state are drawn once, by the first
+``new_world``, and every episode of the scenario starts from them. A step's
+result names the entities it changed, so a goal check after it reads only
+those (``engine.GoalTracker``).
 
 Appliance semantics are keyed by entity category: a ``microwave`` heats its
 heatable contents when toggled on, a ``fridge`` chills its coolable contents
@@ -175,11 +176,12 @@ def _rebucket(index: Index, entity_id: str, old: str | tuple[str], new: str | tu
 class WorldState:
     """One scene. No code writes to ``entities`` once the state is built.
 
-    The last three fields are derived from the others, so equality ignores
+    The last four fields are derived from the others, so equality ignores
     them: the state's scene ``Index``, which a state not built by ``after``
     builds on first use; the scene lines ``render_scene`` has drawn for it,
-    keyed by entity id; and the sorted ids of the last visible set
-    ``render_scene`` sorted for it or for a state before it. A line
+    keyed by entity id; the sorted ids of the last visible set
+    ``render_scene`` sorted for it or for a state before it; and the ids
+    ``detect_objects`` found for it, which no caller changes. A line
     depends on its entity and on whether that entity is held. Episodes on
     parallel threads share a scenario's initial state; two threads that
     fill a field at once write equal values."""
@@ -190,6 +192,7 @@ class WorldState:
     _index: Optional[Index] = field(default=None, compare=False, repr=False)
     _lines: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
     _order: Optional[list[str]] = field(default=None, compare=False, repr=False)
+    _detected: Optional[set[str]] = field(default=None, compare=False, repr=False)
 
     def index(self) -> Index:
         """This state's scene index, built from ``entities`` on first use."""
@@ -510,25 +513,13 @@ def new_world(scenario: Scenario) -> WorldState:
     return initial
 
 
-def _visible(world: WorldState, entity_id: str) -> bool:
-    # Every container exists and no containment chain loops: load checks
-    # both, Put keeps chains acyclic, and no step removes an entity.
-    if entity_id == world.held:
-        return True
-    entity = world.entities[entity_id]
-    if entity.zone != world.agent_zone:
-        return False
-    while entity.container is not None:
-        entity = world.entities[entity.container]
-        if entity.openable and not entity.is_open:
-            return False
-    return True
-
-
 def detect_objects(world: WorldState) -> set[str]:
     """Ids the agent's detector reports: same-zone entities not hidden inside a
     closed container, plus whatever is held. Walks down the scene index from
-    the agent's zone, into every container that is not closed."""
+    the agent's zone, into every container that is not closed, once per
+    state, which keeps the set: no caller changes it."""
+    if world._detected is not None:
+        return world._detected
     index = world.index()
     visible = set(index.get((world.agent_zone,), ()))
     pending = list(visible & index.keys())
@@ -541,6 +532,7 @@ def detect_objects(world: WorldState) -> set[str]:
         pending += inside & index.keys()
     if world.held is not None:
         visible.add(world.held)
+    object.__setattr__(world, "_detected", visible)
     return visible
 
 
@@ -570,7 +562,7 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
         return ExecutionResult(world.after(changes, target.zone, world.held), FailReason.OK,
                                "", tuple(changes))
 
-    if not _visible(world, target.id):
+    if target.id not in detect_objects(world):
         return ExecutionResult(world, FailReason.TARGET_NOT_VISIBLE, f"{sg.object} is not visible")
 
     if sg.action is ActionKind.PICKUP:
@@ -598,7 +590,7 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
         if receptacle.id == target.id:
             return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
                                    "cannot put an object into itself")
-        if not _visible(world, receptacle.id):
+        if receptacle.id not in detect_objects(world):
             return ExecutionResult(world, FailReason.TARGET_NOT_VISIBLE,
                                    f"{receptacle.id} is not visible")
         if not receptacle.is_receptacle:

@@ -102,6 +102,40 @@ def random_subgoal(rng: random.Random, allow_navigate: bool = True) -> Subgoal:
     return Subgoal(rng.choice(actions), rng.choice(_OBJECTS))
 
 
+def _vocab(raw: dict) -> list[str]:
+    return sorted(entity["id"] for entity in raw["entities"])
+
+
+def walk_scenes() -> list[tuple[str, Scenario, list[str]]]:
+    """(label, scenario, the ids a walk names) for mini7, mini7 with the
+    benchmark's 300 distractors per scenario (walks name the mini7 ids,
+    since no step can touch a distractor) and gen_swaps seeds 0-9."""
+    mini7_raw = json.loads(asset_path("tasks/mini7.json").read_text("utf-8"))
+    scaled_raw = perfbench_module("gen_scaled").add_distractors(mini7_raw, 1)
+    scenes = [(f"mini7 {raw['id']}", Scenario.from_dict(raw), _vocab(raw))
+              for raw in mini7_raw["scenarios"]]
+    scenes += [(f"scaled {raw['id']}", Scenario.from_dict(raw), _vocab(plain))
+               for raw, plain in zip(scaled_raw["scenarios"], mini7_raw["scenarios"])]
+    swaps = perfbench_module("gen_swaps")
+    for seed in range(10):
+        scenes += [(f"swaps {seed} {raw['id']}", Scenario.from_dict(raw), _vocab(raw))
+                   for raw in swaps.generate(seed)[0]["scenarios"]]
+    return scenes
+
+
+def random_walk(rng: random.Random, vocab: list[str], length: int = 40) -> list[Subgoal]:
+    """``length`` random subgoals, most of them naming ids of ``vocab``, so
+    that failures, carries and appliance effects all occur."""
+    steps = []
+    for _ in range(length):
+        sg = random_subgoal(rng)
+        if rng.random() < 0.85:
+            sg = Subgoal(sg.action, rng.choice(vocab), rng.choice(vocab)
+                         if sg.action is ActionKind.PUT else None)
+        steps.append(sg)
+    return steps
+
+
 def entity_chain(raws: list):
     """The entities the field-by-field chain makes of a scenario's entity
     list, by id, or None when it refuses the list: the reference for the

@@ -633,8 +633,7 @@ def test_a_bad_line_is_numbered_by_newlines_alone(tmp_path):
 # Trace-line sweep: every single mutation of a mini7 trace line either reads
 # back as written or is refused with the line's number. The outcome and the
 # message of each are pinned, so that a faster reader keeps every check and
-# every message; and the acceptance test of read_traces agrees with its
-# field-by-field checks on every line of the sweep.
+# every message.
 TRACE_LINE_SWEEP = Path(__file__).parent / "data" / "trace_line_sweep.json"
 # each scored number at its bounds and just past them
 _SCORE_BOUNDS = [(("gc",), 0.0), (("gc",), 1.0), (("gc",), 1.0000000000000002),
@@ -659,7 +658,6 @@ def _trace_line_mutations(record: dict) -> list[tuple[str, dict, tuple, object]]
 
 def test_trace_line_sweep(scripted_run, tmp_path):
     record = json.loads(scripted_run("mini7", 0, "0").read_text("utf-8").splitlines()[0])
-    assert cli._passes_trace_checks(record)  # a line as run writes it takes no detour
     file = tmp_path / "traces.jsonl"
     outcomes = []
     for label, line, path, value in _trace_line_mutations(record):
@@ -671,19 +669,29 @@ def test_trace_line_sweep(scripted_run, tmp_path):
             outcome = str(exc).replace(str(file), "<file>")
             # a NaN or an infinity is refused by the JSON reader, before any field is read
             assert outcome.startswith(("trace line 1", "<file> line 1: not valid JSON")), outcome
-        try:
-            cli._check_trace_line(data, "trace line 1")
-            checked = True
-        except MalformedInput:
-            checked = False
-        # the acceptance test never takes a line that the checks refuse, and
-        # here it takes every line they accept, so that none takes the detour
-        assert cli._passes_trace_checks(data) is checked, label
         outcomes.append([label, outcome])
     digest = hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
     assert {"mutations": len(outcomes),
             "accepted": sum(outcome == "accepted" for _, outcome in outcomes),
             "sha256": digest} == json.loads(TRACE_LINE_SWEEP.read_text("utf-8"))
+
+
+def test_reading_the_trace_file_of_a_run_calls_checked_field_zero_times(
+        scripted_run, monkeypatch, tmp_path):
+    # checked_field only words a refused field, so reading the lines run
+    # writes never calls it: mini7, and mini7 with gen_scaled's distractors
+    scaled = tmp_path / "scaled.json"
+    mini7_raw = json.loads(Path(MINI7).read_text("utf-8"))
+    scaled.write_text(json.dumps(perfbench_module("gen_scaled").add_distractors(mini7_raw, 1)),
+                      "utf-8")
+    assert run_cli("run", "--tasks", str(scaled), "--script", SCRIPT,
+                   "--out", str(tmp_path)) == EXIT_OK
+    runs = [scripted_run("mini7", 0, "0.3"), tmp_path / "traces.jsonl"]
+    calls = []
+    monkeypatch.setattr(cli, "checked_field", lambda *args: calls.append(args))
+    for traces in runs:
+        assert len(read_traces(traces)) == 7, traces
+    assert calls == []
 
 
 # Trace-line order: the report of a trace set does not depend on the order of
@@ -1113,6 +1121,29 @@ def test_replay_line_out_of_range(trace_dir, capsys):
                    "--tasks", MINI7, "--line", "99", "--script", SCRIPT)
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == "error: --line must be in 1..7\n"
+
+
+def test_replay_numbers_a_line_as_the_file_and_its_errors_do(trace_dir, tmp_path, capsys):
+    # a blank line after line 1 is skipped but counted, so that file line 3
+    # is the one a trace-line error names as line 3, the second record
+    lines = (trace_dir / "traces.jsonl").read_text("utf-8").splitlines()
+    blanked = tmp_path / "blanked.jsonl"
+    blanked.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n", "utf-8")
+    task_ids = [json.loads(line)["task_id"] for line in lines]
+    for number, task_id in [(1, task_ids[0]), (3, task_ids[1]), (8, task_ids[6])]:
+        assert run_cli("replay", "--traces", str(blanked), "--tasks", MINI7,
+                       "--line", str(number)) == EXIT_OK, number
+        assert capsys.readouterr().out == f"replay of line {number} ({task_id}): identical\n"
+    for number, error in [(2, "trace line 2 is blank"), (9, "--line must be in 1..8"),
+                          (0, "--line must be in 1..8")]:
+        assert run_cli("replay", "--traces", str(blanked), "--tasks", MINI7,
+                       "--line", str(number)) == EXIT_CONFIG, number
+        assert capsys.readouterr().err == f"error: {error}\n"
+    mangled = json.loads(lines[1])
+    mangled["sr"] = 2
+    blanked.write_text("\n".join([lines[0], "", json.dumps(mangled), *lines[2:]]), "utf-8")
+    assert run_cli("score", "--traces", str(blanked), "--tasks", MINI7) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: trace line 3: sr must be 0 or 1")
 
 
 def test_replay_detects_divergence(trace_dir, tmp_path, capsys):

@@ -31,7 +31,7 @@ from askplan.gateway import (
     load_script,
 )
 from askplan.planeval import compile_relaxed_spec
-from askplan.plans import ActionKind, Subgoal, parse_subgoal, render_subgoal
+from askplan.plans import ActionKind, parse_subgoal, render_subgoal
 from askplan.prompting import Verdict
 from askplan.world import (
     FailReason,
@@ -44,7 +44,8 @@ from askplan.world import (
     render_scene,
 )
 
-from conftest import CountingEntities, core_with_navigation, perfbench_module, random_subgoal
+from conftest import (CountingEntities, core_with_navigation, perfbench_module, random_walk,
+                      walk_scenes)
 
 DECODE = DecodeParams()
 CFG = EpisodeConfig(decode=DECODE)
@@ -593,27 +594,6 @@ def test_episodes_on_threads_fill_the_shared_memos_as_a_serial_run_does(mini7_ga
 # -- incremental goal check and scene order -------------------------------------
 
 
-def _vocab(raw: dict) -> list[str]:
-    return sorted(entity["id"] for entity in raw["entities"])
-
-
-def _walk_scenes() -> list[tuple[str, Scenario, list[str]]]:
-    """(label, scenario, the ids a walk names) for mini7, mini7 with the
-    benchmark's 300 distractors per scenario (walks name the mini7 ids,
-    since no step can touch a distractor) and gen_swaps seeds 0-9."""
-    mini7_raw = json.loads(asset_path("tasks/mini7.json").read_text("utf-8"))
-    scaled_raw = perfbench_module("gen_scaled").add_distractors(mini7_raw, 1)
-    scenes = [(f"mini7 {raw['id']}", Scenario.from_dict(raw), _vocab(raw))
-              for raw in mini7_raw["scenarios"]]
-    scenes += [(f"scaled {raw['id']}", Scenario.from_dict(raw), _vocab(plain))
-               for raw, plain in zip(scaled_raw["scenarios"], mini7_raw["scenarios"])]
-    swaps = perfbench_module("gen_swaps")
-    for seed in range(10):
-        scenes += [(f"swaps {seed} {raw['id']}", Scenario.from_dict(raw), _vocab(raw))
-                   for raw in swaps.generate(seed)[0]["scenarios"]]
-    return scenes
-
-
 def _listed(scene: str) -> set[str]:
     return {line[2:].split(" (")[0] for line in scene.splitlines() if line.startswith("- ")}
 
@@ -626,20 +606,11 @@ def test_incremental_goal_verdicts_and_scene_order_match_a_full_check_on_random_
     # sorted afresh, on a state with no kept lines or order.
     rng = random.Random(34)
     seen = {"failure": 0, "carry": 0, "appliance effect": 0, "met, then unmet": 0}
-    for label, scenario, vocab in _walk_scenes():
+    for label, scenario, vocab in walk_scenes():
         for walk in range(3):
             world = new_world(scenario)
             tracker = GoalTracker(world, scenario)
-            if walk == 0:
-                steps = core_with_navigation(scenario)
-            else:
-                steps = []
-                for _ in range(40):
-                    sg = random_subgoal(rng)
-                    if rng.random() < 0.85:
-                        sg = Subgoal(sg.action, rng.choice(vocab), rng.choice(vocab)
-                                     if sg.action is ActionKind.PUT else None)
-                    steps.append(sg)
+            steps = core_with_navigation(scenario) if walk == 0 else random_walk(rng, vocab)
             for sg in steps:
                 where = f"{label}, walk {walk}, {sg.text}"
                 before, verdicts = world, list(tracker.verdicts)
@@ -722,8 +693,8 @@ def _goal_reads_per_step(n: int) -> list[int]:
 def test_incremental_goal_check_evaluates_no_more_conditions_per_step_for_a_larger_goal(
         monkeypatch):
     # a step reads only the condition on the cup it moved, so 320 cups cost a
-    # step what 5 do, and a whole episode makes the full check twice: before
-    # its first step and at its end
+    # step what 5 do, and a whole episode makes the full check once, before
+    # its first step: its end takes the tracker's verdicts
     small, large = _goal_reads_per_step(5), _goal_reads_per_step(320)
     assert small == [1] * 10 and large == [1] * 640
     full_checks = []
@@ -738,7 +709,7 @@ def test_incremental_goal_check_evaluates_no_more_conditions_per_step_for_a_larg
         scenario, plan = _cups(n)
         trace = run_episode(scenario, _planned(plan), EpisodeConfig(use_std=False, seed=1))
         assert (trace.outcome, len(trace.steps)) == (EpisodeOutcome.SUCCESS, 2 * n)
-        assert full_checks == [n, n], n
+        assert full_checks == [n], n
         full_checks.clear()
 
 

@@ -30,7 +30,7 @@ from askplan.world import (
 )
 
 from conftest import (CountingEntities, core_with_navigation, entity_chain, random_subgoal,
-                      raw_scenario)
+                      random_walk, raw_scenario, walk_scenes)
 
 DATA = Path(__file__).parent / "data"
 
@@ -900,6 +900,46 @@ def test_index_matches_a_scan_of_the_scene_after_every_step(name):
                            rng.choice(vocab) if action is ActionKind.PUT else None)
             world = apply_subgoal(world, step).state_after
             _assert_index_holds(world, f"{name}: walk {walk}, after {step}")
+
+
+def test_a_step_finds_its_target_not_visible_exactly_when_a_scan_does_not_see_it():
+    # At every state of seeded walks (the core of a scene, with Navigate
+    # inserted, or the steps of an index scene, then a random walk with
+    # failures and carries), every entity is tried as the target of a Pickup
+    # and as the receptacle of a Put of the held object: target_not_visible
+    # exactly when the scan excludes it.
+    rng = random.Random(35)
+    seen = {"failure": 0, "carry": 0, "hidden in the agent's zone": 0, "put probe": 0}
+    scenes = [(label, scenario, vocab, core_with_navigation(scenario))
+              for label, scenario, vocab in walk_scenes()]
+    for name, (build, prefix) in INDEX_SCENES.items():
+        if prefix is not None:
+            scenario = build()
+            scenes.append((name, scenario, sorted(scenario.initial.entities),
+                           [parse_subgoal(line.lstrip("!")) for line in prefix]))
+    for label, scenario, vocab, first in scenes:
+        for walk in range(2):
+            world = new_world(scenario)
+            steps = first if walk == 0 else random_walk(rng, vocab)
+            for sg in [*steps, None]:
+                visible = _scan_visible(world)
+                for oid, entity in world.entities.items():
+                    probes = [Subgoal(ActionKind.PICKUP, oid)]
+                    if world.held not in (None, oid):
+                        probes.append(Subgoal(ActionKind.PUT, world.held, oid))
+                    for probe in probes:
+                        reason = apply_subgoal(world, probe).reason
+                        assert (reason is FailReason.TARGET_NOT_VISIBLE) == (oid not in visible), \
+                            f"{label}, walk {walk}, before {sg}: {probe.text}"
+                    seen["hidden in the agent's zone"] += \
+                        oid not in visible and entity.zone == world.agent_zone
+                    seen["put probe"] += len(probes) - 1
+                if sg is not None:
+                    result = apply_subgoal(world, sg)
+                    seen["failure"] += not result.success
+                    seen["carry"] += sg.action is ActionKind.NAVIGATE and bool(result.changed)
+                    world = result.state_after
+    assert all(seen.values()), seen
 
 
 def test_index_keeps_a_zone_and_an_entity_of_one_name_apart():
