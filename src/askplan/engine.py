@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
-from .gateway import Completion, DecodeParams, Gateway, GatewayError, request_text
+from .gateway import DecodeParams, Gateway, GatewayError, request_text
 from .inputs import MAX_JSON_INT, NUMBER, MalformedInput, checked_field
 from .plans import NoSubgoalsFound, Plan, Subgoal, parse_plan
 from .prompting import (
@@ -162,16 +162,16 @@ class EpisodeTrace:
 
 
 def _call(gw: Gateway, stage: str, prompt: RenderedPrompt, params: DecodeParams,
-          log: list[dict], scene: Optional[str] = None) -> Completion:
+          log: list[dict], scene: Optional[str] = None) -> str:
     # Request goes into the log before the call, the reply right after it
     # returns, so a crashed call still leaves its request on record.
     log.append({"direction": "req", "stage": stage, "text": request_text(prompt, scene)})
     if scene is None:
-        completion = gw.complete(prompt, params)
+        reply = gw.complete(prompt, params)
     else:
-        completion = gw.complete_multimodal(prompt, scene, params)
-    log.append({"direction": "res", "stage": stage, "text": completion.text})
-    return completion
+        reply = gw.complete_multimodal(prompt, scene, params)
+    log.append({"direction": "res", "stage": stage, "text": reply})
+    return reply
 
 
 def _parse_qa(text: str) -> QATranscript:
@@ -218,23 +218,23 @@ def decompose(instruction: str, gw: Gateway, cfg: EpisodeConfig,
     prompt = decomposition_prompt(instruction, cfg)
     if prompt is None:
         return None
-    completion = _call(gw, "decompose", prompt, cfg.decode, log)
+    reply = _call(gw, "decompose", prompt, cfg.decode, log)
     if cfg.use_cot:
-        text = completion.text.strip()
+        text = reply.strip()
         if not text:
             raise PlanningFailed("empty decomposition reply")
         return [["", text]]
-    return _parse_qa(completion.text)
+    return _parse_qa(reply)
 
 
 def make_plan(instruction: str, qa: Optional[QATranscript], gw: Gateway,
               cfg: EpisodeConfig, log: list[dict]) -> Plan:
-    """Run the planning stage; a completion with no subgoal lines at all is a
+    """Run the planning stage; a reply with no subgoal lines at all is a
     PlanningFailed error."""
-    completion = _call(gw, "plan", gen_tp_prompt(instruction, qa, cot=cfg.use_cot),
-                       cfg.decode, log)
+    reply = _call(gw, "plan", gen_tp_prompt(instruction, qa, cot=cfg.use_cot),
+                  cfg.decode, log)
     try:
-        return parse_plan(completion.text)
+        return parse_plan(reply)
     except NoSubgoalsFound as exc:
         raise PlanningFailed(f"planner reply contained no subgoals: {exc}") from exc
 
@@ -248,26 +248,25 @@ def handle_failure(sg: Subgoal, scene: str, observed: set[str],
     the scene-conditioned validity check comes back valid; anything else asks
     for feedback and a full revised plan.
     """
-    validity = None
+    validity = feedback = None
     try:
-        v_completion = _call(gw, "validity", gen_validity_prompt(sg), cfg.decode, log, scene)
-        verdict = classify_validity(v_completion.text)
-        validity = {"verdict": verdict.value, "raw": v_completion.text}
+        raw = _call(gw, "validity", gen_validity_prompt(sg), cfg.decode, log, scene)
+        verdict = classify_validity(raw)
+        validity = {"verdict": verdict.value, "raw": raw}
         if sg.object in observed and verdict is Verdict.VALID:
             return RecoveryDecision("redo", validity=validity)
-        f_completion = _call(gw, "feedback", gen_feedback_prompt(sg, verdict),
-                             cfg.decode, log, scene)
-        if not f_completion.text.strip():
+        feedback = _call(gw, "feedback", gen_feedback_prompt(sg, verdict),
+                         cfg.decode, log, scene)
+        if not feedback.strip():
             return RecoveryDecision("abort", validity=validity, reason="feedback_empty")
-        feedback = f_completion.text
         replan_prompt = gen_replan_prompt(feedback, current_plan, observed,
                                           verdict, instruction)
-        r_completion = _call(gw, "replan", replan_prompt, cfg.decode, log)
+        replan = _call(gw, "replan", replan_prompt, cfg.decode, log)
     except GatewayError as exc:
-        return RecoveryDecision("abort", validity=validity,
+        return RecoveryDecision("abort", validity=validity, feedback=feedback,
                                 reason=f"gateway_error: {exc}")
     try:
-        new_plan = parse_plan(r_completion.text)
+        new_plan = parse_plan(replan)
     except NoSubgoalsFound:
         return RecoveryDecision("abort", validity=validity, feedback=feedback,
                                 reason="replan_unparseable")

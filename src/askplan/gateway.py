@@ -2,7 +2,7 @@
 scripted stand-in, both subclasses of one ``Gateway`` base. The base writes
 the two call shapes, ``complete`` and the scene-conditioned
 ``complete_multimodal``, once; each kind implements only ``_send`` and
-``describe``.
+``describe``. A call returns the reply text.
 
 The HTTP client is the standard library's ``http.client``. Each HTTP
 gateway keeps its connections alive and reuses them from one call to the
@@ -95,18 +95,6 @@ class DecodeParams:
 
 
 @dataclass(frozen=True)
-class Completion:
-    """A model reply: its text, the model that sent it, and the time its
-    attempts took, without backoff sleeps. It counts no words or tokens;
-    telemetry that needs counts takes them from the provider's ``usage``
-    field or from a trace's ``llm_log``."""
-
-    text: str
-    provider_id: str
-    latency_ms: int
-
-
-@dataclass(frozen=True)
 class ScriptEntry:
     reply: str
     exact: Optional[str] = None
@@ -187,14 +175,14 @@ class Gateway:
     """Both call shapes, written once: each formats its request text with
     ``request_text`` and hands it to the gateway kind's ``_send``."""
 
-    def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> Completion:
+    def complete(self, prompt: RenderedPrompt, params: DecodeParams) -> str:
         return self._send(prompt.system_text, request_text(prompt), params)
 
     def complete_multimodal(self, prompt: RenderedPrompt, scene: str,
-                            params: DecodeParams) -> Completion:
+                            params: DecodeParams) -> str:
         return self._send(prompt.system_text, request_text(prompt, scene), params)
 
-    def _send(self, system_text: str, user_text: str, params: DecodeParams) -> Completion:
+    def _send(self, system_text: str, user_text: str, params: DecodeParams) -> str:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -211,8 +199,8 @@ class ScriptedGateway(Gateway):
         self.script = script
         self.script_path = script_path
 
-    def _send(self, system_text: str, user_text: str, params: DecodeParams) -> Completion:
-        return Completion(self.script.reply_for(user_text), "scripted", 0)
+    def _send(self, system_text: str, user_text: str, params: DecodeParams) -> str:
+        return self.script.reply_for(user_text)
 
     def describe(self) -> dict:
         return {"kind": "scripted", "script": self.script_path}
@@ -322,7 +310,7 @@ class HttpGateway(Gateway):
         self._route: Optional[_Route] = None
         self._idle: list[http.client.HTTPConnection] = []
 
-    def _send(self, system_text: str, user_text: str, params: DecodeParams) -> Completion:
+    def _send(self, system_text: str, user_text: str, params: DecodeParams) -> str:
         body = {
             "model": self.config.model,
             "messages": [
@@ -341,18 +329,14 @@ class HttpGateway(Gateway):
 
         attempts = 1 + max(0, self.config.retries)
         last_error: Optional[Exception] = None
-        spent_s = 0.0  # in attempts only, without the backoff sleeps
         for attempt in range(attempts):
             if attempt:
                 time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
-            started = time.monotonic()
             try:
                 status, raw = self._post(data, headers)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            finally:
-                spent_s += time.monotonic() - started
             excerpt = raw.decode("utf-8", "replace")[:200]
             if 500 <= status < 600:
                 last_error = ProviderRejected(status, excerpt)
@@ -366,7 +350,7 @@ class HttpGateway(Gateway):
                 raise MalformedReply(f"reply is not a chat completion: {excerpt!r}") from exc
             if not isinstance(text, str):
                 raise MalformedReply(f"reply content is not text: {text!r}")
-            return Completion(text, payload.get("model", self.config.model), int(1000 * spent_s))
+            return text
         if isinstance(last_error, TimeoutError):
             raise GatewayTimeout(
                 f"no response within {self.config.timeout_s}s after {attempts} attempts")

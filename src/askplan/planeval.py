@@ -172,27 +172,22 @@ class RelaxedSpec:
     i of ``preds[j]`` means slot i comes before slot j.
 
     ``slots`` is the annotation's core, and ``wildcards`` holds the Put slots
-    whose receptacle is free. ``twins`` holds classes of interchangeable
-    blocks, as [start, end] slot ranges (inclusive): exchanging two blocks of
-    a class slot by slot maps the slots, the wildcards and the order onto
-    themselves, and no slot of one block precedes a slot of another.
-
-    The other fields are the matcher's tables, compiled once per spec from
-    those four and left out of comparison and hashing. ``by_line`` maps each
-    core line (``Subgoal.text``) to the slots a step of that line can take:
-    the slots of that line, and the wildcard slots of its Put object.
-    ``wildcard_puts`` maps a Put object to its wildcard slots alone, which is
-    all a Put to a receptacle no core line names can take. Both list each
-    slot as (slot bit, needed bits), in slot order. A slot's needed bits are
-    its ``preds`` and, in a twin block but the first of its class, the slot
-    at the same offset in the block before it, so that twin blocks take each
-    offset in class order: an ordering edge that only the matcher reads.
+    whose receptacle is free. The other fields are the matcher's tables,
+    compiled once per spec from those three and left out of comparison and
+    hashing. ``by_line`` maps each core line (``Subgoal.text``) to the slots
+    a step of that line can take: the slots of that line, and the wildcard
+    slots of its Put object. ``wildcard_puts`` maps a Put object to its
+    wildcard slots alone, which is all a Put to a receptacle no core line
+    names can take. Both list each slot as (slot bit, needed bits), in slot
+    order. A slot's needed bits are its ``preds`` and, in a twin block but
+    the first of its class, the slot at the same offset in the block before
+    it, so that twin blocks take each offset in class order: an ordering edge
+    that only the matcher reads, and that the needed bits alone hold.
     """
 
     slots: tuple[Subgoal, ...]
     wildcards: frozenset[int]
     preds: tuple[int, ...]
-    twins: tuple[tuple[tuple[int, int], ...], ...]
     by_line: Mapping[str, Choices] = field(compare=False, repr=False)
     wildcard_puts: Mapping[str, Choices] = field(compare=False, repr=False)
 
@@ -229,7 +224,7 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
                     break
             else:
                 classes.append([block])
-        twins += [tuple(members) for members in classes if len(members) > 1]
+        twins += [members for members in classes if len(members) > 1]
     needs = list(preds)
     for members in twins:
         for (lo, hi), (next_lo, _) in zip(members, members[1:]):
@@ -247,7 +242,7 @@ def compile_relaxed_spec(gt: GtAnnotation) -> RelaxedSpec:
     entries = [(1 << s, need) for s, need in enumerate(needs)]
     by_line = {text: tuple(entries[s] for s in sorted(own)) for text, own in lines.items()}
     wildcard_puts = {obj: tuple(entries[s] for s in own) for obj, own in puts.items()}
-    return RelaxedSpec(slots, wildcards, tuple(preds), tuple(twins), by_line, wildcard_puts)
+    return RelaxedSpec(slots, wildcards, tuple(preds), by_line, wildcard_puts)
 
 
 def _interchangeable(a: tuple[int, int], b: tuple[int, int], slots: Sequence[Subgoal],

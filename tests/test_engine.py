@@ -262,6 +262,8 @@ def test_handle_failure_aborts_on_gateway_error_after_the_validity_check(
     assert decision.kind == "abort"
     assert decision.reason.startswith("gateway_error: ")
     assert decision.validity["verdict"] == Verdict.INVALID
+    # the feedback reply is kept when the replan call is the one that fails
+    assert decision.feedback == (None if failed_stage == "feedback" else "open the door first")
     assert log[-1]["direction"] == "req" and log[-1]["stage"] == failed_stage
 
 
@@ -297,6 +299,22 @@ def test_empty_feedback_ends_the_episode_as_a_recorded_outcome(bread_scenario):
     assert [(entry["direction"], entry["stage"]) for entry in trace.llm_log[-4:]] == [
         ("req", "validity"), ("res", "validity"), ("req", "feedback"), ("res", "feedback")]
     assert trace.llm_log[-1]["text"] == "   "
+
+
+def test_a_replan_call_that_fails_keeps_the_feedback_in_the_step_record(bread_scenario):
+    script = load_script(asset_path("scripts/bread_recovery.json"))
+    entries = [entry for entry in script.entries if "Revise the plan" not in entry.contains_all]
+    assert len(entries) == len(script.entries) - 1
+    gw = ScriptedGateway(OracleScript(tuple(entries)), script_path="bread_recovery.json")
+    trace = run_episode(bread_scenario, gw, EpisodeConfig(seed=42))
+    assert trace.abort_reason.startswith("gateway_error: ")
+    step = trace.steps[-1]
+    assert step["decision"] == "abort"
+    assert step["validity"]["verdict"] == Verdict.INVALID
+    feedback = [entry["text"] for entry in trace.llm_log
+                if entry["direction"] == "res" and entry["stage"] == "feedback"]
+    assert step["feedback"] == feedback[-1] and feedback[-1].strip()
+    assert (trace.llm_log[-1]["direction"], trace.llm_log[-1]["stage"]) == ("req", "replan")
 
 
 def test_resume_skips_a_revised_step_whose_effect_already_holds(bread_scenario):

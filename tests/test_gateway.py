@@ -50,7 +50,7 @@ def test_contains_all_matching():
         ScriptEntry(reply="qa", contains_all=("heated slice of bread",)),
     ))
     gw = ScriptedGateway(script)
-    assert gw.complete(PROMPT, DecodeParams()).text == "qa"
+    assert gw.complete(PROMPT, DecodeParams()) == "qa"
 
 
 def test_entries_matched_in_order_first_wins():
@@ -58,7 +58,7 @@ def test_entries_matched_in_order_first_wins():
         ScriptEntry(reply="first", contains_all=("plan",)),
         ScriptEntry(reply="second", contains_all=("plan",)),
     ))
-    assert ScriptedGateway(script).complete(PROMPT, DecodeParams()).text == "first"
+    assert ScriptedGateway(script).complete(PROMPT, DecodeParams()) == "first"
 
 
 def test_strict_mode_miss():
@@ -69,7 +69,7 @@ def test_strict_mode_miss():
 
 def test_fallback_mode_reply():
     script = OracleScript((ScriptEntry(reply="x", exact="nope"),), fallback_reply="fb")
-    assert ScriptedGateway(script).complete(PROMPT, DecodeParams()).text == "fb"
+    assert ScriptedGateway(script).complete(PROMPT, DecodeParams()) == "fb"
 
 
 def test_multimodal_appends_scene_to_request():
@@ -77,8 +77,7 @@ def test_multimodal_appends_scene_to_request():
         ScriptEntry(reply="saw the fridge", contains_all=("fridge (closed)",)),
     ))
     gw = ScriptedGateway(script)
-    completion = gw.complete_multimodal(PROMPT, SCENE, DecodeParams())
-    assert completion.text == "saw the fridge"
+    assert gw.complete_multimodal(PROMPT, SCENE, DecodeParams()) == "saw the fridge"
     # text-only call must not match the scene-keyed entry
     with pytest.raises(ScriptMiss):
         gw.complete(PROMPT, DecodeParams())
@@ -90,7 +89,6 @@ def test_scripted_deterministic_and_latency_free():
     first = gw.complete_multimodal(PROMPT, SCENE, DecodeParams())
     second = gw.complete_multimodal(PROMPT, SCENE, DecodeParams())
     assert first == second
-    assert first.latency_ms == 0
 
 
 def test_empty_scene_request_is_well_formed():
@@ -279,8 +277,7 @@ def _gateway(endpoint: str, retries: int = 2) -> HttpGateway:
 def test_http_request_carries_decode_params(stub_server):
     gw = _gateway(stub_server)
     params = DecodeParams(temperature=0.0, token_bias={"bread": 0.1}, max_tokens=64)
-    completion = gw.complete(PROMPT, params)
-    assert completion.text == "stub reply"
+    assert gw.complete(PROMPT, params) == "stub reply"
     body = _StubHandler.requests[-1]
     assert body["temperature"] == 0.0
     assert body["logit_bias"] == {"bread": 0.1}
@@ -299,7 +296,7 @@ def test_http_multimodal_sends_scene_text(stub_server):
 def test_http_retries_transient_500(stub_server):
     _StubHandler.fail_first = 1
     gw = _gateway(stub_server, retries=2)
-    assert gw.complete(PROMPT, DecodeParams()).text == "stub reply"
+    assert gw.complete(PROMPT, DecodeParams()) == "stub reply"
     assert len(_StubHandler.requests) == 2
 
 
@@ -424,7 +421,7 @@ def test_http_concurrent_calls_all_complete(stub_server):
     gw = _gateway(stub_server, retries=0)
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(
-            lambda _: gw.complete(PROMPT, DecodeParams()).text, range(8)))
+            lambda _: gw.complete(PROMPT, DecodeParams()), range(8)))
     assert results == ["stub reply"] * 8
 
 
@@ -555,16 +552,6 @@ def test_http_4xx_rejection_carries_a_body_excerpt():
         f"provider rejected the request (HTTP 429): {body.decode()[:200]}"
 
 
-def test_http_latency_leaves_out_the_backoff(stub_server):
-    _StubHandler.fail_first = 1
-    gw = HttpGateway(HttpGatewayConfig(
-        endpoint=stub_server, model="stub-model", retries=1, timeout_s=5.0, backoff_s=0.3))
-    completion = gw.complete(PROMPT, DecodeParams())
-    assert completion.text == "stub reply"
-    assert completion.latency_ms < 300
-    assert len(_StubHandler.requests) == 2
-
-
 @pytest.mark.parametrize("status, error, requests", [
     (302, ProviderRejected, 1),
     (307, ProviderRejected, 1),
@@ -591,7 +578,7 @@ def test_http_endpoint_behind_a_proxy_sends_the_absolute_url(monkeypatch, stub_s
     with _serving(proxy) as proxy_endpoint:
         monkeypatch.setenv("HTTP_PROXY", f"http://user:p%40ss@{proxy_endpoint.split('/')[2]}")
         with closing(_gateway(stub_server, retries=0)) as gw:
-            assert gw.complete(PROMPT, DecodeParams()).text == "via the proxy"
+            assert gw.complete(PROMPT, DecodeParams()) == "via the proxy"
         (request,) = proxy.requests
         assert request["path"] == stub_server
         assert request["headers"]["Host"] == stub_server.split("/")[2]
@@ -601,7 +588,7 @@ def test_http_endpoint_behind_a_proxy_sends_the_absolute_url(monkeypatch, stub_s
 
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
         with closing(_gateway(stub_server, retries=0)) as gw:
-            assert gw.complete(PROMPT, DecodeParams()).text == "stub reply"
+            assert gw.complete(PROMPT, DecodeParams()) == "stub reply"
     assert len(proxy.requests) == 1
     assert len(_StubHandler.requests) == 1
 
@@ -654,7 +641,7 @@ def _keep_alive(hang_up: bool = False):
 
 
 def _ask(gw: HttpGateway, text: str) -> str:
-    return gw.complete(RenderedPrompt("system text", text), DecodeParams()).text
+    return gw.complete(RenderedPrompt("system text", text), DecodeParams())
 
 
 def test_http_sequential_calls_share_one_connection():

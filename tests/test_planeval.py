@@ -178,6 +178,15 @@ def edges(spec) -> set[tuple[int, int]]:
     return {(i, j) for j, mask in enumerate(spec.preds) for i in range(n) if mask >> i & 1}
 
 
+def twin_edges(spec) -> set[tuple[int, int]]:
+    """The twin ordering edges as (i, j) pairs, slot i before slot j: the
+    needed bits of the matcher's tables beyond the slot's predecessor mask."""
+    n = len(spec.preds)
+    extra = {bit.bit_length() - 1: need & ~spec.preds[bit.bit_length() - 1]
+             for choices in spec.by_line.values() for bit, need in choices}
+    return {(i, j) for j, mask in extra.items() for i in range(n) if mask >> i & 1}
+
+
 def test_unmarked_annotation_compiles_to_total_order():
     spec = compile_relaxed_spec(gt(["(Pickup, mug)", "(Open, safe)", "(Put, mug, safe)"]))
     n = 3
@@ -244,7 +253,8 @@ def test_compiling_a_core_of_twin_pairs_grows_below_the_cube_of_its_slots():
     # each pair's twin check reads one mask per slot; comparing a whole edge
     # set per pair made this ratio about 7
     pairs = _boxes(100, twin_pairs=True)
-    assert len(compile_relaxed_spec(pairs).twins) == 50
+    # each pair is a twin class, whose second box needs its first
+    assert twin_edges(compile_relaxed_spec(pairs)) == {(k, k + 1) for k in range(0, 100, 2)}
     assert _compile_line_events(pairs) / _compile_line_events(_boxes(50, twin_pairs=True)) < 4.5
 
 
@@ -448,7 +458,7 @@ def test_relaxed_match_agrees_with_oracle_on_150_random_specs():
     twinned = 0
     for annotation, candidates in _oracle_cases():
         spec = compile_relaxed_spec(annotation)
-        twinned += bool(spec.twins)
+        twinned += bool(twin_edges(spec))
         oracle = enumerate_valid_plans(spec, RECEPTACLE_POOL)
         for candidate in candidates:
             if relaxed_match(candidate, spec) != (candidate in oracle):
@@ -462,10 +472,19 @@ def test_compiled_tables_agree_with_the_spec_on_150_random_specs():
         spec = compile_relaxed_spec(annotation)
         n = len(spec.slots)
         # each twin block but the first of its class also needs the slot at
-        # the same offset in the block before it
-        ordering = {later + offset: earlier + offset for blocks in spec.twins
-                    for (earlier, end), (later, _) in zip(blocks, blocks[1:])
-                    for offset in range(end - earlier + 1)}
+        # the same offset in the block before it: an edge between equal
+        # slots of two blocks of one swap group, at most one into a slot
+        twins = twin_edges(spec)
+        ordering = {later: earlier for earlier, later in twins}
+        assert len(ordering) == len(twins)
+        place = {s: (g, lo, s - lo) for g, group in enumerate(annotation.swap_groups)
+                 for lo, hi in group for s in range(lo, hi + 1)}
+        for earlier, later in twins:
+            (group, block, offset), (other_group, other_block, other_offset) = \
+                place[earlier], place[later]
+            assert (group, offset) == (other_group, other_offset) and block != other_block
+            assert spec.slots[earlier] == spec.slots[later]
+            assert (earlier in spec.wildcards) == (later in spec.wildcards)
 
         def entries(slots):
             return tuple((1 << s, spec.preds[s] | (1 << ordering[s] if s in ordering else 0))
@@ -580,7 +599,7 @@ def test_relaxed_match_agrees_with_reference_on_9_to_14_slots():
     twinned = 0
     for _ in range(400):  # about 3 % of them have twins
         spec = compile_relaxed_spec(random_annotation(annotations, max_slots=14, min_slots=9))
-        twinned += bool(spec.twins)
+        twinned += bool(twin_edges(spec))
         for _ in range(10):
             order, plan = _linear_extension(rng, spec)
             assert relaxed_match(plan, spec)
@@ -621,19 +640,20 @@ def test_identical_blocks_that_are_not_interchangeable_are_no_twins(
         core, floating, wildcards, swap_groups):
     spec = compile_relaxed_spec(gt(core, floating=floating, wildcards=wildcards,
                                    swap_groups=swap_groups))
-    assert spec.twins == ()
+    assert twin_edges(spec) == set()
     assert _all_orders_agree_with_oracle(spec)
 
 
 def test_identical_blocks_of_a_group_are_twins():
     core = MUG_BLOCK * 2 + ["(Pickup, box)", "(Put, box, shelf)"] + MUG_BLOCK
     blocks = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    # also listed out of slot order: the class keeps the group's order, and
-    # the exchange of two blocks holds whichever of them comes first
-    for group, twins in ((blocks, ((0, 1), (2, 3), (6, 7))),
-                         (blocks[::-1], ((6, 7), (2, 3), (0, 1)))):
+    # the mug blocks are one class, whose edges order each offset in class
+    # order; also listed out of slot order: the class keeps the group's
+    # order, and the exchange of two blocks holds whichever of them comes first
+    for group, twins in ((blocks, {(0, 2), (1, 3), (2, 6), (3, 7)}),
+                         (blocks[::-1], {(6, 2), (7, 3), (2, 0), (3, 1)})):
         spec = compile_relaxed_spec(gt(core, swap_groups=[group]))
-        assert spec.twins == (twins,)
+        assert twin_edges(spec) == twins
         assert _all_orders_agree_with_oracle(spec)
 
 
@@ -644,7 +664,7 @@ def test_identical_blocks_anchored_in_each_other_are_no_twins():
     # other, so twin ordering edges would reject it
     spec = compile_relaxed_spec(gt(MUG_BLOCK * 2, floating=[(1, 2), (3, 0)],
                                    swap_groups=[[(0, 1), (2, 3)]]))
-    assert spec.twins == ()
+    assert twin_edges(spec) == set()
     assert relaxed_match([parse_subgoal(line) for line in MUG_BLOCK * 2], spec)
     assert _all_orders_agree_with_oracle(spec)
 
@@ -705,7 +725,7 @@ def test_relaxed_match_expands_each_failed_set_of_used_slots_once(monkeypatch):
     blocks = [["(Pickup, mug)", f"(Put, mug, shelf{b})"] for b in range(k)]
     core = [line for block in blocks for line in block] + ["(Open, box)", "(Close, box)"]
     spec = compile_relaxed_spec(gt(core, swap_groups=[[(2 * b, 2 * b + 1) for b in range(k)]]))
-    assert spec.twins == ()
+    assert twin_edges(spec) == set()
     plan = [parse_subgoal(block[0]) for block in blocks] \
         + [parse_subgoal(block[1]) for block in blocks] \
         + [parse_subgoal("(Close, box)"), parse_subgoal("(Open, box)")]
