@@ -8,8 +8,9 @@ redone. Otherwise feedback is requested and the plan is revised, with
 execution resuming at the first revised subgoal that is neither already
 executed nor already satisfied in the current world. A global failure budget
 bounds every episode. Controller noise is drawn here, by the episode: the
-world has no randomness. The episode's trace holds every value in the form
-its record writes, from the moment the value is produced.
+world has no randomness. A step re-checks only the goal conditions on the
+entities it changed (``GoalTracker``). The episode's trace holds every value
+in the form its record writes, from the moment the value is produced.
 """
 
 from __future__ import annotations
@@ -307,15 +308,18 @@ def episode_score(conditions: list[bool]) -> tuple[int, float]:
 class GoalTracker:
     """The verdict of each goal condition on an episode's latest state, and
     how many do not hold. Built with ``check_goal_conditions`` of the first
-    state; ``update`` then re-evaluates only the conditions on the entities a
-    step changed, since a condition reads its own object's fields alone."""
+    state and the goal's conditions grouped by object; ``update`` then
+    re-evaluates only the conditions on the entities a step changed, since a
+    condition reads its own object's fields alone."""
 
     __slots__ = ("verdicts", "unmet", "_on")
 
     def __init__(self, world: WorldState, scenario: Scenario):
         self.verdicts = check_goal_conditions(world, scenario.goal)
         self.unmet = self.verdicts.count(False)
-        self._on = scenario.goal_by_object
+        self._on = {}  # goal object id -> (position, condition) of each condition on it
+        for position, cond in enumerate(scenario.goal):
+            self._on.setdefault(cond.object, []).append((position, cond))
 
     def update(self, world: WorldState, changed: tuple[str, ...]) -> None:
         """Bring the verdicts to ``world``, in which only the entities
@@ -404,7 +408,7 @@ def _play(scenario: Scenario, gw: Gateway, cfg: EpisodeConfig, trace: EpisodeTra
         if not visible <= observed:
             observed |= visible
             observed_ids = tuple(sorted(observed))
-        scene = render_scene(world, visible)
+        scene = render_scene(world)
         record = {
             "subgoal": sg.text,
             "success": result.success,

@@ -24,13 +24,14 @@ only the buckets of an entity that changed zone or container, drops the
 lines of the entities that changed, hands the sorted ids on as they are,
 and starts with no visible ids. So a step reads the agent's zone and what it
 moves, not the whole scene: one walk per state, down from ``(zone,)`` into
-every container that is not closed, gives both the scene and a step's
-visibility preconditions; a scene re-renders only the lines of entities
-that changed, and it is re-sorted only when what is visible changed. The
-lines of a scenario's initial state are drawn once, by the first
-``new_world``, and every episode of the scenario starts from them. A step's
-result names the entities it changed, so a goal check after it reads only
-those (``engine.GoalTracker``).
+every container that is not closed, gives both the scene (``render_scene``
+draws what ``detect_objects`` kept on the state) and a step's visibility
+preconditions; a scene re-renders only the lines of entities that changed,
+and it is re-sorted only when what is visible changed. The lines of a
+scenario's initial state are drawn once, by the first ``new_world``, and
+every episode of the scenario starts from them. A step's result names the
+entities it changed, so a goal check after it reads only those
+(``engine.GoalTracker``, which groups the goal's conditions by object).
 
 Appliance semantics are keyed by entity category: a ``microwave`` heats its
 heatable contents when toggled on, a ``fridge`` chills its coolable contents
@@ -270,33 +271,15 @@ class Scenario:
     # values); see GtAnnotation._spec for why this is no cached_property
     _decode: Optional[DecodeParams] = field(default=None, init=False, compare=False,
                                             repr=False)
-    # goal_by_object, built and shared the same way
-    _goal_on: Optional[dict[str, tuple[tuple[int, GoalCondition], ...]]] = field(
-        default=None, init=False, compare=False, repr=False)
-
-    @property
-    def vocabulary(self) -> set[str]:
-        return set(self.initial.entities)
 
     @property
     def decode_profile(self) -> DecodeParams:
-        """``DecodeParams.for_vocab`` of the vocabulary: the decode settings
-        of an episode that sets none. Nothing writes its ``token_bias``, so
-        every episode of the scenario shares it."""
+        """``DecodeParams.for_vocab`` of the initial entity ids: the decode
+        settings of an episode that sets none. Nothing writes its
+        ``token_bias``, so every episode of the scenario shares it."""
         if self._decode is None:
-            object.__setattr__(self, "_decode", DecodeParams.for_vocab(self.vocabulary))
+            object.__setattr__(self, "_decode", DecodeParams.for_vocab(set(self.initial.entities)))
         return self._decode
-
-    @property
-    def goal_by_object(self) -> dict[str, tuple[tuple[int, GoalCondition], ...]]:
-        """Each goal object's id -> ``(position in goal, condition)`` of every
-        condition on it: the conditions a change to that entity can flip."""
-        if self._goal_on is None:
-            on: dict[str, list[tuple[int, GoalCondition]]] = {}
-            for position, cond in enumerate(self.goal):
-                on.setdefault(cond.object, []).append((position, cond))
-            object.__setattr__(self, "_goal_on", {oid: tuple(conds) for oid, conds in on.items()})
-        return self._goal_on
 
     @staticmethod
     def from_dict(data: object) -> "Scenario":
@@ -509,7 +492,7 @@ def new_world(scenario: Scenario) -> WorldState:
     lines of the entities it changes."""
     initial = scenario.initial
     if not initial._lines:
-        render_scene(initial, detect_objects(initial))
+        render_scene(initial)
     return initial
 
 
@@ -655,12 +638,13 @@ def _scene_line(world: WorldState, entity: ObjectEntity) -> str:
     return f"- {entity.id} ({', '.join(markers)})" if markers else f"- {entity.id}"
 
 
-def render_scene(world: WorldState, visible: set[str]) -> str:
-    """Textual observation: the agent's zone plus every object in ``visible``
-    (what ``detect_objects`` reports for ``world``) with its state markers,
-    sorted by id for a deterministic rendering. An entity's line is drawn once
-    per state and kept on it, and ``visible`` is sorted only when it differs
-    from the set last sorted for this state or the states before it."""
+def render_scene(world: WorldState) -> str:
+    """Textual observation: the agent's zone plus every object
+    ``detect_objects`` reports for ``world``, with its state markers, sorted
+    by id for a deterministic rendering. An entity's line is drawn once per
+    state and kept on it, and the visible ids are sorted only when they
+    differ from the set last sorted for this state or the states before it."""
+    visible = detect_objects(world)
     lines = [f"Zone: {world.agent_zone}"]
     if not visible:
         lines.append("Visible objects: none")

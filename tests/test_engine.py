@@ -73,7 +73,7 @@ def test_the_default_decode_profile_is_built_by_the_first_episode_and_shared(
     first, second = (run_episode(scenario, mini7_gateway, EpisodeConfig(seed=seed))
                      for seed in (0, 1))
     profile = scenario.decode_profile
-    assert profile == DecodeParams.for_vocab(scenario.vocabulary)
+    assert profile == DecodeParams.for_vocab(set(scenario.initial.entities))
     assert scenario.decode_profile is profile
     assert first.config["decode"] == second.config["decode"] == {
         "temperature": 0.0, "max_tokens": 512, "token_bias": dict(profile.token_bias)}
@@ -187,7 +187,7 @@ def _failed_put_context(bread_scenario):
     world = result.state_after
     observed = detect_objects(world)
     plan = (sg,)
-    return sg, render_scene(world, observed), observed, plan
+    return sg, render_scene(world), observed, plan
 
 
 def test_handle_failure_replans_on_invalid(bread_scenario, recovery_gateway):
@@ -640,9 +640,8 @@ def test_incremental_goal_verdicts_and_scene_order_match_a_full_check_on_random_
                 tracker.update(world, result.changed)
                 assert tracker.verdicts == check_goal_conditions(world, scenario.goal), where
                 assert tracker.unmet == tracker.verdicts.count(False), where
-                visible = detect_objects(world)
                 fresh = WorldState(dict(world.entities), world.agent_zone, world.held)
-                assert render_scene(world, visible) == render_scene(fresh, visible), where
+                assert render_scene(world) == render_scene(fresh), where
                 seen["failure"] += not result.success
                 seen["carry"] += sg.action is ActionKind.NAVIGATE and bool(result.changed)
                 seen["appliance effect"] += bool(set(result.changed) - {sg.object})

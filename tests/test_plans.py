@@ -128,7 +128,7 @@ def test_no_two_subgoals_share_a_text():
 
 
 def test_gt_plan_validates_against_scenario_vocab(bread_scenario):
-    vocab = bread_scenario.vocabulary
+    vocab = set(bread_scenario.initial.entities)
     for sg in bread_scenario.gt.core:
         assert sg.object in vocab
         assert sg.receptacle is None or sg.receptacle in vocab

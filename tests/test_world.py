@@ -546,7 +546,7 @@ def test_noise_one_always_fires(bread_scenario, noisy_gateway):
     # a noisy step changes nothing: every scene is the initial one
     initial = new_world(bread_scenario)
     assert {step["scene"] for step in trace.steps} == \
-        {render_scene(initial, detect_objects(initial))}
+        {render_scene(initial)}
     assert trace.goal_conditions == check_goal_conditions(initial, bread_scenario.goal)
 
 
@@ -614,7 +614,7 @@ def test_scene_golden(bread_scenario):
         "(Pickup, bread)", "(Open, microwave)", "(Put, bread, microwave)",
         "(Pickup, knife)",
     ])
-    scene = render_scene(world, detect_objects(world))
+    scene = render_scene(world)
     assert scene == (DATA / "golden_scene_microwave.txt").read_text().rstrip("\n")
     assert "microwave (open)" in scene
     assert "bread (in microwave)" in scene
@@ -633,7 +633,7 @@ def test_scene_lists_exactly_detected_ids_randomized(bread_scenario):
         world = apply_subgoal(world, sg).state_after
         visible = detect_objects(world)
         listed = {line[2:].split(" (")[0]
-                  for line in render_scene(world, visible).splitlines() if line.startswith("- ")}
+                  for line in render_scene(world).splitlines() if line.startswith("- ")}
         assert listed == visible
 
 
@@ -641,7 +641,7 @@ def test_scene_empty_zone(mini7):
     pick = next(s for s in mini7.scenarios if s.id == "pick_watch")
     world = new_world(pick)
     world = WorldState(world.entities, "cellar", world.held)
-    assert render_scene(world, detect_objects(world)).splitlines()[1:] == \
+    assert render_scene(world).splitlines()[1:] == \
         ["Visible objects: none"]
 
 
@@ -821,7 +821,7 @@ def _assert_index_holds(world: WorldState, where: str) -> None:
     assert world.index() == build_index(world.entities), where
     # a state with an empty line cache draws every line afresh
     fresh = WorldState(dict(world.entities), world.agent_zone, world.held)
-    assert render_scene(world, visible) == render_scene(fresh, visible), where
+    assert render_scene(world) == render_scene(fresh), where
 
 
 def _garden_scene() -> Scenario:
@@ -961,7 +961,7 @@ def test_the_held_object_is_detected_wherever_the_agent_is(mini7):
 def test_scene_lines_follow_the_held_object_through_after(bread_scenario):
     # the held marker is the one part of a line that depends on the state
     world = new_world(bread_scenario)
-    render_scene(world, detect_objects(world))
+    render_scene(world)
     for held in ("knife", "bread", None):
         world = world.after({}, world.agent_zone, held)
         _assert_index_holds(world, f"holding {held}")
@@ -1027,7 +1027,7 @@ def _reads_per_step(raw: dict) -> list[int]:
     for step in steps:
         reads[0] = 0
         world = apply_subgoal(world, step).state_after
-        render_scene(world, detect_objects(world))
+        render_scene(world)
         per_step.append(reads[0])
     return per_step
 
