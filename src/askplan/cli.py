@@ -31,6 +31,8 @@ from .gateway import (
     HttpGateway,
     HttpGatewayConfig,
     ScriptedGateway,
+    canonical_json,
+    echo_text,
     endpoint_parts,
     load_script,
 )
@@ -95,7 +97,9 @@ def run_episodes(tasks: TaskSet, cfg: RunConfig) -> list[dict]:
     """Run every scenario and return the trace record of each, in task order
     no matter how execution interleaves. Per-episode problems, crashes
     included, land in the episode's own trace (see ``run_episode``); only
-    configuration errors abort the batch."""
+    configuration errors abort the batch. Each record's ``config.decode`` is
+    its scenario's shared profile echo, never written (see ``dump_record``,
+    which writes the same bytes for any record)."""
     def one(index: int, scenario: Scenario) -> dict:
         episode_cfg = replace(cfg.episode, seed=episode_seed(cfg.seed, index))
         return run_episode(scenario, cfg.gateway, episode_cfg).to_record()
@@ -123,7 +127,29 @@ def run_bench(tasks: TaskSet, cfg: RunConfig) -> Path:
 
 
 def dump_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """A record's trace line, without its newline. It writes the same bytes
+    for any record: those of ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"), allow_nan=False)``. A record's ``config.decode``
+    is its scenario's shared profile echo (``DecodeParams.echo``), which
+    like the package's other values is never written, so while the profile
+    lives its kept text is spliced in and its bias map is not encoded
+    again. Any other record (read from a file, or with a copied or edited
+    ``config.decode``) is encoded whole."""
+    config = record.get("config")
+    text = echo_text(config.get("decode")) if type(config) is dict else None
+    if text is None:
+        return canonical_json(record)
+    return _spliced(record, "config", _spliced(config, "decode", text))
+
+
+def _spliced(obj: dict, key: str, text: str) -> str:
+    """``canonical_json(obj)``, given ``text``, the encoding of ``obj[key]``;
+    ``key`` needs no JSON escape. A key that is no str raises the TypeError
+    that the encoder's sort raises."""
+    head = canonical_json({k: v for k, v in obj.items() if k < key})[:-1]
+    tail = canonical_json({k: v for k, v in obj.items() if k > key})[1:]
+    return (f'{head}{"," if len(head) > 1 else ""}"{key}":{text}'
+            f'{"," if len(tail) > 1 else ""}{tail}')
 
 
 def write_output(path: Path, text: str) -> None:

@@ -84,13 +84,12 @@ class EpisodeConfig:
 
     def to_echo(self, gw: Gateway) -> dict:
         """The ``config`` field of a trace record. ``run_episode`` echoes its
-        resolved config, so ``noise``, ``seed`` and ``decode`` are always set."""
+        resolved config, so ``noise``, ``seed`` and ``decode`` are always set.
+        ``decode`` is the profile's shared ``DecodeParams.echo``, not a copy:
+        every record of the profile holds the same dict, and like the
+        package's other values it is never written."""
         echo = {key: getattr(self, name) for key, (name, _) in _ECHO_FIELDS.items()}
-        echo["decode"] = {
-            "temperature": self.decode.temperature,
-            "max_tokens": self.decode.max_tokens,
-            "token_bias": dict(self.decode.token_bias),
-        }
+        echo["decode"] = self.decode.echo
         echo["gateway"] = gw.describe()
         return echo
 

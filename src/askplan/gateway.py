@@ -27,6 +27,7 @@ import threading
 import time
 import urllib.parse
 import urllib.request
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -62,17 +63,33 @@ class ScriptMiss(GatewayError):
     pass
 
 
+# the encoding of a trace line: sorted keys, no spaces, no NaN or infinity
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
 @dataclass(frozen=True)
 class DecodeParams:
     """Decoding settings sent with every call. The temperature and every
     token bias must be finite: NaN, an infinity and an integer beyond the
     range of a double are rejected, since none of them has a JSON number a
     provider reads as that value. For the same reason ``max_tokens`` is at
-    most ``MAX_JSON_INT``, 2**53 - 1."""
+    most ``MAX_JSON_INT``, 2**53 - 1.
+
+    ``echo`` is the profile as a trace record's ``config.decode``, built
+    once: every record of the profile (for a scenario's default profile,
+    every record of the scenario) shares it, and like the package's other
+    values it is never written, nor is ``token_bias``. Its
+    ``canonical_json`` text is kept beside it (``echo_text``) for
+    ``cli.dump_record``, which writes the same bytes for any record."""
 
     temperature: float = 0.0
     token_bias: Mapping[str, float] = field(default_factory=dict)
     max_tokens: int = 512
+    # (echo, its canonical_json text), built on first use; two threads that
+    # build it at once keep either pair, and a record holding the other echo
+    # is encoded in full (see echo_text)
+    _echo: Optional[tuple[dict, str]] = field(default=None, init=False, compare=False,
+                                              repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -92,6 +109,36 @@ class DecodeParams:
         """Default decode profile: greedy decoding with a small positive bias
         on every object name the scenario admits."""
         return DecodeParams(token_bias={token: 0.1 for token in sorted(set(vocab))})
+
+    @property
+    def echo(self) -> dict:
+        """``max_tokens``, ``temperature`` and ``token_bias`` as a JSON object;
+        it holds ``token_bias`` itself when that is a dict, else a dict copy."""
+        kept = self._echo
+        if kept is None:
+            bias = self.token_bias if type(self.token_bias) is dict else dict(self.token_bias)
+            echo = {"max_tokens": self.max_tokens, "temperature": self.temperature,
+                    "token_bias": bias}
+            kept = (echo, canonical_json(echo))
+            object.__setattr__(self, "_echo", kept)
+            _PROFILES[id(echo)] = self
+        return kept[0]
+
+
+# id of every built echo -> its profile. An entry goes with its profile, so
+# none outlives the scenario that holds the profile, and an id found here
+# counts only if that profile still keeps this very echo.
+_PROFILES: "weakref.WeakValueDictionary[int, DecodeParams]" = weakref.WeakValueDictionary()
+
+
+def echo_text(value: object) -> Optional[str]:
+    """The ``canonical_json`` text of ``value`` when it is the ``echo`` of a
+    live profile, else None (a copy, or an echo read back from a file)."""
+    profile = _PROFILES.get(id(value))
+    if profile is None:
+        return None
+    echo, text = profile._echo
+    return text if echo is value else None
 
 
 @dataclass(frozen=True)

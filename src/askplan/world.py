@@ -276,7 +276,8 @@ class Scenario:
     def decode_profile(self) -> DecodeParams:
         """``DecodeParams.for_vocab`` of the initial entity ids: the decode
         settings of an episode that sets none. Nothing writes its
-        ``token_bias``, so every episode of the scenario shares it."""
+        ``token_bias``, so every episode of the scenario shares it, and every
+        record its ``echo``."""
         if self._decode is None:
             object.__setattr__(self, "_decode", DecodeParams.for_vocab(set(self.initial.entities)))
         return self._decode

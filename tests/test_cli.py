@@ -9,6 +9,7 @@ import random
 import re
 import sys
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,8 @@ from askplan.cli import (
     _build_gateway,
 )
 from askplan.engine import EpisodeConfig
-from askplan.gateway import HttpGatewayConfig, OracleScript, ScriptedGateway, load_script
+from askplan.gateway import (DecodeParams, HttpGatewayConfig, OracleScript, ScriptedGateway,
+                             echo_text, load_script)
 from askplan.inputs import MAX_JSON_INT, NUMBER, MalformedInput, _has_kind
 from askplan.planeval import score_dataset
 from askplan.plans import parse_subgoal, render_subgoal
@@ -1308,6 +1310,165 @@ def test_trace_records_hold_only_plain_json_types(name, tmp_path, monkeypatch):
         assert any(step["replan"] for step in records[0]["steps"])
     assert records
     assert [first_non_plain(record) for record in records] == [None] * len(records)
+
+
+# -- the bytes of a trace line --------------------------------------------------
+
+
+def plain_dump(record: dict) -> str:
+    """The encoding every trace line has, which ``dump_record`` must match."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+@pytest.fixture(scope="module")
+def scaled_tasks(tmp_path_factory) -> Path:
+    """mini7 with gen_scaled's seed-1 distractors: about 310 ids a scenario,
+    each biased in its decode profile."""
+    path = tmp_path_factory.mktemp("scaled") / "scaled.json"
+    mini7_raw = json.loads(Path(MINI7).read_text("utf-8"))
+    path.write_text(json.dumps(perfbench_module("gen_scaled").add_distractors(mini7_raw, 1)),
+                    "utf-8")
+    return path
+
+
+def _echoed(record: dict) -> bool:
+    """Whether ``dump_record`` splices a kept echo text into ``record``."""
+    return echo_text(record["config"]["decode"]) is not None
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_every_pinned_record_is_dumped_as_its_plain_encoding(name, tmp_path, monkeypatch):
+    # compared while the run's scenarios, and so their profiles, are alive
+    dumped = []
+
+    def dump(record: dict) -> str:
+        line = dump_record(record)
+        dumped.append((_echoed(record), line == plain_dump(record)))
+        return line
+
+    monkeypatch.setattr(cli, "dump_record", dump)
+    traces = pinned_run(name, tmp_path)
+    assert dumped and dumped == [(True, True)] * len(dumped)
+    read_back = read_traces(traces)
+    assert not any(map(_echoed, read_back))
+    assert [dump_record(record) for record in read_back] == list(map(plain_dump, read_back))
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_every_record_of_a_scaled_run_is_dumped_as_its_plain_encoding(
+        parallelism, scaled_tasks, tmp_path):
+    tasks = load_tasks(scaled_tasks)
+    gw = ScriptedGateway(load_script(SCRIPT), script_path=SCRIPT)
+    records = cli.run_episodes(tasks, cli.RunConfig(EpisodeConfig(), gw, 1, tmp_path,
+                                                    parallelism))
+    assert len(records) == 7 and all(map(_echoed, records))
+    assert min(len(r["config"]["decode"]["token_bias"]) for r in records) > 300
+    lines = [dump_record(record) for record in records]
+    assert lines == list(map(plain_dump, records))
+    read_back = read_traces(cli.write_traces(records, tmp_path))
+    assert [dump_record(record) for record in read_back] == list(map(plain_dump, read_back)) \
+        == lines
+    # an edited copy of the shared echo is encoded whole
+    record = records[0]
+    decode = record["config"]["decode"]
+    edited = {**record, "config": {**record["config"], "decode": {
+        **decode, "token_bias": {**decode["token_bias"], "bread": 0.5}}}}
+    assert not _echoed(edited)
+    assert dump_record(edited) == plain_dump(edited) != lines[0]
+
+
+def test_a_spliced_record_is_its_plain_encoding_at_every_key_position():
+    profile = DecodeParams.for_vocab({"bread", "knife"})
+    echo = profile.echo
+    records = [
+        {"config": {"decode": echo}},  # nothing before or after either key
+        {"a": 1, "config": {"a": [], "decode": echo, "z": None}, "z": "x"},
+        # text that looks like the spliced keys, before them
+        {"a\"config": {"decode": None}, "config": {"decode": echo, "seed": 3}},
+        {"config": {"decode": echo, "gateway": {"decode": echo}}, "echo": [echo, echo]},
+    ]
+    for record in records:
+        assert _echoed(record)
+        assert dump_record(record) == plain_dump(record), record
+    for record in ({1: 0, "config": {"decode": echo}}, {"config": {"decode": echo, 1: 0}}):
+        with pytest.raises(TypeError):
+            plain_dump(record)
+        with pytest.raises(TypeError):
+            dump_record(record)
+    for config in (None, [echo], "decode"):  # no config object: encoded whole
+        assert dump_record({"config": config}) == plain_dump({"config": config})
+
+
+def test_profiles_echoed_by_many_threads_at_once_dump_their_plain_bytes():
+    # threads that build one echo at once each keep their own; every record
+    # still dumps its plain bytes, and each profile ends with its echo known
+    profiles = [DecodeParams.for_vocab({"bread", f"cup{i}"}) for i in range(300)]
+
+    def dump_all(worker: int) -> list[bool]:
+        records = [{"config": {"decode": p.echo}, "seed": worker} for p in profiles]
+        return [dump_record(r) == plain_dump(r) for r in records]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(dump_all, w) for w in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[True] * len(profiles)] * 8
+    assert all(echo_text(p.echo) == plain_dump(p.echo) for p in profiles)
+
+
+def test_replay_every_line_of_a_scaled_run(scaled_tasks, tmp_path, capsys):
+    # each rerun's line is spliced, and the recorded line it must equal is not
+    assert run_cli("run", "--tasks", str(scaled_tasks), "--script", SCRIPT,
+                   "--noise", "0.3", "--out", str(tmp_path)) == EXIT_OK
+    traces = tmp_path / "traces.jsonl"
+    count = len(traces.read_text("utf-8").splitlines())
+    assert count == 7
+    for line in range(1, count + 1):
+        assert run_cli("replay", "--traces", str(traces), "--tasks", str(scaled_tasks),
+                       "--line", str(line)) == EXIT_OK, line
+        assert "identical" in capsys.readouterr().out, line
+
+
+def _holds(value, target) -> bool:
+    """Whether ``target`` itself is ``value`` or inside it."""
+    if value is target:
+        return True
+    if type(value) is dict:
+        return any(_holds(item, target) for item in value.values())
+    if type(value) in (list, tuple):
+        return any(_holds(item, target) for item in value)
+    return False
+
+
+def test_a_profile_is_encoded_once_however_many_of_its_records_are_dumped(
+        scaled_tasks, tmp_path, monkeypatch):
+    # two runs of one scaled scenario, four episodes each, the second in
+    # parallel; every JSON encoding in the process is watched
+    scenario = load_tasks(scaled_tasks).scenarios[0]
+    bias = scenario.decode_profile.token_bias
+    encodes = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def watched(self, value, *args, **kwargs):
+        encodes.append(_holds(value, bias))
+        return iterencode(self, value, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", watched)
+    gw = ScriptedGateway(load_script(SCRIPT), script_path=SCRIPT)
+    tasks = TaskSet("one", "0", [scenario] * 4)
+    records = []
+    for parallelism in (1, 4):
+        run = cli.run_episodes(tasks, cli.RunConfig(EpisodeConfig(), gw, 0, tmp_path,
+                                                     parallelism))
+        cli.write_traces(run, tmp_path / str(parallelism))
+        records += run
+    assert len(records) == 8 and encodes.count(True) == 1
+    # no per-episode copy: every record holds the profile's one echo
+    assert all(r["config"]["decode"] is scenario.decode_profile.echo for r in records)
+    assert all(r["config"]["decode"]["token_bias"] is bias for r in records)
 
 
 # -- prompts ------------------------------------------------------------------

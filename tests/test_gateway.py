@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import gc
 import http.client
 import json
 import os
@@ -10,13 +11,16 @@ import socketserver
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
+from askplan import gateway
 from askplan.gateway import (
     DecodeParams,
     GatewayTimeout,
@@ -29,6 +33,7 @@ from askplan.gateway import (
     ScriptEntry,
     ScriptMiss,
     ScriptedGateway,
+    echo_text,
     load_script,
     parse_script,
     request_text,
@@ -196,6 +201,45 @@ def test_max_tokens_and_failure_budget_are_at_most_the_largest_exact_json_intege
 def test_decode_params_take_a_large_finite_number():
     params = DecodeParams(temperature=10**300, token_bias={"bread": -1e308})
     assert params.temperature == 10**300
+
+
+def plain_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def test_a_profile_echo_is_built_once_around_its_own_bias_map_with_its_text():
+    params = DecodeParams(temperature=0.5, token_bias={"caf\u00e9": 0.1, "knife": -2},
+                          max_tokens=64)
+    echo = params.echo
+    assert echo == {"max_tokens": 64, "temperature": 0.5,
+                    "token_bias": {"caf\u00e9": 0.1, "knife": -2}}
+    assert params.echo is echo and echo["token_bias"] is params.token_bias
+    assert echo_text(echo) == plain_json(echo)  # non-ASCII escaped, as a trace line has it
+    assert echo_text(dict(echo)) is None  # a copy is no profile's echo
+    assert echo_text(None) is None
+
+
+def test_the_echo_of_a_bias_mapping_that_is_no_dict_holds_a_dict_copy():
+    bias = MappingProxyType({"bread": 0.1})
+    params = DecodeParams(token_bias=bias)
+    echo = params.echo
+    assert type(echo["token_bias"]) is dict and echo["token_bias"] == {"bread": 0.1}
+    assert echo_text(echo) == plain_json(echo)
+
+
+def test_an_echo_counts_only_while_its_profile_lives_and_keeps_it():
+    params = DecodeParams.for_vocab({"bread"})
+    first = params.echo
+    object.__setattr__(params, "_echo", None)  # as when a second thread builds it at once
+    second = params.echo
+    assert first == second and first is not second
+    assert echo_text(first) is None and echo_text(second) == plain_json(second)
+    profile = weakref.ref(params)
+    del params
+    gc.collect()
+    assert profile() is None
+    assert echo_text(second) is None
+    assert id(first) not in gateway._PROFILES and id(second) not in gateway._PROFILES
 
 
 # -- http gateway against a local stub ----------------------------------------
