@@ -260,7 +260,9 @@ class HttpGatewayConfig:
     api_key_env: str = "ASKPLAN_API_KEY"
     timeout_s: float = 60.0
     retries: int = 3
-    backoff_s: float = 0.25
+
+
+BACKOFF_S = 0.25  # seconds before an HTTP request's first retry; each later wait doubles
 
 
 def endpoint_parts(endpoint: str) -> urllib.parse.SplitResult:
@@ -378,7 +380,7 @@ class HttpGateway(Gateway):
         last_error: Optional[Exception] = None
         for attempt in range(attempts):
             if attempt:
-                time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
+                time.sleep(BACKOFF_S * 2 ** (attempt - 1))
             try:
                 status, raw = self._post(data, headers)
             except (OSError, http.client.HTTPException) as exc:

@@ -6,7 +6,7 @@ ablation variant's template (chain-of-thought, no decomposition).
 Templates live in the package's ``prompts/`` directory, one file per
 template, with a ``[system]`` section followed by a ``[user]`` section.
 A fragment, ``prompts/<name>.part``, holds text that several templates share;
-a template names it on a line of its own as ``<<name>>``, expanded on load.
+a template names it as ``<<name>>`` anywhere in its text, expanded on load.
 Placeholders are written ``{name}`` and substituted literally, in one pass,
 so a value that itself contains ``{name}`` is inserted as it is. A template's
 placeholders are the ones its text contains, and a generator must supply
@@ -25,7 +25,7 @@ from .plans import Plan, Subgoal
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_ -]*)\}")
-_FRAGMENT_RE = re.compile(r"^<<([a-z_]+)>>$", re.MULTILINE)
+_FRAGMENT_RE = re.compile(r"<<([a-z_]+)>>")
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ def _read_prompt_file(file_name: str, what: str) -> str:
 
 @lru_cache(maxsize=None)
 def load_template(name: str) -> PromptTemplate:
-    def fragment(line: re.Match) -> str:
-        return _read_prompt_file(f"{line[1]}.part",
-                                 f"fragment {line[1]!r} in template {name!r}").rstrip("\n")
+    def fragment(named: re.Match) -> str:
+        return _read_prompt_file(f"{named[1]}.part",
+                                 f"fragment {named[1]!r} in template {name!r}").rstrip("\n")
 
     text = _FRAGMENT_RE.sub(fragment, _read_prompt_file(f"{name}.txt", f"template {name!r}"))
     match = re.match(r"\[system\]\n(?P<system>.*?)\n\[user\]\n(?P<user>.*)", text, re.DOTALL)

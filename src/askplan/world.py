@@ -51,7 +51,7 @@ from enum import Enum
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import attrgetter, gt, is_not, itemgetter
-from typing import NamedTuple, Optional, get_args, get_type_hints
+from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 
 from .gateway import DecodeParams
 from .inputs import NUMBER, REQUIRED, MalformedInput, checked_field, reject_unknown_keys
@@ -224,34 +224,35 @@ class WorldState:
         return WorldState(entities, agent_zone, held, index, lines, self._order)
 
 
-@dataclass(frozen=True)
-class GoalCondition:
-    """One of located(object, receptacle), in_zone(object, zone), state(object, flag, value)."""
+class GoalCondition(NamedTuple):
+    """That ``object``'s entity field ``field`` equals ``value``. ``kind`` is
+    the JSON type it was read from: located(object, receptacle) tests the
+    ``container``, in_zone(object, zone) the ``zone``, and state(object,
+    flag, value) the flag."""
 
     kind: str
     object: str
-    receptacle: Optional[str] = None
-    zone: Optional[str] = None
-    flag: Optional[str] = None
-    value: Optional[bool] = None
+    field: str
+    value: Union[str, bool]
 
     @staticmethod
     def from_dict(data: object, where: str) -> "GoalCondition":
         kind = checked_field(data, "type", str, where)
         if kind not in _GOAL_FIELDS:
             raise MalformedInput(f"{where}: unknown type {kind!r}")
-        extra = _GOAL_FIELDS[kind]
+        fixed, extra = _GOAL_FIELDS[kind]
         reject_unknown_keys(data, {"type", "object", *extra}, where)
-        return GoalCondition(kind, checked_field(data, "object", str, where),
-                             **{key: checked_field(data, key, key_kind, where)
-                                for key, key_kind in extra.items()})
+        return GoalCondition(kind, checked_field(data, "object", str, where), *fixed,
+                             *(checked_field(data, key, key_kind, where)
+                               for key, key_kind in extra.items()))
 
 
-# goal type -> the fields it takes beside "type" and "object", with their kinds
+# goal type -> (the entity field it fixes, if any; the keys it takes beside
+# "type" and "object", with their kinds), which together give (field, value)
 _GOAL_FIELDS = {
-    "located": {"receptacle": str},
-    "in_zone": {"zone": str},
-    "state": {"flag": str, "value": bool},
+    "located": (("container",), {"receptacle": str}),
+    "in_zone": (("zone",), {"zone": str}),
+    "state": ((), {"flag": str, "value": bool}),
 }
 
 
@@ -370,10 +371,10 @@ def validate_scenario(scenario: Scenario, entities_checked: bool = False) -> Non
     for cond in scenario.goal:
         if cond.object not in world.entities:
             raise MalformedInput(f"goal references missing object {cond.object!r}")
-        if cond.kind == "located" and cond.receptacle not in world.entities:
-            raise MalformedInput(f"goal references missing receptacle {cond.receptacle!r}")
-        if cond.kind == "state" and cond.flag not in _BOOL_FLAGS:
-            raise MalformedInput(f"goal references unknown flag {cond.flag!r}")
+        if cond.kind == "located" and cond.value not in world.entities:
+            raise MalformedInput(f"goal references missing receptacle {cond.value!r}")
+        if cond.kind == "state" and cond.field not in _BOOL_FLAGS:
+            raise MalformedInput(f"goal references unknown flag {cond.field!r}")
     # a wildcard slot's receptacle too, so that the core is a plan of this scene
     for slot, sg in enumerate(scenario.gt.core):
         for name in (sg.object, sg.receptacle):
@@ -415,16 +416,17 @@ def _check_entities(entities: dict[str, ObjectEntity]) -> None:
             if parent.zone != entity.zone:
                 raise MalformedInput(
                     f"{entity.id}: zone differs from container {parent.id!r}")
-            looped = _cycle_through(entity, entities)
+            looped = _cycle_through(entity.id, entity.container, entities)
             if looped is not None:
                 raise MalformedInput(f"{entity.id}: containment cycle through {looped!r}")
 
 
-def _cycle_through(entity: ObjectEntity, entities: dict[str, ObjectEntity]) -> Optional[str]:
-    """The id at which the chain of containers up from ``entity`` meets an
-    entity already on it, or None when the chain ends."""
-    on_chain = {entity.id}
-    parent = entities.get(entity.container)
+def _cycle_through(entity_id: str, container: Optional[str],
+                   entities: dict[str, ObjectEntity]) -> Optional[str]:
+    """The id at which the chain of containers up from ``entity_id``, placed
+    in ``container``, meets an entity already on it, or None when it ends."""
+    on_chain = {entity_id}
+    parent = entities.get(container)
     while parent is not None:
         if parent.id in on_chain:
             return parent.id
@@ -481,7 +483,7 @@ def _accepted_entities(raws: list) -> Optional[dict[str, ObjectEntity]]:
         for entity in compress(entities, map(is_not, containers, repeat(None))):
             parent = by_id.get(entity.container)
             if (parent is None or not parent.is_receptacle or parent.zone != entity.zone
-                    or _cycle_through(entity, by_id) is not None):
+                    or _cycle_through(entity.id, entity.container, by_id) is not None):
                 return None
     return by_id
 
@@ -585,12 +587,9 @@ def apply_subgoal(world: WorldState, sg: Subgoal) -> ExecutionResult:
                                    f"{receptacle.id} is closed")
         # containment must stay acyclic: the receptacle's chain cannot pass
         # through the object being placed
-        parent = receptacle
-        while parent.container is not None:
-            if parent.container == target.id:
-                return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
-                                       f"{receptacle.id} is inside {target.id}")
-            parent = world.entities[parent.container]
+        if _cycle_through(target.id, receptacle.id, world.entities) is not None:
+            return ExecutionResult(world, FailReason.PRECONDITION_VIOLATED,
+                                   f"{receptacle.id} is inside {target.id}")
         return ExecutionResult(world.after({target.id: {"container": receptacle.id}},
                                            world.agent_zone, None), FailReason.OK, "",
                                (target.id,))
@@ -667,12 +666,7 @@ def condition_holds(world: WorldState, cond: GoalCondition) -> bool:
     """Whether ``cond`` holds in ``world``; it reads ``cond.object``'s
     fields alone."""
     # load rejects a goal over a missing object, and no step removes an entity
-    entity = world.entities[cond.object]
-    if cond.kind == "located":
-        return entity.container == cond.receptacle
-    if cond.kind == "in_zone":
-        return entity.zone == cond.zone
-    return bool(getattr(entity, cond.flag)) == cond.value
+    return getattr(world.entities[cond.object], cond.field) == cond.value
 
 
 def check_goal_conditions(world: WorldState, goal: tuple[GoalCondition, ...]) -> list[bool]:

@@ -985,6 +985,8 @@ PINNED_RUNS = {
     "mini7-cot": ("mini7", False, ("--cot",)),
     "bread-recovery": ("bread_recovery", True, ()),
     "bread-noisy": ("bread_noisy", True, ("--noise", "0.3")),
+    "mini7-ablations-no-std": ("mini7_ablations", False, ("--no-std",)),
+    "mini7-ablations-cot": ("mini7_ablations", False, ("--cot",)),
 }
 
 
@@ -1039,6 +1041,17 @@ def test_pinned_report_digests(pinned_traces, tmp_path, capsys):
     assert digests == json.loads(REPORT_DIGESTS.read_text("utf-8"))
 
 
+def test_the_ablation_script_reaches_sr_100_under_either_ablation(pinned_traces, tmp_path):
+    # mini7.json answers neither ablation's prompts, so its --no-std and --cot
+    # runs end every episode at the first model call
+    for name in ("mini7-ablations-no-std", "mini7-ablations-cot"):
+        out = tmp_path / name
+        assert run_cli("score", "--traces", str(pinned_traces[name]), "--tasks", MINI7,
+                       "--out", str(out)) == EXIT_OK
+        report = json.loads((out / "report.json").read_text("utf-8"))
+        assert (report["n_episodes"], report["sr_pct"]) == (7, 100.0), name
+
+
 def test_config_echo_round_trip(pinned_traces):
     for name, traces in pinned_traces.items():
         for record in read_traces(traces):
@@ -1081,6 +1094,24 @@ def test_replay_every_line_of_a_noisy_mini7_run(scripted_run, capsys):
     count = len(traces.read_text("utf-8").splitlines())
     assert count == 7
     for line in range(1, count + 1):
+        assert run_cli("replay", "--traces", str(traces), "--tasks", MINI7,
+                       "--line", str(line)) == EXIT_OK, line
+        assert "identical" in capsys.readouterr().out, line
+
+
+def test_a_noisy_ablation_run_recovers_by_redo_and_by_replan_and_replays(tmp_path, capsys):
+    # seed 7 is RUN_SUMMARIES' noisy run, in which mini7.json, answering no
+    # recovery prompt, ends 5 of 7 episodes at their first validity prompt
+    assert run_cli("run", "--tasks", MINI7, "--script",
+                   str(asset_path("scripts/mini7_ablations.json")), "--no-std",
+                   "--noise", "0.3", "--seed", "7", "--out", str(tmp_path)) == EXIT_OK
+    capsys.readouterr()
+    traces = tmp_path / "traces.jsonl"
+    records = read_traces(traces)
+    assert len(records) == 7
+    assert {"redo", "replan"} <= {step["decision"] for record in records
+                                  for step in record["steps"]}
+    for line in range(1, len(records) + 1):
         assert run_cli("replay", "--traces", str(traces), "--tasks", MINI7,
                        "--line", str(line)) == EXIT_OK, line
         assert "identical" in capsys.readouterr().out, line

@@ -312,10 +312,15 @@ def _replying(body: bytes, status: int = 200):
     return Handler
 
 
+@pytest.fixture(autouse=True)
+def _short_backoff(monkeypatch):
+    # the retry tests wait 10 ms before a first retry, not 250
+    monkeypatch.setattr(gateway, "BACKOFF_S", 0.01)
+
+
 def _gateway(endpoint: str, retries: int = 2) -> HttpGateway:
     return HttpGateway(HttpGatewayConfig(
-        endpoint=endpoint, model="stub-model", retries=retries,
-        timeout_s=5.0, backoff_s=0.01))
+        endpoint=endpoint, model="stub-model", retries=retries, timeout_s=5.0))
 
 
 def test_http_request_carries_decode_params(stub_server):
@@ -450,8 +455,7 @@ def test_http_timeout_error():
 
     with _serving(Silent) as endpoint:
         gw = HttpGateway(HttpGatewayConfig(
-            endpoint=endpoint, model="stub-model", retries=1, timeout_s=0.1,
-            backoff_s=0.01))
+            endpoint=endpoint, model="stub-model", retries=1, timeout_s=0.1))
         try:
             with pytest.raises(GatewayTimeout, match="after 2 attempts"):
                 gw.complete(PROMPT, DecodeParams())
@@ -792,10 +796,12 @@ def test_https_retries_through_a_proxy_stay_inside_tls():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env["ASKPLAN_API_KEY"] = "sekrit"
     code = (
+        "from askplan import gateway\n"
         "from askplan.gateway import *\n"
         "from askplan.prompting import RenderedPrompt\n"
+        "gateway.BACKOFF_S = 0.01\n"
         "gw = HttpGateway(HttpGatewayConfig(endpoint='https://askplan.invalid/v1/chat',"
-        " model='m', retries=2, timeout_s=5.0, backoff_s=0.01))\n"
+        " model='m', retries=2, timeout_s=5.0))\n"
         "try:\n"
         "    gw.complete(RenderedPrompt('s', 'u'), DecodeParams())\n"
         "except GatewayError as exc:\n"

@@ -240,36 +240,40 @@ def test_unknown_template_name_rejected():
 
 
 def test_the_stage_templates_name_the_environment_fragment_and_no_template_copies_one():
-    templates = {path.stem: path.read_text("utf-8").splitlines()
+    templates = {path.stem: path.read_text("utf-8")
                  for path in asset_path("prompts").glob("*.txt")}
     fragments = {path.stem: path.read_text("utf-8").splitlines()
                  for path in asset_path("prompts").glob("*.part")}
     assert set(fragments) == {"environment", "plan_format"}
     for name in ("std", "std_cot", "tp", "tp_cot", "tp_no_std", "replan"):
         assert "<<environment>>" in templates[name], name
-    # a fragment line pasted back into a template fails here
-    for name, lines in templates.items():
+    for name in ("tp", "tp_cot", "tp_no_std", "replan"):
+        assert "<<plan_format>>" in templates[name], name
+    # a fragment line pasted back into a template, whole or inside a longer
+    # line, fails here
+    for name, text in templates.items():
         for fragment, fragment_lines in fragments.items():
-            pasted = set(fragment_lines) & set(lines) - {""}
+            pasted = [line for line in fragment_lines if line.strip() and line in text]
             assert not pasted, (name, fragment, pasted)
 
 
-def test_a_fragment_is_expanded_from_a_line_of_its_own_and_a_missing_one_is_named(
+def test_a_fragment_is_expanded_wherever_it_is_named_and_a_missing_one_is_named(
         tmp_path, monkeypatch):
     from askplan import prompting
 
     (tmp_path / "prompts").mkdir()
-    (tmp_path / "prompts" / "broken.txt").write_text("[system]\nS\n[user]\n<<nowhere>>\n")
+    (tmp_path / "prompts" / "broken.txt").write_text("[system]\nS\n[user]\nWrite <<nowhere>>.\n")
     monkeypatch.setattr(prompting, "resources", SimpleNamespace(files=lambda package: tmp_path))
     with pytest.raises(ValueError, match="^unknown fragment 'nowhere' in template 'broken'$"):
         load_template("broken")
-    # a fragment is named on a line of its own; the same words inside a line are text
-    (tmp_path / "prompts" / "plan_format.part").write_text("One per line.\n")
+    # inside a line, at its start or end, or on a line of its own
+    (tmp_path / "prompts" / "plan_format.part").write_text("one per line.\n")
     (tmp_path / "prompts" / "inline.txt").write_text(
-        "[system]\nS <<plan_format>>\n[user]\n<<plan_format>>\n<<plan_format>> then\n")
+        "[system]\nS <<plan_format>>\n[user]\n<<plan_format>>\n"
+        "Write <<plan_format>> Then <<plan_format>>\n")
     template = load_template("inline")
     assert (template.system_text, template.user_text) == \
-        ("S <<plan_format>>", "One per line.\n<<plan_format>> then")
+        ("S one per line.", "one per line.\nWrite one per line. Then one per line.")
 
 
 def test_render_with_missing_value_rejected():

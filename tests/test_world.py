@@ -674,7 +674,7 @@ def test_all_gt_cores_execute_to_success():
 
 def test_negated_flag_condition(bread_scenario):
     world = new_world(bread_scenario)
-    goal = (GoalCondition("state", "bread", flag="is_heated", value=False),)
+    goal = (GoalCondition("state", "bread", "is_heated", False),)
     assert check_goal_conditions(world, goal) == [True]
 
 
