@@ -441,18 +441,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="askplan",
         description="Run, score, replay and inspect planning episodes.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that more than one command takes, each defined once
+    tasks = argparse.ArgumentParser(add_help=False)
+    tasks.add_argument("--tasks", required=True, help="task set JSON file")
+    ablations = argparse.ArgumentParser(add_help=False)
+    ablations.add_argument("--no-std", action="store_true", dest="no_std",
+                           help="skip the self-questioning decomposition stage")
+    ablations.add_argument("--cot", action="store_true",
+                           help="replace self-QA decomposition with step-by-step text")
 
-    run_p = sub.add_parser("run", help="run every scenario in a task set")
-    run_p.add_argument("--tasks", required=True, help="task set JSON file")
+    run_p = sub.add_parser("run", parents=[tasks, ablations],
+                           help="run every scenario in a task set")
     run_p.add_argument("--gateway", choices=["http", "scripted"], default="scripted")
     run_p.add_argument("--script", help="oracle script (scripted gateway)")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--static", action="store_true",
                        help="disable failure-driven re-planning")
-    run_p.add_argument("--no-std", action="store_true", dest="no_std",
-                       help="skip the self-questioning decomposition stage")
-    run_p.add_argument("--cot", action="store_true",
-                       help="replace self-QA decomposition with step-by-step text")
     run_p.add_argument("--noise", type=probability, default=None,
                        help="override per-action controller failure probability")
     run_p.add_argument("--out", required=True, help="output directory")
@@ -466,26 +470,23 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--retries", type=non_negative_int, default=3)
     run_p.set_defaults(func=cmd_run)
 
-    score_p = sub.add_parser("score", help="score a trace file against its task set")
+    score_p = sub.add_parser("score", parents=[tasks],
+                             help="score a trace file against its task set")
     score_p.add_argument("--traces", required=True)
-    score_p.add_argument("--tasks", required=True)
     score_p.add_argument("--format", choices=["json", "table"], default="table")
     score_p.add_argument("--out", help="directory for report.json (default: next to traces)")
     score_p.set_defaults(func=cmd_score)
 
-    replay_p = sub.add_parser("replay", help="re-execute one trace line and compare")
+    replay_p = sub.add_parser("replay", parents=[tasks],
+                              help="re-execute one trace line and compare")
     replay_p.add_argument("--traces", required=True)
-    replay_p.add_argument("--tasks", required=True)
     replay_p.add_argument("--line", type=int, required=True, help="1-based line of the file")
     replay_p.add_argument("--script", help="override the recorded script path")
     replay_p.set_defaults(func=cmd_replay)
 
-    prompts_p = sub.add_parser("prompts",
+    prompts_p = sub.add_parser("prompts", parents=[tasks, ablations],
                                help="dump rendered prompts without calling any model")
-    prompts_p.add_argument("--tasks", required=True)
     prompts_p.add_argument("--id", help="scenario id (default: first)")
-    prompts_p.add_argument("--no-std", action="store_true", dest="no_std")
-    prompts_p.add_argument("--cot", action="store_true")
     prompts_p.add_argument("--out", help="directory to write prompt files into")
     prompts_p.set_defaults(func=cmd_prompts)
     return parser

@@ -125,21 +125,10 @@ class ObjectEntity(NamedTuple):
     is_receptacle: bool = False
     heavy: bool = False
 
-    @staticmethod
-    def from_dict(data: object, where: str) -> "ObjectEntity":
-        """The entity of a JSON object, its fields read in field order, so
-        that of two faults the earlier field's is the one reported."""
-        reject_unknown_keys(data, _ENTITY_KINDS.keys(), where)
-        return ObjectEntity._make([checked_field(data, name, kind, where, default)
-                                   for name, kind, default in _ENTITY_FIELDS])
 
-
-# field name -> JSON kind, so Optional[str] becomes (str, NoneType)
+# field name -> JSON kind, in field order, so Optional[str] becomes (str, NoneType)
 _ENTITY_KINDS = {name: get_args(hint) or hint
                  for name, hint in get_type_hints(ObjectEntity).items()}
-# (name, kind, default) of each field, in field order
-_ENTITY_FIELDS = [(name, kind, ObjectEntity._field_defaults.get(name, REQUIRED))
-                  for name, kind in _ENTITY_KINDS.items()]
 _BOOL_FLAGS = frozenset(name for name, kind in _ENTITY_KINDS.items() if kind is bool)
 
 
@@ -292,11 +281,11 @@ class Scenario:
         reject_unknown_keys(data, _SCENARIO_FIELDS.keys(), where)
         given = {key: checked_field(data, key, kind, where, default)
                  for key, (kind, default) in _SCENARIO_FIELDS.items()}
-        # the whole-list checks take a well-formed list; the field-by-field
+        # the entity list is checked before the rest of the scenario: the
+        # whole-list passes take a well-formed list, and the field-by-field
         # chain words the error of any other
         entities = _accepted_entities(given["entities"])
-        entities_checked = entities is not None
-        if not entities_checked:
+        if entities is None:
             entities = _read_entities(given["entities"])
         scenario = Scenario(
             id=given["id"],
@@ -308,7 +297,7 @@ class Scenario:
             gt=GtAnnotation.from_dict(given["gt"]),
             noise=given["noise"],
         )
-        validate_scenario(scenario, entities_checked=entities_checked)
+        validate_scenario(scenario)
         return scenario
 
 
@@ -342,22 +331,15 @@ class ExecutionResult(NamedTuple):
         return self.reason is FailReason.OK
 
 
-def validate_scenario(scenario: Scenario, entities_checked: bool = False) -> None:
-    """Raise MalformedInput with a detail message on any invariant violation.
-    ``entities_checked`` skips the flag and container checks of each entity,
-    for entities that ``_accepted_entities`` has taken."""
+def validate_scenario(scenario: Scenario) -> None:
+    """Raise MalformedInput with a detail message on any invariant violation
+    of a scenario whose entities were read and checked: its instruction,
+    noise, held object, goal and ground-truth core."""
     if not scenario.instruction.strip():
         raise MalformedInput("instruction must be a non-empty string")
     if not 0.0 <= scenario.noise <= 1.0:
         raise MalformedInput(f"noise must be in [0, 1], got {scenario.noise}")
     world = scenario.initial
-    unnamed = unnamable(world.entities)
-    if unnamed is not None:
-        raise MalformedInput(f"entity id {unnamed!r} cannot be named in a subgoal: an id is "
-                             "non-empty, lowercase and holds no whitespace, '_', '-', ',', "
-                             "'(' or ')'")
-    if not entities_checked:
-        _check_entities(world.entities)
     if world.held is not None:
         holder = world.entities.get(world.held)
         if holder is None:
@@ -384,41 +366,46 @@ def validate_scenario(scenario: Scenario, entities_checked: bool = False) -> Non
 
 
 def _read_entities(raws: list) -> dict[str, ObjectEntity]:
-    """The entities of a scenario's JSON list by id, read one field at a
-    time; MalformedInput, naming the entity by its place, at the first
-    fault."""
+    """The entities of a scenario's JSON list by id; MalformedInput, worded
+    for the first fault, when a rule refuses the list. The one field-by-field
+    chain of the entity rules: it reads each entity in field order, naming
+    it by its place, so of two faults the earlier field's is reported, and
+    refuses an id an earlier entity has; then it refuses an id no subgoal
+    can name; then, in scene order, an entity with a state flag but not its
+    capability, or whose container is missing, is no receptacle, sits in
+    another zone or closes a containment cycle."""
     entities = {}
     for index, raw in enumerate(raws):
-        entity = ObjectEntity.from_dict(raw, f"entity #{index}")
+        where = f"entity #{index}"
+        reject_unknown_keys(raw, _ENTITY_KINDS.keys(), where)
+        entity = ObjectEntity._make([
+            checked_field(raw, name, kind, where, ObjectEntity._field_defaults.get(name, REQUIRED))
+            for name, kind in _ENTITY_KINDS.items()])
         if entity.id in entities:
             raise MalformedInput(f"duplicate entity id {entity.id!r}")
         entities[entity.id] = entity
-    return entities
-
-
-def _check_entities(entities: dict[str, ObjectEntity]) -> None:
-    """MalformedInput at the first entity, in scene order, that has a state
-    flag without its capability, or whose container is missing, is no
-    receptacle, sits in another zone or closes a containment cycle."""
+    unnamed = unnamable(entities)
+    if unnamed is not None:
+        raise MalformedInput(f"entity id {unnamed!r} cannot be named in a subgoal: an id is "
+                             "non-empty, lowercase and holds no whitespace, '_', '-', ',', "
+                             "'(' or ')'")
     for entity in entities.values():
         for state_flag, capability in FLAG_IMPLICATIONS.items():
             if getattr(entity, state_flag) and not getattr(entity, capability):
-                raise MalformedInput(
-                    f"{entity.id}: {state_flag} set without {capability}")
+                raise MalformedInput(f"{entity.id}: {state_flag} set without {capability}")
         if entity.container is not None:
             parent = entities.get(entity.container)
             if parent is None:
-                raise MalformedInput(
-                    f"{entity.id}: container {entity.container!r} does not exist")
+                raise MalformedInput(f"{entity.id}: container {entity.container!r} does not exist")
             if not parent.is_receptacle:
                 raise MalformedInput(
                     f"{entity.id}: container {entity.container!r} is not a receptacle")
             if parent.zone != entity.zone:
-                raise MalformedInput(
-                    f"{entity.id}: zone differs from container {parent.id!r}")
+                raise MalformedInput(f"{entity.id}: zone differs from container {parent.id!r}")
             looped = _cycle_through(entity.id, entity.container, entities)
             if looped is not None:
                 raise MalformedInput(f"{entity.id}: containment cycle through {looped!r}")
+    return entities
 
 
 def _cycle_through(entity_id: str, container: Optional[str],
@@ -453,12 +440,13 @@ _CAPABILITIES = attrgetter(*FLAG_IMPLICATIONS.values())
 
 def _accepted_entities(raws: list) -> Optional[dict[str, ObjectEntity]]:
     """The entities of a scenario's JSON list by id, when ``_read_entities``
-    and ``_check_entities`` accept them; None when a check may fail, never
-    a dict for a list that those two refuse. The checks are a few passes in
-    C over the whole list: one over the (field, type) pairs of the fields
-    the items hold, and one each over the entities, their ids, their state
-    flags when any item sets one, and their containers when any item has
-    one; a Python loop walks only the entities that have a container."""
+    accepts them; None when one of its rules may fail, never a dict for a
+    list that it refuses. The rules are a few passes in C over the whole
+    list: one over the (field, type) pairs of the fields the items hold, and
+    one each over the entities, their ids (distinct, and each one a subgoal
+    can name), their state flags when any item sets one, and their
+    containers when any item has one; a Python loop walks only the entities
+    that have a container."""
     try:
         present = set(zip(chain.from_iterable(map(dict.keys, raws)),
                           map(type, chain.from_iterable(map(dict.values, raws)))))
@@ -472,8 +460,8 @@ def _accepted_entities(raws: list) -> Optional[dict[str, ObjectEntity]]:
     except KeyError:  # a required field missing
         return None
     by_id = dict(zip(map(attrgetter("id"), entities), entities))
-    if len(by_id) < len(entities):
-        return None  # a duplicate id
+    if len(by_id) < len(entities) or unnamable(by_id) is not None:
+        return None  # a duplicate id, or one that no subgoal can name
     if not present.isdisjoint(_STATE_FLAG_TYPES) and any(map(
             gt, chain.from_iterable(map(_STATES, entities)),
             chain.from_iterable(map(_CAPABILITIES, entities)))):

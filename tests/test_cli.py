@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import functools
 import hashlib
@@ -35,7 +36,8 @@ from askplan.gateway import (DecodeParams, HttpGatewayConfig, OracleScript, Scri
 from askplan.inputs import MAX_JSON_INT, NUMBER, MalformedInput, _has_kind
 from askplan.planeval import score_dataset
 from askplan.plans import parse_subgoal, render_subgoal
-from conftest import entity_chain, perfbench_module, shallowest_refused_depth
+from conftest import (SCRIPTS, entity_chain, perfbench_module, run_script,
+                      shallowest_refused_depth)
 
 MINI7 = str(asset_path("tasks/mini7.json"))
 SCRIPT = str(asset_path("scripts/mini7.json"))
@@ -49,16 +51,16 @@ def run_cli(*argv) -> int:
 
 
 @pytest.fixture()
-def entity_chain_calls(monkeypatch) -> list[str]:
-    """The name of each call into the field-by-field entity chain, which
-    words the error of an entity list that the whole-list checks do not
-    take."""
+def entity_chain_calls(monkeypatch) -> list[list]:
+    """The entity list of each call into the field-by-field entity chain,
+    which words the error of an entity list that the whole-list passes do
+    not take."""
     calls = []
-    for name in ("_read_entities", "_check_entities"):
-        def counted(entities, name=name, chained=getattr(world, name)):
-            calls.append(name)
-            return chained(entities)
-        monkeypatch.setattr(world, name, counted)
+
+    def counted(raws, chained=world._read_entities):
+        calls.append(raws)
+        return chained(raws)
+    monkeypatch.setattr(world, "_read_entities", counted)
     return calls
 
 
@@ -480,6 +482,22 @@ def test_run_http_gateway_requires_both_endpoint_and_model(given, tmp_path, caps
     assert not (tmp_path / "traces.jsonl").exists()
 
 
+def _option_help(command: str) -> dict[str, typing.Optional[str]]:
+    """Each option of one ``askplan`` command, by flag, with its help text."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return {flag: action.help for action in commands[command]._actions
+            for flag in action.option_strings}
+
+
+def test_a_flag_that_two_commands_take_has_one_help_text():
+    run, prompts = _option_help("run"), _option_help("prompts")
+    for flag in ("--tasks", "--no-std", "--cot"):
+        assert run[flag] and run[flag] == prompts[flag], flag
+    assert {_option_help(command)["--tasks"] for command in ("score", "replay")} == \
+        {run["--tasks"]}
+
+
 def test_run_noise_zero_is_in_range(tmp_path):
     assert run_cli("run", "--tasks", MINI7, "--gateway", "scripted", "--script", SCRIPT,
                    "--seed", "1", "--noise", "0", "--out", str(tmp_path)) == EXIT_OK
@@ -698,15 +716,23 @@ def test_reading_the_trace_file_of_a_run_calls_checked_field_zero_times(
 
 # Trace-line order: the report of a trace set does not depend on the order of
 # its lines, nor on where the file is cut in two before it is scored as one
-# stream. Over mini7 and each bundled script, at seeds 0 and 1, at noise 0
-# and 0.3, each script's runs concatenated and then all of them.
-ORDER_SCRIPTS = ("mini7", "bread_recovery", "bread_noisy")
+# stream. Over each bundled script, at seeds 0 and 1, at noise 0 and 0.3,
+# each script's runs concatenated and then all of them. A script runs with
+# the flags whose prompts it answers: mini7_ablations those of --no-std.
+ORDER_SCRIPTS = {script: ("--no-std",) if script == "mini7_ablations" else ()
+                 for script in SCRIPTS}
 
 
-@pytest.mark.parametrize("scripts", [(script,) for script in ORDER_SCRIPTS] + [ORDER_SCRIPTS])
+def order_run(scripted_run, script: str, seed: int, noise: str) -> Path:
+    return scripted_run(script, seed, noise, ORDER_SCRIPTS[script])
+
+
+@pytest.mark.parametrize("scripts", [(script,) for script in ORDER_SCRIPTS]
+                         + [tuple(ORDER_SCRIPTS)])
 def test_score_does_not_depend_on_line_order_or_cuts(scripts, scripted_run, mini7, tmp_path):
     lines = [line for script in scripts for seed in (0, 1) for noise in ("0", "0.3")
-             for line in scripted_run(script, seed, noise).read_text("utf-8").splitlines()]
+             for line in order_run(scripted_run, script, seed, noise).read_text(
+                 "utf-8").splitlines()]
     gts = {scenario.id: scenario.gt for scenario in mini7.scenarios}
 
     def written(name: str, part: list[str]) -> Path:
@@ -743,7 +769,7 @@ def test_reversed_noisy_mini7_run_scores_the_same(scripted_run, mini7):
 # leaves both verdicts and so the report unchanged. Over the same runs.
 def test_navigate_steps_in_initial_plans_leave_the_report_unchanged(scripted_run, mini7, tmp_path):
     records = [record for script in ORDER_SCRIPTS for seed in (0, 1) for noise in ("0", "0.3")
-               for record in read_traces(scripted_run(script, seed, noise))]
+               for record in read_traces(order_run(scripted_run, script, seed, noise))]
     gts = {scenario.id: scenario.gt for scenario in mini7.scenarios}
     expected = score_dataset(records, gts)
     assert expected.strict_hlp_pct and expected.relaxed_hlp_pct
@@ -766,25 +792,16 @@ def test_navigate_steps_in_initial_plans_leave_the_report_unchanged(scripted_run
 
 def _edited_run(script: str, seed: int, noise: str, edit, out: Path,
                 edit_script=None) -> Path:
-    """The trace file of the ``scripted_run`` configuration, run on a copy of
+    """The trace file of the ``order_run`` configuration, run on a copy of
     its task file in which ``edit`` has changed each scenario, and on a copy
     of its script that ``edit_script`` returns changed, when given."""
-    data = json.loads(Path(MINI7).read_text("utf-8"))
-    if script != "mini7":
-        data["scenarios"] = [s for s in data["scenarios"] if s["id"] == "heat_bread"]
-    for scenario in data["scenarios"]:
-        edit(scenario)
-    out.mkdir()
-    tasks = out / "tasks.json"
-    tasks.write_text(json.dumps(data), "utf-8")
-    script_path = asset_path(f"scripts/{script}.json")
+    script_path = None
     if edit_script is not None:
-        edited = edit_script(json.loads(script_path.read_text("utf-8")))
+        out.mkdir()
         script_path = out / "script.json"
-        script_path.write_text(json.dumps(edited), "utf-8")
-    assert run_cli("run", "--tasks", str(tasks), "--script", str(script_path),
-                   "--seed", str(seed), "--noise", noise, "--out", str(out)) == EXIT_OK
-    return out / "traces.jsonl"
+        script_path.write_text(json.dumps(edit_script(json.loads(
+            asset_path(f"scripts/{script}.json").read_text("utf-8")))), "utf-8")
+    return run_script(out, script, seed, noise, ORDER_SCRIPTS[script], edit, script_path)
 
 
 def _shuffled(rng: random.Random, n: int) -> list[int]:
@@ -808,7 +825,7 @@ def test_goal_order_permutes_goal_conditions_alone(script, scripted_run, tmp_pat
 
         edited = read_traces(_edited_run(script, seed, noise, reorder,
                                          tmp_path / f"{seed}-{noise}-{draw}"))
-        records = read_traces(scripted_run(script, seed, noise))
+        records = read_traces(order_run(scripted_run, script, seed, noise))
         assert [r["task_id"] for r in edited] == [r["task_id"] for r in records]
         for record, got in zip(records, edited):
             order = orders[record["task_id"]]
@@ -830,7 +847,7 @@ def test_entity_order_leaves_the_trace_bytes_unchanged(script, scripted_run, tmp
         # the config echo names the script, never the task file, so the
         # bytes match without normalising a path
         edited = _edited_run(script, seed, noise, reorder, tmp_path / f"{seed}-{noise}-{draw}")
-        assert edited.read_bytes() == scripted_run(script, seed, noise).read_bytes(), \
+        assert edited.read_bytes() == order_run(scripted_run, script, seed, noise).read_bytes(), \
             (seed, noise, draw)
 
 
@@ -921,7 +938,7 @@ def test_renaming_entity_ids_renames_the_traces(script, scripted_run, tmp_path):
     bundled = str(asset_path(f"scripts/{script}.json"))
     reordered = 0
     for seed, noise, draw in itertools.product((0, 1), ("0", "0.3"), range(2)):
-        original = scripted_run(script, seed, noise)
+        original = order_run(scripted_run, script, seed, noise)
         corpus = "\n".join((json.dumps(tasks), Path(bundled).read_text("utf-8"), PROMPTS,
                             original.read_text("utf-8")))
         names = _renaming(rng, ids, corpus)
@@ -977,32 +994,23 @@ def test_score_of_generated_swap_groups_matches_their_kinds(tmp_path, capsys):
 # changes the trace format, and replay of older traces with it.
 DIGESTS = Path(__file__).parent / "data" / "trace_digests.json"
 
-# name -> (script, heat_bread only, extra run flags); every run uses seed 42
+# name -> (script, --noise value, other run flags); every run uses seed 42
 PINNED_RUNS = {
-    "mini7": ("mini7", False, ()),
-    "mini7-static": ("mini7", False, ("--static",)),
-    "mini7-no-std": ("mini7", False, ("--no-std",)),
-    "mini7-cot": ("mini7", False, ("--cot",)),
-    "bread-recovery": ("bread_recovery", True, ()),
-    "bread-noisy": ("bread_noisy", True, ("--noise", "0.3")),
-    "mini7-ablations-no-std": ("mini7_ablations", False, ("--no-std",)),
-    "mini7-ablations-cot": ("mini7_ablations", False, ("--cot",)),
+    "mini7": ("mini7", None, ()),
+    "mini7-static": ("mini7", None, ("--static",)),
+    "mini7-no-std": ("mini7", None, ("--no-std",)),
+    "mini7-cot": ("mini7", None, ("--cot",)),
+    "bread-recovery": ("bread_recovery", None, ()),
+    "bread-noisy": ("bread_noisy", "0.3", ()),
+    "mini7-ablations-no-std": ("mini7_ablations", None, ("--no-std",)),
+    "mini7-ablations-cot": ("mini7_ablations", None, ("--cot",)),
 }
 
 
 def pinned_run(name: str, out: Path) -> Path:
     """Run one pinned configuration into ``out`` and return its trace file."""
-    script, bread_only, flags = PINNED_RUNS[name]
-    tasks = Path(MINI7)
-    if bread_only:
-        data = json.loads(tasks.read_text())
-        data["scenarios"] = [s for s in data["scenarios"] if s["id"] == "heat_bread"]
-        tasks = out / "heat_bread.json"
-        tasks.write_text(json.dumps(data))
-    assert run_cli("run", "--tasks", str(tasks), "--gateway", "scripted",
-                   "--script", str(asset_path(f"scripts/{script}.json")),
-                   "--seed", "42", "--out", str(out), *flags) == EXIT_OK
-    return out / "traces.jsonl"
+    script, noise, flags = PINNED_RUNS[name]
+    return run_script(out, script, 42, noise, flags)
 
 
 def normalised_digest(traces: Path) -> str:
@@ -1018,8 +1026,9 @@ def normalised_digest(traces: Path) -> str:
 
 
 @pytest.fixture(scope="module")
-def pinned_traces(tmp_path_factory) -> dict[str, Path]:
-    return {name: pinned_run(name, tmp_path_factory.mktemp(name)) for name in PINNED_RUNS}
+def pinned_traces(scripted_run) -> dict[str, Path]:
+    return {name: scripted_run(script, 42, noise, flags)
+            for name, (script, noise, flags) in PINNED_RUNS.items()}
 
 
 def test_pinned_trace_digests(pinned_traces):
@@ -1099,14 +1108,11 @@ def test_replay_every_line_of_a_noisy_mini7_run(scripted_run, capsys):
         assert "identical" in capsys.readouterr().out, line
 
 
-def test_a_noisy_ablation_run_recovers_by_redo_and_by_replan_and_replays(tmp_path, capsys):
+def test_a_noisy_ablation_run_recovers_by_redo_and_by_replan_and_replays(scripted_run, capsys):
     # seed 7 is RUN_SUMMARIES' noisy run, in which mini7.json, answering no
     # recovery prompt, ends 5 of 7 episodes at their first validity prompt
-    assert run_cli("run", "--tasks", MINI7, "--script",
-                   str(asset_path("scripts/mini7_ablations.json")), "--no-std",
-                   "--noise", "0.3", "--seed", "7", "--out", str(tmp_path)) == EXIT_OK
+    traces = scripted_run("mini7_ablations", 7, "0.3", ("--no-std",))
     capsys.readouterr()
-    traces = tmp_path / "traces.jsonl"
     records = read_traces(traces)
     assert len(records) == 7
     assert {"redo", "replan"} <= {step["decision"] for record in records

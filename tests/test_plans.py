@@ -17,7 +17,7 @@ from askplan.plans import (
     render_subgoal,
 )
 
-from conftest import random_subgoal
+from conftest import SCRIPTS, random_subgoal
 
 
 def test_parse_pickup():
@@ -141,7 +141,7 @@ def _bundled_lines() -> list[str]:
     tasks = json.loads(asset_path("tasks/mini7.json").read_text("utf-8"))
     for scenario in tasks["scenarios"]:
         lines += scenario["gt"]["core"]
-    for name in ("mini7", "bread_recovery", "bread_noisy"):
+    for name in SCRIPTS:
         script = json.loads(asset_path(f"scripts/{name}.json").read_text("utf-8"))
         for entry in script["entries"]:
             lines += entry["reply"].splitlines()

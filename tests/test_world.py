@@ -217,14 +217,62 @@ _ENTITY_EDITS = {
                               es[3].update(container="microwave")),
     "in-a-chain": lambda es: (es[1].update(container="microwave"),
                               es[2].update(container="fridge")),
+    "unnamable-leaf-id": lambda es: es[1].update(id="Knife"),
+    "in-a-renamed-container": lambda es: (es[1].update(container="counter"),
+                                          es[4].update(id="")),
 }
 
 
-@pytest.mark.parametrize("edit", _ENTITY_EDITS.values(), ids=_ENTITY_EDITS.keys())
-def test_whole_list_entity_checks_take_exactly_what_the_chain_takes(edit):
+_TAKEN_EDITS = {"as-bundled", "empty", "container-null", "state-with-capability",
+                "state-false-without-capability", "in-a-receptacle", "in-a-chain"}
+
+
+@pytest.mark.parametrize("name", _ENTITY_EDITS)
+def test_whole_list_entity_checks_take_exactly_what_the_chain_takes(name):
     raws = raw_scenario("heat_bread")["entities"]  # bread, knife, microwave, fridge, counter
-    edit(raws)
+    _ENTITY_EDITS[name](raws)
     assert world_module._accepted_entities(raws) == entity_chain(raws)
+    assert (entity_chain(raws) is not None) == (name in _TAKEN_EDITS)
+
+
+def _with_entity_edit(name: str) -> dict:
+    data = raw_scenario("heat_bread")
+    _ENTITY_EDITS[name](data["entities"])
+    return data
+
+
+def test_an_unnamable_id_is_reported_before_a_container_fault():
+    with pytest.raises(MalformedInput) as exc:
+        Scenario.from_dict(_with_entity_edit("in-a-renamed-container"))
+    assert str(exc.value).startswith("entity id '' cannot be named in a subgoal: ")
+
+
+# an entity edit that breaks one entity rule, and the start of its message
+_ENTITY_FAULTS = {"unnamable-leaf-id": "entity id 'Knife' cannot be named in a subgoal: ",
+                  "state-without-capability": "knife: is_open set without openable",
+                  "in-a-missing-container": "knife: container 'shelf' does not exist"}
+# one fault in the rest of the scenario
+_REST_FAULTS = {
+    "instruction": lambda data: data.update(instruction=" "),
+    "noise": lambda data: data.update(noise=1.5),
+    "goal-type": lambda data: data["goal"][0].update(type="hovering"),
+    "core-line": lambda data: data["gt"]["core"].append("(Fly, bread)"),
+}
+
+
+@pytest.mark.parametrize("rest", _REST_FAULTS)
+@pytest.mark.parametrize("fault", _ENTITY_FAULTS)
+def test_an_entity_fault_is_reported_before_a_fault_in_the_rest_of_the_scenario(fault, rest):
+    data = raw_scenario("heat_bread")
+    _REST_FAULTS[rest](data)
+    with pytest.raises((MalformedInput, PlanParseError)) as alone:
+        Scenario.from_dict(data)
+    assert not str(alone.value).startswith(_ENTITY_FAULTS[fault])
+    data = _with_entity_edit(fault)
+    _REST_FAULTS[rest](data)
+    with pytest.raises(MalformedInput) as both:
+        Scenario.from_dict(data)
+    assert str(both.value).startswith(_ENTITY_FAULTS[fault])
 
 
 def test_an_entity_error_names_the_first_field_in_field_order():
